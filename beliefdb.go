@@ -32,9 +32,9 @@
 //
 // # Durability
 //
-// Open and OpenLazy keep the database in memory. OpenAt (and OpenLazyAt)
-// persist it under a directory: every mutation is appended to a
-// CRC-checksummed write-ahead log and fsynced before it is acknowledged,
+// Open keeps the database in memory. OpenAt persists it under a directory:
+// every mutation is appended to a CRC-checksummed write-ahead log and
+// fsynced before it is acknowledged,
 // Checkpoint compacts the log into an atomically-replaced snapshot, and
 // reopening the directory recovers the exact committed state — loading the
 // snapshot, replaying the WAL tail, and truncating at the first torn
@@ -201,9 +201,8 @@ type DB struct {
 	coal     *store.Coalescer
 }
 
-// Open creates a belief database with the given external schema, using the
-// eager representation (every implicit belief materialized, as in the
-// paper's prototype).
+// Open creates a belief database with the given external schema, every
+// implicit belief materialized as in the paper's prototype.
 func Open(schema Schema) (*DB, error) {
 	st, err := store.Open(schema.Relations)
 	if err != nil {
@@ -213,8 +212,8 @@ func Open(schema Schema) (*DB, error) {
 }
 
 // OpenAt opens — creating it on first use — a durable belief database
-// rooted at directory dir, using the eager representation. Every mutating
-// operation (InsertBelief/DeleteBelief, DML via BeliefSQL, AddUser,
+// rooted at directory dir. Every mutating operation
+// (InsertBelief/DeleteBelief, DML via BeliefSQL, AddUser,
 // Rebuild, Vacuum, and raw-SQL writes through SQL) is appended to a
 // write-ahead log and fsynced before it is acknowledged; Checkpoint
 // compacts the log into a snapshot. Reopening the directory recovers the
@@ -231,36 +230,8 @@ func OpenAt(dir string, schema Schema) (*DB, error) {
 	return &DB{st: st, tr: bsql.NewTranslator(st)}, nil
 }
 
-// OpenLazyAt is OpenAt with the lazy representation of OpenLazy. The two
-// representations journal identically but snapshot differently, so a
-// directory stays bound to the representation that created it.
-func OpenLazyAt(dir string, schema Schema) (*DB, error) {
-	st, err := store.OpenLazyAt(dir, schema.Relations)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{st: st, tr: bsql.NewTranslator(st)}, nil
-}
-
-// OpenLazy creates a belief database with the lazy representation sketched
-// in the paper's future work (Sect. 6.3): only explicit statements are
-// stored (|R*|/n approaches 1) and the message-board default rule is
-// applied when worlds are read. The trade-off: BeliefSQL SELECT is
-// unavailable (it needs materialized valuations); use the typed entailment
-// and World APIs, which pay the closure cost per call.
-func OpenLazy(schema Schema) (*DB, error) {
-	st, err := store.OpenLazy(schema.Relations)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{st: st, tr: bsql.NewTranslator(st)}, nil
-}
-
-// Lazy reports whether the database uses the lazy representation.
-func (db *DB) Lazy() bool { return db.st.Lazy() }
-
 // Durable reports whether the database persists to disk (opened with
-// OpenAt/OpenLazyAt).
+// OpenAt).
 func (db *DB) Durable() bool { return db.st.Durable() }
 
 // Degraded reports whether the database is in the sticky read-only state

@@ -169,39 +169,6 @@ func TestStatsAndMaintenance(t *testing.T) {
 	}
 }
 
-func TestOpenLazy(t *testing.T) {
-	db, err := beliefdb.OpenLazy(natureSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.Lazy() {
-		t.Fatal("not lazy")
-	}
-	alice, _ := db.AddUser("Alice")
-	bob, _ := db.AddUser("Bob")
-	if _, err := db.Exec(`insert into Sightings values ('s1','Carol','bald eagle','6-14-08','Lake Forest')`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`insert into BELIEF 'Bob' not Sightings values ('s1','Carol','bald eagle','6-14-08','Lake Forest')`); err != nil {
-		t.Fatal(err)
-	}
-	eagle, _ := db.NewTuple("Sightings", "s1", "Carol", "bald eagle", "6-14-08", "Lake Forest")
-	if ok, _ := db.Believes(beliefdb.Path{alice}, eagle); !ok {
-		t.Error("Alice should inherit the eagle in lazy mode")
-	}
-	if ok, _ := db.Disbelieves(beliefdb.Path{bob}, eagle); !ok {
-		t.Error("Bob's stated negative lost in lazy mode")
-	}
-	// SELECT is an eager-only feature.
-	if _, err := db.Query(`select S.sid from BELIEF 'Bob' Sightings S`); err == nil {
-		t.Error("lazy SELECT should be rejected with a clear error")
-	}
-	// The lazy footprint holds only the two explicit statements.
-	if s := db.Stats(); s.TableRows["Sightings_v"] != 2 {
-		t.Errorf("lazy V rows = %d", s.TableRows["Sightings_v"])
-	}
-}
-
 func TestDumpRoundTrip(t *testing.T) {
 	db, _, _, _ := openExample(t)
 	script, err := db.Dump()

@@ -85,23 +85,6 @@ func BenchmarkSpaceBounds(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyAblation regenerates the lazy-vs-eager representation
-// comparison (Sect. 6.3 future work): storage overhead vs. read latency.
-func BenchmarkLazyAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunLazyAblation(500, 8, 5, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.Overhead, "ovh-"+r.Mode)
-				b.ReportMetric(float64(r.WorldReadMean)/1e3, "us-read-"+r.Mode)
-			}
-		}
-	}
-}
-
 // --- operation micro-benchmarks ---
 
 func benchDB(b *testing.B, n, m int) *beliefdb.DB {

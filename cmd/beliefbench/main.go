@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	beliefbench [-table1] [-figure6] [-table2] [-bounds] [-lazy] [-durability] [-batch N] [-serve N] [-replicas N] [-shards N] [-mixed] [-ranges] [-chaos] [-all] [-full] [-json] [-n N] [-reps R] [-qreps Q] [-seed S]
+//	beliefbench [-table1] [-figure6] [-table2] [-bounds] [-durability] [-batch N] [-serve N] [-replicas N] [-shards N] [-mixed] [-ranges] [-chaos] [-all] [-full] [-json] [-n N] [-reps R] [-qreps Q] [-seed S]
 //
 // -replicas measures the WAL-shipping read-replica fleet: ingest through
 // the primary with N followers attached, reporting replica-served read
@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		figure6 = fs.Bool("figure6", false, "run the Figure 6 overhead-vs-n sweep")
 		table2  = fs.Bool("table2", false, "run the Table 2 query benchmark")
 		bounds  = fs.Bool("bounds", false, "run the Sect. 5.4 space-bound ablation")
-		lazy    = fs.Bool("lazy", false, "run the lazy-vs-eager representation ablation (Sect. 6.3)")
 		durab   = fs.Bool("durability", false, "run the WAL/snapshot durability benchmark")
 		batchN  = fs.Int("batch", 0, "run the group-commit ingest benchmark comparing batch size N against size 1 (with -all alone: sizes 1, 16, 256)")
 		serveN  = fs.Int("serve", 0, "run the client/server ingest benchmark comparing N concurrent clients against 1 (with -all alone: 1, 4, 16)")
@@ -103,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !(*table1 || *figure6 || *table2 || *bounds || *lazy || *durab || *batchN > 0 || *serveN > 0 || *replN > 0 || *shardN > 0 || *mixed || *ranges || *chaos || *all) {
+	if !(*table1 || *figure6 || *table2 || *bounds || *durab || *batchN > 0 || *serveN > 0 || *replN > 0 || *shardN > 0 || *mixed || *ranges || *chaos || *all) {
 		*all = true
 	}
 	progress := func(string) {}
@@ -210,29 +209,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				benchRecord{Name: fmt.Sprintf("bounds/dmax%d/V", r.MaxDepth), Value: float64(r.VRows), Unit: "rows"})
 		}
 		emit(bench.RenderSpaceBounds(rows), recs)
-	}
-	if *all || *lazy {
-		nl, ml := 2000, 10
-		if *full {
-			nl = 10000
-		}
-		if *n > 0 {
-			nl = *n
-		}
-		rows, err := bench.RunLazyAblation(nl, ml, 5, progress)
-		if err != nil {
-			return err
-		}
-		var recs []benchRecord
-		for _, r := range rows {
-			recs = append(recs, benchRecord{
-				Name:    "lazy/" + r.Mode + "/world-read",
-				NsPerOp: float64(r.WorldReadMean),
-				Value:   r.Overhead,
-				Unit:    "overhead",
-			})
-		}
-		emit(bench.RenderLazyAblation(rows, nl, ml), recs)
 	}
 
 	if *all || *durab {

@@ -206,9 +206,14 @@ type pair struct {
 
 func diff(oldRecs, newRecs map[string]sample, maxPct, minNs float64, normalize bool, stdout io.Writer) (int, error) {
 	var shared []pair
+	var skipped []string // timed in the baseline, absent from the new run
 	for name, o := range oldRecs {
 		n, ok := newRecs[name]
-		if !ok || o.ns < minNs {
+		if !ok {
+			skipped = append(skipped, name)
+			continue
+		}
+		if o.ns < minNs {
 			continue
 		}
 		shared = append(shared, pair{
@@ -273,6 +278,12 @@ func diff(oldRecs, newRecs map[string]sample, maxPct, minNs float64, normalize b
 		}
 		fmt.Fprintf(stdout, "%s%-40s %14.0f %14.0f %+9.1f%% %7.0f%%\n",
 			marker, p.name, p.oldNs, p.newNs, (p.ratio-1)*100, p.noise*100)
+	}
+	if len(skipped) > 0 {
+		// A phase removed from the suite leaves its records behind in the
+		// committed baselines; that is a skip to see, not a failure.
+		sort.Strings(skipped)
+		fmt.Fprintf(stdout, "\n%d baseline-only record(s) skipped: %s\n", len(skipped), strings.Join(skipped, ", "))
 	}
 	if noisy > 0 {
 		fmt.Fprintf(stdout, "\n%d record(s) over the limit but noisier than the limit itself (~): not judged\n", noisy)

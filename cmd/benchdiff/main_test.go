@@ -45,6 +45,11 @@ func TestDiffPassesWithinThreshold(t *testing.T) {
 	if !strings.Contains(out.String(), "4 shared record(s)") {
 		t.Errorf("output:\n%s", out.String())
 	}
+	// A record only the baseline has (a phase since dropped from the suite,
+	// like lazy/* in BENCH_PR9/10.json) is reported as skipped, not failed.
+	if !strings.Contains(out.String(), "1 baseline-only record(s) skipped: removed") {
+		t.Errorf("baseline-only record not reported:\n%s", out.String())
+	}
 }
 
 func TestDiffFailsOnRegression(t *testing.T) {

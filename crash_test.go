@@ -17,7 +17,8 @@ import (
 	"beliefdb/internal/wal"
 )
 
-// tornOps is the workload: every op appends exactly one WAL record.
+// tornOps is the workload: every op is one WAL commit — a bare record, or a
+// marker plus the statements it groups.
 var tornOps = []func(db *beliefdb.DB) error{
 	func(db *beliefdb.DB) error { _, err := db.AddUser("Alice"); return err },
 	func(db *beliefdb.DB) error { _, err := db.AddUser("Bob"); return err },
@@ -53,7 +54,8 @@ var tornOps = []func(db *beliefdb.DB) error{
 }
 
 // recordBoundaries parses the WAL image and returns boundaries[i] = byte
-// offset just after the i-th record (boundaries[0] = header length).
+// offset just after the i-th commit (boundaries[0] = header length): a
+// marker's group ends after its last member.
 func recordBoundaries(t *testing.T, data []byte) []int64 {
 	t.Helper()
 	if _, err := wal.ParseHeader(data); err != nil {
@@ -61,13 +63,26 @@ func recordBoundaries(t *testing.T, data []byte) []int64 {
 	}
 	out := []int64{int64(wal.HeaderLen)}
 	off := int64(wal.HeaderLen)
+	members := 0 // records still owed to the open group
 	for off+8 <= int64(len(data)) {
 		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
 		if off+8+n > int64(len(data)) {
 			break
 		}
+		op, err := wal.DecodeOp(data[off+8 : off+8+n])
+		if err != nil {
+			t.Fatal(err)
+		}
 		off += 8 + n
-		out = append(out, off)
+		switch {
+		case op.Kind == wal.KindBatchBegin:
+			members = int(op.Count)
+		case members > 1:
+			members--
+		default:
+			members = 0
+			out = append(out, off)
+		}
 	}
 	return out
 }
@@ -108,7 +123,7 @@ func TestTornWALRecoverySweep(t *testing.T) {
 	boundaries := recordBoundaries(t, data)
 	// Record 1 is the schema-identity record; ops follow it.
 	if len(boundaries) != len(tornOps)+2 {
-		t.Fatalf("WAL holds %d records, want %d (schema + ops)", len(boundaries)-1, len(tornOps)+1)
+		t.Fatalf("WAL holds %d commits, want %d (schema + ops)", len(boundaries)-1, len(tornOps)+1)
 	}
 
 	// Shadow databases: the expected state after each committed prefix.
@@ -218,7 +233,7 @@ func TestTornWALRecoveryWithSnapshot(t *testing.T) {
 	boundaries := recordBoundaries(t, data)
 	tail := len(tornOps) - checkpointAfter
 	if len(boundaries) != tail+1 {
-		t.Fatalf("post-checkpoint WAL holds %d records, want %d", len(boundaries)-1, tail)
+		t.Fatalf("post-checkpoint WAL holds %d commits, want %d", len(boundaries)-1, tail)
 	}
 
 	for i, b := range boundaries {

@@ -270,40 +270,6 @@ func TestRawSQLMutationsJournaled(t *testing.T) {
 	}
 }
 
-func TestLazyDurableRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db, err := beliefdb.OpenLazyAt(dir, natureSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.Lazy() || !db.Durable() {
-		t.Fatal("OpenLazyAt should be lazy and durable")
-	}
-	loadExample(t, db)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	// Representation mismatch is rejected.
-	if _, err := beliefdb.OpenAt(dir, natureSchema()); err == nil {
-		t.Error("OpenAt on a lazy directory should fail")
-	}
-
-	ref, err := beliefdb.OpenLazy(natureSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadExample(t, ref)
-
-	re, err := beliefdb.OpenLazyAt(dir, natureSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	assertSameDB(t, ref, re)
-}
-
 // TestDurableConcurrentWriters exercises the WAL under the single-writer /
 // snapshot-reader model: concurrent mutators and readers on a durable DB, then
 // reopen and verify nothing was lost or duplicated. Run with -race.
@@ -367,7 +333,7 @@ func TestDurableConcurrentWriters(t *testing.T) {
 }
 
 // TestWALSchemaMismatchRejected: reopening a never-checkpointed directory
-// under a different schema (or representation) must fail loudly — the WAL's
+// under a different schema must fail loudly — the WAL's
 // schema record is the directory's only schema identity before the first
 // snapshot exists. (Silently replaying would discard every insert as an
 // "unknown relation" no-op.)
@@ -385,9 +351,6 @@ func TestWALSchemaMismatchRejected(t *testing.T) {
 	}}
 	if _, err := beliefdb.OpenAt(dir, bad); err == nil {
 		t.Error("OpenAt with a different schema should fail before any checkpoint")
-	}
-	if _, err := beliefdb.OpenLazyAt(dir, natureSchema()); err == nil {
-		t.Error("OpenLazyAt on an eager WAL should fail before any checkpoint")
 	}
 	// The right schema still works.
 	re, err := beliefdb.OpenAt(dir, natureSchema())

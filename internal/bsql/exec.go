@@ -38,26 +38,25 @@ func (tr *Translator) ExecScript(src string) (*query.Result, error) {
 	}
 	var res *query.Result
 	for i := 0; i < len(stmts); {
-		j := i
-		for j < len(stmts) {
-			if _, ok := stmts[j].(Insert); !ok {
-				break
+		j := i + 1
+		if _, ok := stmts[i].(Insert); ok {
+			// Only INSERTs can run ahead of their predecessors' commit:
+			// their VALUES rows are constants, while a WHERE clause must
+			// see the state the statements before it left.
+			for j < len(stmts) {
+				if _, ok := stmts[j].(Insert); !ok {
+					break
+				}
+				j++
 			}
-			j++
+			res, err = tr.execDML(stmts[i:j])
+		} else {
+			res, err = tr.ExecStmt(stmts[i])
 		}
-		if j-i >= 2 {
-			res, err = tr.execInsertRun(stmts[i:j])
-			if err != nil {
-				return nil, err
-			}
-			i = j
-			continue
-		}
-		res, err = tr.ExecStmt(stmts[i])
 		if err != nil {
 			return nil, err
 		}
-		i++
+		i = j
 	}
 	return res, nil
 }
@@ -90,24 +89,18 @@ func (tr *Translator) CompileBatch(src string) ([]store.BatchOp, error) {
 	}
 	var ops []store.BatchOp
 	for _, s := range stmts {
-		switch s := s.(type) {
-		case Insert:
-			ins, err := tr.insertOps(s)
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, ins...)
-		case Delete:
-			targets, _, err := tr.matchTargets(s.Target, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range targets {
-				ops = append(ops, store.BatchOp{Delete: true, Stmt: t})
-			}
+		switch s.(type) {
+		case Insert, Delete:
 		default:
+			// An UPDATE may move a row to another key, which the sharded
+			// server's per-key owner check of a batch does not cover.
 			return nil, fmt.Errorf("bsql: a batch supports INSERT and DELETE only, got %T", s)
 		}
+		sops, err := tr.compile(s)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, sops...)
 	}
 	return ops, nil
 }
@@ -127,12 +120,58 @@ func (tr *Translator) ExecStmt(stmt Statement) (*query.Result, error) {
 			return nil, err
 		}
 		return tr.st.DB().Query("EXPLAIN " + sql)
+	default:
+		return tr.execDML([]Statement{stmt})
+	}
+}
+
+// execDML compiles a run of data-manipulation statements and commits it as
+// one atomic store batch — one WAL commit and one published snapshot
+// however many explicit statements it touches. The returned Affected count
+// covers the last statement of the run, matching what sequential execution
+// would have reported.
+func (tr *Translator) execDML(stmts []Statement) (*query.Result, error) {
+	var ops []store.BatchOp
+	lastN := 0
+	for _, s := range stmts {
+		sops, err := tr.compile(s)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, sops...)
+		lastN = len(sops)
+	}
+	br, err := tr.st.ApplyBatch(ops)
+	if err != nil {
+		return nil, err
+	}
+	affected := 0
+	for _, changed := range br.ChangedOps[len(br.ChangedOps)-lastN:] {
+		if changed {
+			affected++
+		}
+	}
+	return &query.Result{Affected: affected}, nil
+}
+
+// compile resolves one parsed INSERT, DELETE or UPDATE into store
+// operations. WHERE clauses match against the state at compile time.
+func (tr *Translator) compile(stmt Statement) ([]store.BatchOp, error) {
+	switch s := stmt.(type) {
 	case Insert:
-		return tr.execInsert(s)
+		return tr.insertOps(s)
 	case Delete:
-		return tr.execDelete(s)
+		targets, _, err := tr.matchTargets(s.Target, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		ops := make([]store.BatchOp, len(targets))
+		for i, t := range targets {
+			ops[i] = store.BatchOp{Delete: true, Stmt: t}
+		}
+		return ops, nil
 	case Update:
-		return tr.execUpdate(s)
+		return tr.updateOps(s)
 	default:
 		return nil, fmt.Errorf("bsql: unsupported statement %T", stmt)
 	}
@@ -216,59 +255,6 @@ func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
 	return ops, nil
 }
 
-func (tr *Translator) execInsert(ins Insert) (*query.Result, error) {
-	ops, err := tr.insertOps(ins)
-	if err != nil {
-		return nil, err
-	}
-	// A multi-row VALUES list commits as one batch: atomic, one fsync.
-	if len(ops) > 1 {
-		br, err := tr.st.ApplyBatch(ops)
-		if err != nil {
-			return nil, err
-		}
-		return &query.Result{Affected: br.Changed}, nil
-	}
-	affected := 0
-	for _, op := range ops {
-		changed, err := tr.st.Insert(op.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			affected++
-		}
-	}
-	return &query.Result{Affected: affected}, nil
-}
-
-// execInsertRun applies a run of consecutive INSERT statements as one store
-// batch. The returned Affected count covers the last statement of the run,
-// matching what sequential execution would have reported.
-func (tr *Translator) execInsertRun(inss []Statement) (*query.Result, error) {
-	var ops []store.BatchOp
-	lastN := 0
-	for _, s := range inss {
-		stmtOps, err := tr.insertOps(s.(Insert))
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, stmtOps...)
-		lastN = len(stmtOps)
-	}
-	br, err := tr.st.ApplyBatch(ops)
-	if err != nil {
-		return nil, err
-	}
-	affected := 0
-	for _, changed := range br.ChangedOps[len(br.ChangedOps)-lastN:] {
-		if changed {
-			affected++
-		}
-	}
-	return &query.Result{Affected: affected}, nil
-}
-
 // matchTargets returns the explicit statements in the target world matching
 // the WHERE clause.
 func (tr *Translator) matchTargets(target BeliefRef, where sqlparser.Expr) ([]core.Statement, []string, error) {
@@ -304,25 +290,9 @@ func (tr *Translator) matchTargets(target BeliefRef, where sqlparser.Expr) ([]co
 	return out, cols, nil
 }
 
-func (tr *Translator) execDelete(del Delete) (*query.Result, error) {
-	targets, _, err := tr.matchTargets(del.Target, del.Where)
-	if err != nil {
-		return nil, err
-	}
-	affected := 0
-	for _, st := range targets {
-		changed, err := tr.st.Delete(st)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			affected++
-		}
-	}
-	return &query.Result{Affected: affected}, nil
-}
-
-func (tr *Translator) execUpdate(upd Update) (*query.Result, error) {
+// updateOps resolves one UPDATE into replace operations: each matching
+// explicit statement keeps its world and sign and takes the SET values.
+func (tr *Translator) updateOps(upd Update) ([]store.BatchOp, error) {
 	targets, cols, err := tr.matchTargets(upd.Target, upd.Where)
 	if err != nil {
 		return nil, err
@@ -331,8 +301,8 @@ func (tr *Translator) execUpdate(upd Update) (*query.Result, error) {
 	for i, c := range cols {
 		colPos[c] = i
 	}
-	affected := 0
-	for _, st := range targets {
+	ops := make([]store.BatchOp, len(targets))
+	for i, st := range targets {
 		newVals := append([]val.Value(nil), st.Tuple.Vals...)
 		for _, a := range upd.Set {
 			pos, ok := colPos[a.Column]
@@ -345,13 +315,7 @@ func (tr *Translator) execUpdate(upd Update) (*query.Result, error) {
 			}
 			newVals[pos] = v
 		}
-		changed, err := tr.st.Replace(st, core.Tuple{Rel: st.Tuple.Rel, Vals: newVals})
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			affected++
-		}
+		ops[i] = store.BatchOp{Replace: true, Stmt: st, NewVals: newVals}
 	}
-	return &query.Result{Affected: affected}, nil
+	return ops, nil
 }

@@ -44,10 +44,6 @@ type fromBinding struct {
 // (adjacent believers differ), and the result is DISTINCT (BCQ answers are
 // sets).
 func (tr *Translator) TranslateSelect(sel Select) (string, error) {
-	if tr.st.Lazy() {
-		return "", fmt.Errorf("bsql: the lazy representation does not materialize implicit beliefs; " +
-			"BeliefSQL SELECT requires an eager store (use the entailment/world API instead)")
-	}
 	cat := tr.st.DB().Catalog()
 	used := make(map[string]bool)
 	bindings := make([]*fromBinding, 0, len(sel.From))

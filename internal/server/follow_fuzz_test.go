@@ -76,7 +76,7 @@ func FuzzFollowWAL(f *testing.F) {
 	)
 	f.Add(healthy)
 	f.Add(frame(wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 0, Recs: [][]byte{
-		wal.BatchBeginToken(1, "tok-f1").Encode(nil),
+		wal.Op{Kind: wal.KindBatchBegin, Count: 1, Token: "tok-f1"}.Encode(nil),
 		wal.SQL("INSERT INTO r_R (k, v) VALUES ('g', 'h')").Encode(nil),
 	}}))
 

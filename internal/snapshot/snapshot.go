@@ -130,7 +130,7 @@ type RelData struct {
 // fresh epoch and replays from its start (see the Durability section of
 // DESIGN.md).
 type Model struct {
-	Lazy       bool
+	Lazy       bool // decode-only, see wal.SchemaDef.Lazy
 	WalEpoch   uint64
 	WalApplied uint64
 	NextUID    int64

@@ -95,96 +95,6 @@ func buildBatchShadow(t *testing.T, n int) *Store {
 	return st
 }
 
-// TestApplyBatchMatchesSingles: the deferred, deduplicated reconciliation
-// of ApplyBatch must be observably identical to applying the same
-// statements one at a time — on a generated workload (chunked at several
-// sizes) and on the hand-written script with mid-batch deletes and world
-// creation.
-func TestApplyBatchMatchesSingles(t *testing.T) {
-	_, stmts, err := gen.Statements(gen.Config{
-		Users: 8, DepthDist: []float64{0.3, 0.4, 0.2, 0.1},
-		Participation: gen.Zipf, KeyPool: 40, Seed: 17,
-	}, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Open([]Relation{GenTestRelation()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 8; i++ {
-		single.AddUser(fmt.Sprintf("u%d", i))
-	}
-	for _, s := range stmts {
-		if _, err := single.Insert(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, size := range []int{2, 7, 64, len(stmts)} {
-		batched, err := Open([]Relation{GenTestRelation()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= 8; i++ {
-			batched.AddUser(fmt.Sprintf("u%d", i))
-		}
-		for i := 0; i < len(stmts); i += size {
-			end := min(i+size, len(stmts))
-			ops := make([]BatchOp, 0, end-i)
-			for _, s := range stmts[i:end] {
-				ops = append(ops, BatchOp{Stmt: s})
-			}
-			res, err := batched.ApplyBatch(ops)
-			if err != nil {
-				t.Fatalf("size %d: %v", size, err)
-			}
-			if res.Applied != len(ops) {
-				t.Fatalf("size %d: applied %d of %d", size, res.Applied, len(ops))
-			}
-		}
-		assertSameStore(t, fmt.Sprintf("batch size %d", size), single, batched)
-	}
-
-	// The scripted mix (deletes, no-ops, new worlds) agrees with applying
-	// each batch's statements as singles.
-	script := batchScript()
-	viaBatches := buildBatchShadow(t, len(script))
-	singles, err := Open(crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	singles.AddUser("u1")
-	singles.AddUser("u2")
-	apply := func(ops ...BatchOp) {
-		for _, op := range ops {
-			if op.Delete {
-				singles.Delete(op.Stmt)
-			} else {
-				if _, err := singles.Insert(op.Stmt); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	apply(bIns(nil, core.Pos, "S", "k1", "bald eagle"))
-	apply(bIns(core.Path{1}, core.Neg, "S", "k1", "bald eagle"),
-		bIns(core.Path{1}, core.Pos, "S", "k2", "crow"),
-		bIns(core.Path{2, 1}, core.Pos, "C", "c1", "found feathers"),
-		bIns(core.Path{2}, core.Pos, "S", "k2", "raven"))
-	apply(bIns(nil, core.Pos, "C", "c2", "root note"),
-		bDel(core.Path{1}, core.Pos, "S", "k2", "crow"),
-		bIns(core.Path{1, 2}, core.Pos, "S", "k3", "osprey"),
-		bDel(nil, core.Pos, "S", "never-there", "x"))
-	apply(bIns(core.Path{2}, core.Neg, "S", "k3", "osprey"))
-	apply(bIns(nil, core.Pos, "S", "k4", "heron"),
-		bDel(nil, core.Pos, "S", "k4", "heron"),
-		bIns(nil, core.Pos, "S", "k4", "grey heron"))
-	singles.AddUser("u3")
-	apply(bIns(core.Path{3}, core.Pos, "C", "c3", "late note"),
-		bIns(core.Path{3, 1}, core.Pos, "S", "k1", "fish eagle"))
-	assertSameStore(t, "scripted mix", singles, viaBatches)
-}
-
 // GenTestRelation mirrors bench.GenRelation without importing it (the
 // bench package imports store).
 func GenTestRelation() Relation {
@@ -261,7 +171,7 @@ func TestBatchValidationRejectsWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.AddUser("u1")
-	before := st.Stats()
+	before, view := st.Stats(), st.pin()
 	cases := [][]BatchOp{
 		{bIns(nil, core.Pos, "S", "ok", "x"), bIns(nil, core.Pos, "Nope", "k", "x")},
 		{bIns(nil, core.Pos, "S", "ok", "x"), bIns(core.Path{9}, core.Pos, "S", "k", "x")},
@@ -277,6 +187,9 @@ func TestBatchValidationRejectsWhole(t *testing.T) {
 	}
 	if res, err := st.ApplyBatch(nil); err != nil || res.Applied != 0 {
 		t.Errorf("empty batch: %+v, %v", res, err)
+	}
+	if st.pin() != view {
+		t.Error("a round that journaled and applied nothing published a new view")
 	}
 }
 
@@ -463,41 +376,4 @@ func TestConflictRollbackRewindsWorlds(t *testing.T) {
 	if _, ok := st.WidOf(core.Path{2, 1}); ok {
 		t.Error("rolled-back world {2,1} still registered in the path catalog")
 	}
-}
-
-// TestBatchLazyStore: the lazy representation (explicit statements only)
-// accepts batches too — deferral is a no-op there, but the commit boundary
-// and atomicity are identical.
-func TestBatchLazyStore(t *testing.T) {
-	lazyB, err := OpenLazy(crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazyS, err := OpenLazy(crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []*Store{lazyB, lazyS} {
-		st.AddUser("u1")
-		st.AddUser("u2")
-	}
-	ops := []BatchOp{
-		bIns(nil, core.Pos, "S", "k1", "bald eagle"),
-		bIns(core.Path{1}, core.Neg, "S", "k1", "bald eagle"),
-		bIns(core.Path{2, 1}, core.Pos, "C", "c1", "feathers"),
-		bDel(nil, core.Pos, "S", "k1", "bald eagle"),
-	}
-	if _, err := lazyB.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		if op.Delete {
-			if _, err := lazyS.Delete(op.Stmt); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := lazyS.Insert(op.Stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertSameStore(t, "lazy batch", lazyS, lazyB)
 }

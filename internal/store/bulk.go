@@ -29,5 +29,8 @@ func (st *Store) BulkLoad(fn func(insert func(core.Statement) (bool, error)) err
 	defer st.publishLocked()
 	st.bulk = true
 	defer func() { st.bulk = false }()
-	return fn(st.insertOne)
+	return fn(func(stmt core.Statement) (bool, error) {
+		out := st.commitLocked([][]BatchOp{{{Stmt: stmt}}}, nil)
+		return out[0].Res.Changed == 1, out[0].Err
+	})
 }

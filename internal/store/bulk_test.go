@@ -9,52 +9,6 @@ import (
 	"beliefdb/internal/val"
 )
 
-// TestBulkLoadMatchesSingles asserts that BulkLoad is purely an
-// amortization of snapshot publication: the resulting store state is
-// identical to applying every statement through Insert.
-func TestBulkLoadMatchesSingles(t *testing.T) {
-	cfg := gen.Config{
-		Users: 8, DepthDist: []float64{0.3, 0.4, 0.2, 0.1},
-		Participation: gen.Zipf, KeyPool: 40, Seed: 23,
-	}
-	const n = 150
-
-	single, err := Open([]Relation{GenTestRelation()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulk, err := Open([]Relation{GenTestRelation()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= cfg.Users; i++ {
-		single.AddUser(fmt.Sprintf("u%d", i))
-		bulk.AddUser(fmt.Sprintf("u%d", i))
-	}
-
-	// Drive both stores with identical generators. gen.Load exercises the
-	// per-statement rejection contract: duplicates and conflicts must be
-	// skipped without aborting the load, in bulk exactly as in singles.
-	gs, err := gen.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := gs.Load(n, single.Insert); err != nil {
-		t.Fatal(err)
-	}
-	gb, err := gen.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bulk.BulkLoad(func(insert func(core.Statement) (bool, error)) error {
-		_, _, err := gb.Load(n, insert)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assertSameStore(t, "bulk load", single, bulk)
-}
-
 // TestBulkLoadPublishesOnce asserts the visibility contract: readers during
 // the load observe only the pre-load snapshot, and the load becomes visible
 // atomically when BulkLoad returns.

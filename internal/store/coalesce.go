@@ -20,14 +20,14 @@ const (
 // this deep has plenty to amortize, so the leader commits immediately.
 const windowFillTarget = 64
 
-// ErrCoalescerClosed is returned by Submit after Close.
+// ErrCoalescerClosed is returned by SubmitToken after Close.
 var ErrCoalescerClosed = fmt.Errorf("store: coalescer is closed")
 
 // A Coalescer merges concurrent batch submissions into shared commit
 // rounds: batches that arrive while a round is committing are collected and
-// applied together in the next round via ApplyBatchGroup — one writer-lock
-// acquisition and one WAL fsync for all of them, each batch individually
-// atomic. Under concurrency the fsync cost per batch approaches
+// applied together in the next round via ApplyBatchGroupTokens — one
+// writer-lock acquisition and one WAL fsync for all of them, each batch
+// individually atomic. Under concurrency the fsync cost per batch approaches
 // 1/(batches per round); a lone submitter degenerates to ApplyBatch plus a
 // goroutine hop.
 //
@@ -85,17 +85,12 @@ func (c *Coalescer) SetWindow(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Submit queues one batch and blocks until its round commits, returning the
-// batch's individual outcome (see ApplyBatchGroup for the per-batch
-// atomicity and error semantics). Submissions made while another round is
-// on disk are coalesced into the next round.
-func (c *Coalescer) Submit(ops []BatchOp) (BatchResult, error) {
-	return c.SubmitToken(ops, "")
-}
-
-// SubmitToken is Submit carrying a client idempotency token ("" for none);
-// the round commits it through ApplyBatchGroupTokens, so a token already
-// applied returns its original result instead of re-applying the batch.
+// SubmitToken queues one batch and blocks until its round commits,
+// returning the batch's individual outcome (see ApplyBatchGroupTokens for
+// the per-batch atomicity and error semantics). Submissions made while
+// another round is on disk are coalesced into the next round. token is the
+// client's idempotency token ("" for none): one already applied returns its
+// original result instead of re-applying the batch.
 func (c *Coalescer) SubmitToken(ops []BatchOp, token string) (BatchResult, error) {
 	w := &coalWait{ops: ops, token: token, done: make(chan struct{})}
 	c.mu.Lock()
@@ -117,7 +112,7 @@ func (c *Coalescer) SubmitToken(ops []BatchOp, token string) (BatchResult, error
 // gathering window (once per round, skipped when the queue is already
 // deep), take up to the round bounds, commit them as one group, deliver
 // the outcomes, repeat. New submissions also keep queueing while a round
-// is inside ApplyBatchGroup — the fsync itself is a second, free
+// is inside ApplyBatchGroupTokens — the fsync itself is a second, free
 // gathering window.
 func (c *Coalescer) lead() {
 	for {

@@ -1,6 +1,6 @@
 package store
 
-// Tests for the multi-batch group commit (ApplyBatchGroup) and the
+// Tests for the multi-batch group commit (ApplyBatchGroupTokens) and the
 // Coalescer that feeds it: equivalence with sequential ApplyBatch calls,
 // per-batch atomicity inside a shared round, single-fsync accounting,
 // crash-recovery of rounds, and concurrent-submitter stress.
@@ -45,7 +45,7 @@ func TestApplyBatchGroupMatchesSequential(t *testing.T) {
 	}
 
 	grouped := groupFixture(t, "")
-	outs := grouped.ApplyBatchGroup(groups)
+	outs := grouped.ApplyBatchGroupTokens(groups, nil)
 
 	seq := groupFixture(t, "")
 	for i, g := range groups {
@@ -68,14 +68,14 @@ func TestApplyBatchGroupMatchesSequential(t *testing.T) {
 // had gone through its own ApplyBatch call.
 func TestApplyBatchGroupIsolatesFailures(t *testing.T) {
 	st := groupFixture(t, "")
-	outs := st.ApplyBatchGroup([][]BatchOp{
+	outs := st.ApplyBatchGroupTokens([][]BatchOp{
 		{bIns(nil, core.Pos, "S", "k1", "bald eagle")},
 		// Same world, same key, both signs: a Γ-conflict mid-batch.
 		{bIns(core.Path{1}, core.Pos, "S", "k2", "crow"), bIns(core.Path{1}, core.Neg, "S", "k2", "crow")},
 		{bIns(core.Path{2}, core.Pos, "S", "k3", "raven")},
 		{bIns(nil, core.Pos, "X", "k4", "nope")}, // unknown relation: fails validation
 		nil,                                      // empty batch: vacuous success
-	})
+	}, nil)
 	if outs[0].Err != nil || outs[2].Err != nil {
 		t.Fatalf("healthy groups failed: %v / %v", outs[0].Err, outs[2].Err)
 	}
@@ -115,7 +115,7 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 		{bIns(core.Path{2}, core.Pos, "C", "c1", "feathers"), bIns(core.Path{2, 1}, core.Pos, "S", "k3", "osprey")},
 	}
 	syncs0 := st.WALSyncs()
-	outs := st.ApplyBatchGroup(groups)
+	outs := st.ApplyBatchGroupTokens(groups, nil)
 	if got := st.WALSyncs() - syncs0; got != 1 {
 		t.Errorf("round issued %d fsyncs, want 1", got)
 	}
@@ -134,7 +134,7 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	}
 	defer re.Close()
 	shadow := groupFixture(t, "")
-	shadow.ApplyBatchGroup(groups)
+	shadow.ApplyBatchGroupTokens(groups, nil)
 	assertSameStore(t, "recovered round", shadow, re)
 }
 
@@ -145,14 +145,14 @@ func TestApplyBatchGroupInsideTxn(t *testing.T) {
 	if _, err := st.DB().Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	outs := st.ApplyBatchGroup([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}})
+	outs := st.ApplyBatchGroupTokens([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}, nil)
 	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), "transaction") {
 		t.Fatalf("outcome inside txn = %+v", outs[0])
 	}
 	if _, err := st.DB().Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
-	if outs := st.ApplyBatchGroup([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}); outs[0].Err != nil {
+	if outs := st.ApplyBatchGroupTokens([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}, nil); outs[0].Err != nil {
 		t.Fatalf("after rollback: %v", outs[0].Err)
 	}
 }
@@ -186,7 +186,7 @@ func TestCoalescerConcurrentSubmit(t *testing.T) {
 				defer wg.Done()
 				<-start
 				key := fmt.Sprintf("w%d-%d", wave, w)
-				res, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", key, "sp")})
+				res, err := c.SubmitToken([]BatchOp{bIns(nil, core.Pos, "S", key, "sp")}, "")
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
@@ -221,12 +221,12 @@ func TestCoalescerConcurrentSubmit(t *testing.T) {
 func TestCoalescerClose(t *testing.T) {
 	st := groupFixture(t, "")
 	c := NewCoalescer(st)
-	if _, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", "k", "x")}); err != nil {
+	if _, err := c.SubmitToken([]BatchOp{bIns(nil, core.Pos, "S", "k", "x")}, ""); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	c.Close() // idempotent
-	if _, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", "k2", "x")}); err != ErrCoalescerClosed {
+	if _, err := c.SubmitToken([]BatchOp{bIns(nil, core.Pos, "S", "k2", "x")}, ""); err != ErrCoalescerClosed {
 		t.Fatalf("Submit after Close: %v", err)
 	}
 	if n := st.Len(); n != 1 {
@@ -248,29 +248,36 @@ func TestCoalescerCloseSkipsWindow(t *testing.T) {
 
 	// Stall the leader's first round inside ApplyBatchGroupTokens by
 	// holding the writer lock, and pile up a backlog deep enough to need
-	// several more rounds after it.
+	// several more rounds after it, the last of them a single batch — the
+	// shallow queue an open coalescer would linger on.
 	const backlog = 3*maxCoalescedBatches + 1
 	st.mu.Lock()
 	var wg sync.WaitGroup
-	wg.Add(backlog)
-	for i := 0; i < backlog; i++ {
-		go func(i int) {
-			defer wg.Done()
-			// A straggler may be rejected by the racing Close; both
-			// outcomes are fine, the test only measures Close latency.
-			c.Submit([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("w%d", i), "x")})
-		}(i)
+	wg.Add(1 + backlog)
+	submit := func(i int) {
+		defer wg.Done()
+		// A straggler may be rejected by the racing Close; both
+		// outcomes are fine, the test only measures Close latency.
+		c.SubmitToken([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("w%d", i), "x")}, "")
 	}
-	// Wait until every submission is queued AND the leader has carved off
-	// its first round (it is now blocked on the writer lock, past any
-	// pre-Close linger) before releasing it and timing Close.
-	for {
+	state := func() (leading bool, queued int) {
 		c.mu.Lock()
-		queued := len(c.queue)
-		c.mu.Unlock()
-		if queued == backlog-maxCoalescedBatches {
-			break
-		}
+		defer c.mu.Unlock()
+		return c.running, len(c.queue)
+	}
+	// The first submission alone, until the leader has carved it off as
+	// its first round (it is now blocked on the writer lock, past any
+	// pre-Close linger); how many submissions a round carved mid-pile-up
+	// would take depends on scheduling. Then the backlog, until every
+	// submission is queued, before releasing the leader and timing Close.
+	go submit(backlog)
+	for leading, queued := state(); !leading || queued != 0; leading, queued = state() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 0; i < backlog; i++ {
+		go submit(i)
+	}
+	for _, queued := state(); queued != backlog; _, queued = state() {
 		time.Sleep(100 * time.Microsecond)
 	}
 	st.mu.Unlock()
@@ -310,7 +317,7 @@ func TestCoalescerCloseDrainsAcceptedBatches(t *testing.T) {
 					return
 				default:
 				}
-				_, err := c.Submit([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("d%d-%d", w, i), "x")})
+				_, err := c.SubmitToken([]BatchOp{bIns(nil, core.Pos, "S", fmt.Sprintf("d%d-%d", w, i), "x")}, "")
 				results <- outcome{committed: err == nil, err: err}
 				if err != nil {
 					return

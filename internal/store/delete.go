@@ -19,36 +19,8 @@ import (
 // state with no explicit content carries exactly its deepest suffix state's
 // content, so keeping it is semantically invisible (see Vacuum).
 func (st *Store) Delete(stmt core.Statement) (bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.publishLocked()
-	ri, ok := st.rels[stmt.Tuple.Rel]
-	if !ok {
-		return false, fmt.Errorf("store: unknown relation %q", stmt.Tuple.Rel)
-	}
-	y, key, target := st.resolveExplicit(ri, stmt)
-	if target == nil {
-		return false, nil
-	}
-	// Begin before the journal append (see Insert): a Begin failure must
-	// not leave a durable record that was never applied.
-	txn, err := st.cat.Begin()
-	if err != nil {
-		return false, err
-	}
-	if err := st.logOp(wal.Delete(stmt)); err != nil {
-		txn.Rollback()
-		return false, err
-	}
-	if err := st.deleteLocked(ri, y, key, *target, nil); err != nil {
-		txn.Rollback()
-		return false, err
-	}
-	if err := txn.Commit(); err != nil {
-		return false, err
-	}
-	st.n--
-	return true, nil
+	res, err := st.ApplyBatch([]BatchOp{{Delete: true, Stmt: stmt}})
+	return res.Changed == 1, err
 }
 
 // resolveExplicit locates the explicit V row stating stmt, returning its
@@ -75,73 +47,15 @@ func (st *Store) resolveExplicit(ri *relInfo, stmt core.Statement) (int64, val.V
 	return 0, val.Null(), nil
 }
 
-func (st *Store) deleteLocked(ri *relInfo, y int64, key val.Value, target vRow, pend *pendingReconcile) error {
-	if err := ri.v.Delete(target.rowID); err != nil {
-		return err
-	}
-	if st.lazy {
-		return nil // nothing materialized to reconcile
-	}
-	if pend != nil {
-		pend.add(ri, y, key)
-		return nil
-	}
-	// The world may now inherit rows the explicit statement was blocking.
-	if err := st.reconcileKeySlice(ri, y, key); err != nil {
-		return err
-	}
-	for _, z := range st.dependents(st.pathByWid[y]) {
-		if err := st.reconcileKeySlice(ri, z, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Replace atomically substitutes one explicit statement with another tuple
 // of the same sign in the same world (BeliefSQL UPDATE = delete + insert).
 // It reports changed=false when the old statement does not exist.
 func (st *Store) Replace(old core.Statement, newTuple core.Tuple) (bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.publishLocked()
-	ri, ok := st.rels[old.Tuple.Rel]
-	if !ok {
-		return false, fmt.Errorf("store: unknown relation %q", old.Tuple.Rel)
-	}
 	if newTuple.Rel != old.Tuple.Rel {
 		return false, fmt.Errorf("store: replace cannot change the relation")
 	}
-	y, key, target := st.resolveExplicit(ri, old)
-	if target == nil {
-		return false, nil
-	}
-	// Begin before the journal append (see Insert).
-	txn, err := st.cat.Begin()
-	if err != nil {
-		return false, err
-	}
-	if err := st.logOp(wal.Replace(old, newTuple.Vals)); err != nil {
-		txn.Rollback()
-		return false, err
-	}
-	mark := st.markLogical()
-	fail := func(err error) (bool, error) {
-		txn.Rollback()
-		st.rewindLogical(mark)
-		return false, err
-	}
-	if err := st.deleteLocked(ri, y, key, *target, nil); err != nil {
-		return fail(err)
-	}
-	newStmt := core.Statement{Path: old.Path, Sign: old.Sign, Tuple: newTuple}
-	if _, err := st.insertLocked(ri, newStmt, nil); err != nil {
-		return fail(err)
-	}
-	if err := txn.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
+	res, err := st.ApplyBatch([]BatchOp{{Replace: true, Stmt: old, NewVals: newTuple.Vals}})
+	return res.Changed == 1, err
 }
 
 // starFind returns the tid of a ground tuple without creating it.

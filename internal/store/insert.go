@@ -5,7 +5,6 @@ import (
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/val"
-	"beliefdb/internal/wal"
 )
 
 // ErrConflict is returned when an insert contradicts explicit beliefs in
@@ -23,68 +22,11 @@ func (e *ErrConflict) Error() string {
 // "insert into BELIEF u1 BELIEF u2 ... [not] R values (...)"; an empty path
 // is a plain insert). It creates the target world if needed (Algorithm 2)
 // and propagates the new belief to dependent worlds (Algorithm 4). The
-// whole update is atomic. It reports changed=false when the statement was
-// already explicitly present.
+// whole update is atomic — a batch of one. It reports changed=false when
+// the statement was already explicitly present.
 func (st *Store) Insert(stmt core.Statement) (changed bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.publishLocked()
-	return st.insertOne(stmt)
-}
-
-// insertOne applies one statement under the already-held writer lock: it
-// validates, journals, applies and commits (or rolls back) the statement,
-// leaving publication to the caller. Both the public Insert and BulkLoad
-// funnel through here.
-func (st *Store) insertOne(stmt core.Statement) (changed bool, err error) {
-	if !stmt.Path.Valid() {
-		return false, fmt.Errorf("store: invalid belief path %s", stmt.Path)
-	}
-	for _, u := range stmt.Path {
-		if _, ok := st.usersByID[u]; !ok {
-			return false, fmt.Errorf("store: unknown user %d in path %s", u, stmt.Path)
-		}
-	}
-	ri, ok := st.rels[stmt.Tuple.Rel]
-	if !ok {
-		return false, fmt.Errorf("store: unknown relation %q", stmt.Tuple.Rel)
-	}
-	// The transaction must open before the journal append: a failing Begin
-	// after the append would leave a durable record that was never applied,
-	// and crash-replay would silently diverge from the acknowledged state.
-	txn, err := st.cat.Begin()
-	if err != nil {
-		return false, err
-	}
-	// Write-ahead: the operation is durable before any table changes. A
-	// conflicting or duplicate insert is logged too — replaying it makes
-	// the identical (deterministic) decision it made here.
-	if err := st.logOp(wal.Insert(stmt)); err != nil {
-		txn.Rollback()
-		return false, err
-	}
-	mark := st.markLogical()
-	changed, err = st.insertLocked(ri, stmt, nil)
-	if err != nil {
-		txn.Rollback()
-		st.rewindLogical(mark)
-		return false, err
-	}
-	if err := txn.Commit(); err != nil {
-		return false, err
-	}
-	if changed {
-		st.n++
-	}
-	return changed, nil
-}
-
-func (st *Store) insertLocked(ri *relInfo, stmt core.Statement, pend *pendingReconcile) (bool, error) {
-	y, err := st.idWorld(stmt.Path)
-	if err != nil {
-		return false, err
-	}
-	return st.insertTuple(ri, stmt, y, pend)
+	res, err := st.ApplyBatch([]BatchOp{{Stmt: stmt}})
+	return res.Changed == 1, err
 }
 
 func signStr(s core.Sign) string {
@@ -103,10 +45,10 @@ func signStr(s core.Sign) string {
 // clears implicit beliefs that became stale because the insert overrode
 // them deeper in the suffix chain (see package comment).
 //
-// With a non-nil pend the propagation is deferred: the affected
-// (relation, world, key) anchor is recorded and the batch reconciles every
-// dependent slice once at commit time (see flushReconcile). Deferral never
-// changes the statement's own outcome — the conflict checks of line 5 read
+// The propagation is deferred: the affected (relation, world, key) anchor
+// is recorded in pend and the batch reconciles every dependent slice once
+// at commit time (see flushReconcile). Deferral never changes the
+// statement's own outcome — the conflict checks of line 5 read
 // only explicit rows, which stay exact between statements, and the
 // implicit-row fast paths of lines 3-6 converge to the same state once the
 // slice is reconciled.
@@ -136,6 +78,7 @@ func (st *Store) insertTuple(ri *relInfo, stmt core.Statement, y int64, pend *pe
 			}); err != nil {
 				return false, err
 			}
+			st.n++
 			return true, nil
 		}
 	}
@@ -166,20 +109,10 @@ func (st *Store) insertTuple(ri *relInfo, stmt core.Statement, y int64, pend *pe
 	}); err != nil {
 		return false, err
 	}
-	// Propagate to dependent worlds in ascending depth (lines 8-14). The
-	// lazy representation stores explicit statements only.
-	if st.lazy {
-		return true, nil
-	}
-	if pend != nil {
-		pend.add(ri, y, key)
-		return true, nil
-	}
-	for _, z := range st.dependents(st.pathByWid[y]) {
-		if err := st.reconcileKeySlice(ri, z, key); err != nil {
-			return false, err
-		}
-	}
+	st.n++
+	// Propagate to dependent worlds in ascending depth (lines 8-14), at
+	// commit time.
+	pend.add(ri, y, key)
 	return true, nil
 }
 

@@ -68,20 +68,13 @@ var wrapWALSink func(wal.Sink) wal.Sink
 // and must not be called concurrently with OpenAt.
 func SetWALSinkWrapper(wrap func(wal.Sink) wal.Sink) { wrapWALSink = wrap }
 
-// OpenAt opens (creating it if needed) a durable eager-representation store
-// rooted at directory dir. Recovery loads the latest snapshot, replays the
-// WAL tail not yet covered by it, and truncates the WAL at the first torn
-// record; afterwards every mutating operation is appended to the WAL —
-// under the exclusive writer lock, before any table is touched — and synced
-// before the mutation is acknowledged.
-func OpenAt(dir string, rels []Relation) (*Store, error) { return openAt(dir, rels, false) }
-
-// OpenLazyAt is OpenAt for the lazy representation of Sect. 6.3. The
-// snapshot records which representation wrote it; reopening a directory
-// with the other representation is an error.
-func OpenLazyAt(dir string, rels []Relation) (*Store, error) { return openAt(dir, rels, true) }
-
-func openAt(dir string, rels []Relation, lazy bool) (st *Store, err error) {
+// OpenAt opens (creating it if needed) a durable store rooted at directory
+// dir. Recovery loads the latest snapshot, replays the WAL tail not yet
+// covered by it, and truncates the WAL at the first torn record; afterwards
+// every mutating operation is appended to the WAL — under the exclusive
+// writer lock, before any table is touched — and synced before the mutation
+// is acknowledged.
+func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
@@ -94,7 +87,7 @@ func openAt(dir string, rels []Relation, lazy bool) (st *Store, err error) {
 			unlockDir(lock)
 		}
 	}()
-	st, err = open(rels, lazy)
+	st, err = Open(rels)
 	if err != nil {
 		return nil, err
 	}
@@ -175,31 +168,19 @@ func openAt(dir string, rels []Relation, lazy bool) (st *Store, err error) {
 			// The marker groups the next Count records into one atomic
 			// batch; replay it through the same all-or-nothing path the
 			// live batch took, so a mid-batch conflict rolls back
-			// identically. Recovery already truncated incomplete trailing
-			// groups, so a short group here is a format error.
+			// identically and the marker's token re-enters the dedup table
+			// (see ApplyReplicatedGroup). Recovery already truncated
+			// incomplete trailing groups, so a short group here is a
+			// format error.
 			n := int(op.Count)
 			if k+1+n > len(rec.Ops) {
 				rec.Log.Close()
 				return nil, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(rec.Ops)-k-1)
 			}
-			batch := make([]BatchOp, n)
-			for i, bop := range rec.Ops[k+1 : k+1+n] {
-				switch bop.Kind {
-				case wal.KindInsert:
-					batch[i] = BatchOp{Stmt: bop.Stmt}
-				case wal.KindDelete:
-					batch[i] = BatchOp{Delete: true, Stmt: bop.Stmt}
-				default:
-					rec.Log.Close()
-					return nil, fmt.Errorf("store: cannot replay %s inside a WAL batch", bop.Kind)
-				}
+			if err := st.ApplyReplicatedGroup(rec.Ops[k+1:k+1+n], op.Token); err != nil {
+				rec.Log.Close()
+				return nil, err
 			}
-			// Batch-level outcomes (a conflict rolling the group back) are
-			// deterministic and deliberately ignored, like applyOp's. The
-			// tokened path re-enters the marker's token into the dedup
-			// table — and skips a batch whose token already replayed — so a
-			// client retrying across the restart stays exactly-once.
-			st.ApplyBatchToken(batch, op.Token)
 			k += n
 		default:
 			if err := st.applyOp(op); err != nil {
@@ -237,7 +218,7 @@ func openAt(dir string, rels []Relation, lazy bool) (st *Store, err error) {
 // schemaDef renders the store's schema identity for the WAL's schema
 // record.
 func (st *Store) schemaDef() wal.SchemaDef {
-	def := wal.SchemaDef{Lazy: st.lazy}
+	var def wal.SchemaDef
 	for _, name := range st.relOrder {
 		rel := wal.SchemaRel{Name: name}
 		for _, c := range st.rels[name].def.Columns {
@@ -254,8 +235,8 @@ func (st *Store) validateSchemaDef(def *wal.SchemaDef) error {
 	if def == nil {
 		return fmt.Errorf("store: WAL schema record has no definition")
 	}
-	if def.Lazy != st.lazy {
-		return fmt.Errorf("store: WAL was created with lazy=%v, store opened with lazy=%v", def.Lazy, st.lazy)
+	if def.Lazy {
+		return fmt.Errorf("store: the WAL's schema record says the directory was created with the lazy representation, which is no longer supported")
 	}
 	if len(def.Rels) != len(st.relOrder) {
 		return fmt.Errorf("store: WAL schema has %d relations, schema declares %d", len(def.Rels), len(st.relOrder))
@@ -300,12 +281,10 @@ func (st *Store) applyOp(op wal.Op) error {
 	switch op.Kind {
 	case wal.KindAddUser:
 		_, _ = st.AddUser(op.Name)
-	case wal.KindInsert:
-		_, _ = st.Insert(op.Stmt)
-	case wal.KindDelete:
-		_, _ = st.Delete(op.Stmt)
-	case wal.KindReplace:
-		_, _ = st.Replace(op.Stmt, core.Tuple{Rel: op.Stmt.Tuple.Rel, Vals: op.NewVals})
+	case wal.KindInsert, wal.KindDelete, wal.KindReplace:
+		// A bare statement record (logs written before every commit
+		// journaled a marker) is a group of one.
+		return st.ApplyReplicatedGroup([]wal.Op{op}, "")
 	case wal.KindRebuild:
 		_ = st.Rebuild()
 	case wal.KindVacuum:
@@ -417,7 +396,6 @@ func (st *Store) Close() error {
 // writer lock.
 func (v *view) snapshotModel() *snapshot.Model {
 	m := &snapshot.Model{
-		Lazy:    v.lazy,
 		NextUID: v.nextUID,
 		NextWid: v.nextWid,
 		NextTid: v.nextTid,
@@ -550,11 +528,11 @@ func (st *Store) SnapshotModel() *snapshot.Model {
 }
 
 // loadSnapshot populates a freshly opened (empty) store from a model,
-// after validating that the caller's schema and representation match the
-// ones the snapshot was taken under.
+// after validating that the caller's schema matches the one the snapshot
+// was taken under.
 func (st *Store) loadSnapshot(m *snapshot.Model) error {
-	if m.Lazy != st.lazy {
-		return fmt.Errorf("store: snapshot was taken with lazy=%v, store opened with lazy=%v", m.Lazy, st.lazy)
+	if m.Lazy {
+		return fmt.Errorf("store: the snapshot header says the directory was created with the lazy representation, which is no longer supported")
 	}
 	if len(m.Rels) != len(st.relOrder) {
 		return fmt.Errorf("store: snapshot has %d relations, schema declares %d", len(m.Rels), len(st.relOrder))

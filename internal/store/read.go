@@ -33,9 +33,6 @@ func (v *view) worldContent(p core.Path) (*core.World, error) {
 	// every entry is implicit from w's point of view.
 	_, isState := v.widOf(p)
 	wid := v.dssWid(p)
-	if v.lazy {
-		return v.lazyWorldContent(wid, isState)
-	}
 	w := core.NewWorld()
 	for _, name := range v.relOrder {
 		ri := v.rels[name]
@@ -54,45 +51,6 @@ func (v *view) worldContent(p core.Path) (*core.World, error) {
 		}
 	}
 	return w, nil
-}
-
-// lazyWorldContent applies the message-board default rule at read time: it
-// walks the suffix-link chain (S relation) from the root up to the state
-// and takes overriding unions of the explicit statements stored at each
-// chain world — the query-time evaluation sketched in Sect. 6.3.
-func (v *view) lazyWorldContent(wid int64, isState bool) (*core.World, error) {
-	var chain []int64
-	for w := wid; w >= 0; w = v.suffixLinkOf(w) {
-		chain = append(chain, w)
-		if w == 0 {
-			break
-		}
-	}
-	acc := core.NewWorld()
-	for i := len(chain) - 1; i >= 0; i-- {
-		w := chain[i]
-		next := core.NewWorld()
-		for _, name := range v.relOrder {
-			ri := v.rels[name]
-			for _, r := range v.vRowsByWid(ri, w) {
-				t, err := v.starGet(ri, r.tid)
-				if err != nil {
-					return nil, err
-				}
-				sign := core.Pos
-				if r.sign == SignNeg {
-					sign = core.Neg
-				}
-				explicit := isState && i == 0
-				if _, err := next.Add(t, sign, explicit); err != nil {
-					return nil, err
-				}
-			}
-		}
-		next.InheritFrom(acc)
-		acc = next
-	}
-	return acc, nil
 }
 
 // Entails decides the entailment D |= w t^s (Def. 6 semantics, unstated

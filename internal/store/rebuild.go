@@ -104,9 +104,6 @@ func (st *Store) Rebuild() error {
 		wid := int64(s.ID)
 		for _, sign := range []core.Sign{core.Pos, core.Neg} {
 			for _, e := range s.World.Entries(sign) {
-				if st.lazy && !e.Explicit {
-					continue // the lazy representation stores only stated beliefs
-				}
 				ri, ok := st.rels[e.Tuple.Rel]
 				if !ok {
 					return fmt.Errorf("store: rebuild: unknown relation %q", e.Tuple.Rel)

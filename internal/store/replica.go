@@ -92,16 +92,9 @@ func (st *Store) ApplyReplicated(op wal.Op) error {
 // deterministically conflict rolls back here exactly as it did on the
 // primary. Only malformed members are errors.
 func (st *Store) ApplyReplicatedGroup(ops []wal.Op, token string) error {
-	batch := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case wal.KindInsert:
-			batch[i] = BatchOp{Stmt: op.Stmt}
-		case wal.KindDelete:
-			batch[i] = BatchOp{Delete: true, Stmt: op.Stmt}
-		default:
-			return fmt.Errorf("store: cannot replicate %s inside a batch group", op.Kind)
-		}
+	batch, err := batchOps(ops)
+	if err != nil {
+		return err
 	}
 	_, _ = st.ApplyBatchToken(batch, token)
 	return nil

@@ -118,23 +118,12 @@ type Store struct {
 var reservedRelNames = map[string]bool{"Users": true, "_e": true, "_d": true, "_s": true}
 
 // Open creates the internal schema for the given external relations on a
-// fresh embedded database, using the paper's eager representation (every
+// fresh embedded database, in the paper's canonical representation (every
 // implicit belief materialized).
-func Open(rels []Relation) (*Store, error) { return open(rels, false) }
-
-// OpenLazy creates a belief database with the lazy representation of
-// Sect. 6.3: only explicit statements are stored and implicit beliefs are
-// derived when worlds are read. Size overhead approaches 1; WorldContent
-// and Entails pay the suffix-chain closure per call, and BeliefSQL SELECT
-// is not available (the Algorithm 1 translation needs materialized
-// valuations).
-func OpenLazy(rels []Relation) (*Store, error) { return open(rels, true) }
-
-func open(rels []Relation, lazy bool) (*Store, error) {
+func Open(rels []Relation) (*Store, error) {
 	db := sqldb.New()
 	st := &Store{
 		view: view{
-			lazy:        lazy,
 			rels:        make(map[string]*relInfo),
 			usersByID:   make(map[core.UserID]string),
 			usersByName: make(map[string]core.UserID),
@@ -275,9 +264,6 @@ func (st *Store) createRelation(r Relation) error {
 // DB exposes the underlying SQL database; the BeliefSQL translation runs
 // its generated SQL through it.
 func (st *Store) DB() *sqldb.DB { return st.db }
-
-// Lazy reports whether the store uses the lazy representation.
-func (st *Store) Lazy() bool { return st.lazy }
 
 // Relations returns the external relation definitions in creation order.
 // The relation set is fixed at Open time (rels/relOrder are never mutated

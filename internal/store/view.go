@@ -37,14 +37,6 @@ type view struct {
 	worldsGen uint64 // bumped on every widByPath/pathByWid mutation
 
 	n int // number of explicit belief statements
-
-	// lazy selects the alternative representation sketched in the paper's
-	// future work (Sect. 6.3): the V relations hold only explicit
-	// statements and the message-board default rule is applied at read
-	// time by walking the suffix-link chain, trading query-time work for a
-	// much smaller |R*|. SQL query translation (Algorithm 1) requires the
-	// eager representation and is unavailable in lazy mode.
-	lazy bool
 }
 
 // pin returns the most recently published view. The result is immutable and
@@ -64,7 +56,6 @@ func (st *Store) pin() *view { return st.snap.Load() }
 func (st *Store) publishView(fcat *engine.Catalog) {
 	prev := st.snap.Load()
 	nv := &view{
-		lazy:       st.lazy,
 		relOrder:   st.relOrder,
 		rels:       make(map[string]*relInfo, len(st.rels)),
 		usersTable: fcat.Table("Users"),

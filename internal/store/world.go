@@ -152,11 +152,7 @@ func (st *Store) idWorld(w core.Path) (int64, error) {
 	if _, err := st.s.Insert([]val.Value{val.Int(x), val.Int(dss)}); err != nil {
 		return 0, err
 	}
-	// Insert all tuples of the dss world as implicit tuples (line 9). The
-	// lazy representation derives them at read time instead.
-	if st.lazy {
-		return x, nil
-	}
+	// Insert all tuples of the dss world as implicit tuples (line 9).
 	for _, ri := range st.rels {
 		rows := st.vRowsByWid(ri, dss)
 		for _, r := range rows {

@@ -321,7 +321,7 @@ func TestAppendGroupsSingleSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	headerSyncs := logOne.Syncs()
-	if err := logOne.AppendGroups(groups); err != nil {
+	if err := logOne.AppendGroups(groups, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := logOne.Syncs() - headerSyncs; got != 1 {
@@ -371,19 +371,19 @@ func TestAppendGroupsRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := len(sink.Buf)
-	if err := log.AppendGroups(nil); err != nil {
+	if err := log.AppendGroups(nil, nil); err != nil {
 		t.Errorf("no groups: %v", err)
 	}
-	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {}}); err == nil {
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {}}, nil); err == nil {
 		t.Error("empty group accepted")
 	}
-	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {BatchBegin(1)}}); err == nil {
+	if err := log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {BatchBegin(1)}}, nil); err == nil {
 		t.Error("nested batch marker accepted")
 	}
 	huge := core.Statement{Sign: core.Pos, Tuple: core.Tuple{
 		Rel: "S", Vals: []val.Value{val.Str(string(make([]byte, maxRecordLen)))},
 	}}
-	err = log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {Insert(huge)}})
+	err = log.AppendGroups([][]Op{{Insert(batchStmt("k"))}, {Insert(huge)}}, nil)
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Errorf("oversized member: %v", err)
 	}

@@ -26,7 +26,7 @@ const (
 	KindRebuild    Kind = 5
 	KindVacuum     Kind = 6
 	KindSQL        Kind = 7 // SQL (raw statement text against the internal schema)
-	KindSchema     Kind = 8 // Def: the external schema and representation the log was created under
+	KindSchema     Kind = 8 // Def: the external schema the log was created under
 	KindBatchBegin Kind = 9 // Count: the next Count records form one atomic batch
 )
 
@@ -68,12 +68,15 @@ type SchemaRel struct {
 	Cols []SchemaCol
 }
 
-// SchemaDef identifies the external schema and representation a WAL was
-// created under. It is journaled as the first record of a fresh log, so
-// recovery can refuse to replay the log under a different schema — without
+// SchemaDef identifies the external schema a WAL was created under. It is
+// journaled as the first record of a fresh log, so recovery can refuse to
+// replay the log under a different schema — without
 // it, every Insert would fail its "unknown relation" check and be silently
 // discarded as a replayed no-op, losing all committed beliefs.
 type SchemaDef struct {
+	// Lazy is decode-only: the flag of a removed explicit-statements-only
+	// representation. New logs write false; the store refuses a log that
+	// says true.
 	Lazy bool
 	Rels []SchemaRel
 }
@@ -119,12 +122,6 @@ func Schema(def SchemaDef) Op { return Op{Kind: KindSchema, Def: &def} }
 // BatchBegin returns a batch-boundary marker: the next n records belong to
 // one atomic batch (written together by AppendBatch, replayed all-or-nothing).
 func BatchBegin(n uint64) Op { return Op{Kind: KindBatchBegin, Count: n} }
-
-// BatchBeginToken returns a batch-boundary marker carrying the client's
-// idempotency token, so replay can rebuild the applied-token dedup table.
-func BatchBeginToken(n uint64, token string) Op {
-	return Op{Kind: KindBatchBegin, Count: n, Token: token}
-}
 
 // String renders the op for diagnostics.
 func (op Op) String() string {

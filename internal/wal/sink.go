@@ -204,16 +204,7 @@ func (l *Log) AppendBatch(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return l.AppendGroups([][]Op{ops})
-}
-
-// AppendBatchToken is AppendBatch with a client idempotency token journaled
-// in the group's BatchBegin marker (see AppendGroupsToken).
-func (l *Log) AppendBatchToken(ops []Op, token string) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	return l.AppendGroupsToken([][]Op{ops}, []string{token})
+	return l.AppendGroups([][]Op{ops}, nil)
 }
 
 // AppendGroups journals several independent batch groups under one commit
@@ -228,17 +219,13 @@ func (l *Log) AppendBatchToken(ops []Op, token string) error {
 // is written when any record is oversized, any group nests a batch marker,
 // or any group is empty (an empty group would journal a marker promising
 // zero members — bytes no caller asked to commit).
-func (l *Log) AppendGroups(groups [][]Op) error {
-	return l.AppendGroupsToken(groups, nil)
-}
-
-// AppendGroupsToken is AppendGroups with per-group idempotency tokens:
-// tokens[i] ("" = none) is recorded in group i's BatchBegin marker, so a
-// replay after a crash can rebuild the store's applied-token dedup table
-// and a retried batch stays exactly-once across the restart. A nil tokens
-// slice means no group carries a token; otherwise len(tokens) must equal
-// len(groups).
-func (l *Log) AppendGroupsToken(groups [][]Op, tokens []string) error {
+//
+// tokens carries per-group idempotency tokens: tokens[i] ("" = none) is
+// recorded in group i's BatchBegin marker, so a replay after a crash can
+// rebuild the store's applied-token dedup table and a retried batch stays
+// exactly-once across the restart. A nil tokens slice means no group
+// carries a token; otherwise len(tokens) must equal len(groups).
+func (l *Log) AppendGroups(groups [][]Op, tokens []string) error {
 	if len(groups) == 0 {
 		return nil
 	}

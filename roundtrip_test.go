@@ -35,7 +35,6 @@ type roundTripCase struct {
 	deleteEach int       // delete one earlier statement every k accepts
 	checkpoint int       // checkpoint every k accepts (0: never)
 	rebuildAt  int       // run Rebuild after this many accepts (0: never)
-	lazy       bool
 }
 
 func roundTripCorpus() []roundTripCase {
@@ -45,7 +44,7 @@ func roundTripCorpus() []roundTripCase {
 		{seed: 3, users: 5, accepted: 70, depthDist: []float64{0.5, 0.3, 0.15, 0.05}, deleteEach: 9, checkpoint: 20},
 		{seed: 4, users: 2, accepted: 40, depthDist: []float64{0.2, 0.8}, deleteEach: 4, checkpoint: 11, rebuildAt: 22},
 		{seed: 5, users: 4, accepted: 45, depthDist: []float64{0.25, 0.5, 0.25}, deleteEach: 6, checkpoint: 44},
-		{seed: 6, users: 3, accepted: 40, depthDist: []float64{0.3, 0.4, 0.3}, deleteEach: 8, checkpoint: 13, lazy: true},
+		{seed: 6, users: 3, accepted: 40, depthDist: []float64{0.3, 0.4, 0.3}, deleteEach: 8, checkpoint: 13},
 	}
 }
 
@@ -55,15 +54,9 @@ func TestDurabilityRoundTripProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			dir := t.TempDir()
 			open := func() (*beliefdb.DB, error) {
-				if tc.lazy {
-					return beliefdb.OpenLazyAt(dir, genSchema())
-				}
 				return beliefdb.OpenAt(dir, genSchema())
 			}
 			openShadow := func() (*beliefdb.DB, error) {
-				if tc.lazy {
-					return beliefdb.OpenLazy(genSchema())
-				}
 				return beliefdb.Open(genSchema())
 			}
 
