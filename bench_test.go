@@ -23,7 +23,7 @@ import (
 func BenchmarkTable1(b *testing.B) {
 	cfg := bench.Table1Config{N: 500, Reps: 1, Seed: 1, Users: []int{10, 30}}
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTable1(cfg, nil)
+		res, err := bench.RunTable1(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	cfg := bench.Figure6Config{Ns: []int{10, 100, 500}, Users: 30, Reps: 1, Seed: 2}
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFigure6(cfg, nil)
+		res, err := bench.RunFigure6(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	cfg := bench.Table2Config{N: 1000, Users: 10, QueryReps: 3, Seed: 3}
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTable2(cfg, nil)
+		res, err := bench.RunTable2(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,8 +184,8 @@ func BenchmarkQueryContentParallel(b *testing.B) {
 // never wait on the writer lock, so ns/op stays near the writer-idle
 // parallel number; under the old reader-writer mutex every batch commit
 // stalled all readers and throughput collapsed. This benchmark is the
-// speed proof for the snapshot-read model — trajectory-tracked via the
-// beliefbench `mixed/*` records.
+// speed proof for the snapshot-read model; the repository benchmark tracks
+// the same effect as store.read_under_write_ratio on curate-durable.
 func BenchmarkQueryContentParallelUnderIngest(b *testing.B) {
 	db := benchDB(b, 1000, 10)
 	q := fmt.Sprintf("select T.sid, T.species from BELIEF 'u1' %s T", gen.DefaultRel)

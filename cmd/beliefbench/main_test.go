@@ -2,42 +2,24 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func TestJSONOutput(t *testing.T) {
+func TestDefaultRunPrintsTheFourArtefacts(t *testing.T) {
 	var out, errw bytes.Buffer
-	// A tiny Table 2 run keeps the test in the sub-second range.
-	if err := run([]string{"-json", "-table2", "-n", "80", "-qreps", "2"}, &out, &errw); err != nil {
+	// -n scales every artefact down so the run stays well under a second.
+	if err := run([]string{"-n", "80"}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
-	var recs []benchRecord
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if len(recs) == 0 {
-		t.Fatal("no records emitted")
-	}
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Name, "table2/") {
-			t.Errorf("unexpected record name %q", r.Name)
+	for _, want := range []string{"Table 1:", "Figure 6:", "Table 2:", "Space bounds"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %v, want > 0", r.Name, r.NsPerOp)
-		}
-		if r.AllocsPerOp <= 0 {
-			t.Errorf("%s: allocs_per_op = %v, want > 0", r.Name, r.AllocsPerOp)
-		}
-	}
-	// The human-readable rendering must stay on the text path.
-	if strings.Contains(out.String(), "Table 2") {
-		t.Error("-json also printed the text table")
 	}
 }
 
-func TestTextOutputStillDefault(t *testing.T) {
+func TestSelectionPrintsOnlyThatArtefact(t *testing.T) {
 	var out, errw bytes.Buffer
 	if err := run([]string{"-bounds", "-n", "60"}, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -45,92 +27,21 @@ func TestTextOutputStillDefault(t *testing.T) {
 	if !strings.Contains(out.String(), "Space bounds") {
 		t.Errorf("text rendering missing:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), `"name"`) {
-		t.Error("text mode emitted JSON")
+	if strings.Contains(out.String(), "Table 1:") {
+		t.Errorf("-bounds also printed Table 1:\n%s", out.String())
 	}
 }
 
-func TestBadFlagRejected(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &out, &errw); err == nil {
-		t.Fatal("unknown flag accepted")
-	}
-}
-
-func TestDurabilityJSON(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-json", "-durability", "-n", "150"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	var recs []benchRecord
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	want := map[string]bool{
-		"durability/build":         false,
-		"durability/wal-replay":    false,
-		"durability/checkpoint":    false,
-		"durability/snapshot-load": false,
-	}
-	for _, r := range recs {
-		if _, ok := want[r.Name]; !ok {
-			t.Errorf("unexpected record %q", r.Name)
-			continue
+// The system harnesses and the JSON trajectory went to benchmark/; their
+// flags must not linger as silent no-ops.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-json"}, {"-durability"}, {"-batch", "8"}, {"-serve", "4"}, {"-replicas", "2"},
+		{"-shards", "2"}, {"-mixed"}, {"-ranges"}, {"-chaos"}, {"-definitely-not-a-flag"}, {"stray"},
+	} {
+		var out, errw bytes.Buffer
+		if err := run(args, &out, &errw); err == nil {
+			t.Errorf("%v accepted", args)
 		}
-		want[r.Name] = true
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %v, want > 0", r.Name, r.NsPerOp)
-		}
-		if r.Value <= 0 {
-			t.Errorf("%s: value = %v, want > 0", r.Name, r.Value)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("record %q missing", name)
-		}
-	}
-}
-
-func TestBatchIngestJSON(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-json", "-batch", "8", "-n", "100"}, &out, &errw); err != nil {
-		t.Fatal(err)
-	}
-	var recs []benchRecord
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	want := map[string]bool{"batch/size1": false, "batch/size8": false}
-	for _, r := range recs {
-		if _, ok := want[r.Name]; !ok {
-			t.Errorf("unexpected record %q", r.Name)
-			continue
-		}
-		want[r.Name] = true
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns_per_op = %v, want > 0", r.Name, r.NsPerOp)
-		}
-		if r.Unit != "fsyncs_per_stmt" || r.Value <= 0 {
-			t.Errorf("%s: value = %v %s, want fsyncs_per_stmt > 0", r.Name, r.Value, r.Unit)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("record %q missing", name)
-		}
-	}
-	// The size-8 run must amortize: strictly fewer fsyncs per statement.
-	var s1, s8 float64
-	for _, r := range recs {
-		switch r.Name {
-		case "batch/size1":
-			s1 = r.Value
-		case "batch/size8":
-			s8 = r.Value
-		}
-	}
-	if s8 >= s1 {
-		t.Errorf("fsyncs/stmt did not drop: size1=%v size8=%v", s1, s8)
 	}
 }

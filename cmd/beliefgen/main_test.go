@@ -17,7 +17,7 @@ func TestParseDist(t *testing.T) {
 	if len(d) != 3 || math.Abs(d[0]-0.5) > 1e-9 {
 		t.Errorf("d = %v", d)
 	}
-	// Non-normalized inputs are normalized.
+	// Inputs that do not sum to 1 are normalized.
 	d, err = parseDist("1,1")
 	if err != nil || math.Abs(d[0]-0.5) > 1e-9 {
 		t.Errorf("d = %v err = %v", d, err)

@@ -1,43 +1,33 @@
-// Command benchdiff compares two beliefbench -json trajectory files
-// (BENCH_*.json) and fails when a shared record regressed: the CI gate
-// that turns the repository's recorded perf trajectory into an enforced
-// floor instead of a graph that drifts quietly.
+// Command benchdiff judges a change against its parent commit from runs of
+// the repository benchmark. Each input is the JSON document that
+//
+//	bash benchmark/run.sh --trace 0 --seed <i>
+//
+// prints on standard output (all five workloads, untraced), once in a
+// checkout of the parent and once in the change, for seeds 1..N with the
+// order of the two sides alternating.
 //
 // Usage:
 //
-//	benchdiff -old BENCH_PR4.json -new BENCH_PR5a.json,BENCH_PR5b.json [-max-regress 25] [-min-ns 0] [-normalize]
+//	benchdiff -parent p1.json,p2.json,... -change c1.json,c2.json,... [-bench BENCHMARK.json] [-out BENCH_PR<N>.json]
 //
-// Records are matched by name; only records present on both sides with a
-// positive ns_per_op in both are compared (value-only artifacts such as
-// overhead ratios carry no time to regress). Two defenses keep the gate
-// green on noisy shared CI machines while still catching real
-// regressions:
+// The i-th parent document is paired with the i-th change document; the two
+// must carry the same seed and, per workload, the same input_sha256, or
+// they did not run the same traffic and nothing can be said. Workloads,
+// end-to-end metrics, which direction is better and the bound by which a
+// metric may worsen all come from BENCHMARK.json.
 //
-//   - Each side accepts a comma-separated list of trajectory files and
-//     takes the per-record minimum — best-of-K, the standard way to strip
-//     scheduling noise from single-shot wall-clock measurements. The CI
-//     job measures the new side several times.
-//   - With -normalize (the default) every new/old time ratio is divided
-//     by the median ratio across the shared records, cancelling uniform
-//     machine-speed differences — the committed baseline rarely comes
-//     from the machine re-running it — so the gate fires on records that
-//     regressed relative to the rest of the suite, which is what a code
-//     change looks like. The structural blind spot: a change that slows
-//     every record uniformly is indistinguishable from a slower machine,
-//     so it calibrates away; when the median itself exceeds the limit a
-//     prominent warning is printed instead of a failure (pass
-//     -normalize=false for strict same-machine comparisons).
-//   - When the new side has several runs, each record's run-to-run spread
-//     (max/min across the runs) is its measured noise floor. A record
-//     whose own spread exceeds the regression threshold cannot be judged
-//     at that threshold — a shared-runner scheduling burst looks exactly
-//     like a regression — so it is reported as noisy instead of failed. A
-//     real regression measures consistently slow and still trips the
-//     gate.
-//
-// A record whose calibrated ratio exceeds 1 + max-regress/100 (and whose
-// measurement is stable at that threshold) fails the run (exit 1);
-// -min-ns skips records too fast for a stable ratio.
+// For every workload × end-to-end metric the table gives the parent's
+// median, the change's median, Δ (change over parent), the parent's
+// interquartile range relative to its median, and a verdict: ok (the
+// change's median is no worse than the parent's by more than the bound),
+// worse (it is: exit status 1), or unresolved (the parent's own runs spread
+// wider than the bound, so these runs can show neither a regression nor its
+// absence; it does not fail the gate). Documents that cannot be compared —
+// unequal numbers of parent and change documents, mismatched seeds or
+// inputs, a missing workload or metric, a larger share of failed operations
+// in the change — are refused with exit status 2. OPERATIONS.md "Benchmarks
+// and the perf gate" says how to produce the documents and read the table.
 package main
 
 import (
@@ -48,21 +38,66 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"text/tabwriter"
 )
 
-// record mirrors beliefbench's JSON vocabulary (see cmd/beliefbench's
-// benchRecord); the gate only reads name, ns_per_op and ns_spread, the
-// rest rides along so -merge-out emits complete trajectory files.
-// ns_spread is benchdiff's own addition: -merge-out stamps each record
-// with the cross-run spread it observed, so a committed best-of-K
-// baseline remembers how noisy each record was when it was measured.
-type record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Value       float64 `json:"value"`
-	Unit        string  `json:"unit,omitempty"`
-	NsSpread    float64 `json:"ns_spread,omitempty"`
+// spec is the part of BENCHMARK.json the verdicts depend on.
+type spec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"` // "lower" or "higher"
+		Bound  float64 `json:"bound"`  // relative: 0.25 = 25 %
+	} `json:"end_to_end"`
+}
+
+// document is one benchmark run of every workload: workload → "untraced" →
+// result (benchmark/main.go printDocument).
+type document map[string]map[string]result
+
+type result struct {
+	Seed        int64  `json:"seed"`
+	InputSHA256 string `json:"input_sha256"`
+	Attempted   int    `json:"attempted"`
+	Failed      int    `json:"failed"`
+	Metrics     map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// report is the BENCH_PR<N>.json schema: what was run and one row per
+// workload × end-to-end metric. Delta and ParentIQR are fractions of the
+// parent's median.
+type report struct {
+	Pairs     int            `json:"pairs"`
+	Seeds     []int64        `json:"seeds"`
+	Workloads []workloadOps  `json:"workloads"`
+	Rows      []row          `json:"rows"`
+	Verdicts  map[string]int `json:"verdicts"`
+}
+
+type workloadOps struct {
+	Name            string `json:"name"`
+	ParentAttempted int    `json:"parent_attempted"`
+	ParentFailed    int    `json:"parent_failed"`
+	ChangeAttempted int    `json:"change_attempted"`
+	ChangeFailed    int    `json:"change_failed"`
+}
+
+type row struct {
+	Workload     string  `json:"workload"`
+	Metric       string  `json:"metric"`
+	Unit         string  `json:"unit"`
+	Better       string  `json:"better"`
+	Bound        float64 `json:"bound"`
+	ParentMedian float64 `json:"parent_median"`
+	ChangeMedian float64 `json:"change_median"`
+	Delta        float64 `json:"delta"`
+	ParentIQR    float64 `json:"parent_iqr"`
+	Verdict      string  `json:"verdict"`
 }
 
 func main() {
@@ -77,221 +112,186 @@ func main() {
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	var (
-		oldPath   = fs.String("old", "", "baseline BENCH_*.json (committed); comma-separate several for best-of-K")
-		newPath   = fs.String("new", "", "freshly measured BENCH_*.json; comma-separate several for best-of-K")
-		maxPct    = fs.Float64("max-regress", 25, "fail when a record's calibrated ns/op regressed more than this percentage")
-		minNs     = fs.Float64("min-ns", 0, "ignore records whose baseline ns/op is below this floor")
-		normalize = fs.Bool("normalize", true, "divide ratios by the suite-wide median ratio before thresholding (cancels machine-speed differences)")
-		mergeOut  = fs.String("merge-out", "", "instead of diffing, merge the -new runs per-record (best ns/op wins) and write one trajectory file here — how a committed best-of-K baseline is produced")
+		parentPaths = fs.String("parent", "", "comma-separated benchmark documents of the parent commit, one per seed")
+		changePaths = fs.String("change", "", "comma-separated benchmark documents of the change, same seeds in the same order")
+		benchPath   = fs.String("bench", "BENCHMARK.json", "the benchmark declaration: workloads, end-to-end metrics, directions and bounds")
+		outPath     = fs.String("out", "", "also write the table as JSON here (BENCH_PR<N>.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
-	if *mergeOut != "" {
-		if *newPath == "" {
-			return 2, fmt.Errorf("-merge-out needs -new")
-		}
-		merged, err := loadFull(*newPath)
-		if err != nil {
-			return 2, err
-		}
-		data, err := json.MarshalIndent(merged, "", "  ")
-		if err != nil {
-			return 2, err
-		}
-		if err := os.WriteFile(*mergeOut, append(data, '\n'), 0o644); err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(stdout, "benchdiff: wrote %d merged record(s) to %s\n", len(merged), *mergeOut)
-		return 0, nil
+	if *parentPaths == "" || *changePaths == "" {
+		return 2, fmt.Errorf("both -parent and -change are required")
 	}
-	if *oldPath == "" || *newPath == "" {
-		return 2, fmt.Errorf("both -old and -new are required")
+	var sp spec
+	if err := readJSON(*benchPath, &sp); err != nil {
+		return 2, err
 	}
-	oldRecs, err := load(*oldPath)
+	if len(sp.Workloads) == 0 || len(sp.EndToEnd) == 0 {
+		return 2, fmt.Errorf("%s declares no workloads or no end_to_end metrics", *benchPath)
+	}
+	parents, err := loadDocs(*parentPaths)
 	if err != nil {
 		return 2, err
 	}
-	newRecs, err := load(*newPath)
+	changes, err := loadDocs(*changePaths)
 	if err != nil {
 		return 2, err
 	}
-	return diff(oldRecs, newRecs, *maxPct, *minNs, *normalize, stdout)
-}
-
-// sample is one side's view of a record: the best time across the side's
-// runs and the spread (max/min − 1) between those runs — the record's
-// measured noise floor, zero when the side has a single run.
-type sample struct {
-	ns     float64
-	spread float64
-}
-
-// load reads one or more comma-separated trajectory files and reduces each
-// timed record to its best-of-K time plus spread.
-func load(paths string) (map[string]sample, error) {
-	full, err := loadFull(paths)
+	rep, err := compare(sp, parents, changes)
 	if err != nil {
-		return nil, err
+		return 2, err
 	}
-	out := make(map[string]sample)
-	for _, r := range full {
-		if r.NsPerOp > 0 {
-			out[r.Name] = sample{ns: r.NsPerOp, spread: r.NsSpread}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no timed records", paths)
-	}
-	return out, nil
-}
-
-// loadFull reads one or more comma-separated trajectory files and merges
-// them per record: the occurrence with the best positive ns/op wins
-// (value-only records keep their first occurrence), stamped with the
-// record's spread — the cross-file max/min ratio, folded together with any
-// spread a previously merged input already recorded. The result is sorted
-// by name.
-func loadFull(paths string) ([]record, error) {
-	best := make(map[string]record)
-	maxNs := make(map[string]float64)
-	spreadIn := make(map[string]float64)
-	for _, path := range strings.Split(paths, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		data, err := os.ReadFile(path)
+	printTable(stdout, rep)
+	if *outPath != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			return nil, err
+			return 2, err
 		}
-		var recs []record
-		if err := json.Unmarshal(data, &recs); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		for _, r := range recs {
-			if r.NsPerOp > maxNs[r.Name] {
-				maxNs[r.Name] = r.NsPerOp
-			}
-			if r.NsSpread > spreadIn[r.Name] {
-				spreadIn[r.Name] = r.NsSpread
-			}
-			prev, ok := best[r.Name]
-			if !ok || (r.NsPerOp > 0 && (prev.NsPerOp <= 0 || r.NsPerOp < prev.NsPerOp)) {
-				best[r.Name] = r
-			}
+		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
+			return 2, err
 		}
 	}
-	if len(best) == 0 {
-		return nil, fmt.Errorf("%s: no records", paths)
-	}
-	out := make([]record, 0, len(best))
-	for _, r := range best {
-		if r.NsPerOp > 0 {
-			r.NsSpread = max(maxNs[r.Name]/r.NsPerOp-1, spreadIn[r.Name])
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// pair is one shared record's comparison.
-type pair struct {
-	name         string
-	oldNs, newNs float64
-	ratio        float64 // new/old, calibrated when -normalize is on
-	noise        float64 // the sides' worst cross-run spread
-}
-
-func diff(oldRecs, newRecs map[string]sample, maxPct, minNs float64, normalize bool, stdout io.Writer) (int, error) {
-	var shared []pair
-	var skipped []string // timed in the baseline, absent from the new run
-	for name, o := range oldRecs {
-		n, ok := newRecs[name]
-		if !ok {
-			skipped = append(skipped, name)
-			continue
-		}
-		if o.ns < minNs {
-			continue
-		}
-		shared = append(shared, pair{
-			name: name, oldNs: o.ns, newNs: n.ns,
-			ratio: n.ns / o.ns,
-			noise: max(o.spread, n.spread),
-		})
-	}
-	if len(shared) == 0 {
-		// Nothing shared is a configuration error worth failing loudly:
-		// the gate believed it was guarding something.
-		return 2, fmt.Errorf("no shared timed records between baseline and new run")
-	}
-	sort.Slice(shared, func(i, j int) bool { return shared[i].name < shared[j].name })
-
-	median := 1.0
-	if normalize && len(shared) >= 3 {
-		ratios := make([]float64, len(shared))
-		for i, p := range shared {
-			ratios[i] = p.ratio
-		}
-		sort.Float64s(ratios)
-		median = ratios[len(ratios)/2]
-		if len(ratios)%2 == 0 {
-			median = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-		}
-		if median <= 0 {
-			median = 1.0
-		}
-		for i := range shared {
-			shared[i].ratio /= median
-		}
-	}
-
-	limit := 1 + maxPct/100
-	var regressed, noisy int
-	fmt.Fprintf(stdout, "benchdiff: %d shared record(s), machine-speed calibration ×%.3f, limit +%.0f%%\n",
-		len(shared), median, maxPct)
-	if median > limit {
-		// A median this far off is either a much slower machine or a
-		// uniform suite-wide regression — the data cannot tell them
-		// apart, which is calibration's structural blind spot. Say so
-		// loudly instead of cancelling it silently; a reader comparing
-		// same-machine trajectories should treat this as a failure.
-		fmt.Fprintf(stdout, "WARNING: the whole suite runs ×%.2f slower than the baseline; calibration cancels uniform shifts, so if old and new were measured on comparable machines this is a suite-wide regression the per-record gate below cannot see\n", median)
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "  %-40s %14s %14s %10s %8s\n", "record", "old ns/op", "new ns/op", "Δ", "noise")
-	for _, p := range shared {
-		marker := "  "
-		if p.ratio > limit {
-			// A record whose own run-to-run spread exceeds the threshold
-			// cannot distinguish a regression from a scheduling burst at
-			// this limit; report it instead of failing on it.
-			if p.noise*100 > maxPct {
-				marker = "~ "
-				noisy++
-			} else {
-				marker = "✗ "
-				regressed++
-			}
-		}
-		fmt.Fprintf(stdout, "%s%-40s %14.0f %14.0f %+9.1f%% %7.0f%%\n",
-			marker, p.name, p.oldNs, p.newNs, (p.ratio-1)*100, p.noise*100)
-	}
-	if len(skipped) > 0 {
-		// A phase removed from the suite leaves its records behind in the
-		// committed baselines; that is a skip to see, not a failure.
-		sort.Strings(skipped)
-		fmt.Fprintf(stdout, "\n%d baseline-only record(s) skipped: %s\n", len(skipped), strings.Join(skipped, ", "))
-	}
-	if noisy > 0 {
-		fmt.Fprintf(stdout, "\n%d record(s) over the limit but noisier than the limit itself (~): not judged\n", noisy)
-	}
-	if regressed > 0 {
-		fmt.Fprintf(stdout, "\n%d record(s) regressed beyond +%.0f%% (calibrated)\n", regressed, maxPct)
+	if rep.Verdicts["worse"] > 0 {
 		return 1, nil
 	}
-	fmt.Fprintf(stdout, "\nno regressions beyond +%.0f%%\n", maxPct)
 	return 0, nil
+}
+
+func readJSON(path string, v interface{}) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+func loadDocs(paths string) ([]document, error) {
+	var docs []document
+	for _, p := range strings.Split(paths, ",") {
+		var d document
+		if err := readJSON(strings.TrimSpace(p), &d); err != nil {
+			return nil, err
+		}
+		docs = append(docs, d)
+	}
+	return docs, nil
+}
+
+// compare checks that the documents pair up and builds the report.
+func compare(sp spec, parents, changes []document) (*report, error) {
+	if len(parents) != len(changes) {
+		return nil, fmt.Errorf("%d parent documents but %d change documents: the runs must be pairs", len(parents), len(changes))
+	}
+	rep := &report{Pairs: len(parents), Verdicts: map[string]int{"ok": 0, "worse": 0, "unresolved": 0}}
+	for _, w := range sp.Workloads {
+		ops := workloadOps{Name: w.Name}
+		values := map[string][2][]float64{} // metric → parent, change values
+		for i := range parents {
+			p, pok := parents[i][w.Name]["untraced"]
+			c, cok := changes[i][w.Name]["untraced"]
+			if !pok || !cok {
+				return nil, fmt.Errorf("pair %d: %s has no untraced run on both sides", i+1, w.Name)
+			}
+			if p.Seed != c.Seed {
+				return nil, fmt.Errorf("pair %d, %s: parent ran seed %d, change seed %d", i+1, w.Name, p.Seed, c.Seed)
+			}
+			if p.InputSHA256 != c.InputSHA256 {
+				return nil, fmt.Errorf("pair %d (seed %d), %s: input_sha256 differs (%.12s vs %.12s): the two sides did not run the same traffic",
+					i+1, p.Seed, w.Name, p.InputSHA256, c.InputSHA256)
+			}
+			if len(rep.Seeds) == i {
+				rep.Seeds = append(rep.Seeds, p.Seed)
+			}
+			ops.ParentAttempted += p.Attempted
+			ops.ParentFailed += p.Failed
+			ops.ChangeAttempted += c.Attempted
+			ops.ChangeFailed += c.Failed
+			for _, m := range sp.EndToEnd {
+				pv, pok := p.Metrics[m.Name]
+				cv, cok := c.Metrics[m.Name]
+				if !pok || !cok {
+					return nil, fmt.Errorf("pair %d, %s: %s is not reported on both sides", i+1, w.Name, m.Name)
+				}
+				v := values[m.Name]
+				v[0], v[1] = append(v[0], pv.Value), append(v[1], cv.Value)
+				values[m.Name] = v
+			}
+		}
+		if ops.ParentAttempted == 0 || ops.ChangeAttempted == 0 {
+			return nil, fmt.Errorf("%s: no operations attempted", w.Name)
+		}
+		// Cross-multiplied: failed/attempted of the change above the parent's.
+		if ops.ChangeFailed*ops.ParentAttempted > ops.ParentFailed*ops.ChangeAttempted {
+			return nil, fmt.Errorf("%s: failed share rose from %d/%d to %d/%d: timings of failing runs are not comparable",
+				w.Name, ops.ParentFailed, ops.ParentAttempted, ops.ChangeFailed, ops.ChangeAttempted)
+		}
+		rep.Workloads = append(rep.Workloads, ops)
+		for _, m := range sp.EndToEnd {
+			pq1, pmed, pq3 := quartiles(values[m.Name][0])
+			_, cmed, _ := quartiles(values[m.Name][1])
+			if pmed == 0 {
+				return nil, fmt.Errorf("%s: parent median of %s is 0, a relative change is undefined", w.Name, m.Name)
+			}
+			r := row{Workload: w.Name, Metric: m.Name, Unit: m.Unit, Better: m.Better, Bound: m.Bound,
+				ParentMedian: pmed, ChangeMedian: cmed,
+				Delta: (cmed - pmed) / pmed, ParentIQR: (pq3 - pq1) / pmed}
+			loss := r.Delta // how much worse, as a fraction of the parent
+			if m.Better == "higher" {
+				loss = -loss
+			} else if m.Better != "lower" {
+				return nil, fmt.Errorf("%s: better is %q, want lower or higher", m.Name, m.Better)
+			}
+			switch {
+			case r.ParentIQR > m.Bound:
+				r.Verdict = "unresolved"
+			case loss > m.Bound:
+				r.Verdict = "worse"
+			default:
+				r.Verdict = "ok"
+			}
+			rep.Verdicts[r.Verdict]++
+			rep.Rows = append(rep.Rows, r)
+		}
+	}
+	return rep, nil
+}
+
+// quartiles returns the first quartile, median and third quartile of xs
+// (linear interpolation between order statistics).
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+func printTable(w io.Writer, rep *report) {
+	fmt.Fprintf(w, "benchdiff: %d pair(s), seeds %v\n", rep.Pairs, rep.Seeds)
+	tw := tabwriter.NewWriter(w, 0, 8, 2, ' ', 0)
+	fmt.Fprintln(tw, "workload\tmetric\tparent median\tchange median\tΔ\tparent IQR\tbound\tverdict")
+	for _, r := range rep.Rows {
+		fmt.Fprintf(tw, "%s\t%s (%s, %s is better)\t%.6g\t%.6g\t%+.1f%%\t%.1f%%\t%.0f%%\t%s\n",
+			r.Workload, r.Metric, r.Unit, r.Better, r.ParentMedian, r.ChangeMedian, 100*r.Delta, 100*r.ParentIQR, 100*r.Bound, r.Verdict)
+	}
+	tw.Flush()
+	for _, o := range rep.Workloads {
+		fmt.Fprintf(w, "%s: failed ops parent %d/%d, change %d/%d\n", o.Name, o.ParentFailed, o.ParentAttempted, o.ChangeFailed, o.ChangeAttempted)
+	}
+	for _, r := range rep.Rows {
+		if r.Verdict == "worse" {
+			fmt.Fprintf(w, "WORSE: %s %s %+.1f%% (bound %.0f%%)\n", r.Workload, r.Metric, 100*r.Delta, 100*r.Bound)
+		}
+	}
+	fmt.Fprintf(w, "benchdiff: %d ok, %d worse, %d unresolved\n", rep.Verdicts["ok"], rep.Verdicts["worse"], rep.Verdicts["unresolved"])
 }

@@ -1,225 +1,258 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func writeJSON(t *testing.T, dir, name, content string) string {
+// benchSpec is a cut-down BENCHMARK.json: two workloads, a timing, a
+// higher-is-better rate and a tightly bounded count.
+const benchSpec = `{
+  "workloads": [{"name": "reads"}, {"name": "writes"}],
+  "end_to_end": [
+    {"name": "read_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "allocs_per_op", "unit": "count", "better": "lower", "bound": 0.05}
+  ]
+}`
+
+// run1 is one workload's untraced result in a fixture document.
+type run1 struct {
+	p50, ops, allocs float64
+	failed           int
+	input            string
+}
+
+// writeDocs writes one benchmark document per element (seeds 1..n, both
+// workloads with the same numbers unless writes is given) and returns the
+// comma-separated paths.
+func writeDocs(t *testing.T, dir, side string, reads []run1, writes []run1) string {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	if writes == nil {
+		writes = reads
 	}
-	return path
+	var paths []string
+	for i := range reads {
+		doc := map[string]interface{}{}
+		for name, r := range map[string]run1{"reads": reads[i], "writes": writes[i]} {
+			input := r.input
+			if input == "" {
+				input = fmt.Sprintf("sha-%s-%d", name, i+1)
+			}
+			doc[name] = map[string]interface{}{"untraced": map[string]interface{}{
+				"workload": name, "traced": false, "seed": i + 1, "input_sha256": input,
+				"attempted": 1000, "failed": r.failed,
+				"metrics": map[string]interface{}{
+					"read_p50_ms":   map[string]interface{}{"value": r.p50, "unit": "ms", "n": 1000, "percentile": 50},
+					"ops_per_s":     map[string]interface{}{"value": r.ops, "unit": "1/s"},
+					"allocs_per_op": map[string]interface{}{"value": r.allocs, "unit": "count"},
+					"layer.only_us": map[string]interface{}{"value": 1, "unit": "us"},
+				},
+			}}
+		}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%s-%d.json", side, i+1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return strings.Join(paths, ",")
 }
 
-const baseline = `[
-  {"name": "a", "ns_per_op": 1000, "allocs_per_op": 10},
-  {"name": "b", "ns_per_op": 2000},
-  {"name": "c", "ns_per_op": 3000},
-  {"name": "d", "ns_per_op": 4000},
-  {"name": "overhead-only", "ns_per_op": 0, "value": 4.2},
-  {"name": "removed", "ns_per_op": 500}
-]`
+// steady is n runs scattered ±2 % around the given values.
+func steady(n int, p50, ops, allocs float64) []run1 {
+	out := make([]run1, n)
+	for i := range out {
+		f := 1 + 0.02*float64(i%3-1)
+		out[i] = run1{p50: p50 * f, ops: ops * f, allocs: allocs}
+	}
+	return out
+}
 
-func TestDiffPassesWithinThreshold(t *testing.T) {
+// diff runs benchdiff over fixture documents and returns the exit code, the
+// printed table, the path of the written report and run's error.
+func diff(t *testing.T, parent, change []run1, changeWrites []run1) (code int, text, out string, err error) {
+	t.Helper()
 	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", baseline)
-	// Everything ~10% slower uniformly (a slower machine) plus a new
-	// record; median normalization cancels the shift.
-	newP := writeJSON(t, dir, "new.json", `[
-	  {"name": "a", "ns_per_op": 1100},
-	  {"name": "b", "ns_per_op": 2200},
-	  {"name": "c", "ns_per_op": 3300},
-	  {"name": "d", "ns_per_op": 4400},
-	  {"name": "brand-new", "ns_per_op": 9999}
-	]`)
-	var out strings.Builder
-	code, err := run([]string{"-old", oldP, "-new", newP}, &out)
+	spec := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(benchSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = filepath.Join(dir, "BENCH_PR.json")
+	var sb strings.Builder
+	code, err = run([]string{
+		"-bench", spec, "-out", out,
+		"-parent", writeDocs(t, dir, "parent", parent, nil),
+		"-change", writeDocs(t, dir, "change", change, changeWrites),
+	}, &sb)
+	return code, sb.String(), out, err
+}
+
+func TestAllWithinBounds(t *testing.T) {
+	// 10 % slower and 10 % fewer ops: inside the 25 % bounds.
+	code, text, out, err := diff(t, steady(5, 1.0, 1000, 500), steady(5, 1.1, 900, 510), nil)
 	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v\n%s", code, err, out.String())
+		t.Fatalf("code=%d err=%v\n%s", code, err, text)
 	}
-	if !strings.Contains(out.String(), "4 shared record(s)") {
-		t.Errorf("output:\n%s", out.String())
+	if !strings.Contains(text, "6 ok, 0 worse, 0 unresolved") {
+		t.Errorf("summary missing:\n%s", text)
 	}
-	// A record only the baseline has (a phase since dropped from the suite,
-	// like lazy/* in BENCH_PR9/10.json) is reported as skipped, not failed.
-	if !strings.Contains(out.String(), "1 baseline-only record(s) skipped: removed") {
-		t.Errorf("baseline-only record not reported:\n%s", out.String())
-	}
-}
-
-func TestDiffFailsOnRegression(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", baseline)
-	// One record 2x slower while the rest hold: a real regression that
-	// normalization must not hide.
-	newP := writeJSON(t, dir, "new.json", `[
-	  {"name": "a", "ns_per_op": 1000},
-	  {"name": "b", "ns_per_op": 4000},
-	  {"name": "c", "ns_per_op": 3000},
-	  {"name": "d", "ns_per_op": 4000}
-	]`)
-	var out strings.Builder
-	code, err := run([]string{"-old", oldP, "-new", newP, "-max-regress", "25"}, &out)
-	if err != nil {
+	// The written table is the BENCH_PR<N>.json schema.
+	var rep report
+	if err := readJSON(out, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if code != 1 {
-		t.Fatalf("code = %d, want 1\n%s", code, out.String())
+	if rep.Pairs != 5 || len(rep.Seeds) != 5 || len(rep.Rows) != 6 || len(rep.Workloads) != 2 {
+		t.Fatalf("report shape: %+v", rep)
 	}
-	if !strings.Contains(out.String(), "✗ b") {
-		t.Errorf("regressed record not flagged:\n%s", out.String())
+	r := rep.Rows[0]
+	if r.Workload != "reads" || r.Metric != "read_p50_ms" || r.Better != "lower" || r.Bound != 0.25 ||
+		r.ParentMedian != 1.0 || r.ChangeMedian != 1.1 || r.Verdict != "ok" {
+		t.Errorf("first row: %+v", r)
 	}
-}
-
-func TestDiffUniformSlowdownFailsWithoutNormalize(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", baseline)
-	newP := writeJSON(t, dir, "new.json", `[
-	  {"name": "a", "ns_per_op": 1500},
-	  {"name": "b", "ns_per_op": 3000},
-	  {"name": "c", "ns_per_op": 4500},
-	  {"name": "d", "ns_per_op": 6000}
-	]`)
-	var out strings.Builder
-	code, err := run([]string{"-old", oldP, "-new", newP, "-normalize=false"}, &out)
-	if err != nil || code != 1 {
-		t.Fatalf("raw mode: code=%d err=%v", code, err)
+	if d := r.Delta; d < 0.099 || d > 0.101 {
+		t.Errorf("delta = %v, want 0.10", d)
 	}
-	out.Reset()
-	code, err = run([]string{"-old", oldP, "-new", newP}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("normalized mode: code=%d err=%v\n%s", code, err, out.String())
+	if q := r.ParentIQR; q < 0.019 || q > 0.021 {
+		t.Errorf("parent IQR = %v, want 0.02 (runs 0.98, 0.98, 1, 1, 1.02)", q)
 	}
-}
-
-func TestDiffMinNsFloor(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", `[
-	  {"name": "fast", "ns_per_op": 10},
-	  {"name": "a", "ns_per_op": 1000},
-	  {"name": "b", "ns_per_op": 2000},
-	  {"name": "c", "ns_per_op": 3000}
-	]`)
-	newP := writeJSON(t, dir, "new.json", `[
-	  {"name": "fast", "ns_per_op": 100},
-	  {"name": "a", "ns_per_op": 1000},
-	  {"name": "b", "ns_per_op": 2000},
-	  {"name": "c", "ns_per_op": 3000}
-	]`)
-	var out strings.Builder
-	if code, err := run([]string{"-old", oldP, "-new", newP, "-min-ns", "100"}, &out); err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v\n%s", code, err, out.String())
-	}
-	if strings.Contains(out.String(), "fast") {
-		t.Errorf("sub-floor record compared:\n%s", out.String())
-	}
-}
-
-func TestDiffErrors(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", `[{"name": "only-here", "ns_per_op": 100}]`)
-	newP := writeJSON(t, dir, "new.json", `[{"name": "only-there", "ns_per_op": 100}]`)
-	var out strings.Builder
-	if code, err := run([]string{"-old", oldP, "-new", newP}, &out); err == nil || code != 2 {
-		t.Errorf("disjoint files: code=%d err=%v", code, err)
-	}
-	if code, err := run([]string{"-old", oldP}, &out); err == nil || code != 2 {
-		t.Errorf("missing -new: code=%d err=%v", code, err)
-	}
-	bad := writeJSON(t, dir, "bad.json", "{not json")
-	if code, err := run([]string{"-old", oldP, "-new", bad}, &out); err == nil || code != 2 {
-		t.Errorf("bad json: code=%d err=%v", code, err)
-	}
-}
-
-func TestMergeOut(t *testing.T) {
-	dir := t.TempDir()
-	a := writeJSON(t, dir, "a.json", `[
-	  {"name": "x", "ns_per_op": 300, "allocs_per_op": 5},
-	  {"name": "y", "ns_per_op": 100},
-	  {"name": "overhead", "ns_per_op": 0, "value": 4.2, "unit": "overhead"}
-	]`)
-	b := writeJSON(t, dir, "b.json", `[
-	  {"name": "x", "ns_per_op": 200, "allocs_per_op": 6},
-	  {"name": "y", "ns_per_op": 150},
-	  {"name": "z", "ns_per_op": 50}
-	]`)
-	out := filepath.Join(dir, "merged.json")
-	var buf strings.Builder
-	code, err := run([]string{"-merge-out", out, "-new", a + "," + b}, &buf)
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v", code, err)
-	}
-	merged, err := load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged["x"].ns != 200 || merged["y"].ns != 100 || merged["z"].ns != 50 {
-		t.Errorf("merged mins = %v", merged)
-	}
-	// Value-only records survive the merge with their fields.
-	full, err := loadFull(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range full {
-		if r.Name == "overhead" && r.Value == 4.2 && r.Unit == "overhead" {
-			found = true
+	for _, r := range rep.Rows {
+		if r.Metric == "layer.only_us" {
+			t.Error("a metric BENCHMARK.json does not list as end-to-end was judged")
 		}
 	}
-	if !found {
-		t.Errorf("value-only record lost: %+v", full)
+}
+
+func TestWorseNamesWorkloadAndMetric(t *testing.T) {
+	// allocs_per_op +8 % on writes only: beyond its 5 % bound.
+	code, text, out, err := diff(t, steady(3, 1.0, 1000, 500), steady(3, 1.0, 1000, 500), steady(3, 1.0, 1000, 540))
+	if err != nil || code != 1 {
+		t.Fatalf("code=%d err=%v, want exit 1\n%s", code, err, text)
+	}
+	if !strings.Contains(text, "WORSE: writes allocs_per_op +8.0% (bound 5%)") {
+		t.Errorf("regression not named:\n%s", text)
+	}
+	if !strings.Contains(text, "5 ok, 1 worse, 0 unresolved") {
+		t.Errorf("summary:\n%s", text)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("the table of a failing comparison must still be written: %v", err)
 	}
 }
 
-func TestDiffNoisyRecordNotJudged(t *testing.T) {
+func TestHigherIsBetterDirection(t *testing.T) {
+	// ops_per_s +40 % is a gain, not a regression...
+	code, text, _, err := diff(t, steady(3, 1.0, 1000, 500), steady(3, 1.0, 1400, 500), nil)
+	if err != nil || code != 0 {
+		t.Fatalf("throughput gain judged worse: code=%d err=%v\n%s", code, err, text)
+	}
+	// ...and −40 % is one, although the number went down.
+	code, text, _, err = diff(t, steady(3, 1.0, 1000, 500), steady(3, 1.0, 600, 500), nil)
+	if err != nil || code != 1 {
+		t.Fatalf("throughput loss not judged worse: code=%d err=%v\n%s", code, err, text)
+	}
+	if !strings.Contains(text, "WORSE: reads ops_per_s -40.0%") {
+		t.Errorf("output:\n%s", text)
+	}
+}
+
+func TestNoisyParentIsUnresolved(t *testing.T) {
+	// The parent's own p50 spreads 0.5–1.5 (IQR 50 % of the median, bound
+	// 25 %): a change at 1.4 cannot be called a regression on these runs.
+	parent := []run1{{p50: 0.5, ops: 1000, allocs: 500}, {p50: 0.75, ops: 1000, allocs: 500}, {p50: 1.0, ops: 1000, allocs: 500},
+		{p50: 1.25, ops: 1000, allocs: 500}, {p50: 1.5, ops: 1000, allocs: 500}}
+	code, text, _, err := diff(t, parent, steady(5, 1.4, 1000, 500), nil)
+	if err != nil || code != 0 {
+		t.Fatalf("code=%d err=%v, want exit 0\n%s", code, err, text)
+	}
+	if !strings.Contains(text, "4 ok, 0 worse, 2 unresolved") {
+		t.Errorf("summary:\n%s", text)
+	}
+}
+
+func TestRefusals(t *testing.T) {
+	base := steady(3, 1.0, 1000, 500)
+	with := func(f func(rs []run1)) []run1 {
+		rs := append([]run1(nil), base...)
+		f(rs)
+		return rs
+	}
+	for name, tc := range map[string]struct {
+		parent, change []run1
+		want           string
+	}{
+		"failed share rose":      {base, with(func(rs []run1) { rs[1].failed = 3 }), "failed share rose"},
+		"input differs":          {base, with(func(rs []run1) { rs[2].input = "other" }), "input_sha256 differs"},
+		"unequal document count": {base, steady(2, 1.0, 1000, 500), "3 parent documents but 2 change documents"},
+	} {
+		code, text, out, err := diff(t, tc.parent, tc.change, nil)
+		if err == nil || code != 2 || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: code=%d err=%v, want exit 2 naming %q\n%s", name, code, err, tc.want, text)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s: a refused comparison wrote a table", name)
+		}
+	}
+	// Failures on both sides in the same share are comparable.
+	failing := with(func(rs []run1) { rs[0].failed = 2 })
+	if code, text, _, err := diff(t, failing, failing, nil); err != nil || code != 0 {
+		t.Errorf("equal failed share refused: code=%d err=%v\n%s", code, err, text)
+	}
+	// Mismatched seeds: the same documents in another order.
 	dir := t.TempDir()
-	oldP := writeJSON(t, dir, "old.json", `[
-	  {"name": "a", "ns_per_op": 1000},
-	  {"name": "b", "ns_per_op": 2000},
-	  {"name": "c", "ns_per_op": 3000},
-	  {"name": "d", "ns_per_op": 4000},
-	  {"name": "e", "ns_per_op": 5000},
-	  {"name": "f", "ns_per_op": 6000}
-	]`)
-	// Record b is over the limit on its best run, but its two fresh runs
-	// disagree with each other by more than the limit — a scheduling burst,
-	// not a judgeable regression. Record c regresses consistently and must
-	// still fail.
-	n1 := writeJSON(t, dir, "n1.json", `[
-	  {"name": "a", "ns_per_op": 1000},
-	  {"name": "b", "ns_per_op": 2800},
-	  {"name": "c", "ns_per_op": 6000},
-	  {"name": "d", "ns_per_op": 4000},
-	  {"name": "e", "ns_per_op": 5000},
-	  {"name": "f", "ns_per_op": 6000}
-	]`)
-	n2 := writeJSON(t, dir, "n2.json", `[
-	  {"name": "a", "ns_per_op": 1050},
-	  {"name": "b", "ns_per_op": 5600},
-	  {"name": "c", "ns_per_op": 6100},
-	  {"name": "d", "ns_per_op": 4100},
-	  {"name": "e", "ns_per_op": 5200},
-	  {"name": "f", "ns_per_op": 6100}
-	]`)
-	var out strings.Builder
-	code, err := run([]string{"-old", oldP, "-new", n1 + "," + n2, "-max-regress", "25"}, &out)
-	if err != nil {
+	spec := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(benchSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code != 1 {
-		t.Fatalf("code = %d, want 1 (c regressed consistently)\n%s", code, out.String())
+	p := strings.Split(writeDocs(t, dir, "parent", base, nil), ",")
+	c := writeDocs(t, dir, "change", base, nil)
+	var sb strings.Builder
+	code, err := run([]string{"-bench", spec, "-parent", p[1] + "," + p[0] + "," + p[2], "-change", c}, &sb)
+	if err == nil || code != 2 || !strings.Contains(err.Error(), "parent ran seed 2, change seed 1") {
+		t.Errorf("swapped seeds: code=%d err=%v", code, err)
 	}
-	if !strings.Contains(out.String(), "~ b") {
-		t.Errorf("noisy record b not marked ~:\n%s", out.String())
+	if code, err := run([]string{"-bench", spec, "-parent", p[0]}, &sb); err == nil || code != 2 {
+		t.Errorf("missing -change: code=%d err=%v", code, err)
 	}
-	if !strings.Contains(out.String(), "✗ c") {
-		t.Errorf("stable regression c not flagged:\n%s", out.String())
+}
+
+// The committed BENCHMARK.json and BENCH_PR<N>.json files are this tool's
+// real input and output: every declared workload × end-to-end metric has a
+// row in every recorded comparison, and none records a regression.
+func TestCommittedFilesMatchTheSchema(t *testing.T) {
+	var sp spec
+	if err := readJSON("../../BENCHMARK.json", &sp); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sp.EndToEnd {
+		if m.Name == "" || m.Bound <= 0 || (m.Better != "lower" && m.Better != "higher") {
+			t.Errorf("BENCHMARK.json end_to_end entry %+v is not judgeable", m)
+		}
+	}
+	files, _ := filepath.Glob("../../BENCH_PR*.json")
+	if len(files) == 0 {
+		t.Fatal("no BENCH_PR<N>.json at the repository root")
+	}
+	for _, f := range files {
+		var rep report
+		if err := readJSON(f, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(sp.Workloads) * len(sp.EndToEnd); len(rep.Rows) != want || rep.Pairs < 10 {
+			t.Errorf("%s: %d rows from %d pairs, want %d rows from at least 10", f, len(rep.Rows), rep.Pairs, want)
+		}
+		for _, r := range rep.Rows {
+			if r.Verdict == "worse" {
+				t.Errorf("%s records a regression: %+v", f, r)
+			}
+		}
 	}
 }

@@ -12,14 +12,14 @@
 //   - the Sect. 5.4 space bounds (|E| ≤ mN, |V| = O(nN)) as an ablation.
 //
 // Absolute numbers differ from the paper's 2005 SQL Server testbed; the
-// qualitative shapes are asserted in the tests and recorded in
-// EXPERIMENTS.md.
+// qualitative shapes are asserted in the tests. Performance regressions are
+// the business of the repository benchmark (benchmark/, BENCHMARK.json),
+// not of this package.
 package bench
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -42,9 +42,8 @@ func GenRelation() store.Relation {
 // BuildDB generates a belief database with n accepted annotations. The
 // statements are applied through Store.BulkLoad — the store's loader path,
 // which amortizes MVCC snapshot publication to one epoch per build — so
-// the Table 1 build-time records measure bulk construction cost, not n
-// per-statement commit rounds; per-statement commit latency is tracked
-// separately by the Figure 6 and mixed/write records.
+// the Table 1 build times measure bulk construction cost, not n
+// per-statement commit rounds.
 func BuildDB(cfg gen.Config, n int) (*store.Store, store.Stats, error) {
 	g, err := gen.New(cfg)
 	if err != nil {
@@ -121,7 +120,6 @@ type Table1Cell struct {
 	Participation gen.Participation
 	DepthDist     []float64
 	Overhead      float64
-	BuildTime     time.Duration
 }
 
 // Table1Result is the full grid.
@@ -131,16 +129,14 @@ type Table1Result struct {
 }
 
 // RunTable1 measures the relative overhead grid of Table 1.
-func RunTable1(cfg Table1Config, progress func(string)) (*Table1Result, error) {
+func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	out := &Table1Result{Config: cfg}
 	for _, dist := range DepthDists {
 		for _, m := range cfg.Users {
 			for _, part := range []gen.Participation{gen.Zipf, gen.Uniform} {
 				var sum float64
-				var dur time.Duration
 				for rep := 0; rep < cfg.Reps; rep++ {
-					start := time.Now()
-					stDB, stats, err := BuildDB(gen.Config{
+					_, stats, err := BuildDB(gen.Config{
 						Users:         m,
 						DepthDist:     dist,
 						Participation: part,
@@ -150,20 +146,12 @@ func RunTable1(cfg Table1Config, progress func(string)) (*Table1Result, error) {
 					if err != nil {
 						return nil, fmt.Errorf("bench: table1 m=%d %s %v: %w", m, part, dist, err)
 					}
-					_ = stDB
 					sum += stats.Overhead()
-					dur += time.Since(start)
 				}
-				cell := Table1Cell{
+				out.Cells = append(out.Cells, Table1Cell{
 					Users: m, Participation: part, DepthDist: dist,
-					Overhead:  sum / float64(cfg.Reps),
-					BuildTime: dur / time.Duration(cfg.Reps),
-				}
-				out.Cells = append(out.Cells, cell)
-				if progress != nil {
-					progress(fmt.Sprintf("table1 cell m=%d %-7s %-22s overhead=%8.1f (%s/db)",
-						m, part, depthDistLabel(dist), cell.Overhead, cell.BuildTime.Round(time.Millisecond)))
-				}
+					Overhead: sum / float64(cfg.Reps),
+				})
 			}
 		}
 	}
@@ -251,7 +239,7 @@ var Figure6Dists = [][]float64{
 }
 
 // RunFigure6 measures overhead as a function of n.
-func RunFigure6(cfg Figure6Config, progress func(string)) (*Figure6Result, error) {
+func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 	out := &Figure6Result{Config: cfg}
 	for _, dist := range Figure6Dists {
 		series := Figure6Series{DepthDist: dist}
@@ -271,10 +259,6 @@ func RunFigure6(cfg Figure6Config, progress func(string)) (*Figure6Result, error
 				sum += stats.Overhead()
 			}
 			series.Overheads = append(series.Overheads, sum/float64(cfg.Reps))
-			if progress != nil {
-				progress(fmt.Sprintf("figure6 %-22s n=%-6d overhead=%8.1f",
-					depthDistLabel(dist), n, series.Overheads[len(series.Overheads)-1]))
-			}
 		}
 		out.Series = append(out.Series, series)
 	}
@@ -322,12 +306,11 @@ func FullTable2() Table2Config {
 
 // Table2Row is one measured query.
 type Table2Row struct {
-	Name        string
-	Mean        time.Duration
-	Std         time.Duration
-	AllocsPerOp float64 // heap allocations per execution
-	ResultSize  int
-	SQL         string
+	Name       string
+	Mean       time.Duration
+	Std        time.Duration
+	ResultSize int
+	SQL        string
 }
 
 // Table2Result is the full benchmark outcome.
@@ -341,7 +324,7 @@ type Table2Result struct {
 // query q1,4 has non-trivial worlds to visit. Together with Table2ZipfS it
 // is tuned so that the n=10,000 database lands near the paper's benchmark
 // dataset (224,339 internal tuples, relative overhead 22.4 — ours measures
-// ≈272k / 27; see EXPERIMENTS.md).
+// 272,567 / 27.3 at seed 3).
 var Table2DepthDist = []float64{0.12, 0.855, 0.015, 0.007, 0.003}
 
 // Table2ZipfS is the participation skew of the Table 2 dataset.
@@ -387,7 +370,7 @@ func Table2Queries() []struct{ Name, Query string } {
 }
 
 // RunTable2 builds the benchmark database and measures the seven queries.
-func RunTable2(cfg Table2Config, progress func(string)) (*Table2Result, error) {
+func RunTable2(cfg Table2Config) (*Table2Result, error) {
 	st, stats, err := BuildDB(gen.Config{
 		Users:         cfg.Users,
 		DepthDist:     Table2DepthDist,
@@ -417,8 +400,6 @@ func RunTable2(cfg Table2Config, progress func(string)) (*Table2Result, error) {
 			return nil, fmt.Errorf("bench: %s: %w", q.Name, err)
 		}
 		times := make([]float64, cfg.QueryReps)
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
 		for i := 0; i < cfg.QueryReps; i++ {
 			start := time.Now()
 			if _, err := st.DB().Query(sql); err != nil {
@@ -426,21 +407,14 @@ func RunTable2(cfg Table2Config, progress func(string)) (*Table2Result, error) {
 			}
 			times[i] = float64(time.Since(start))
 		}
-		runtime.ReadMemStats(&ms1)
 		mean, std := meanStd(times)
-		row := Table2Row{
-			Name:        q.Name,
-			Mean:        time.Duration(mean),
-			Std:         time.Duration(std),
-			AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(cfg.QueryReps),
-			ResultSize:  len(res.Rows),
-			SQL:         sql,
-		}
-		out.Rows = append(out.Rows, row)
-		if progress != nil {
-			progress(fmt.Sprintf("table2 %-5s E(t)=%-12s σ(t)=%-12s |result|=%d",
-				row.Name, row.Mean.Round(time.Microsecond), row.Std.Round(time.Microsecond), row.ResultSize))
-		}
+		out.Rows = append(out.Rows, Table2Row{
+			Name:       q.Name,
+			Mean:       time.Duration(mean),
+			Std:        time.Duration(std),
+			ResultSize: len(res.Rows),
+			SQL:        sql,
+		})
 	}
 	return out, nil
 }

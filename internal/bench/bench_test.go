@@ -15,7 +15,7 @@ func TestTable1Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := Table1Config{N: 300, Reps: 2, Seed: 1, Users: []int{4, 10}}
-	res, err := RunTable1(cfg, nil)
+	res, err := RunTable1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFigure6Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := Figure6Config{Ns: []int{20, 100, 400}, Users: 30, Reps: 2, Seed: 2}
-	res, err := RunFigure6(cfg, nil)
+	res, err := RunFigure6(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := Table2Config{N: 600, Users: 8, QueryReps: 5, Seed: 3}
-	res, err := RunTable2(cfg, nil)
+	res, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

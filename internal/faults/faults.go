@@ -1,8 +1,9 @@
 // Package faults provides deterministic, seeded fault injectors for the
-// belief database's resilience tests and the beliefbench chaos harness:
-// an error/latency-injecting wal.Sink wrapper, a snapshot-write failure
-// hook, flaky net.Conn/net.Listener wrappers (drop, stall, partial write,
-// reset), and a retargetable fault-injecting TCP proxy.
+// belief database's resilience tests and the chaos harness
+// (replication.RunChaos): an error/latency-injecting wal.Sink wrapper, a
+// snapshot-write failure hook, flaky net.Conn/net.Listener wrappers (drop,
+// stall, partial write, reset), and a retargetable fault-injecting TCP
+// proxy.
 //
 // Everything is driven by Triggers — small decision sources that say, call
 // by call, whether to inject. The probabilistic trigger is seeded, so a

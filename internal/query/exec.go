@@ -663,14 +663,10 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	type group struct {
 		key  []val.Value // group-key values, for collision verification
 		rep  []val.Value // representative source row
-		accs []*aggAcc
+		accs []AggAcc
 	}
 	newGroup := func(key, row []val.Value) *group {
-		g := &group{key: key, rep: row, accs: make([]*aggAcc, len(specs))}
-		for i := range specs {
-			g.accs[i] = &aggAcc{}
-		}
-		return g
+		return &group{key: key, rep: row, accs: make([]AggAcc, len(specs))}
 	}
 	// Groups are hash-bucketed by the composite hash of the group-key
 	// values; rows landing in an occupied bucket verify real key equality,
@@ -703,14 +699,14 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 		}
 		for i, spec := range specs {
 			if spec.star {
-				g.accs[i].addCount()
+				g.accs[i].AddRow()
 				continue
 			}
 			v, err := spec.arg(row)
 			if err != nil {
 				return nil, err
 			}
-			if err := g.accs[i].add(spec.fn, v); err != nil {
+			if err := g.accs[i].Add(spec.fn, v); err != nil {
 				return nil, err
 			}
 		}
@@ -724,7 +720,7 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	for _, g := range ordered {
 		ctx.vals = make([]val.Value, len(specs))
 		for i, spec := range specs {
-			ctx.vals[i] = g.accs[i].result(spec.fn)
+			ctx.vals[i] = g.accs[i].Result(spec.fn)
 		}
 		o := make([]val.Value, len(itemEvals))
 		for i, ce := range itemEvals {
@@ -739,9 +735,14 @@ func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*
 	return out, nil
 }
 
-// aggAcc accumulates one aggregate over one group.
-type aggAcc struct {
-	count   int64
+// AggAcc accumulates one aggregate (COUNT, SUM, AVG, MIN or MAX) over one
+// group. The executor's GROUP BY feeds it input values with Add/AddRow; the
+// router's scatter-gather feeds it other accumulators' results with Merge.
+// Both read Result, so NULL skipping, int→float promotion of SUM and
+// AVG-as-SUM/COUNT are defined here and nowhere else. The zero value is an
+// empty group; one AggAcc serves one aggregate function throughout.
+type AggAcc struct {
+	count   int64 // non-NULL inputs, or rows for COUNT(*)
 	sumI    int64
 	sumF    float64
 	isFloat bool
@@ -750,28 +751,20 @@ type aggAcc struct {
 	seen    bool
 }
 
-func (a *aggAcc) addCount() { a.count++ }
+// AddRow counts one row for COUNT(*).
+func (a *AggAcc) AddRow() { a.count++ }
 
-func (a *aggAcc) add(fn string, v val.Value) error {
+// Add accumulates one input value of aggregate fn; NULLs are ignored.
+func (a *AggAcc) Add(fn string, v val.Value) error {
 	if v.IsNull() {
-		return nil // NULLs are ignored by aggregates
+		return nil
 	}
 	a.count++
 	switch fn {
 	case "COUNT":
 		return nil
 	case "SUM", "AVG":
-		switch v.Kind() {
-		case val.KindInt:
-			a.sumI += v.AsInt()
-			a.sumF += float64(v.AsInt())
-		case val.KindFloat:
-			a.isFloat = true
-			a.sumF += v.AsFloat()
-		default:
-			return fmt.Errorf("query: %s over %s", fn, v.Kind())
-		}
-		return nil
+		return a.addSum(fn, v)
 	case "MIN", "MAX":
 		if !a.seen {
 			a.minV, a.maxV, a.seen = v, v, true
@@ -788,7 +781,53 @@ func (a *aggAcc) add(fn string, v val.Value) error {
 	return fmt.Errorf("query: unknown aggregate %s", fn)
 }
 
-func (a *aggAcc) result(fn string) val.Value {
+func (a *AggAcc) addSum(fn string, v val.Value) error {
+	switch v.Kind() {
+	case val.KindInt:
+		a.sumI += v.AsInt()
+		a.sumF += float64(v.AsInt())
+	case val.KindFloat:
+		a.isFloat = true
+		a.sumF += v.AsFloat()
+	default:
+		return fmt.Errorf("query: %s over %s", fn, v.Kind())
+	}
+	return nil
+}
+
+// Merge folds in the Result of an accumulator of the same fn over a
+// disjoint part of the group: part[0] is that result, except for AVG, whose
+// partial is the pair part[0] = SUM, part[1] = COUNT. Merged results equal
+// the single accumulator's exactly for COUNT, MIN, MAX and integral SUM; a
+// float SUM or AVG is equal up to the order of the additions.
+func (a *AggAcc) Merge(fn string, part []val.Value) error {
+	switch fn {
+	case "COUNT":
+		return a.mergeCount(part[0])
+	case "AVG":
+		if !part[0].IsNull() { // NULL: no non-NULL input in that part
+			if err := a.addSum(fn, part[0]); err != nil {
+				return err
+			}
+		}
+		return a.mergeCount(part[1])
+	}
+	// A partial SUM, MIN or MAX is one more input; a part without non-NULL
+	// inputs reports NULL and is skipped like any NULL.
+	return a.Add(fn, part[0])
+}
+
+func (a *AggAcc) mergeCount(v val.Value) error {
+	if v.Kind() != val.KindInt {
+		return fmt.Errorf("query: COUNT partial of kind %s", v.Kind())
+	}
+	a.count += v.AsInt()
+	return nil
+}
+
+// Result is the aggregate's value: NULL for SUM, AVG, MIN and MAX over no
+// non-NULL input, 0 for COUNT.
+func (a *AggAcc) Result(fn string) val.Value {
 	switch fn {
 	case "COUNT":
 		return val.Int(a.count)

@@ -1,8 +1,8 @@
-// Chaos harness: a live beliefserver under a mixed read/write workload
-// while a seeded fault schedule tears at the network between them — ack
-// blackholes, connection drops, and full server kill+recover cycles. The
-// harness is not a benchmark in the timing sense; its product is the
-// invariant report. Three invariants must survive any schedule:
+// Chaos harness: a proxied Cluster's primary under a mixed read/write
+// workload while a seeded fault schedule tears at the network between them
+// — ack blackholes, connection drops, and full KillPrimary/RestartPrimary
+// cycles. Its product is the invariant report. Three invariants must
+// survive any schedule:
 //
 //  1. Exactly once: every acknowledged batch is present in the final
 //     state exactly once, even when its ack was eaten and the client's
@@ -12,22 +12,18 @@
 //     never reapplied.
 //  3. Recovery equivalence: reopening the database from its WAL and
 //     snapshot reproduces the exact final row set.
-package bench
+package replication
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"beliefdb"
 	"beliefdb/client"
-	"beliefdb/internal/faults"
 	"beliefdb/internal/server"
 )
 
@@ -37,18 +33,15 @@ import (
 // interleaving still varies, which is the point: the invariants must
 // hold for every interleaving).
 type ChaosConfig struct {
-	Seed        int64         // fault-schedule seed
-	Clients     int           // concurrent writer connections
-	Readers     int           // concurrent reader connections
-	Ops         int           // total single-insert batches across all writers
-	Restarts    int           // server kill+recover cycles during the run
-	FaultPeriod time.Duration // mean delay between injected faults
+	Seed     int64 // fault-schedule seed
+	Clients  int   // concurrent writer connections
+	Readers  int   // concurrent reader connections
+	Ops      int   // total single-insert batches across all writers
+	Restarts int   // server kill+recover cycles during the run
 }
 
-// DefaultChaos keeps a run in the low seconds.
-func DefaultChaos() ChaosConfig {
-	return ChaosConfig{Seed: 1, Clients: 4, Readers: 2, Ops: 300, Restarts: 1, FaultPeriod: 5 * time.Millisecond}
-}
+// chaosFaultPeriod is the mean delay between injected faults.
+const chaosFaultPeriod = 5 * time.Millisecond
 
 // ChaosResult reports what the schedule did and which invariants held.
 type ChaosResult struct {
@@ -63,113 +56,30 @@ type ChaosResult struct {
 	Violations []string      // empty means every invariant held
 }
 
-// chaosServer owns the restartable server half of the harness: the store
-// directory, the current DB/listener/server, and the proxy the clients
-// stay pointed at across restarts.
-type chaosServer struct {
-	dir    string
-	schema beliefdb.Schema
-	proxy  *faults.Proxy
-
-	mu       sync.Mutex
-	db       *beliefdb.DB
-	srv      *server.Server
-	ln       net.Listener
-	serveErr chan error
-}
-
-func (cs *chaosServer) start() error {
-	db, err := beliefdb.OpenAt(cs.dir, cs.schema)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		db.Close()
-		return err
-	}
-	srv := server.New(db, server.WithMaxConns(64), server.WithRequestTimeout(5*time.Second))
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	cs.mu.Lock()
-	cs.db, cs.srv, cs.ln, cs.serveErr = db, srv, ln, serveErr
-	cs.mu.Unlock()
-	if cs.proxy != nil {
-		cs.proxy.SetBackend(ln.Addr().String())
-	}
-	return nil
-}
-
-func (cs *chaosServer) stop() error {
-	cs.mu.Lock()
-	srv, db, serveErr := cs.srv, cs.db, cs.serveErr
-	cs.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := <-serveErr; err != nil {
-		return err
-	}
-	return db.Close()
-}
-
-// restart kills the server and store, then recovers from the journal. The
-// proxy retargets to the recovered server's fresh port and severs every
-// in-flight relay, so clients experience it exactly as a crash: dead
-// connections, then a reachable server with replayed state.
-func (cs *chaosServer) restart() error {
-	if err := cs.stop(); err != nil {
-		return err
-	}
-	if err := cs.start(); err != nil {
-		return err
-	}
-	cs.proxy.DropActive()
-	return nil
-}
-
-func (cs *chaosServer) database() *beliefdb.DB {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.db
-}
-
-// RunChaos executes one seeded chaos schedule and verifies the
-// invariants. A non-empty Violations list is the harness finding a real
-// robustness bug, not an error running the harness.
-func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
+// RunChaos executes one seeded chaos schedule against a proxied cluster
+// under root and verifies the invariants. A non-empty Violations list is
+// the harness finding a real robustness bug, not an error running the
+// harness.
+func RunChaos(root string, cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Clients < 1 || cfg.Ops < 1 {
-		return nil, fmt.Errorf("bench: chaos needs at least one client and one op")
+		return nil, fmt.Errorf("replication: chaos needs at least one client and one op")
 	}
-	if cfg.FaultPeriod <= 0 {
-		cfg.FaultPeriod = 5 * time.Millisecond
-	}
-	dir, err := os.MkdirTemp("", "beliefdb-chaos-*")
+	c, err := Start(root, Config{
+		Schema: beliefdb.Schema{Relations: []beliefdb.Relation{{
+			Name: "C",
+			Columns: []beliefdb.Column{
+				{Name: "k", Type: beliefdb.KindString},
+				{Name: "v", Type: beliefdb.KindString},
+			},
+		}}},
+		Proxy:      true,
+		ServerOpts: []server.Option{server.WithMaxConns(64), server.WithRequestTimeout(5 * time.Second)},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-
-	schema := beliefdb.Schema{Relations: []beliefdb.Relation{{
-		Name: "C",
-		Columns: []beliefdb.Column{
-			{Name: "k", Type: beliefdb.KindString},
-			{Name: "v", Type: beliefdb.KindString},
-		},
-	}}}
-	cs := &chaosServer{dir: dir, schema: schema}
-	if err := cs.start(); err != nil {
-		return nil, err
-	}
-	defer cs.stop()
-	proxy, err := faults.NewProxy(cs.ln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer proxy.Close()
-	cs.proxy = proxy
+	defer c.Close()
+	proxy := c.Proxy()
 
 	// Clients retry hard: the schedule includes multi-millisecond server
 	// outages the backoff ladder must ride out.
@@ -200,7 +110,7 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 		defer injectWG.Done()
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		for {
-			d := cfg.FaultPeriod/2 + time.Duration(rng.Int63n(int64(cfg.FaultPeriod)+1))
+			d := chaosFaultPeriod/2 + time.Duration(rng.Int63n(int64(chaosFaultPeriod)+1))
 			select {
 			case <-done:
 				return
@@ -239,10 +149,13 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 				case <-time.After(time.Millisecond):
 				}
 			}
-			if progress != nil {
-				progress(fmt.Sprintf("chaos: kill+recover %d/%d at %d acked", r, cfg.Restarts, ackedN.Load()))
+			// Clients see a crash: acks blackholed, connections dead, then
+			// a reachable primary on a fresh port with replayed state.
+			err := c.KillPrimary()
+			if err == nil {
+				err = c.RestartPrimary()
 			}
-			if err := cs.restart(); err != nil {
+			if err != nil {
 				restartErr <- err
 				return
 			}
@@ -302,7 +215,7 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 	readerWG.Wait()
 	select {
 	case err := <-restartErr:
-		return nil, fmt.Errorf("bench: chaos restart: %w", err)
+		return nil, fmt.Errorf("replication: chaos restart: %w", err)
 	default:
 	}
 
@@ -314,7 +227,7 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 
 	// Verification phase: quiesced, in-process reads against the final
 	// store, then a recovery pass.
-	counts, err := chaosScan(cs.database())
+	counts, err := chaosScan(c.PrimaryDB())
 	if err != nil {
 		return nil, err
 	}
@@ -333,17 +246,15 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 		}
 	}
 
-	// Recovery equivalence: close everything, reopen from the journal,
+	// Recovery equivalence: stop the primary, reopen it from its journal,
 	// and demand the identical row set.
-	if err := cs.stop(); err != nil {
+	if err := c.KillPrimary(); err != nil {
 		return nil, err
 	}
-	db2, err := beliefdb.OpenAt(dir, schema)
-	if err != nil {
-		return nil, fmt.Errorf("bench: chaos recovery reopen: %w", err)
+	if err := c.RestartPrimary(); err != nil {
+		return nil, fmt.Errorf("replication: chaos recovery reopen: %w", err)
 	}
-	counts2, err := chaosScan(db2)
-	db2.Close()
+	counts2, err := chaosScan(c.PrimaryDB())
 	if err != nil {
 		return nil, err
 	}
@@ -356,11 +267,6 @@ func RunChaos(cfg ChaosConfig, progress func(string)) (*ChaosResult, error) {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("recovery changed key %s: %d -> %d", k, n, counts2[k]))
 		}
-	}
-	// cs.stop already ran; restart a throwaway server so the deferred
-	// cs.stop finds live handles to tear down.
-	if err := cs.start(); err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -376,22 +282,4 @@ func chaosScan(db *beliefdb.DB) (map[string]int, error) {
 		counts[row[0].AsString()]++
 	}
 	return counts, nil
-}
-
-// Render prints the chaos report.
-func (r *ChaosResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Chaos: %d batches (acked=%d, unacked=%d) under %d faults, %d kill+recover cycles (%.2fs)\n",
-		r.Ops, r.Acked, r.Unacked, r.Faults, r.Restarts, r.Elapsed.Seconds())
-	fmt.Fprintf(&sb, "  reads served during storm: %d\n", r.Reads)
-	fmt.Fprintf(&sb, "  final rows: %d\n", r.Rows)
-	if len(r.Violations) == 0 {
-		sb.WriteString("  invariants: exactly-once OK, no torn state, recovery equivalent\n")
-	} else {
-		fmt.Fprintf(&sb, "  INVARIANT VIOLATIONS (%d):\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "    - %s\n", v)
-		}
-	}
-	return sb.String()
 }

@@ -4,7 +4,8 @@
 // rotation, and failover tests need — converge-and-compare assertions,
 // replica restarts, a fault proxy in front of the primary for kill and
 // blackhole schedules, and state-equality fingerprints over the public
-// Dump/Stats/World surface.
+// Dump/Stats/World surface. RunChaos (chaos.go) drives the same cluster
+// under a seeded fault schedule and reports invariant violations.
 package replication
 
 import (

@@ -20,11 +20,14 @@ import (
 // aliased __a<j>), folds the per-shard partials by group key, and then
 // re-evaluates the original select items over the folded values.
 //
-// The fold mirrors the engine's aggregate accumulator (internal/query's
-// aggAcc) exactly: NULLs are skipped, SUM stays integral until a float
-// joins, MIN/MAX compare with val.Compare, AVG divides the recombined sum
-// by the recombined non-NULL count — so a merged result matches a single
-// node's byte for byte.
+// The fold runs through the executor's own accumulator (query.AggAcc:
+// Merge a shard's partial, read Result), so NULL skipping, SUM staying
+// integral until a float joins, MIN/MAX by val.Compare and AVG as
+// recombined sum over recombined non-NULL count are the engine's by
+// construction. A merged result equals a single node's exactly for COUNT,
+// MIN, MAX and integral SUM; a float SUM or AVG is equal only up to
+// summation order, because per-shard partial sums change the order of the
+// additions (0.1+0.2+0.3).
 
 // aggSpec is one distinct aggregate call of the original query and where
 // its partials land in the scatter query's output row.
@@ -185,112 +188,6 @@ func (p *aggPlan) register(fc sqlparser.FuncCall) (int, error) {
 	return len(p.specs) - 1, nil
 }
 
-// mergeAcc folds one aggregate's per-shard partials for one group, with
-// the engine accumulator's exact semantics.
-type mergeAcc struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	sumSeen bool
-	minV    val.Value
-	maxV    val.Value
-	mmSeen  bool
-}
-
-func (a *mergeAcc) addSum(v val.Value) error {
-	if v.IsNull() {
-		return nil // a shard with no non-NULL inputs reports a NULL partial
-	}
-	a.sumSeen = true
-	switch v.Kind() {
-	case val.KindInt:
-		a.sumI += v.AsInt()
-		a.sumF += float64(v.AsInt())
-	case val.KindFloat:
-		a.isFloat = true
-		a.sumF += v.AsFloat()
-	default:
-		return fmt.Errorf("router: SUM partial of kind %s", v.Kind())
-	}
-	return nil
-}
-
-func (a *mergeAcc) addCount(v val.Value) error {
-	if v.Kind() != val.KindInt {
-		return fmt.Errorf("router: COUNT partial of kind %s", v.Kind())
-	}
-	a.count += v.AsInt()
-	return nil
-}
-
-func (a *mergeAcc) addMinMax(v val.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !a.mmSeen {
-		a.minV, a.maxV, a.mmSeen = v, v, true
-		return
-	}
-	if cmp, ok := val.Compare(v, a.minV); ok && cmp < 0 {
-		a.minV = v
-	}
-	if cmp, ok := val.Compare(v, a.maxV); ok && cmp > 0 {
-		a.maxV = v
-	}
-}
-
-// fold absorbs one scatter row's partials for this spec.
-func (a *mergeAcc) fold(sp aggSpec, row []val.Value) error {
-	switch sp.fn {
-	case "COUNT":
-		return a.addCount(row[sp.pos])
-	case "SUM":
-		return a.addSum(row[sp.pos])
-	case "MIN", "MAX":
-		a.addMinMax(row[sp.pos])
-		return nil
-	case "AVG":
-		if err := a.addSum(row[sp.pos]); err != nil {
-			return err
-		}
-		return a.addCount(row[sp.pos+1])
-	}
-	return fmt.Errorf("router: unknown aggregate %s", sp.fn)
-}
-
-// result finalizes the folded aggregate, mirroring the engine's aggAcc.
-func (a *mergeAcc) result(fn string) val.Value {
-	switch fn {
-	case "COUNT":
-		return val.Int(a.count)
-	case "SUM":
-		if !a.sumSeen {
-			return val.Null()
-		}
-		if a.isFloat {
-			return val.Float(a.sumF)
-		}
-		return val.Int(a.sumI)
-	case "AVG":
-		if a.count == 0 {
-			return val.Null()
-		}
-		return val.Float(a.sumF / float64(a.count))
-	case "MIN":
-		if !a.mmSeen {
-			return val.Null()
-		}
-		return a.minV
-	case "MAX":
-		if !a.mmSeen {
-			return val.Null()
-		}
-		return a.maxV
-	}
-	return val.Null()
-}
-
 // runAggregate scatters an aggregated query as partial aggregates and
 // merges: fold partials by group key, finalize, re-evaluate the original
 // select items over the folded values, then ORDER BY and LIMIT.
@@ -309,10 +206,10 @@ func (r *Router) runAggregate(ctx context.Context, sel bsql.Select) (*client.Res
 func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 	type group struct {
 		key  []val.Value
-		accs []mergeAcc
+		accs []query.AggAcc
 	}
 	newGroup := func(key []val.Value) *group {
-		return &group{key: key, accs: make([]mergeAcc, len(p.specs))}
+		return &group{key: key, accs: make([]query.AggAcc, len(p.specs))}
 	}
 	// Groups hash-bucket by composite key hash with real-equality
 	// verification, like the engine's aggregate operator; output order is
@@ -342,7 +239,7 @@ func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 				ordered = append(ordered, g)
 			}
 			for j, sp := range p.specs {
-				if err := g.accs[j].fold(sp, row); err != nil {
+				if err := g.accs[j].Merge(sp.fn, row[sp.pos:]); err != nil {
 					return nil, err
 				}
 			}
@@ -377,7 +274,7 @@ func (p *aggPlan) merge(results []*client.Result) (*client.Result, error) {
 		folded := make([]val.Value, 0, len(cols))
 		folded = append(folded, g.key...)
 		for j := range p.specs {
-			folded = append(folded, g.accs[j].result(p.specs[j].fn))
+			folded = append(folded, g.accs[j].Result(p.specs[j].fn))
 		}
 		out := make([]val.Value, len(evals))
 		for i, ce := range evals {
