@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"beliefdb"
+	"beliefdb/internal/query"
+	"beliefdb/internal/sqlparser"
 )
 
 func natureSchema() beliefdb.Schema {
@@ -145,6 +147,36 @@ func TestTranslateExposesSQL(t *testing.T) {
 	}
 	if len(res.Rows) != 2 { // raven + purple... no: raven and nothing else positive... s22 and c22 is Comments; Sightings only raven
 		t.Logf("rows = %v", res.Rows)
+	}
+}
+
+// TestNegatedSelectIsReadOnly: a SELECT with a negated item translates to
+// SQL holding a correlated EXISTS; script and statement classification both
+// keep it on the read path, so replicas and sharded servers serve it.
+func TestNegatedSelectIsReadOnly(t *testing.T) {
+	db, _, _, _ := openExample(t)
+	const q = `select U.name from Users U, BELIEF U.uid not Sightings S
+		where S.sid = 's1' and S.uid = 'Carol' and S.species = 'bald eagle' and S.date = '6-14-08' and S.location = 'Lake Forest'`
+	if ro, err := beliefdb.ReadOnlyScript(q + "; " + q); err != nil || !ro {
+		t.Errorf("ReadOnlyScript = %v, %v; want read-only", ro, err)
+	}
+	sql, err := db.Translate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sql, "EXISTS (SELECT") || !query.ReadOnly(stmt) {
+		t.Errorf("translated negation is not a read-only EXISTS query: %s", sql)
+	}
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "Bob" {
+		t.Errorf("rows = %v, want [[Bob]]", res.Rows)
 	}
 }
 

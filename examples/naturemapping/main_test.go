@@ -54,9 +54,9 @@ func Example_main() {
 	//   (24 pairs)
 	//
 	// == Disputes per expert ==
-	//   DrMoss     16
-	//   DrReed     6
-	//   DrStone    6
+	//   DrMoss     8
+	//   DrReed     3
+	//   DrStone    3
 	//
 	// |R*| = 301 rows over 8 tables (n=70 annotations, N=5 states, m=3 users, overhead 4.3)
 	//   Notes_star                      2

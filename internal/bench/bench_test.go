@@ -84,7 +84,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := Table2Config{N: 600, Users: 8, QueryReps: 5, Seed: 3}
+	cfg := Table2Config{N: 600, Users: 8, QueryReps: 40, Seed: 3}
 	res, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -259,6 +259,90 @@ func TestExample18(t *testing.T) {
 	}
 }
 
+// TestNegatedAtomComparesTuplesNullSafe: a negated atom's attribute
+// comparison is tuple identity, as in core.Eval — NULL equals NULL and
+// differs from any constant — not SQL's three-valued '=' / '<>'.
+func TestNegatedAtomComparesTuplesNullSafe(t *testing.T) {
+	st, err := store.Open([]store.Relation{{Name: "S", Columns: []store.Column{
+		{Name: "sid", Type: val.KindString}, {Name: "species", Type: val.KindString},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"u1", "u2"} {
+		if _, err := st.AddUser(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := bsql.NewTranslator(st)
+	if _, err := tr.ExecScript(`
+		insert into BELIEF 'u1' S values ('k1','crow');
+		insert into BELIEF 'u2' S values ('k1',NULL);
+		insert into BELIEF 'u1' S values ('k2',NULL);
+		insert into BELIEF 'u2' S values ('k2',NULL);
+		insert into BELIEF 'u1' S values ('k3',NULL);
+		insert into BELIEF 'u2' not S values ('k3',NULL);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	disagree := `select T1.sid, T1.species from BELIEF '%s' S T1, BELIEF '%s' not S T2
+		where T2.sid = T1.sid and T2.species = T1.species`
+	for _, tc := range []struct {
+		pos, neg string
+		want     []string
+	}{
+		// u2's (k1,NULL) is an unstated negative of u1's (k1,crow); u2 holds
+		// the very tuple (k2,NULL); (k3,NULL) is a stated negative.
+		{"u1", "u2", []string{"k1|crow", "k3|NULL"}},
+		{"u2", "u1", []string{"k1|NULL"}},
+	} {
+		res, err := tr.Exec(fmt.Sprintf(disagree, tc.pos, tc.neg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowStrings(res); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s vs not %s = %v, want %v", tc.pos, tc.neg, got, tc.want)
+		}
+	}
+	// A NULL constant binds like any other.
+	res, err := tr.Exec(`select U.name from Users U, BELIEF U.uid not S T where T.sid = 'k1' and T.species = NULL`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowStrings(res); !reflect.DeepEqual(got, []string{"u1"}) {
+		t.Errorf("who disbelieves (k1,NULL) = %v, want [u1]", got)
+	}
+}
+
+// TestNegatedBindingResolvesOutside: an unqualified column in a negated
+// item's binding means the enclosing query's column even when the item's
+// own subquery has one of that name (_e.uid here).
+func TestNegatedBindingResolvesOutside(t *testing.T) {
+	st, err := store.Open([]store.Relation{{Name: "R", Columns: []store.Column{
+		{Name: "k", Type: val.KindInt}, {Name: "w", Type: val.KindInt},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"u1", "u2"} {
+		if _, err := st.AddUser(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := bsql.NewTranslator(st)
+	if _, err := tr.Exec(`insert into BELIEF 'u1' R values (1, 5)`); err != nil {
+		t.Fatal(err)
+	}
+	// u1 holds (1,5), so disbelieves (1,7); nobody says anything on key 2.
+	res, err := tr.Exec(`select U.name from Users U, BELIEF 'u1' not R N where N.k = uid and N.w = 7`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowStrings(res); !reflect.DeepEqual(got, []string{"u1"}) {
+		t.Errorf("rows = %v, want [u1]", got)
+	}
+}
+
 func TestUnsafeQueriesRejected(t *testing.T) {
 	_, tr := exampleStore(t)
 	insertExampleViaBeliefSQL(t, tr)
@@ -282,6 +366,10 @@ func TestUnsafeQueriesRejected(t *testing.T) {
 		`select U.name from BELIEF 'Bob' Users U`,
 		// Adjacent repetition of a constant path.
 		`select S.sid from BELIEF 'Bob' BELIEF 'Bob' Sightings S`,
+		// EXISTS is the engine's form of a negated item, not BeliefSQL.
+		`select U.name from Users U where exists (select 1 from _e e where e.uid = U.uid)`,
+		`select U.name from Users U, BELIEF U.uid not Comments C
+		 where C.cid = 'c1' and C.sid = 's2' and C.comment = exists (select 1 from Users)`,
 	}
 	for _, q := range bad {
 		if _, err := tr.Exec(q); err == nil {
@@ -395,9 +483,11 @@ func TestTranslateSelectShape(t *testing.T) {
 	}
 }
 
-// TestQuickAlgorithm1MatchesReferenceEval: on random belief databases, the
-// Algorithm 1 SQL translation returns exactly the reference BCQ evaluation
-// for content, conflict, and user (negative path-variable) queries.
+// TestQuickAlgorithm1MatchesReferenceEval: on random belief databases
+// (some attributes NULL), the Algorithm 1 SQL translation returns exactly
+// the reference BCQ evaluation for content, conflict, and user (negative
+// path-variable) queries, and for negated atoms bound to constants, two in
+// one query, and behind a path variable at depth 2.
 func TestQuickAlgorithm1MatchesReferenceEval(t *testing.T) {
 	relCols := gen.RelColumns()
 	f := func(seed int64) bool {
@@ -442,6 +532,25 @@ func TestQuickAlgorithm1MatchesReferenceEval(t *testing.T) {
 			return ch, nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+		// A few statements with NULL attributes on the generator's keys:
+		// tuple identity must treat NULL as a value like any other.
+		for i := 0; i < 8; i++ {
+			k := r.Intn(6)
+			tuple := core.NewTuple(gen.DefaultRel, val.Str(fmt.Sprintf("k%d", k)), val.Str(fmt.Sprintf("obs%d", k)),
+				val.Null(), val.Str("6-14-08"), val.Str(fmt.Sprintf("loc%d", k)))
+			if r.Intn(2) == 0 {
+				tuple.Vals[4] = val.Null()
+			}
+			stmt := core.Statement{Path: core.Path{users[r.Intn(m)]}, Sign: core.Pos, Tuple: tuple}
+			if r.Intn(3) == 0 {
+				stmt.Sign = core.Neg
+			}
+			if ch, err := st.Insert(stmt); err == nil && ch {
+				if _, err := base.Insert(stmt); err != nil {
+					t.Fatalf("core rejected %s: %v", stmt, err)
+				}
+			}
 		}
 		tr := bsql.NewTranslator(st)
 
@@ -534,6 +643,70 @@ func TestQuickAlgorithm1MatchesReferenceEval(t *testing.T) {
 		}
 		if !sameRows(sqlRes.Rows, wantRows) {
 			t.Logf("seed %d: higher-order query mismatch:\n sql=%v\n ref=%v", seed, sqlRes.Rows, wantRows)
+			return false
+		}
+
+		// 4. Who disbelieves one constant tuple (sometimes with a NULL).
+		k := r.Intn(6)
+		consts := []val.Value{val.Str(fmt.Sprintf("k%d", k)), val.Str(fmt.Sprintf("obs%d", k)),
+			val.Str(fmt.Sprintf("species%d", r.Intn(3))), val.Str("6-14-08"), val.Str(fmt.Sprintf("loc%d", k))}
+		if r.Intn(2) == 0 {
+			consts[2] = val.Null()
+		}
+		conds := make([]string, len(relCols))
+		constArgs := make([]core.Term, len(relCols))
+		for i, c := range relCols {
+			conds[i] = fmt.Sprintf("T.%s = %s", c, consts[i].SQL())
+			constArgs[i] = core.C(consts[i])
+		}
+		sqlRes, err = tr.Exec(fmt.Sprintf(`select U.uid from Users U, BELIEF U.uid not %s T where %s`,
+			gen.DefaultRel, strings.Join(conds, " and ")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows, err = core.Eval(base, users, core.Query{
+			Head:  []core.Term{core.V("x")},
+			Atoms: []core.Atom{{Path: []core.PathTerm{core.PV("x")}, Sign: core.Neg, Rel: gen.DefaultRel, Args: constArgs}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(sqlRes.Rows, wantRows) {
+			t.Logf("seed %d: constant negated atom mismatch on %v:\n sql=%v\n ref=%v", seed, consts, sqlRes.Rows, wantRows)
+			return false
+		}
+
+		// 5. Two negated atoms; the second sits behind a path variable at
+		// depth 2, so its adjacent-believers-differ condition is correlated.
+		sameAs := func(neg string) string {
+			eqs := make([]string, len(relCols))
+			for i, c := range relCols {
+				eqs[i] = fmt.Sprintf("%s.%s = T1.%s", neg, c, c)
+			}
+			return strings.Join(eqs, " and ")
+		}
+		sqlRes, err = tr.Exec(fmt.Sprintf(`
+			select U1.uid, U2.uid, U3.uid, T1.sid, T1.species
+			from Users U1, Users U2, Users U3, BELIEF U1.uid %[1]s T1,
+				BELIEF U2.uid not %[1]s T2, BELIEF 'u%[2]d' BELIEF U3.uid not %[1]s T3
+			where %[3]s and %[4]s`, gen.DefaultRel, u0, sameAs("T2"), sameAs("T3")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args = argVars()
+		wantRows, err = core.Eval(base, users, core.Query{
+			Head: []core.Term{core.V("x"), core.V("y"), core.V("z"), args[0], args[2]},
+			Atoms: []core.Atom{
+				{Path: []core.PathTerm{core.PV("x")}, Sign: core.Pos, Rel: gen.DefaultRel, Args: args},
+				{Path: []core.PathTerm{core.PV("y")}, Sign: core.Neg, Rel: gen.DefaultRel, Args: args},
+				{Path: []core.PathTerm{core.PU(u0), core.PV("z")}, Sign: core.Neg, Rel: gen.DefaultRel, Args: args},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(sqlRes.Rows, wantRows) {
+			t.Logf("seed %d: two negated atoms mismatch:\n sql=%v\n ref=%v", seed, sqlRes.Rows, wantRows)
 			return false
 		}
 		return true

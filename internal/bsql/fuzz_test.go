@@ -60,6 +60,11 @@ func FuzzBeliefSQL(f *testing.F) {
 		`explain select S.sid from BELIEF 'Alice' Sightings S where S.sid >= 's1' order by S.sid limit 2`,
 		`explain select S.species from Sightings S where S.date > '6-01-08' and S.date <= '6-30-08'`,
 		`explain insert into Sightings values ('x','y','z','d','l')`,
+		`select S.sid from BELIEF 'Alice' Sightings S, BELIEF 'Bob' not Sightings N where N.sid = S.sid and N.observer = S.observer and N.species = S.species and N.date = S.date and N.location = S.location`,
+		`select U.name from Users U, BELIEF 'Alice' BELIEF U.uid not Comments N where N.cid = 'c1' and N.text = NULL and N.sid = ('s' + 's2')`,
+		`select U.name from Users U where exists (select 1 from _e e where e.uid = U.uid and ((e.wid1 = 0)))`,
+		`select S.sid from BELIEF 'Alice' Sightings S where exists (select 1 from Sightings_v v where v.key = S.sid`,
+		`delete from BELIEF 'Bob' Sightings where exists (select 1 from Users U where U.name = species)`,
 		``,
 	}
 	for _, s := range seeds {

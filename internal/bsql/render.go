@@ -45,66 +45,15 @@ func RenderRef(ref BeliefRef) string {
 	return sb.String()
 }
 
-func renderItem(it sqlparser.SelectItem) string {
-	switch {
-	case it.Star:
-		return "*"
-	case it.TableStar != "":
-		return it.TableStar + ".*"
-	default:
-		s := it.Expr.String()
-		if it.Alias != "" {
-			s += " AS " + it.Alias
-		}
-		return s
-	}
-}
-
 // RenderSelect renders a SELECT back to parseable BeliefSQL.
 func RenderSelect(sel Select) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	for i, it := range sel.Items {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(renderItem(it))
-	}
-	sb.WriteString(" FROM ")
+	from := make([]string, len(sel.From))
 	for i, ref := range sel.From {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(RenderRef(ref))
+		from[i] = RenderRef(ref)
 	}
-	if sel.Where != nil {
-		sb.WriteString(" WHERE " + sel.Where.String())
-	}
-	if len(sel.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
-		for i, g := range sel.GroupBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(g.String())
-		}
-	}
-	if len(sel.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
-		for i, o := range sel.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(o.Expr.String())
-			if o.Desc {
-				sb.WriteString(" DESC")
-			}
-		}
-	}
-	if sel.Limit >= 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", sel.Limit)
-	}
-	return sb.String()
+	return sqlparser.Select{
+		Items: sel.Items, Where: sel.Where, GroupBy: sel.GroupBy, OrderBy: sel.OrderBy, Limit: sel.Limit,
+	}.Render(from)
 }
 
 // Render renders any parsed BeliefSQL statement back to parseable text

@@ -37,12 +37,14 @@ type fromBinding struct {
 }
 
 // TranslateSelect compiles a BeliefSQL SELECT into SQL text over the
-// internal schema. The output joins, per belief item, an E-chain from the
-// root (E*(0, w̄, z)), the relation's V table and its R* table; positive
-// items add s='+', negative items expand into the stated/unstated
-// disjunction of Algorithm 1 step 5. Belief-path valuations respect Û*
-// (adjacent believers differ), and the result is DISTINCT (BCQ answers are
-// sets).
+// internal schema. Per positive belief item the output joins an E-chain
+// from the root (E*(0, w̄, z)), the relation's V table (s='+') and its R*
+// table. A negated item selects nothing and has every attribute bound, so
+// it is a filter: one correlated EXISTS over its own E-chain, V and R*
+// tables holding the stated/unstated disjunction of Algorithm 1 step 5,
+// which the engine runs as a semi-join through V's (wid, key) index.
+// Belief-path valuations respect Û* (adjacent believers differ), and the
+// result is DISTINCT (BCQ answers are sets).
 func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 	cat := tr.st.DB().Catalog()
 	used := make(map[string]bool)
@@ -123,25 +125,50 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 		return found, col, nil
 	}
 
-	var tables []string
-	var conds []string
-
-	// Per-item E-chain, V and R* joins (Algorithm 1 step 2).
-	for _, b := range bindings {
-		switch b.kind {
-		case plainRef:
-			tables = append(tables, b.ref.Table+" "+b.ref.Name())
-			continue
-		default:
+	// qualify rewrites the column references of a negated item's binding
+	// expression to binding.column form: inside the item's subquery an
+	// unqualified name would resolve against the subquery's tables first.
+	var qualify func(e sqlparser.Expr) (sqlparser.Expr, error)
+	qualify = func(e sqlparser.Expr) (sqlparser.Expr, error) {
+		switch ex := e.(type) {
+		case sqlparser.ColumnRef:
+			b, col, err := resolve(ex)
+			if err != nil {
+				return nil, err
+			}
+			return sqlparser.ColumnRef{Table: b.ref.Name(), Column: col}, nil
+		case sqlparser.BinaryExpr:
+			l, err := qualify(ex.L)
+			if err != nil {
+				return nil, err
+			}
+			r, err := qualify(ex.R)
+			if err != nil {
+				return nil, err
+			}
+			return sqlparser.BinaryExpr{Op: ex.Op, L: l, R: r}, nil
+		case sqlparser.UnaryExpr:
+			x, err := qualify(ex.X)
+			if err != nil {
+				return nil, err
+			}
+			return sqlparser.UnaryExpr{Op: ex.Op, X: x}, nil
+		case sqlparser.Literal:
+			return ex, nil
 		}
+		return nil, fmt.Errorf("bsql: a negated item's attribute cannot be bound to %s", e)
+	}
+
+	// chain appends the E-chain of a belief item (Algorithm 1 step 2) to
+	// the given FROM and WHERE lists and returns the wid expression of the
+	// world at its end.
+	chain := func(b *fromBinding, tables, conds *[]string) (string, error) {
 		prevWid := "0"
-		var prevElem *PathElem
 		for j, elem := range b.ref.Path {
 			ea := b.eName[j]
-			tables = append(tables, "_e "+ea)
-			conds = append(conds, fmt.Sprintf("%s.wid1 = %s", ea, prevWid))
-			switch {
-			case elem.IsRef:
+			*tables = append(*tables, "_e "+ea)
+			*conds = append(*conds, fmt.Sprintf("%s.wid1 = %s", ea, prevWid))
+			if elem.IsRef {
 				pb, col, err := resolve(elem.Ref)
 				if err != nil {
 					return "", err
@@ -149,39 +176,51 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 				if pb.kind != plainRef {
 					return "", fmt.Errorf("bsql: BELIEF %s must reference a plain table column", elem.Ref)
 				}
-				conds = append(conds, fmt.Sprintf("%s.uid = %s.%s", ea, pb.ref.Name(), col))
-			default:
+				*conds = append(*conds, fmt.Sprintf("%s.uid = %s.%s", ea, pb.ref.Name(), col))
+			} else {
 				uid, ok := tr.st.UserID(elem.Literal)
 				if !ok {
 					return "", fmt.Errorf("bsql: unknown user %q", elem.Literal)
 				}
-				conds = append(conds, fmt.Sprintf("%s.uid = %d", ea, uid))
+				*conds = append(*conds, fmt.Sprintf("%s.uid = %d", ea, uid))
 			}
 			// Û*: adjacent believers must differ. Constant pairs are
 			// checked statically; anything else becomes a condition.
 			if j > 0 {
-				e := b.ref.Path[j]
-				if !prevElem.IsRef && !e.IsRef {
-					u1, _ := tr.st.UserID(prevElem.Literal)
-					u2, _ := tr.st.UserID(e.Literal)
+				prev := b.ref.Path[j-1]
+				if !prev.IsRef && !elem.IsRef {
+					u1, _ := tr.st.UserID(prev.Literal)
+					u2, _ := tr.st.UserID(elem.Literal)
 					if u1 == u2 {
-						return "", fmt.Errorf("bsql: belief path repeats user %q in adjacent positions", e.Literal)
+						return "", fmt.Errorf("bsql: belief path repeats user %q in adjacent positions", elem.Literal)
 					}
 				} else {
-					conds = append(conds, fmt.Sprintf("%s.uid <> %s.uid", b.eName[j], b.eName[j-1]))
+					*conds = append(*conds, fmt.Sprintf("%s.uid <> %s.uid", ea, b.eName[j-1]))
 				}
 			}
 			prevWid = ea + ".wid2"
-			cp := elem
-			prevElem = &cp
 		}
-		va := b.vName
-		tables = append(tables, b.ref.Table+"_v "+va)
-		conds = append(conds, fmt.Sprintf("%s.wid = %s", va, prevWid))
-		tables = append(tables, b.ref.Table+"_star "+b.ref.Name())
-		conds = append(conds, fmt.Sprintf("%s.tid = %s.tid", va, b.ref.Name()))
-		if b.kind == posRef {
-			conds = append(conds, fmt.Sprintf("%s.s = '+'", va))
+		return prevWid, nil
+	}
+
+	var tables []string
+	var conds []string
+
+	// Plain tables, and per positive item its E-chain, V and R* joins.
+	for _, b := range bindings {
+		switch b.kind {
+		case plainRef:
+			tables = append(tables, b.ref.Table+" "+b.ref.Name())
+		case posRef:
+			wid, err := chain(b, &tables, &conds)
+			if err != nil {
+				return "", err
+			}
+			tables = append(tables, b.ref.Table+"_v "+b.vName, b.ref.Table+"_star "+b.ref.Name())
+			conds = append(conds,
+				fmt.Sprintf("%s.wid = %s", b.vName, wid),
+				fmt.Sprintf("%s.tid = %s.tid", b.vName, b.ref.Name()),
+				fmt.Sprintf("%s.s = '+'", b.vName))
 		}
 	}
 
@@ -223,6 +262,8 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 						return err
 					}
 				}
+			case sqlparser.Exists:
+				return fmt.Errorf("bsql: EXISTS is not part of BeliefSQL; negate a belief item with NOT")
 			}
 			return nil
 		}
@@ -280,7 +321,10 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 		residual = append(residual, conj)
 	}
 
-	// Emit the negative-item conditions.
+	// Emit one EXISTS per negative item (Algorithm 1 step 5 as a semi-join):
+	// some valuation of the item's world holds the bound key and is either
+	// the bound tuple stated negatively or a different tuple stated
+	// positively (an unstated negative, Prop. 7).
 	for _, b := range bindings {
 		if b.kind != negRef {
 			continue
@@ -292,21 +336,44 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 					c, b.ref.Name())
 			}
 		}
-		n := b.ref.Name()
-		keyCond := fmt.Sprintf("%s.%s = %s", n, b.cols[0], bmap[b.cols[0]].String())
-		conds = append(conds, keyCond)
+		var subTables, subConds []string
+		wid, err := chain(b, &subTables, &subConds)
+		if err != nil {
+			return "", err
+		}
+		subTables = append(subTables, b.ref.Table+"_v "+b.vName)
+		subConds = append(subConds, fmt.Sprintf("%s.wid = %s", b.vName, wid))
+		key, err := qualify(bmap[b.cols[0]])
+		if err != nil {
+			return "", err
+		}
+		if _, isCol := key.(sqlparser.ColumnRef); isCol {
+			// A column equality keys the (wid, key) probe, and probes match
+			// by value identity, NULL included.
+			subConds = append(subConds, fmt.Sprintf("%s.key = %s", b.vName, key))
+		} else {
+			subConds = append(subConds, sameValue(b.vName+".key", key))
+		}
 		if len(b.cols) == 1 {
-			conds = append(conds, fmt.Sprintf("%s.s = '-'", b.vName))
-			continue
+			subConds = append(subConds, fmt.Sprintf("%s.s = '-'", b.vName))
+		} else {
+			n := b.ref.Name()
+			subTables = append(subTables, b.ref.Table+"_star "+n)
+			subConds = append(subConds, fmt.Sprintf("%s.tid = %s.tid", n, b.vName))
+			same := make([]string, 0, len(b.cols)-1)
+			for _, c := range b.cols[1:] {
+				bound, err := qualify(bmap[c])
+				if err != nil {
+					return "", err
+				}
+				same = append(same, sameValue(n+"."+c, bound))
+			}
+			sameTuple := strings.Join(same, " AND ")
+			subConds = append(subConds, fmt.Sprintf("((%s.s = '-' AND %s) OR (%s.s = '+' AND NOT (%s)))",
+				b.vName, sameTuple, b.vName, sameTuple))
 		}
-		var statedEq, unstatedNeq []string
-		for _, c := range b.cols[1:] {
-			statedEq = append(statedEq, fmt.Sprintf("%s.%s = %s", n, c, bmap[c].String()))
-			unstatedNeq = append(unstatedNeq, fmt.Sprintf("%s.%s <> %s", n, c, bmap[c].String()))
-		}
-		conds = append(conds, fmt.Sprintf("((%s.s = '-' AND %s) OR (%s.s = '+' AND (%s)))",
-			b.vName, strings.Join(statedEq, " AND "),
-			b.vName, strings.Join(unstatedNeq, " OR ")))
+		conds = append(conds, fmt.Sprintf("EXISTS (SELECT 1 FROM %s WHERE %s)",
+			strings.Join(subTables, ", "), strings.Join(subConds, " AND ")))
 	}
 
 	for _, r := range residual {
@@ -400,6 +467,21 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 		sql += fmt.Sprintf(" LIMIT %d", sel.Limit)
 	}
 	return sql, nil
+}
+
+// sameValue renders "col holds the value of e" as tuple identity, the
+// comparison core.Eval applies to a negated atom: NULL equals NULL and
+// differs from every constant, where a bare '=' would not be satisfied.
+// The engine's comparisons are two-valued (NULL operands yield false), so
+// NOT over a conjunction of these is "some attribute differs".
+func sameValue(col string, e sqlparser.Expr) string {
+	if lit, ok := e.(sqlparser.Literal); ok {
+		if lit.Val.IsNull() {
+			return col + " IS NULL"
+		}
+		return col + " = " + lit.String()
+	}
+	return fmt.Sprintf("(%s = %s OR (%s IS NULL AND %s IS NULL))", col, e, col, e)
 }
 
 // containsAggCall reports whether the expression contains an aggregate

@@ -307,7 +307,7 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 	var src *rowSet
 	preOrdered := false
 	if len(bindings) == 1 && !hasAgg && !s.Distinct && len(s.OrderBy) > 0 {
-		os, ok, err := orderedScan(bindings[0], s, rec)
+		os, ok, err := orderedScan(cat, bindings[0], s, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +316,7 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 		}
 	}
 	if src == nil {
-		src, err = planJoins(bindings, s.Where, rec)
+		src, err = planJoins(cat, bindings, s.Where, rec)
 		if err != nil {
 			return nil, err
 		}

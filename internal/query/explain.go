@@ -52,12 +52,17 @@ func (p *planRecorder) result() *Result {
 // rows in result order, so no sort is needed and a LIMIT turns into a
 // bounded top-k walk that stops after limit matching rows. Returns
 // ok=false when the query shape or the available indexes do not allow it.
-func orderedScan(b binding, s sqlparser.Select, rec *planRecorder) (*rowSet, bool, error) {
+func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRecorder) (*rowSet, bool, error) {
 	tc := &tableCtx{b: b, schema: tableSchema(b), rec: rec}
 	ctxs := map[string]*tableCtx{b.alias: tc}
-	_, _, constTrue, err := classifyWhere(s.Where, tc.schema, ctxs)
+	_, residuals, constTrue, err := classifyWhere(cat, s.Where, tc.schema, ctxs)
 	if err != nil {
 		return nil, false, err
+	}
+	if len(residuals) > 0 {
+		// An EXISTS conjunct must filter before a LIMIT counts rows, which
+		// the walk cannot do; leave the query to the general plan.
+		return nil, false, nil
 	}
 
 	// Every ORDER BY item must be a plain column of this table, all in the

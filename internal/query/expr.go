@@ -1,7 +1,8 @@
 // Package query plans and executes parsed SQL statements against an engine
 // catalog. SELECT plans use predicate pushdown, index scans, greedy
-// left-deep join ordering with index-nested-loop and hash joins, then
-// projection, aggregation, DISTINCT, ORDER BY, and LIMIT.
+// left-deep join ordering with index-nested-loop and hash joins, EXISTS
+// conjuncts as semi-joins, then projection, aggregation, DISTINCT, ORDER
+// BY, and LIMIT.
 package query
 
 import (
@@ -51,10 +52,22 @@ func (s relSchema) find(ref sqlparser.ColumnRef) (int, error) {
 // compiledExpr evaluates an expression against an intermediate row.
 type compiledExpr func(row []val.Value) (val.Value, error)
 
+// colResolver maps a column reference to its position in the rows a
+// compiled expression will run on. relSchema is the usual one; a semi-join
+// resolves against its subquery's tables first and the enclosing query
+// second.
+type colResolver interface {
+	find(ref sqlparser.ColumnRef) (int, error)
+}
+
+// errExistsPosition is the refusal of an EXISTS anywhere but where the
+// planner can run it as a semi-join.
+var errExistsPosition = fmt.Errorf("query: EXISTS is supported only as a top-level AND-ed condition of a SELECT's WHERE clause (not under OR/NOT, inside another EXISTS, in the select list, or in DML)")
+
 // compileExpr resolves column references against schema and returns an
 // evaluator. Aggregate function calls are rejected here; the aggregation
 // stage compiles them separately.
-func compileExpr(e sqlparser.Expr, schema relSchema) (compiledExpr, error) {
+func compileExpr(e sqlparser.Expr, schema colResolver) (compiledExpr, error) {
 	switch ex := e.(type) {
 	case sqlparser.Literal:
 		v := ex.Val
@@ -126,6 +139,8 @@ func compileExpr(e sqlparser.Expr, schema relSchema) (compiledExpr, error) {
 		}, nil
 	case sqlparser.FuncCall:
 		return nil, fmt.Errorf("query: function %s not allowed in this context", ex.Name)
+	case sqlparser.Exists:
+		return nil, errExistsPosition
 	}
 	return nil, fmt.Errorf("query: unsupported expression %T", e)
 }
@@ -272,36 +287,45 @@ func truthy(p compiledExpr, row []val.Value) (bool, error) {
 	return v.AsBool(), nil
 }
 
-// exprRefs collects the table bindings referenced by an expression.
-func exprRefs(e sqlparser.Expr, schema relSchema, out map[string]bool) error {
+// walkColumnRefs calls fn for every column reference of an expression.
+func walkColumnRefs(e sqlparser.Expr, fn func(sqlparser.ColumnRef) error) error {
 	switch ex := e.(type) {
 	case sqlparser.Literal:
 		return nil
 	case sqlparser.ColumnRef:
-		i, err := schema.find(ex)
+		return fn(ex)
+	case sqlparser.BinaryExpr:
+		if err := walkColumnRefs(ex.L, fn); err != nil {
+			return err
+		}
+		return walkColumnRefs(ex.R, fn)
+	case sqlparser.UnaryExpr:
+		return walkColumnRefs(ex.X, fn)
+	case sqlparser.IsNull:
+		return walkColumnRefs(ex.X, fn)
+	case sqlparser.FuncCall:
+		for _, a := range ex.Args {
+			if err := walkColumnRefs(a, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	case sqlparser.Exists:
+		return errExistsPosition
+	}
+	return fmt.Errorf("query: unsupported expression %T", e)
+}
+
+// exprRefs collects the table bindings referenced by an expression.
+func exprRefs(e sqlparser.Expr, schema relSchema, out map[string]bool) error {
+	return walkColumnRefs(e, func(ref sqlparser.ColumnRef) error {
+		i, err := schema.find(ref)
 		if err != nil {
 			return err
 		}
 		out[schema[i].rel] = true
 		return nil
-	case sqlparser.BinaryExpr:
-		if err := exprRefs(ex.L, schema, out); err != nil {
-			return err
-		}
-		return exprRefs(ex.R, schema, out)
-	case sqlparser.UnaryExpr:
-		return exprRefs(ex.X, schema, out)
-	case sqlparser.IsNull:
-		return exprRefs(ex.X, schema, out)
-	case sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			if err := exprRefs(a, schema, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("query: unsupported expression %T", e)
+	})
 }
 
 // containsAggregate reports whether the expression tree contains an

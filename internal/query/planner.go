@@ -28,10 +28,13 @@ type joinEdge struct {
 	consumed   bool
 }
 
-// residual is a conjunct that needs several bindings before it can run.
+// residual is a conjunct that needs several bindings before it can run:
+// a predicate over their columns, or an EXISTS subquery planned as a
+// semi-join (semi set, expr nil).
 type residual struct {
 	refs map[string]bool
 	expr sqlparser.Expr
+	semi *semiJoin
 	done bool
 }
 
@@ -510,13 +513,22 @@ func buildCtxs(bindings []binding, rec *planRecorder) (map[string]*tableCtx, []s
 
 // classifyWhere splits a WHERE conjunction into per-binding filters
 // (recording const-eq and range conjuncts on their tableCtx), join edges,
-// residual predicates, and a constant-truth verdict.
-func classifyWhere(where sqlparser.Expr, full relSchema, ctxs map[string]*tableCtx) (edges []*joinEdge, residuals []*residual, constTrue bool, err error) {
+// residual predicates (EXISTS conjuncts among them, planned here against
+// cat), and a constant-truth verdict.
+func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs map[string]*tableCtx) (edges []*joinEdge, residuals []*residual, constTrue bool, err error) {
 	constTrue = true
 	if where == nil {
 		return nil, nil, true, nil
 	}
 	for _, conj := range splitAnd(where, nil) {
+		if ex, ok := conj.(sqlparser.Exists); ok {
+			sj, err := planSemiJoin(cat, ex, full)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			residuals = append(residuals, &residual{refs: sj.refs, semi: sj})
+			continue
+		}
 		refs := make(map[string]bool)
 		if err := exprRefs(conj, full, refs); err != nil {
 			return nil, nil, false, err
@@ -570,12 +582,12 @@ func classifyWhere(where sqlparser.Expr, full relSchema, ctxs map[string]*tableC
 // join edges, and residual conjuncts. It returns the joined row set. When
 // rec is non-nil every access-path and join decision is recorded for
 // EXPLAIN output.
-func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*rowSet, error) {
+func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, rec *planRecorder) (*rowSet, error) {
 	ctxs, order, full, err := buildCtxs(bindings, rec)
 	if err != nil {
 		return nil, err
 	}
-	edges, residuals, constTrue, err := classifyWhere(where, full, ctxs)
+	edges, residuals, constTrue, err := classifyWhere(cat, where, full, ctxs)
 	if err != nil {
 		return nil, err
 	}
@@ -677,6 +689,14 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 			if !ready {
 				continue
 			}
+			r.done = true
+			if r.semi != nil {
+				var err error
+				if rs, err = r.semi.filter(rs, rec); err != nil {
+					return nil, err
+				}
+				continue
+			}
 			p, err := compileExpr(r.expr, rs.schema)
 			if err != nil {
 				return nil, err
@@ -692,7 +712,6 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 				}
 			}
 			rs = &rowSet{schema: rs.schema, rows: kept}
-			r.done = true
 		}
 		return rs, nil
 	}
@@ -796,7 +815,7 @@ func planJoins(bindings []binding, where sqlparser.Expr, rec *planRecorder) (*ro
 	}
 	for _, r := range residuals {
 		if !r.done {
-			return nil, fmt.Errorf("query: internal error: residual predicate %s never applied", r.expr)
+			return nil, fmt.Errorf("query: internal error: a residual predicate was never applied")
 		}
 	}
 	return cur, nil

@@ -390,10 +390,26 @@ func TestQuickPlannerAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := naiveJoin([][][]val.Value{aRows, bRows}, func(row []val.Value) bool {
+		matches := func(row []val.Value) bool {
 			return row[0].AsInt() == row[2].AsInt() && (row[1].AsInt() > c || row[3].AsInt() == c)
-		})
-		return multisetEqual(res.Rows, want)
+		}
+		if !multisetEqual(res.Rows, naiveJoin([][][]val.Value{aRows, bRows}, matches)) {
+			return false
+		}
+		// The same predicate as a correlated EXISTS keeps each row of a
+		// with at least one partner, once.
+		res, err = execErr(cat, fmt.Sprintf(
+			"SELECT a.x, a.y FROM a WHERE EXISTS (SELECT 1 FROM b WHERE a.x = b.u AND (a.y > %d OR b.v = %d))", c, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var semi [][]val.Value
+		for _, a := range aRows {
+			if len(naiveJoin([][][]val.Value{{a}, bRows}, matches)) > 0 {
+				semi = append(semi, a)
+			}
+		}
+		return multisetEqual(res.Rows, semi)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -14,6 +14,8 @@ func TestReadOnlyClassification(t *testing.T) {
 		{"SELECT 1 FROM t", true},
 		{"SELECT x FROM t WHERE x > 3 ORDER BY x LIMIT 2", true},
 		{"SELECT DISTINCT a.x FROM t a, u b WHERE a.x = b.y GROUP BY a.x", true},
+		{"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.y = t.x)", true},
+		{"EXPLAIN SELECT x FROM t WHERE x > 3 AND EXISTS (SELECT 1 FROM u, v WHERE u.y = t.x AND v.z = u.y)", true},
 		{"CREATE TABLE t (x INT)", false},
 		{"CREATE INDEX ix ON t (x)", false},
 		{"DROP TABLE t", false},

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"strconv"
 	"strings"
 
 	"beliefdb/internal/val"
@@ -166,12 +167,18 @@ type FuncCall struct {
 	Args []Expr
 }
 
+// Exists is EXISTS (SELECT ...). The subquery may be correlated: a column
+// reference that no table of its own FROM list resolves refers to the
+// enclosing query.
+type Exists struct{ Query Select }
+
 func (Literal) exprNode()    {}
 func (ColumnRef) exprNode()  {}
 func (BinaryExpr) exprNode() {}
 func (UnaryExpr) exprNode()  {}
 func (IsNull) exprNode()     {}
 func (FuncCall) exprNode()   {}
+func (Exists) exprNode()     {}
 
 func (e Literal) String() string { return e.Val.SQL() }
 
@@ -209,4 +216,79 @@ func (e FuncCall) String() string {
 		args[i] = a.String()
 	}
 	return e.Name + "(" + strings.Join(args, ", ") + ")"
+}
+
+func (e Exists) String() string { return "EXISTS (" + e.Query.String() + ")" }
+
+func (tr TableRef) String() string {
+	if tr.Alias != "" {
+		return tr.Table + " AS " + tr.Alias
+	}
+	return tr.Table
+}
+
+func (it SelectItem) String() string {
+	switch {
+	case it.Star:
+		return "*"
+	case it.TableStar != "":
+		return it.TableStar + ".*"
+	case it.Alias != "":
+		return it.Expr.String() + " AS " + it.Alias
+	default:
+		return it.Expr.String()
+	}
+}
+
+// String renders the SELECT back to parseable SQL.
+func (s Select) String() string {
+	from := make([]string, len(s.From))
+	for i, ref := range s.From {
+		from[i] = ref.String()
+	}
+	return s.Render(from)
+}
+
+// Render renders the SELECT with the given FROM items in place of s.From,
+// so a dialect whose FROM items differ (BeliefSQL) shares every other
+// clause.
+func (s Select) Render(from []string) string {
+	var sb strings.Builder
+	sb.WriteString("SELECT ")
+	if s.Distinct {
+		sb.WriteString("DISTINCT ")
+	}
+	for i, it := range s.Items {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(it.String())
+	}
+	sb.WriteString(" FROM " + strings.Join(from, ", "))
+	if s.Where != nil {
+		sb.WriteString(" WHERE " + s.Where.String())
+	}
+	for i, g := range s.GroupBy {
+		if i == 0 {
+			sb.WriteString(" GROUP BY ")
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(g.String())
+	}
+	for i, o := range s.OrderBy {
+		if i == 0 {
+			sb.WriteString(" ORDER BY ")
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(o.Expr.String())
+		if o.Desc {
+			sb.WriteString(" DESC")
+		}
+	}
+	if s.Limit >= 0 {
+		sb.WriteString(" LIMIT " + strconv.Itoa(s.Limit))
+	}
+	return sb.String()
 }

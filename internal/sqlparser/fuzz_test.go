@@ -40,6 +40,12 @@ func FuzzParse(f *testing.F) {
 		"",
 		";;;",
 		"SELECT 0x10, 1e9, .5, 'unterminated",
+		"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u w, v WHERE w.y = t.x AND ((v.z = w.y) OR (v.z IS NULL AND w.y IS NULL)))",
+		"SELECT x FROM t WHERE x = 1 AND EXISTS (((SELECT 1 FROM u)))",
+		"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE EXISTS (SELECT 1 FROM v WHERE v.z = u.y AND v.z = t.x))",
+		"SELECT x FROM t WHERE NOT EXISTS (SELECT * FROM u AS w WHERE w.y = t.x ORDER BY w.y LIMIT 1) OR EXISTS (SELECT 1 FROM v)",
+		"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.y = t.x",
+		"SELECT EXISTS (SELECT 1 FROM u) FROM t WHERE exists = 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

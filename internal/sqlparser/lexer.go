@@ -1,7 +1,7 @@
 // Package sqlparser implements the SQL subset understood by the embedded
 // engine: CREATE TABLE/INDEX, DROP TABLE, INSERT, SELECT (joins, WHERE,
-// DISTINCT, GROUP BY, ORDER BY, LIMIT, aggregates), UPDATE, DELETE, and
-// transaction control. BeliefSQL (the paper's SQL extension) lives in
+// correlated EXISTS subqueries, DISTINCT, GROUP BY, ORDER BY, LIMIT,
+// aggregates), UPDATE, DELETE, and transaction control. BeliefSQL (the paper's SQL extension) lives in
 // internal/bsql and compiles down to this dialect.
 package sqlparser
 

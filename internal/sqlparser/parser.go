@@ -698,6 +698,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 //   mulExpr  := unary ((*|/) unary)*
 //   unary    := - unary | primary
 //   primary  := literal | funcCall | columnRef | ( orExpr )
+//             | EXISTS ( select )
 
 func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
 
@@ -904,6 +905,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
+			if strings.EqualFold(name, "exists") {
+				return p.parseExistsBody()
+			}
 			fc := FuncCall{Name: strings.ToUpper(name)}
 			if p.isSymbol("*") {
 				fc.Star = true
@@ -944,6 +948,22 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return ColumnRef{Column: name}, nil
 	}
 	return nil, p.errf("unexpected token %q in expression", p.tok.Text)
+}
+
+// parseExistsBody parses the subquery of EXISTS ( SELECT ... ) after the
+// opening parenthesis.
+func (p *Parser) parseExistsBody() (Expr, error) {
+	if !p.isKeyword("select") {
+		return nil, p.errf("expected SELECT after EXISTS (, got %q", p.tok.Text)
+	}
+	stmt, err := p.parseSelect()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return Exists{Query: stmt.(Select)}, nil
 }
 
 // continueExpr resumes expression parsing after a primary has already been

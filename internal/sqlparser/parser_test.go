@@ -230,6 +230,10 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t WHERE",
 		"FOO BAR",
 		"SELECT x FROM t extra garbage (",
+		"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u",
+		"SELECT x FROM t WHERE EXISTS (u.y = 1)",
+		"SELECT x FROM t WHERE EXISTS ()",
+		"SELECT x FROM t WHERE EXISTS SELECT 1 FROM u",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -246,6 +250,9 @@ func TestExprStringRoundTrip(t *testing.T) {
 		"(c IS NOT NULL)",
 		"COUNT(*)",
 		"MAX(a.d)",
+		"EXISTS (SELECT 1 FROM u AS w, v WHERE ((w.y = t.x) AND ((v.z <> w.y) OR (v.z IS NULL))))",
+		"((x = 1) AND EXISTS (SELECT DISTINCT *, w.*, (w.y + 1) AS k FROM u AS w GROUP BY w.y ORDER BY w.y DESC, k LIMIT 3))",
+		"EXISTS (SELECT 1 FROM u WHERE EXISTS (SELECT 1 FROM v WHERE (v.z = u.y)))",
 	}
 	for _, src := range exprs {
 		sel, err := Parse("SELECT x FROM t WHERE " + src)
@@ -260,6 +267,25 @@ func TestExprStringRoundTrip(t *testing.T) {
 		if sel2.(Select).Where.String() != got {
 			t.Errorf("round trip unstable: %q -> %q", got, sel2.(Select).Where.String())
 		}
+	}
+}
+
+func TestParseExists(t *testing.T) {
+	s := mustParse(t, "select x from t where x > 1 and exists ( select 1 from u w, v where w.y = t.x and ((v.z = w.y)) )")
+	conj := s.(Select).Where.(BinaryExpr)
+	ex, ok := conj.R.(Exists)
+	if conj.Op != "AND" || !ok {
+		t.Fatalf("where = %#v", s.(Select).Where)
+	}
+	if len(ex.Query.From) != 2 || ex.Query.From[0].Name() != "w" || ex.Query.Limit != -1 {
+		t.Errorf("subquery = %+v", ex.Query)
+	}
+	if w, ok := ex.Query.Where.(BinaryExpr); !ok || w.Op != "AND" {
+		t.Errorf("subquery where = %#v", ex.Query.Where)
+	}
+	// A column merely named exists is still a column.
+	if _, ok := mustParse(t, "SELECT x FROM t WHERE exists = 1").(Select).Where.(BinaryExpr).L.(ColumnRef); !ok {
+		t.Error("bare identifier exists no longer parses as a column")
 	}
 }
 
