@@ -220,32 +220,15 @@ func (cli *Client) dial() (*conn, error) {
 
 	nc.SetDeadline(time.Now().Add(cli.opts.DialTimeout))
 	defer nc.SetDeadline(time.Time{})
-	if err := cn.send(wire.Hello()); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	m, err := cn.r.Read()
+	m, err := wire.ClientHandshake(cn.r, cn.w, cn.b.Flush)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake with %s: %w", cli.addr, err)
 	}
-	switch m.Kind {
-	case wire.KindServerHello:
-		if m.Version != wire.ProtoVersion {
-			nc.Close()
-			return nil, fmt.Errorf("client: server %s speaks protocol %d, this client %d", cli.addr, m.Version, wire.ProtoVersion)
-		}
-		cli.mu.Lock()
-		cli.shard = ShardInfo{ID: int(m.ShardID), Count: int(m.ShardCount), Seed: m.ShardSeed}
-		cli.mu.Unlock()
-		return cn, nil
-	case wire.KindError:
-		nc.Close()
-		return nil, fmt.Errorf("client: server %s refused the session: %s", cli.addr, m.Text)
-	default:
-		nc.Close()
-		return nil, fmt.Errorf("client: handshake with %s: unexpected %s", cli.addr, m.Kind)
-	}
+	cli.mu.Lock()
+	cli.shard = ShardInfo{ID: int(m.ShardID), Count: int(m.ShardCount), Seed: m.ShardSeed}
+	cli.mu.Unlock()
+	return cn, nil
 }
 
 // send writes one frame and flushes it.
@@ -254,6 +237,27 @@ func (cn *conn) send(m wire.Msg) error {
 		return err
 	}
 	return cn.b.Flush()
+}
+
+// exchange sends a request that is answered by a single frame and returns
+// that frame when it is of kind want; an Error frame becomes the
+// server-reported error it carries.
+func (cn *conn) exchange(req wire.Msg, want wire.Kind) (wire.Msg, error) {
+	if err := cn.send(req); err != nil {
+		return wire.Msg{}, err
+	}
+	m, err := cn.r.Read()
+	if err != nil {
+		return wire.Msg{}, fmt.Errorf("client: awaiting %s: %w", want, eofAsUnexpected(err))
+	}
+	switch m.Kind {
+	case want:
+		return m, nil
+	case wire.KindError:
+		return wire.Msg{}, errRemote{code: m.Code, msg: m.Text}
+	default:
+		return wire.Msg{}, fmt.Errorf("client: unexpected %s after %s", m.Kind, req.Kind)
+	}
 }
 
 // get checks a connection out of the pool, dialing a fresh one when the
@@ -457,8 +461,9 @@ func (cli *Client) doRetry(ctx context.Context, fn func(*conn) error) error {
 	return fmt.Errorf("%w (%d attempts): %w", ErrRetryExhausted, cli.opts.MaxRetries+1, err)
 }
 
-// newToken returns a fresh idempotency token: 16 random bytes, hex-encoded.
-func newToken() string {
+// NewToken returns a fresh idempotency token for ExecBatchToken: 16 random
+// bytes, hex-encoded. ExecBatch draws one per call.
+func NewToken() string {
 	var b [16]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// crypto/rand practically cannot fail; fall back to math/rand
@@ -600,7 +605,7 @@ func (cli *Client) ExecBatchToken(ctx context.Context, script, token string) (Ba
 // execBatchPos is ExecBatch also reporting the server's WAL position after
 // the batch committed.
 func (cli *Client) execBatchPos(ctx context.Context, script string) (BatchResult, Position, error) {
-	return cli.execBatchTokenPos(ctx, script, newToken())
+	return cli.execBatchTokenPos(ctx, script, NewToken())
 }
 
 // execBatchTokenPos is the shared batch round trip: a given token, the
@@ -609,23 +614,10 @@ func (cli *Client) execBatchTokenPos(ctx context.Context, script, token string) 
 	var out BatchResult
 	var pos Position
 	err := cli.doRetry(ctx, func(cn *conn) error {
-		if err := cn.send(wire.ExecBatch(script, token)); err != nil {
-			return err
-		}
-		m, err := cn.r.Read()
-		if err != nil {
-			return fmt.Errorf("client: mid-batch: %w", eofAsUnexpected(err))
-		}
-		switch m.Kind {
-		case wire.KindError:
-			return errRemote{code: m.Code, msg: m.Text}
-		case wire.KindBatchDone:
-			out = BatchResult{Applied: int(m.Applied), Changed: int(m.Changed)}
-			pos = Position{Epoch: m.Epoch, Pos: m.Pos}
-			return nil
-		default:
-			return fmt.Errorf("client: unexpected %s after ExecBatch", m.Kind)
-		}
+		m, err := cn.exchange(wire.ExecBatch(script, token), wire.KindBatchDone)
+		out = BatchResult{Applied: int(m.Applied), Changed: int(m.Changed)}
+		pos = Position{Epoch: m.Epoch, Pos: m.Pos}
+		return err
 	})
 	return out, pos, err
 }
@@ -645,23 +637,10 @@ func (cli *Client) addUserPos(ctx context.Context, name string) (UserID, Positio
 	var uid UserID
 	var pos Position
 	err := cli.do(ctx, func(cn *conn) error {
-		if err := cn.send(wire.AddUser(name)); err != nil {
-			return err
-		}
-		m, err := cn.r.Read()
-		if err != nil {
-			return eofAsUnexpected(err)
-		}
-		switch m.Kind {
-		case wire.KindError:
-			return errRemote{code: m.Code, msg: m.Text}
-		case wire.KindUserAdded:
-			uid = UserID(m.UID)
-			pos = Position{Epoch: m.Epoch, Pos: m.Pos}
-			return nil
-		default:
-			return fmt.Errorf("client: unexpected %s after AddUser", m.Kind)
-		}
+		m, err := cn.exchange(wire.AddUser(name), wire.KindUserAdded)
+		uid = UserID(m.UID)
+		pos = Position{Epoch: m.Epoch, Pos: m.Pos}
+		return err
 	})
 	return uid, pos, err
 }
@@ -673,26 +652,13 @@ func (cli *Client) addUserPos(ctx context.Context, name string) (UserID, Positio
 func (cli *Client) ReplicaStatus(ctx context.Context) (ReplicaStatus, error) {
 	var st ReplicaStatus
 	err := cli.doRetry(ctx, func(cn *conn) error {
-		if err := cn.send(wire.Msg{Kind: wire.KindReplicaStatus}); err != nil {
-			return err
+		m, err := cn.exchange(wire.Msg{Kind: wire.KindReplicaStatus}, wire.KindStatus)
+		st = ReplicaStatus{
+			Role:      m.Info,
+			Position:  Position{Epoch: m.Epoch, Pos: m.Pos},
+			Connected: m.Affected == 1,
 		}
-		m, err := cn.r.Read()
-		if err != nil {
-			return eofAsUnexpected(err)
-		}
-		switch m.Kind {
-		case wire.KindError:
-			return errRemote{code: m.Code, msg: m.Text}
-		case wire.KindStatus:
-			st = ReplicaStatus{
-				Role:      m.Info,
-				Position:  Position{Epoch: m.Epoch, Pos: m.Pos},
-				Connected: m.Affected == 1,
-			}
-			return nil
-		default:
-			return fmt.Errorf("client: unexpected %s after ReplicaStatus", m.Kind)
-		}
+		return err
 	})
 	return st, err
 }
@@ -722,21 +688,8 @@ func (cli *Client) Shard() ShardInfo {
 
 func (cli *Client) fieldless(ctx context.Context, req wire.Msg, want wire.Kind) error {
 	return cli.doRetry(ctx, func(cn *conn) error {
-		if err := cn.send(req); err != nil {
-			return err
-		}
-		m, err := cn.r.Read()
-		if err != nil {
-			return eofAsUnexpected(err)
-		}
-		switch m.Kind {
-		case wire.KindError:
-			return errRemote{code: m.Code, msg: m.Text}
-		case want:
-			return nil
-		default:
-			return fmt.Errorf("client: unexpected %s after %s", m.Kind, req.Kind)
-		}
+		_, err := cn.exchange(req, want)
+		return err
 	})
 }
 

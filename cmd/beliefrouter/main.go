@@ -30,14 +30,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"beliefdb/internal/daemon"
 	"beliefdb/internal/router"
+	"beliefdb/internal/wire"
 )
 
 // shardFlags collects repeated -shard values in order.
@@ -86,42 +85,17 @@ func run() error {
 		return fmt.Errorf("configure at least one -shard primary[,replica...]")
 	}
 
-	opts := []router.Option{router.WithInfo("beliefrouter")}
-	if *reqTime > 0 {
-		opts = append(opts, router.WithRequestTimeout(*reqTime))
-	}
-	rt, err := router.New(shards, opts...)
+	rt, err := router.New(shards, router.WithEndpoint(wire.Options{
+		Info:           "beliefrouter",
+		RequestTimeout: *reqTime,
+		Logf:           daemon.Logf,
+	}))
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		rt.Shutdown(context.Background())
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "beliefrouter: routing %d shards on %s (pid %d, seed %#x)\n",
-		rt.Map().Count, ln.Addr(), os.Getpid(), rt.Map().Seed)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		rt.Shutdown(context.Background())
-		return err
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "beliefrouter: %s; draining connections\n", s)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := rt.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "beliefrouter: drain incomplete: %v\n", err)
-	}
-	if err := <-serveErr; err != nil {
+	what := fmt.Sprintf("routing %d shards (seed %#x)", rt.Map().Count, rt.Map().Seed)
+	if err := daemon.Run("beliefrouter", what, *addr, rt, *timeout); err != nil {
+		rt.Shutdown(context.Background()) // Serve never ran or failed: only the shards are left to close
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "beliefrouter: shut down cleanly")

@@ -47,19 +47,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"beliefdb"
+	"beliefdb/internal/daemon"
 	"beliefdb/internal/paperex"
 	"beliefdb/internal/server"
 	"beliefdb/internal/shard"
+	"beliefdb/internal/wire"
 )
 
 func main() {
@@ -95,21 +93,12 @@ func run() error {
 		return fmt.Errorf("-shard-id/-shard-seed need -shard-count")
 	}
 
-	opts := []server.Option{
-		server.WithInfo("beliefserver"),
-		// Structured operational events (degraded transitions, recovered
-		// panics) go to stderr, one line each, alongside the plain startup
-		// and shutdown notices.
-		server.WithLogger(func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}),
-	}
-	if *maxConn > 0 {
-		opts = append(opts, server.WithMaxConns(*maxConn))
-	}
-	if *reqTime > 0 {
-		opts = append(opts, server.WithRequestTimeout(*reqTime))
-	}
+	opts := []server.Option{server.WithEndpoint(wire.Options{
+		Info:           "beliefserver",
+		MaxConns:       *maxConn,
+		RequestTimeout: *reqTime,
+		Logf:           daemon.Logf,
+	})}
 	if *shardN > 0 {
 		// A replica of a shard carries its primary's shard identity, so the
 		// option applies in both modes.
@@ -146,36 +135,13 @@ func run() error {
 	// whichever is current when we exit.
 	defer func() { srv.DB().Close() }()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
 	role := "serving"
 	if *follow != "" {
 		role = fmt.Sprintf("replicating %s", *follow)
 	}
-	fmt.Fprintf(os.Stderr, "beliefserver: %s on %s (pid %d)\n", role, ln.Addr(), os.Getpid())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "beliefserver: %s; draining connections\n", s)
-	}
-
 	// Shutdown ordering: listener and connections first, database last —
 	// a request drained by Shutdown must still find the store open.
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "beliefserver: drain incomplete: %v\n", err)
-	}
-	if err := <-serveErr; err != nil {
+	if err := daemon.Run("beliefserver", role, *addr, srv, *timeout); err != nil {
 		return err
 	}
 	if err := srv.DB().Close(); err != nil {

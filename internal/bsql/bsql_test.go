@@ -841,3 +841,22 @@ func TestMultiRowInsertAtomic(t *testing.T) {
 		t.Errorf("failed multi-row insert left rows behind:\nbefore %safter  %s", before, after)
 	}
 }
+
+// TestConstValue: VALUES entries fold to the constants both the batch
+// compiler stores and beliefrouter hashes to find a row's shard; anything
+// that is not a constant is refused.
+func TestConstValue(t *testing.T) {
+	st, err := bsql.Parse("insert into R values (-3, -1.5, 'x', 1+2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := st.(bsql.Insert).Rows[0]
+	for i, want := range []val.Value{val.Int(-3), val.Float(-1.5), val.Str("x")} {
+		if got, err := bsql.ConstValue(row[i]); err != nil || got != want {
+			t.Errorf("ConstValue(%s) = %v, %v; want %v", row[i], got, err, want)
+		}
+	}
+	if _, err := bsql.ConstValue(row[3]); err == nil {
+		t.Errorf("ConstValue(%s) folded a non-constant", row[3])
+	}
+}

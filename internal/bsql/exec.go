@@ -201,14 +201,16 @@ func (tr *Translator) targetPathSign(ref BeliefRef) (core.Path, core.Sign, error
 	return p, sign, nil
 }
 
-// constValue folds a VALUES expression to a constant.
-func constValue(e sqlparser.Expr) (val.Value, error) {
+// ConstValue folds a VALUES expression to a constant. beliefrouter folds
+// row keys with it too, so the router and the shard's owner check hash
+// identical key values.
+func ConstValue(e sqlparser.Expr) (val.Value, error) {
 	switch ex := e.(type) {
 	case sqlparser.Literal:
 		return ex.Val, nil
 	case sqlparser.UnaryExpr:
 		if ex.Op == "-" {
-			v, err := constValue(ex.X)
+			v, err := ConstValue(ex.X)
 			if err != nil {
 				return val.Null(), err
 			}
@@ -242,7 +244,7 @@ func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
 		}
 		vals := make([]val.Value, len(row))
 		for i, e := range row {
-			v, err := constValue(e)
+			v, err := ConstValue(e)
 			if err != nil {
 				return nil, err
 			}

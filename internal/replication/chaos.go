@@ -25,6 +25,7 @@ import (
 	"beliefdb"
 	"beliefdb/client"
 	"beliefdb/internal/server"
+	"beliefdb/internal/wire"
 )
 
 // ChaosConfig parameterizes one chaos run. The schedule is fully
@@ -73,7 +74,7 @@ func RunChaos(root string, cfg ChaosConfig) (*ChaosResult, error) {
 			},
 		}}},
 		Proxy:      true,
-		ServerOpts: []server.Option{server.WithMaxConns(64), server.WithRequestTimeout(5 * time.Second)},
+		ServerOpts: []server.Option{server.WithEndpoint(wire.Options{MaxConns: 64, RequestTimeout: 5 * time.Second})},
 	})
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"beliefdb/client"
 	"beliefdb/internal/router"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wire"
 )
 
 const shardSchema = "Sightings(sid:text,species:text,grams:int)"
@@ -257,14 +258,28 @@ func TestShardedReplicasConverge(t *testing.T) {
 // reads.
 func TestShardedMisrouteRefused(t *testing.T) {
 	sc, err := StartSharded(t.TempDir(), ShardedConfig{
-		Schema: shardedSchema(t),
-		Shards: 2,
-		Seed:   11,
+		Schema:           shardedSchema(t),
+		Shards:           2,
+		ReplicasPerShard: 1,
+		Seed:             11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
+
+	// A router wired with shard 1's replica under shard 0 refuses the
+	// cluster: every replica-routed read would serve another shard's rows.
+	miswired, err := router.New([]router.Backend{
+		{Primary: sc.Shard(0).PrimaryAddr(), Replicas: sc.Shard(1).ReplicaAddrs()},
+		{Primary: sc.Shard(1).PrimaryAddr()},
+	})
+	if err == nil {
+		miswired.Shutdown(context.Background())
+	}
+	if err == nil || !strings.Contains(err.Error(), "is shard 1, configured as shard 0") {
+		t.Errorf("router over a misplaced replica: err = %v, want a shard-identity refusal", err)
+	}
 
 	// Find keys owned by each shard.
 	m := sc.Router().Map()
@@ -325,7 +340,7 @@ func TestShardedPartialFailure(t *testing.T) {
 		Proxy:            true,
 		RouterOpts: []router.Option{
 			router.WithClientOptions(copts),
-			router.WithRequestTimeout(5 * time.Second),
+			router.WithEndpoint(wire.Options{RequestTimeout: 5 * time.Second}),
 		},
 	})
 	if err != nil {

@@ -209,20 +209,3 @@ func TestRoutingClassification(t *testing.T) {
 		t.Error("BELIEF 'Bob' Users classified as global")
 	}
 }
-
-func TestConstKeyMatchesBatchFolding(t *testing.T) {
-	sel := parseSelect(t, "select S.a from S S") // only to get a parser; keys come below
-	_ = sel
-	st, err := bsql.Parse("insert into R values (-3, 'x')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := st.(bsql.Insert)
-	v, err := constKey(ins.Rows[0][0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Kind() != val.KindInt || v.AsInt() != -3 {
-		t.Errorf("constKey(-3) = %v", v)
-	}
-}

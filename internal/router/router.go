@@ -38,24 +38,17 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"time"
 
 	"beliefdb/client"
 	"beliefdb/internal/bsql"
 	"beliefdb/internal/shard"
 	"beliefdb/internal/wire"
 )
-
-// rowChunkSize bounds how many merged result rows travel in one RowChunk
-// frame, matching the server's streaming bound.
-const rowChunkSize = 256
 
 // A Backend names one shard: its primary server and any read replicas.
 type Backend struct {
@@ -64,54 +57,31 @@ type Backend struct {
 }
 
 // A Router fronts a sharded cluster. Create with New, start with Serve,
-// stop with Shutdown (which also closes the shard connections).
+// stop with Shutdown (which also closes the shard connections). The
+// connection lifecycle is wire.Endpoint's, exactly as for a beliefserver;
+// the Router is the wire.Handler that answers requests from the shards.
 type Router struct {
 	shards []*client.Routed
 	smap   shard.Map
 
-	info       string
-	maxFrame   int
-	reqTimeout time.Duration
-	copts      []client.Options
+	opts  wire.Options
+	ep    *wire.Endpoint
+	copts []client.Options
 
 	// userMu serializes AddUser broadcasts: every shard sees registrations
 	// in the same order, so the replicated Users table assigns identical
 	// uids cluster-wide.
 	userMu sync.Mutex
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	shutdown bool
-	stop     chan struct{}
-	handlers sync.WaitGroup
 }
 
 // Option configures a Router.
 type Option func(*Router)
 
-// WithInfo sets the identity sent in the handshake.
-func WithInfo(info string) Option { return func(r *Router) { r.info = info } }
-
-// WithMaxFrame bounds the payload of a single protocol frame in both
-// directions (0 means wire.DefaultMaxFrame).
-func WithMaxFrame(n int) Option {
-	return func(r *Router) {
-		if n > 0 {
-			r.maxFrame = n
-		}
-	}
-}
-
-// WithRequestTimeout bounds each routed request, covering every backend
-// round trip it fans out to and the response write (0 = no deadline).
-func WithRequestTimeout(d time.Duration) Option {
-	return func(r *Router) {
-		if d > 0 {
-			r.reqTimeout = d
-		}
-	}
-}
+// WithEndpoint sets the options the router shares with every front end of
+// the protocol (identity, frame bound, request timeout, connection bound,
+// logger), replacing all of them. The request timeout also covers every
+// backend round trip a routed request fans out to.
+func WithEndpoint(o wire.Options) Option { return func(r *Router) { r.opts = o } }
 
 // WithClientOptions sets the client options used for every backend
 // connection pool.
@@ -119,23 +89,23 @@ func WithClientOptions(o client.Options) Option {
 	return func(r *Router) { r.copts = []client.Options{o} }
 }
 
-// New dials every shard and verifies the cluster's shard map: backend i
-// must announce shard identity i with the same shard count and partition
-// seed as every other backend. A backend that announces nothing (a plain
-// unsharded beliefserver) is refused — routing writes by a partition map
-// the server does not enforce would corrupt silently on misconfiguration.
+// New dials every shard and verifies the cluster's shard map: backend i —
+// its primary and every replica — must announce shard identity i with the
+// same shard count and partition seed as every other backend. A server
+// that announces nothing (a plain unsharded beliefserver) is refused —
+// routing writes by a partition map the server does not enforce would
+// corrupt silently on misconfiguration — and so is a replica of another
+// shard, whose rows every replica-routed read would otherwise serve.
 func New(backends []Backend, opts ...Option) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("router: no shard backends configured")
 	}
-	r := &Router{
-		info:     "beliefrouter",
-		maxFrame: wire.DefaultMaxFrame,
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-	}
+	r := &Router{}
 	for _, o := range opts {
 		o(r)
+	}
+	if r.opts.Info == "" {
+		r.opts.Info = "beliefrouter"
 	}
 	for i, b := range backends {
 		rt, err := client.DialRouted(b.Primary, b.Replicas, r.copts...)
@@ -144,26 +114,21 @@ func New(backends []Backend, opts ...Option) (*Router, error) {
 			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
 		r.shards = append(r.shards, rt)
-		si := rt.Primary().Shard()
-		if !si.Sharded() {
-			r.closeShards()
-			return nil, fmt.Errorf("router: server at %s announces no shard identity; start it with -shard-id/-shard-count/-shard-seed", b.Primary)
-		}
-		if si.ID != i {
-			r.closeShards()
-			return nil, fmt.Errorf("router: server at %s is shard %d, configured as shard %d", b.Primary, si.ID, i)
-		}
-		if si.Count != len(backends) {
-			r.closeShards()
-			return nil, fmt.Errorf("router: server at %s belongs to a %d-shard cluster, %d backends configured", b.Primary, si.Count, len(backends))
-		}
+		want := shard.Identity{ID: i, Count: len(backends), Seed: r.smap.Seed}
 		if i == 0 {
-			r.smap = shard.Map{Count: si.Count, Seed: si.Seed}
-		} else if si.Seed != r.smap.Seed {
-			r.closeShards()
-			return nil, fmt.Errorf("router: server at %s uses partition seed %#x, shard 0 uses %#x", b.Primary, si.Seed, r.smap.Seed)
+			// Shard 0 sets the seed every other server must share.
+			want.Seed = rt.Primary().Shard().Seed
+			r.smap = shard.Map{Count: want.Count, Seed: want.Seed}
+		}
+		addrs := append([]string{b.Primary}, b.Replicas...)
+		for j, c := range append([]*client.Client{rt.Primary()}, rt.Replicas()...) {
+			if err := want.Check(addrs[j], shard.Identity(c.Shard())); err != nil {
+				r.closeShards()
+				return nil, fmt.Errorf("router: %w", err)
+			}
 		}
 	}
+	r.ep = wire.NewEndpoint("router", r, r.opts)
 	return r, nil
 }
 
@@ -181,178 +146,23 @@ func (r *Router) closeShards() {
 }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
-// or a listener failure. Each connection is handled on its own goroutine.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.shutdown {
-		r.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("router: Serve after Shutdown")
-	}
-	if r.ln != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("router: already serving")
-	}
-	r.ln = ln
-	r.mu.Unlock()
+// or a listener failure.
+func (r *Router) Serve(ln net.Listener) error { return r.ep.Serve(ln) }
 
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.shuttingDown() {
-				return nil
-			}
-			return fmt.Errorf("router: accept: %w", err)
-		}
-		if !r.track(conn) {
-			conn.Close() // raced Shutdown; refuse quietly
-			continue
-		}
-		go func() {
-			defer r.handlers.Done()
-			defer r.untrack(conn)
-			r.handle(conn)
-		}()
-	}
-}
-
-func (r *Router) track(conn net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shutdown {
-		return false
-	}
-	r.conns[conn] = struct{}{}
-	r.handlers.Add(1)
-	return true
-}
-
-func (r *Router) untrack(conn net.Conn) {
-	r.mu.Lock()
-	delete(r.conns, conn)
-	r.mu.Unlock()
-	conn.Close()
-}
-
-func (r *Router) shuttingDown() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shutdown
-}
-
-// Shutdown stops the router gracefully — close the listener, interrupt
-// idle connections, drain handlers mid-request (force-closing them if ctx
-// expires first) — and then closes the shard connections.
+// Shutdown stops the router gracefully (see wire.Endpoint.Shutdown) and
+// then — handlers drained, or force-closed when ctx expired first — closes
+// the shard connections.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if !r.shutdown {
-		close(r.stop)
-	}
-	r.shutdown = true
-	ln := r.ln
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.handlers.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		r.mu.Lock()
-		for c := range r.conns {
-			c.Close()
-		}
-		r.mu.Unlock()
-		<-done
-		err = ctx.Err()
-	}
+	err := r.ep.Shutdown(ctx)
 	r.closeShards()
 	return err
 }
 
-// handle runs one connection: handshake, then the request loop, mirroring
-// the server's connection lifecycle (see internal/server).
-func (r *Router) handle(conn net.Conn) {
-	bw := bufio.NewWriter(conn)
-	rd := wire.NewReader(bufio.NewReader(conn), r.maxFrame)
-	w := wire.NewWriter(bw, r.maxFrame)
-
-	hello, err := rd.Read()
-	if err != nil {
-		r.abort(w, bw, err)
-		return
-	}
-	if hello.Kind != wire.KindHello {
-		w.Write(wire.Errorf("router: expected Hello, got %s", hello.Kind))
-		bw.Flush()
-		return
-	}
-	if hello.Version != wire.ProtoVersion {
-		w.Write(wire.Errorf("router: protocol version %d not supported (router speaks %d)",
-			hello.Version, wire.ProtoVersion))
-		bw.Flush()
-		return
-	}
-	sh := wire.ServerHello(r.info)
-	sh.ShardID = -1 // a router fronts the cluster, it is no shard itself
-	sh.ShardCount = uint64(r.smap.Count)
-	sh.ShardSeed = r.smap.Seed
-	if err := w.Write(sh); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-
-	for {
-		req, err := rd.Read()
-		if err != nil {
-			r.abort(w, bw, err)
-			return
-		}
-		if r.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(r.reqTimeout))
-		}
-		if err := r.serveRequest(w, req); err != nil {
-			bw.Flush()
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if r.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if r.shuttingDown() {
-			return // drained the request that was already in flight
-		}
-	}
-}
-
-func (r *Router) abort(w *wire.Writer, bw *bufio.Writer, err error) {
-	if err == io.EOF || r.shuttingDown() {
-		return
-	}
-	var netErr net.Error
-	if errors.As(err, &netErr) && netErr.Timeout() {
-		return
-	}
-	w.Write(wire.Errorf("router: dropping connection: %v", err))
-	bw.Flush()
+// Announce adds the cluster's shard map to the handshake (wire.Handler).
+func (r *Router) Announce(hello *wire.Msg) {
+	hello.ShardID = -1 // a router fronts the cluster, it is no shard itself
+	hello.ShardCount = uint64(r.smap.Count)
+	hello.ShardSeed = r.smap.Seed
 }
 
 // classify maps a routing failure to its stable wire error code. Failures
@@ -382,22 +192,15 @@ func errFrame(err error) wire.Msg {
 
 // reqContext bounds one routed request's backend fan-out.
 func (r *Router) reqContext() (context.Context, context.CancelFunc) {
-	if r.reqTimeout > 0 {
-		return context.WithTimeout(context.Background(), r.reqTimeout)
+	if r.opts.RequestTimeout > 0 {
+		return context.WithTimeout(context.Background(), r.opts.RequestTimeout)
 	}
 	return context.Background(), func() {}
 }
 
-// serveRequest answers one request; the returned error reports a failure
-// to write the response (fatal for the connection). A panicking handler is
-// converted into an internal-error response and that connection's demise.
-func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			w.Write(wire.ErrorMsg(wire.CodeInternal, fmt.Sprintf("router: internal error serving %s: %v", req.Kind, p)))
-			err = fmt.Errorf("router: panic serving %s: %v", req.Kind, p)
-		}
-	}()
+// ServeRequest answers one request from the shards (wire.Handler):
+// request-level failures become a coded Error frame and return nil.
+func (r *Router) ServeRequest(w *wire.Conn, req wire.Msg) error {
 	ctx, cancel := r.reqContext()
 	defer cancel()
 	switch req.Kind {
@@ -406,7 +209,7 @@ func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		if err != nil {
 			return w.Write(errFrame(err))
 		}
-		return r.writeResult(w, res)
+		return w.WriteResult(res.Columns, res.Rows, uint64(res.Affected), 0, 0)
 
 	case wire.KindExec:
 		stmts, err := bsql.ParseAll(req.Text)
@@ -418,7 +221,7 @@ func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 			if err != nil {
 				return w.Write(errFrame(err))
 			}
-			return r.writeResult(w, res)
+			return w.WriteResult(res.Columns, res.Rows, uint64(res.Affected), 0, 0)
 		}
 		// A mutating Exec routes like an untokened batch; the statements
 		// must all be batchable (INSERT/DELETE) for the split to apply.
@@ -468,51 +271,6 @@ func (r *Router) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		w.Write(wire.Errorf("router: unexpected %s request", req.Kind))
 		return fmt.Errorf("router: unexpected %s request", req.Kind)
 	}
-}
-
-// writeResult streams one merged query result, chunked exactly like the
-// server's (row-count and encoded-byte bounds per frame).
-func (r *Router) writeResult(w *wire.Writer, res *client.Result) error {
-	affected := uint64(0)
-	if res != nil {
-		affected = uint64(res.Affected)
-	}
-	if res != nil && len(res.Columns) > 0 {
-		if err := w.Write(wire.Msg{Kind: wire.KindRowHeader, Cols: res.Columns}); err != nil {
-			return err
-		}
-		budget := r.maxFrame - r.maxFrame/8
-		start, bytes := 0, 0
-		flush := func(end int) error {
-			if end == start {
-				return nil
-			}
-			err := w.Write(wire.Msg{Kind: wire.KindRowChunk, Rows: res.Rows[start:end]})
-			start, bytes = end, 0
-			return err
-		}
-		for i, row := range res.Rows {
-			sz := wire.RowSize(row)
-			if sz > budget {
-				return w.Write(wire.Errorf("router: result row %d encodes to %d bytes, beyond the %d-byte frame limit", i, sz, r.maxFrame))
-			}
-			if bytes+sz > budget {
-				if err := flush(i); err != nil {
-					return err
-				}
-			}
-			bytes += sz
-			if i-start+1 >= rowChunkSize {
-				if err := flush(i + 1); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(len(res.Rows)); err != nil {
-			return err
-		}
-	}
-	return w.Write(wire.Msg{Kind: wire.KindResultEnd, Affected: affected})
 }
 
 func readOnlyStmts(stmts []bsql.Statement) bool {

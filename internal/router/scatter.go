@@ -2,8 +2,6 @@ package router
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -132,14 +130,6 @@ func (r *Router) queryAll(ctx context.Context, text string) ([]*client.Result, e
 	return results, nil
 }
 
-// newToken mirrors the client's batch-token generation for mutating Exec
-// scripts the router converts to batches.
-func newToken() string {
-	var b [16]byte
-	_, _ = rand.Read(b[:]) // never fails (and uniqueness, not secrecy, is the need)
-	return hex.EncodeToString(b[:])
-}
-
 // routeBatch splits a batch script by owning shard and commits the slices
 // in parallel under per-shard idempotency tokens.
 func (r *Router) routeBatch(ctx context.Context, script, token string) (client.BatchResult, error) {
@@ -160,7 +150,7 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 				if len(row) == 0 {
 					return client.BatchResult{}, fmt.Errorf("router: INSERT row with no values")
 				}
-				key, err := constKey(row[0])
+				key, err := bsql.ConstValue(row[0])
 				if err != nil {
 					return client.BatchResult{}, err
 				}
@@ -184,7 +174,7 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 		}
 	}
 	if token == "" {
-		token = newToken()
+		token = client.NewToken()
 	}
 
 	// Commit the per-shard slices in parallel. The per-shard token is
@@ -225,35 +215,6 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 	return out, nil
 }
 
-// constKey folds an INSERT row's key expression to its constant, with the
-// same folding the batch compiler applies (bsql's constValue): the router
-// and the shard's owner check must hash identical key values.
-func constKey(e sqlparser.Expr) (val.Value, error) {
-	switch ex := e.(type) {
-	case sqlparser.Literal:
-		return ex.Val, nil
-	case sqlparser.UnaryExpr:
-		if ex.Op == "-" {
-			v, err := constKey(ex.X)
-			if err != nil {
-				return val.Null(), err
-			}
-			switch v.Kind() {
-			case val.KindInt:
-				return val.Int(-v.AsInt()), nil
-			case val.KindFloat:
-				return val.Float(-v.AsFloat()), nil
-			}
-		}
-	}
-	return val.Null(), fmt.Errorf("router: VALUES entries must be constants, got %s", e.String())
-}
-
-// sqlQuote renders a string as a BeliefSQL string literal.
-func sqlQuote(s string) string {
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-}
-
 // addUser broadcasts a user registration to every shard, serialized
 // router-wide so each shard's replicated Users table assigns uids in the
 // same order. A shard that already knows the name (a previous broadcast
@@ -286,8 +247,8 @@ func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error
 		}
 	}
 	if fresh == 0 {
-		// Mirror a single node's duplicate-registration error once every
-		// shard already knows the name.
+		// Every shard already knows the name: a duplicate registration, as
+		// on a single node.
 		return 0, fmt.Errorf("router: user %q already exists", name)
 	}
 	return uids[0], nil
@@ -295,7 +256,7 @@ func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error
 
 // lookupUser resolves a user name on one shard.
 func (r *Router) lookupUser(ctx context.Context, i int, name string) (client.UserID, bool, error) {
-	res, err := r.shards[i].Query(ctx, "select U.uid from Users U where U.name = "+sqlQuote(name))
+	res, err := r.shards[i].Query(ctx, "select U.uid from Users U where U.name = "+val.Str(name).SQL())
 	if err != nil {
 		return 0, false, err
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"beliefdb"
+	"beliefdb/internal/shard"
 	"beliefdb/internal/snapshot"
 	"beliefdb/internal/store"
 	"beliefdb/internal/wal"
@@ -62,17 +63,17 @@ const cursorFileName = "replica.cursor"
 
 // serveFollow streams WAL records to one follower until the peer goes away
 // or the server shuts down. It runs on the connection's handler goroutine;
-// the connection carries nothing else afterwards.
-func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
+// the connection carries nothing else afterwards: the handler returns
+// errFollowEnded to the request loop, which flushes what is buffered (a
+// refusal written here) and closes it.
+func (s *Server) serveFollow(w *wire.Conn, req wire.Msg) {
 	if s.follower != nil {
 		w.Write(wire.ErrorMsg(wire.CodeReadOnly, "server: cannot follow a replica; follow the primary"))
-		bw.Flush()
 		return
 	}
 	db := s.DB()
 	if !db.Durable() {
 		w.Write(wire.ErrorMsg(wire.CodeInternal, "server: cannot follow an in-memory database"))
-		bw.Flush()
 		return
 	}
 	st := db.Store()
@@ -81,14 +82,18 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 
 	// Leave framing headroom: the payload budget bounds record bytes per
 	// WALRecs frame, the rest covers per-record prefixes and the envelope.
-	budget := s.maxFrame - s.maxFrame/4
+	budget := w.MaxFrame() - w.MaxFrame()/4
 	cursorE, cursorP := req.Epoch, req.Pos
 	idle := time.Duration(0)
-	for !s.shuttingDown() {
+	for {
+		select {
+		case <-s.ep.Done():
+			return
+		default:
+		}
 		epoch, committed, err := st.WALStatus()
 		if err != nil {
 			w.Write(s.errFrame(err))
-			bw.Flush()
 			return
 		}
 		if cursorE != epoch || cursorP > committed {
@@ -98,7 +103,6 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 			if err != nil {
 				if errors.Is(err, beliefdb.ErrClosed) {
 					w.Write(s.errFrame(err))
-					bw.Flush()
 					return
 				}
 				// Mid-transaction; retry once it ends.
@@ -107,7 +111,7 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 				}
 				continue
 			}
-			if !s.sendSnapshot(w, bw, m) {
+			if !s.sendSnapshot(w, m) {
 				return
 			}
 			cursorE, cursorP = m.WalEpoch, m.WalApplied
@@ -116,7 +120,7 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 		if cursorP == committed {
 			if idle >= followHeartbeat {
 				idle = 0
-				if w.Write(wire.Msg{Kind: wire.KindWALRecs, Epoch: cursorE, Pos: cursorP}) != nil || bw.Flush() != nil {
+				if w.Write(wire.Msg{Kind: wire.KindWALRecs, Epoch: cursorE, Pos: cursorP}) != nil || w.Flush() != nil {
 					return
 				}
 			}
@@ -130,7 +134,6 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 		recs, rotated, err := tail.Read(cursorE, cursorP, committed, budget)
 		if err != nil {
 			w.Write(s.errFrame(err))
-			bw.Flush()
 			return
 		}
 		if rotated {
@@ -143,7 +146,6 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 		if e, _, err := st.WALStatus(); err != nil || e != cursorE {
 			if err != nil {
 				w.Write(s.errFrame(err))
-				bw.Flush()
 				return
 			}
 			continue
@@ -155,7 +157,7 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 			}
 			continue
 		}
-		if w.Write(wire.Msg{Kind: wire.KindWALRecs, Epoch: cursorE, Pos: cursorP, Recs: recs}) != nil || bw.Flush() != nil {
+		if w.Write(wire.Msg{Kind: wire.KindWALRecs, Epoch: cursorE, Pos: cursorP, Recs: recs}) != nil || w.Flush() != nil {
 			return
 		}
 		cursorP += uint64(len(recs))
@@ -164,31 +166,34 @@ func (s *Server) serveFollow(w *wire.Writer, bw *bufio.Writer, req wire.Msg) {
 
 // sendSnapshot streams one snapshot model (SnapBegin, chunks, SnapEnd),
 // reporting whether the connection survived.
-func (s *Server) sendSnapshot(w *wire.Writer, bw *bufio.Writer, m *snapshot.Model) bool {
+func (s *Server) sendSnapshot(w *wire.Conn, m *snapshot.Model) bool {
 	data := m.Encode()
 	if w.Write(wire.Msg{Kind: wire.KindSnapBegin, Epoch: m.WalEpoch, Pos: m.WalApplied, Affected: uint64(len(data))}) != nil {
 		return false
 	}
-	chunk := s.maxFrame - s.maxFrame/4
+	chunk := w.MaxFrame() - w.MaxFrame()/4
 	for off := 0; off < len(data); off += chunk {
 		end := min(off+chunk, len(data))
 		if w.Write(wire.Msg{Kind: wire.KindSnapChunk, Data: data[off:end]}) != nil {
 			return false
 		}
 	}
-	return w.Write(wire.Msg{Kind: wire.KindSnapEnd}) == nil && bw.Flush() == nil
+	return w.Write(wire.Msg{Kind: wire.KindSnapEnd}) == nil && w.Flush() == nil
 }
 
 // sleepFollow sleeps d unless the server is shutting down; it reports
 // whether the follow loop should continue.
 func (s *Server) sleepFollow(d time.Duration) bool {
 	select {
-	case <-s.stop:
+	case <-s.ep.Done():
 		return false
 	case <-time.After(d):
 		return true
 	}
 }
+
+// errFollowEnded is how a finished follow stream ends its connection.
+var errFollowEnded = errors.New("server: follow stream ended")
 
 // A Follower keeps a replica server's database caught up with its primary:
 // it dials the primary, follows the WAL stream from its persisted cursor,
@@ -283,6 +288,7 @@ func (f *Follower) stopFollowing() {
 func (f *Follower) run() {
 	defer close(f.done)
 	backoff := 50 * time.Millisecond
+	lastLogged := ""
 	for {
 		select {
 		case <-f.stop:
@@ -294,6 +300,12 @@ func (f *Follower) run() {
 		f.connected.Store(false)
 		if err == nil {
 			return // clean stop
+		}
+		// One line per distinct failure, not per redial: a refused handshake
+		// (wrong shard, wrong protocol) repeats until the operator acts.
+		if logf := f.srv.opts.Logf; logf != nil && err.Error() != lastLogged {
+			lastLogged = err.Error()
+			logf("server: follow session with %s ended: %v", f.primary, err)
 		}
 		if time.Since(start) > time.Second {
 			backoff = 50 * time.Millisecond // the last session was healthy
@@ -327,24 +339,21 @@ func (f *Follower) followOnce() error {
 	}()
 
 	bw := bufio.NewWriter(conn)
-	w := wire.NewWriter(bw, f.srv.maxFrame)
-	r := wire.NewReader(bufio.NewReader(conn), f.srv.maxFrame)
+	w := wire.NewWriter(bw, f.srv.opts.MaxFrame)
+	r := wire.NewReader(bufio.NewReader(conn), f.srv.opts.MaxFrame)
 	// The handshake gets its own deadline: a peer that accepts but never
 	// answers (a blackholed proxy, a wedged primary) must not pin the
 	// follower here forever.
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := w.Write(wire.Hello()); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	hello, err := r.Read()
+	hello, err := wire.ClientHandshake(r, w, bw.Flush)
 	if err != nil {
-		return err
+		return fmt.Errorf("server: follow handshake: %w", err)
 	}
-	if hello.Kind != wire.KindServerHello {
-		return fmt.Errorf("server: follow handshake answered with %s", hello.Kind)
+	// A replica carries its primary's shard identity: following another
+	// shard's primary would serve that shard's rows under this one's name.
+	announced := shard.Identity{ID: int(hello.ShardID), Count: int(hello.ShardCount), Seed: hello.ShardSeed}
+	if err := f.srv.shard.Check(f.primary, announced); err != nil {
+		return fmt.Errorf("server: follow handshake: %w", err)
 	}
 	f.mu.Lock()
 	epoch, pos := f.epoch, f.pos

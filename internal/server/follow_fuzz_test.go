@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,9 +28,10 @@ func fuzzSchema() beliefdb.Schema {
 	}}
 }
 
-// fakePrimary answers the follow handshake on one connection, then dumps
-// stream verbatim and hangs up — the arbitrary-peer side of the session.
-func fakePrimary(ln net.Listener, stream []byte) {
+// fakePrimary answers the follow handshake on one connection with answer,
+// then dumps stream verbatim and hangs up — the arbitrary-peer side of the
+// session.
+func fakePrimary(ln net.Listener, answer wire.Msg, stream []byte) {
 	conn, err := ln.Accept()
 	if err != nil {
 		return
@@ -43,7 +45,7 @@ func fakePrimary(ln net.Listener, stream []byte) {
 	if _, err := r.Read(); err != nil { // Hello
 		return
 	}
-	if w.Write(wire.ServerHello("fuzz-primary")) != nil || bw.Flush() != nil {
+	if w.Write(answer) != nil || bw.Flush() != nil {
 		return
 	}
 	if _, err := r.Read(); err != nil { // FollowWAL
@@ -124,32 +126,9 @@ func FuzzFollowWAL(f *testing.F) {
 	f.Add(mangled)
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		dir := t.TempDir()
-		db, err := beliefdb.OpenAt(dir, fuzzSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := New(db)
-		fol := &Follower{
-			srv:    srv,
-			dir:    dir,
-			schema: fuzzSchema(),
-			stop:   make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		srv.follower = fol
-
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go fakePrimary(ln, stream)
-		fol.primary = ln.Addr().String()
-
 		// One session against the arbitrary stream: errors are expected
 		// (they mean redial), panics and hangs are the bugs.
-		_ = fol.followOnce()
+		srv, _ := followFake(t, wire.ServerHello("fuzz-primary"), stream)
 
 		// Whatever was applied or rejected, the server is still a replica
 		// that refuses writes, and its current handle is not corrupted
@@ -161,8 +140,63 @@ func FuzzFollowWAL(f *testing.F) {
 		if err := srv.replicaReadCheck(wire.Exec("insert into R values ('x','y');")); err == nil {
 			t.Fatal("replica accepted a write after a fuzzed follow session")
 		}
-		cur := srv.DB()
-		_, _ = cur.Dump()
-		cur.Close()
+		_, _ = srv.DB().Dump()
 	})
+}
+
+// followFake runs one follow session of a fresh replica (configured with
+// opts) against a fakePrimary and returns the replica and the session's
+// outcome.
+func followFake(t *testing.T, answer wire.Msg, stream []byte, opts ...Option) (*Server, error) {
+	dir := t.TempDir()
+	db, err := beliefdb.OpenAt(dir, fuzzSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, opts...)
+	t.Cleanup(func() { srv.DB().Close() })
+	fol := &Follower{
+		srv:    srv,
+		dir:    dir,
+		schema: fuzzSchema(),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	srv.follower = fol
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go fakePrimary(ln, answer, stream)
+	fol.primary = ln.Addr().String()
+	return srv, fol.followOnce()
+}
+
+// TestFollowHandshakeRefusals: a replica follows only a primary that
+// speaks its protocol revision and announces its own shard identity, and
+// when the primary refuses the session the replica reports why.
+func TestFollowHandshakeRefusals(t *testing.T) {
+	heartbeat := wire.AppendFrame(nil, wire.Msg{Kind: wire.KindWALRecs})
+	newer := wire.ServerHello("newer-primary")
+	newer.Version++
+	shard0 := wire.ServerHello("shard-0-primary")
+	shard0.ShardID, shard0.ShardCount, shard0.ShardSeed = 0, 2, 7
+	for _, tc := range []struct {
+		name   string
+		answer wire.Msg
+		want   string
+	}{
+		{"protocol version", newer, "protocol"},
+		{"coded refusal", wire.ErrorMsg(wire.CodeReadOnly, "cannot follow a replica"), "cannot follow a replica"},
+		{"other shard", shard0, "is shard 0, configured as shard 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := followFake(t, tc.answer, heartbeat, WithShard(1, 2, 7))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("follow session: err = %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -5,48 +5,31 @@
 // (DB.SubmitBatch) so concurrent clients share WAL fsyncs instead of
 // paying one each.
 //
-// # Request handling
-//
-// A connection opens with the wire handshake (Hello/ServerHello) and then
-// carries requests answered strictly in order, so clients may pipeline.
-// Request-level failures (a bad query, a batch conflict) are answered with
-// an Error frame and the connection stays usable; protocol-level failures
-// (a torn frame, a checksum mismatch, an oversized frame, an unexpected
-// opcode) poison the stream and close the connection — after an Error
-// frame describing the reason, when the stream is still writable.
-//
-// # Shutdown ordering
-//
-// Shutdown closes the listener (no new connections), then interrupts every
-// connection's pending read; a handler mid-request finishes writing its
-// response before exiting, so no accepted request is abandoned. Only after
-// every handler has returned — or the context expires and the connections
-// are force-closed — should the caller close the DB. See the Network
-// service section of DESIGN.md.
+// The connection lifecycle — listener, handshake, request loop, result
+// streaming, panic isolation, graceful drain — is wire.Endpoint's (see
+// internal/wire/serve.go); a Server is the wire.Handler that answers the
+// requests from its database. Shutdown drains the endpoint; only after it
+// returns should the caller close the DB. See the Network service section
+// of DESIGN.md.
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"beliefdb"
+	"beliefdb/internal/shard"
 	"beliefdb/internal/wire"
 )
 
-// RowChunkSize bounds how many result rows travel in one RowChunk frame.
-// Chunking keeps every frame small regardless of result size, so a slow
-// client never forces the server to buffer a whole result in one frame.
-// Chunks are additionally bounded by encoded bytes (see writeResult), so
-// wide rows cannot push a frame past the wire limit either.
-const RowChunkSize = 256
+// RowChunkSize is wire.RowChunkSize, the row bound of one RowChunk frame.
+const RowChunkSize = wire.RowChunkSize
 
 // DefaultCommitWindow is how long the database's group-commit rounds
 // linger for more batches while a server fronts it (see
@@ -64,89 +47,41 @@ type Server struct {
 	// the old handle (which keeps serving reads) and publishes a freshly
 	// recovered one, while request handlers load whichever is current. A
 	// primary never swaps.
-	db         atomic.Pointer[beliefdb.DB]
-	maxFrame   int
-	info       string
-	window     time.Duration
-	reqTimeout time.Duration
-	logf       func(format string, args ...interface{})
+	db     atomic.Pointer[beliefdb.DB]
+	window time.Duration
+	opts   wire.Options
+	ep     *wire.Endpoint
 
 	// follower is non-nil in replica mode: the server refuses mutations,
 	// answers only read queries (against the watermark its follower has
 	// applied), and keeps db in sync by replaying the primary's WAL stream.
 	follower *Follower
 
-	// Shard identity (WithShard): when shardCount > 0 the server is one
+	// Shard identity (WithShard): when shard.Count > 0 the server is one
 	// shard of a hash-partitioned cluster. It announces the triple in its
 	// handshake, and refuses batch writes whose row keys hash to another
 	// shard — and Exec-path mutations entirely, since those bypass the
 	// per-key owner check (writes reach shards through beliefrouter's
 	// ExecBatch routing).
-	shardID    int
-	shardCount int
-	shardSeed  uint64
-
-	// Accept gate (WithMaxConns): a slot is taken before Accept, so past
-	// the bound the server simply stops accepting and excess clients queue
-	// in the OS listen backlog — backpressure instead of unbounded handler
-	// goroutines. nil means unbounded.
-	sem  chan struct{}
-	stop chan struct{} // closed by Shutdown; unblocks a gated accept loop
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	shutdown bool
+	shard shard.Identity
 
 	degradedOnce sync.Once // one structured log line per degraded transition
-
-	handlers sync.WaitGroup
 }
 
 // Option configures a Server.
 type Option func(*Server)
 
-// WithMaxFrame bounds the payload of a single protocol frame in both
-// directions (0 means wire.DefaultMaxFrame).
-func WithMaxFrame(n int) Option { return func(s *Server) { s.maxFrame = n } }
-
-// WithInfo sets the human-readable identity sent in the handshake.
-func WithInfo(info string) Option { return func(s *Server) { s.info = info } }
+// WithEndpoint sets the options the server shares with every front end of
+// the protocol (identity, frame bound, request timeout, connection bound,
+// logger), replacing all of them. The request timeout also bounds batch
+// commits, abandoned from the waiting side when it expires (an accepted
+// batch still commits — see DB.SubmitBatch); the logger also receives the
+// degraded-mode transition.
+func WithEndpoint(o wire.Options) Option { return func(s *Server) { s.opts = o } }
 
 // WithCommitWindow overrides DefaultCommitWindow (negative disables the
 // window entirely).
 func WithCommitWindow(d time.Duration) Option { return func(s *Server) { s.window = d } }
-
-// WithMaxConns bounds concurrently served connections (0 = unbounded).
-// At the bound the server stops accepting; excess dials queue in the OS
-// listen backlog until a slot frees, so overload degrades into latency
-// instead of goroutine growth.
-func WithMaxConns(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.sem = make(chan struct{}, n)
-		}
-	}
-}
-
-// WithRequestTimeout bounds each request: the response write carries a
-// deadline and batch commits are abandoned (from the waiting side; an
-// accepted batch still commits — see DB.SubmitBatch) when it expires.
-// 0 = no per-request deadline.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.reqTimeout = d
-		}
-	}
-}
-
-// WithLogger installs a Printf-style logger for the server's structured
-// one-line events (currently the degraded-mode transition). nil disables
-// logging.
-func WithLogger(logf func(format string, args ...interface{})) Option {
-	return func(s *Server) { s.logf = logf }
-}
 
 // WithShard declares the server to be shard id of a cluster hash-
 // partitioned into count shards with the given partition seed. The triple
@@ -155,29 +90,22 @@ func WithLogger(logf func(format string, args ...interface{})) Option {
 // All servers of one cluster must share count and seed; a replica of a
 // shard carries its primary's identity.
 func WithShard(id, count int, seed uint64) Option {
-	return func(s *Server) {
-		s.shardID, s.shardCount, s.shardSeed = id, count, seed
-	}
+	return func(s *Server) { s.shard = shard.Identity{ID: id, Count: count, Seed: seed} }
 }
 
 // New returns a server over db and arms db's group-commit window so
 // concurrent clients' batches share WAL fsyncs.
 func New(db *beliefdb.DB, opts ...Option) *Server {
-	s := &Server{
-		maxFrame: wire.DefaultMaxFrame,
-		info:     "beliefdb",
-		window:   DefaultCommitWindow,
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
-	}
+	s := &Server{window: DefaultCommitWindow}
 	s.db.Store(db)
 	for _, o := range opts {
 		o(s)
 	}
-	if s.window < 0 {
-		s.window = 0
+	if s.opts.Info == "" {
+		s.opts.Info = "beliefdb"
 	}
-	db.SetGroupCommitWindow(s.window)
+	s.ep = wire.NewEndpoint("server", s, s.opts)
+	db.SetGroupCommitWindow(max(s.window, 0))
 	return s
 }
 
@@ -190,233 +118,29 @@ func (s *Server) DB() *beliefdb.DB { return s.db.Load() }
 func (s *Server) Replica() bool { return s.follower != nil }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
-// or a listener failure. Each connection is handled on its own goroutine.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("server: Serve after Shutdown")
-	}
-	if s.ln != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already serving")
-	}
-	s.ln = ln
-	s.mu.Unlock()
+// or a listener failure.
+func (s *Server) Serve(ln net.Listener) error { return s.ep.Serve(ln) }
 
-	for {
-		// The accept gate is taken before Accept: at the connection bound
-		// the loop parks here and excess dials wait in the listen backlog.
-		if s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-			case <-s.stop:
-				return nil
-			}
-		}
-		conn, err := ln.Accept()
-		if err != nil {
-			s.releaseSlot()
-			if s.shuttingDown() {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		if !s.track(conn) {
-			conn.Close() // raced Shutdown; refuse quietly
-			s.releaseSlot()
-			continue
-		}
-		go func() {
-			defer s.releaseSlot()
-			defer s.handlers.Done()
-			defer s.untrack(conn)
-			s.handle(conn)
-		}()
-	}
-}
-
-// releaseSlot returns an accept-gate slot (no-op when unbounded).
-func (s *Server) releaseSlot() {
-	if s.sem != nil {
-		<-s.sem
-	}
-}
-
-// track registers a connection and takes its handler slot in the wait
-// group. The Add happens under the same mutex that Shutdown takes before
-// waiting, so Add is strictly ordered against handlers.Wait — an Add
-// outside the lock could land while a draining Shutdown's Wait sits at
-// zero, the documented WaitGroup misuse panic.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shutdown {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	s.handlers.Add(1)
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
-
-func (s *Server) shuttingDown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shutdown
-}
-
-// Shutdown stops the server gracefully: close the listener, interrupt
-// every connection's pending read (a handler mid-request still writes its
-// response), and wait for the handlers to drain. If ctx expires first the
-// remaining connections are force-closed before Shutdown returns ctx's
-// error. The database is not touched either way — closing it is the
-// caller's next step, after Shutdown returns.
+// Shutdown stops the server gracefully (see wire.Endpoint.Shutdown); if
+// ctx expires first the remaining connections are force-closed and ctx's
+// error returned. The database is not touched either way — closing it is
+// the caller's next step, after Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.follower != nil {
 		// Stop replaying before draining handlers, so no apply races the
 		// caller's subsequent DB().Close().
 		s.follower.stopFollowing()
 	}
-	s.mu.Lock()
-	if !s.shutdown {
-		close(s.stop)
-	}
-	s.shutdown = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	if ln != nil {
-		ln.Close()
-	}
-	// Wake handlers blocked between requests: an expired read deadline
-	// fails the pending frame read, and the handler sees shutdown and
-	// exits. Handlers inside a request keep running — only their next read
-	// fails — so accepted requests drain.
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+	return s.ep.Shutdown(ctx)
 }
 
-// handle runs one connection: handshake, then the request loop. Reads and
-// writes go through bufio so a streamed response costs one syscall per
-// flush, not one per frame; every response is flushed before the next read.
-func (s *Server) handle(conn net.Conn) {
-	bw := bufio.NewWriter(conn)
-	r := wire.NewReader(bufio.NewReader(conn), s.maxFrame)
-	w := wire.NewWriter(bw, s.maxFrame)
-
-	hello, err := r.Read()
-	if err != nil {
-		s.abort(w, bw, err)
-		return
+// Announce adds the shard identity to the handshake (wire.Handler).
+func (s *Server) Announce(hello *wire.Msg) {
+	if s.shard.Count > 0 {
+		hello.ShardID = int64(s.shard.ID)
+		hello.ShardCount = uint64(s.shard.Count)
+		hello.ShardSeed = s.shard.Seed
 	}
-	if hello.Kind != wire.KindHello {
-		w.Write(wire.Errorf("server: expected Hello, got %s", hello.Kind))
-		bw.Flush()
-		return
-	}
-	if hello.Version != wire.ProtoVersion {
-		w.Write(wire.Errorf("server: protocol version %d not supported (server speaks %d)",
-			hello.Version, wire.ProtoVersion))
-		bw.Flush()
-		return
-	}
-	sh := wire.ServerHello(s.info)
-	if s.shardCount > 0 {
-		sh.ShardID = int64(s.shardID)
-		sh.ShardCount = uint64(s.shardCount)
-		sh.ShardSeed = s.shardSeed
-	}
-	if err := w.Write(sh); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-
-	for {
-		req, err := r.Read()
-		if err != nil {
-			// Clean close, a poisoned stream, or the shutdown poke — none
-			// leave anything answerable.
-			s.abort(w, bw, err)
-			return
-		}
-		// A follow request dedicates the connection to streaming WAL
-		// records until the peer goes away or the server shuts down; there
-		// is no further request to read.
-		if req.Kind == wire.KindFollowWAL {
-			s.serveFollow(w, bw, req)
-			return
-		}
-		// The per-request deadline covers the whole response write: a
-		// client that stops draining cannot pin the handler forever.
-		if s.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.reqTimeout))
-		}
-		if err := s.serveRequest(w, req); err != nil {
-			// The stream is done for — but any Error frame explaining why
-			// (an unexpected opcode, a recovered panic) is still sitting in
-			// the buffer, and the promise is to describe the drop when the
-			// stream is writable.
-			bw.Flush()
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		if s.reqTimeout > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		if s.shuttingDown() {
-			return // drained the request that was already in flight
-		}
-	}
-}
-
-// abort reports a protocol-level failure on the way out when the stream
-// may still be writable and the failure is worth describing (not a clean
-// EOF, not the shutdown poke).
-func (s *Server) abort(w *wire.Writer, bw *bufio.Writer, err error) {
-	if err == io.EOF || s.shuttingDown() {
-		return
-	}
-	var netErr net.Error
-	if errors.As(err, &netErr) && netErr.Timeout() {
-		return
-	}
-	w.Write(wire.Errorf("server: dropping connection: %v", err))
-	bw.Flush()
 }
 
 // classify maps a request-level failure to its stable wire error code, so
@@ -451,7 +175,7 @@ func (s *Server) errFrame(err error) wire.Msg {
 // surfaces its sticky read-only state — the signal operators alert on.
 func (s *Server) noteDegraded(cause error) {
 	s.degradedOnce.Do(func() {
-		if s.logf == nil {
+		if s.opts.Logf == nil {
 			return
 		}
 		line, _ := json.Marshal(map[string]string{
@@ -459,34 +183,13 @@ func (s *Server) noteDegraded(cause error) {
 			"mode":  "read-only",
 			"cause": cause.Error(),
 		})
-		s.logf("%s", line)
+		s.opts.Logf("%s", line)
 	})
 }
 
-// serveRequest answers one request. The returned error reports a failure
-// to write the response (fatal for the connection); request-level failures
-// are answered with a coded Error frame and return nil. A panicking
-// handler is converted into an internal-error response and that
-// connection's demise — the process, and every other connection, keeps
-// serving.
-// panicHook, when non-nil, runs before each request is dispatched. It is
-// the seam the panic-isolation tests use to make a handler blow up on
-// cue; production never sets it.
-var panicHook func(req wire.Msg)
-
-func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			w.Write(wire.ErrorMsg(wire.CodeInternal, fmt.Sprintf("server: internal error serving %s: %v", req.Kind, p)))
-			err = fmt.Errorf("server: panic serving %s: %v", req.Kind, p)
-			if s.logf != nil {
-				s.logf("server: recovered panic serving %s: %v", req.Kind, p)
-			}
-		}
-	}()
-	if panicHook != nil {
-		panicHook(req)
-	}
+// ServeRequest answers one request from the database (wire.Handler):
+// request-level failures become a coded Error frame and return nil.
+func (s *Server) ServeRequest(w *wire.Conn, req wire.Msg) error {
 	db := s.DB()
 	switch req.Kind {
 	case wire.KindQuery:
@@ -503,7 +206,7 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		if err != nil {
 			return w.Write(s.errFrame(err))
 		}
-		return s.writeResult(w, res, 0, 0)
+		return w.WriteResult(res.Columns, res.Rows, uint64(res.Affected), 0, 0)
 
 	case wire.KindExec:
 		if s.follower != nil {
@@ -518,9 +221,9 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 			if err != nil {
 				return w.Write(s.errFrame(err))
 			}
-			return s.writeResult(w, res, 0, 0)
+			return w.WriteResult(res.Columns, res.Rows, uint64(res.Affected), 0, 0)
 		}
-		if s.shardCount > 0 {
+		if s.shard.Count > 0 {
 			// Exec-path DML bypasses the per-key owner check, so a sharded
 			// server only runs read-only Exec scripts; writes go through
 			// the router's owner-checked ExecBatch path.
@@ -538,7 +241,7 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 			return w.Write(s.errFrame(err))
 		}
 		epoch, pos := position(db)
-		return s.writeResult(w, res, epoch, pos)
+		return w.WriteResult(res.Columns, res.Rows, uint64(res.Affected), epoch, pos)
 
 	case wire.KindExecBatch:
 		if s.follower != nil {
@@ -552,16 +255,16 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		if err != nil {
 			return w.Write(s.errFrame(err))
 		}
-		if s.shardCount > 0 {
-			if err := b.CheckShard(s.shardSeed, s.shardCount, s.shardID); err != nil {
+		if s.shard.Count > 0 {
+			if err := b.CheckShard(s.shard.Seed, s.shard.Count, s.shard.ID); err != nil {
 				return w.Write(wire.ErrorMsg(wire.CodeWrongShard, err.Error()))
 			}
 		}
 		b.SetToken(req.Token)
 		ctx := context.Background()
-		if s.reqTimeout > 0 {
+		if s.opts.RequestTimeout > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
+			ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 			defer cancel()
 		}
 		res, err := db.SubmitBatch(ctx, b)
@@ -613,6 +316,13 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 	case wire.KindPing:
 		return w.Write(wire.Msg{Kind: wire.KindPong})
 
+	case wire.KindFollowWAL:
+		// A follow request dedicates the connection to streaming WAL
+		// records until the peer goes away or the server shuts down; there
+		// is no further request to read.
+		s.serveFollow(w, req)
+		return errFollowEnded
+
 	default:
 		// An unknown or out-of-place opcode (a response kind, a second
 		// Hello) means the peer lost the plot; answer and drop the
@@ -620,57 +330,6 @@ func (s *Server) serveRequest(w *wire.Writer, req wire.Msg) (err error) {
 		w.Write(wire.Errorf("server: unexpected %s request", req.Kind))
 		return fmt.Errorf("server: unexpected %s request", req.Kind)
 	}
-}
-
-// writeResult streams one query result: a RowHeader and chunked rows when
-// the result has columns, then ResultEnd. Chunks are bounded both by row
-// count and by encoded bytes, so wide rows cannot grow a frame past the
-// wire limit and kill the connection mid-stream; a single row that cannot
-// fit any frame is answered with an in-stream Error (which the client
-// treats as the request's failure) instead of a dead connection.
-func (s *Server) writeResult(w *wire.Writer, res *beliefdb.Result, epoch, pos uint64) error {
-	affected := uint64(0)
-	if res != nil {
-		affected = uint64(res.Affected)
-	}
-	if res != nil && len(res.Columns) > 0 {
-		if err := w.Write(wire.Msg{Kind: wire.KindRowHeader, Cols: res.Columns}); err != nil {
-			return err
-		}
-		// Leave generous headroom under the frame limit for the chunk's
-		// own framing and count prefixes.
-		budget := s.maxFrame - s.maxFrame/8
-		start, bytes := 0, 0
-		flush := func(end int) error {
-			if end == start {
-				return nil
-			}
-			err := w.Write(wire.Msg{Kind: wire.KindRowChunk, Rows: res.Rows[start:end]})
-			start, bytes = end, 0
-			return err
-		}
-		for i, row := range res.Rows {
-			sz := wire.RowSize(row)
-			if sz > budget {
-				return w.Write(wire.Errorf("server: result row %d encodes to %d bytes, beyond the %d-byte frame limit", i, sz, s.maxFrame))
-			}
-			if bytes+sz > budget {
-				if err := flush(i); err != nil {
-					return err
-				}
-			}
-			bytes += sz
-			if i-start+1 >= RowChunkSize {
-				if err := flush(i + 1); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(len(res.Rows)); err != nil {
-			return err
-		}
-	}
-	return w.Write(wire.Msg{Kind: wire.KindResultEnd, Affected: affected, Epoch: epoch, Pos: pos})
 }
 
 // position reports the database's committed WAL position — the watermark a

@@ -2,11 +2,13 @@ package server
 
 // Integration tests over real sockets: a live Server on a loopback
 // listener, driven by the public client package. The concurrency tests are
-// the ones the CI race job exercises with -race.
+// the ones the CI race job exercises with -race. The connection lifecycle
+// (handshake, framing bounds, pipelining, streaming, panic isolation, the
+// accept gate, drain) is tested once for every front end in
+// internal/wire/lifecycle_test.go.
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -16,7 +18,6 @@ import (
 
 	"beliefdb"
 	"beliefdb/client"
-	"beliefdb/internal/wire"
 )
 
 func testSchema() beliefdb.Schema {
@@ -125,42 +126,6 @@ func TestServerBasicRoundTrips(t *testing.T) {
 
 	if err := cli.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestServerStreamsLargeResults: a result much larger than one RowChunk
-// arrives complete and ordered.
-func TestServerStreamsLargeResults(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 3*RowChunkSize + 17
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "insert into R values ('k%06d','v');", i)
-	}
-	if _, err := db.ExecBatch(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, db)
-	cli, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	res, err := cli.Query(context.Background(), "select R.k from R order by R.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != n {
-		t.Fatalf("streamed %d rows, want %d", len(res.Rows), n)
-	}
-	for i, row := range res.Rows {
-		if want := fmt.Sprintf("k%06d", i); row[0].AsString() != want {
-			t.Fatalf("row %d = %q, want %q", i, row[0].AsString(), want)
-		}
 	}
 }
 
@@ -282,251 +247,4 @@ func TestServerCoalescesAcrossClients(t *testing.T) {
 		}
 	}
 	t.Errorf("no attempt coalesced: best was %d fsyncs for %d remote batches", best, total)
-}
-
-// TestServerGracefulShutdown: Shutdown stops accepts, unblocks idle
-// connections, and drains without failing in-flight work submitted before
-// the shutdown.
-func TestServerGracefulShutdown(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(db)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	cli, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if err := cli.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve returned %v", err)
-	}
-
-	// The shut-down server answers nothing new.
-	if err := cli.Ping(context.Background()); err == nil {
-		t.Error("ping succeeded after shutdown")
-	}
-	if _, err := client.Dial(ln.Addr().String()); err == nil {
-		t.Error("dial succeeded after shutdown")
-	}
-	// Serve after Shutdown refuses.
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(ln2); err == nil {
-		t.Error("Serve after Shutdown succeeded")
-	}
-}
-
-// TestServerRejectsOversizedFrame: a frame header declaring a payload
-// beyond the server's limit is answered with an Error frame and the
-// connection dropped — without the server reading (or allocating) the
-// declared mountain of bytes.
-func TestServerRejectsOversizedFrame(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, db, WithMaxFrame(1<<16))
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	r := wire.NewReader(nc, 0)
-	w := wire.NewWriter(nc, 0)
-	if err := w.Write(wire.Hello()); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := r.Read(); err != nil || m.Kind != wire.KindServerHello {
-		t.Fatalf("handshake: %v %v", m, err)
-	}
-
-	// A raw frame header claiming 1 GiB. No payload follows; the server
-	// must refuse on the header alone.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], 1<<30)
-	if _, err := nc.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.Read()
-	if err != nil || m.Kind != wire.KindError || !strings.Contains(m.Text, "maximum size") {
-		t.Fatalf("response = %+v, %v; want an Error frame about frame size", m, err)
-	}
-	// The connection is dead afterwards.
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := r.Read(); err == nil {
-		t.Error("connection stayed open after an oversized frame")
-	}
-}
-
-// TestServerRejectsBadHandshake: a connection that opens with something
-// other than Hello is answered with an Error and closed.
-func TestServerRejectsBadHandshake(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, db)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	r := wire.NewReader(nc, 0)
-	w := wire.NewWriter(nc, 0)
-	if err := w.Write(wire.Query("select 1")); err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.Read()
-	if err != nil || m.Kind != wire.KindError {
-		t.Fatalf("response = %+v, %v; want Error", m, err)
-	}
-
-	// A wrong protocol version is refused too.
-	nc2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc2.Close()
-	r2 := wire.NewReader(nc2, 0)
-	w2 := wire.NewWriter(nc2, 0)
-	if err := w2.Write(wire.Msg{Kind: wire.KindHello, Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := r2.Read()
-	if err != nil || m2.Kind != wire.KindError || !strings.Contains(m2.Text, "version") {
-		t.Fatalf("response = %+v, %v; want a version Error", m2, err)
-	}
-}
-
-// TestServerPipelinedRequests: several requests written back-to-back
-// before any response is read are answered in order.
-func TestServerPipelinedRequests(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, db)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	r := wire.NewReader(nc, 0)
-	w := wire.NewWriter(nc, 0)
-	if err := w.Write(wire.Hello()); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := r.Read(); err != nil || m.Kind != wire.KindServerHello {
-		t.Fatalf("handshake: %v %v", m, err)
-	}
-
-	// Pipeline: two inserts, a ping, and a query, all in flight at once.
-	for _, m := range []wire.Msg{
-		wire.Exec("insert into R values ('p1','x')"),
-		wire.Exec("insert into R values ('p2','x')"),
-		{Kind: wire.KindPing},
-		wire.Query("select R.k from R order by R.k"),
-	} {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	expect := func(want wire.Kind) wire.Msg {
-		t.Helper()
-		m, err := r.Read()
-		if err != nil {
-			t.Fatalf("reading %s: %v", want, err)
-		}
-		if m.Kind != want {
-			t.Fatalf("got %s (%q), want %s", m.Kind, m.Text, want)
-		}
-		return m
-	}
-	expect(wire.KindResultEnd)
-	expect(wire.KindResultEnd)
-	expect(wire.KindPong)
-	expect(wire.KindRowHeader)
-	chunk := expect(wire.KindRowChunk)
-	if len(chunk.Rows) != 2 {
-		t.Fatalf("pipelined query returned %d rows, want 2", len(chunk.Rows))
-	}
-	expect(wire.KindResultEnd)
-}
-
-// TestServerStreamsWideRows: rows large enough that 256 of them would
-// blow the frame limit still stream (the chunker bounds bytes, not just
-// row count), and a single row that cannot fit any frame turns into an
-// in-stream Error with the connection surviving — not a dead socket.
-func TestServerStreamsWideRows(t *testing.T) {
-	db, err := beliefdb.Open(testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~64 KiB per row against a 256 KiB frame limit: a count-only chunker
-	// would build one ~16 MiB frame and kill the connection.
-	const maxFrame = 256 << 10
-	wide := strings.Repeat("w", 64<<10)
-	var sb strings.Builder
-	for i := 0; i < 20; i++ {
-		fmt.Fprintf(&sb, "insert into R values ('k%02d','%s');", i, wide)
-	}
-	if _, err := db.ExecBatch(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, db, WithMaxFrame(maxFrame))
-	cli, err := client.Dial(addr, client.Options{MaxFrame: maxFrame})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-
-	res, err := cli.Query(ctx, "select R.k, R.v from R order by R.k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 20 {
-		t.Fatalf("streamed %d wide rows, want 20", len(res.Rows))
-	}
-	for i, row := range res.Rows {
-		if row[1].AsString() != wide {
-			t.Fatalf("row %d payload corrupted (len %d)", i, len(row[1].AsString()))
-		}
-	}
-
-	// One row beyond any frame: the request fails with a diagnosable
-	// error and the connection stays usable.
-	huge := strings.Repeat("h", maxFrame)
-	if _, err := db.Exec(fmt.Sprintf("insert into R values ('zz','%s')", huge)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = cli.Query(ctx, "select R.v from R where R.k = 'zz'")
-	if err == nil || !strings.Contains(err.Error(), "frame limit") {
-		t.Fatalf("oversized row: err = %v, want a frame-limit error", err)
-	}
-	if err := cli.Ping(ctx); err != nil {
-		t.Fatalf("ping after oversized-row error: %v", err)
-	}
 }

@@ -42,6 +42,33 @@ func Validate(id, count int) error {
 	return nil
 }
 
+// Identity is what one server announces in the wire handshake: which shard
+// of how many it is, under which partition seed. The zero Identity is an
+// unsharded server.
+type Identity struct {
+	ID    int
+	Count int
+	Seed  uint64
+}
+
+// Check compares the identity the server at addr announced with the one
+// its peer is configured to find there — a router its shard's primary and
+// replicas, a replica the primary it follows. Serving one shard's rows
+// under another's name corrupts silently, so every mismatch is refused.
+func (want Identity) Check(addr string, got Identity) error {
+	switch {
+	case got.Count == 0 && want.Count > 0:
+		return fmt.Errorf("server at %s announces no shard identity; start it with -shard-id/-shard-count/-shard-seed", addr)
+	case got.Count != want.Count:
+		return fmt.Errorf("server at %s belongs to a %d-shard cluster, configured for %d shards", addr, got.Count, want.Count)
+	case got.ID != want.ID:
+		return fmt.Errorf("server at %s is shard %d, configured as shard %d", addr, got.ID, want.ID)
+	case got.Seed != want.Seed:
+		return fmt.Errorf("server at %s uses partition seed %#x, configured with %#x", addr, got.Seed, want.Seed)
+	}
+	return nil
+}
+
 // Owner returns the shard owning the tuple (rel, key): the seeded FNV-1a
 // chain over the relation name and the row key, reduced mod Count. The
 // relation name is folded in so two relations' key spaces do not shadow

@@ -511,6 +511,9 @@ func NewWriter(w io.Writer, maxFrame int) *Writer {
 	return &Writer{w: w, maxFrame: maxFrame}
 }
 
+// MaxFrame returns the writer's payload limit.
+func (w *Writer) MaxFrame() int { return w.maxFrame }
+
 // Write frames one message and hands it to the underlying writer in a
 // single Write call, so a frame is never interleaved with another even when
 // the writer is shared at the io layer.
