@@ -191,13 +191,13 @@ func TestRoutedWatermarkNeverRegresses(t *testing.T) {
 		p    Position
 		want Position
 	}{
-		{Position{}, Position{}},                       // zero ack imposes nothing
-		{Position{Epoch: 1, Pos: 5}, Position{1, 5}},   // first real ack
-		{Position{Epoch: 1, Pos: 3}, Position{1, 5}},   // older pos ignored
-		{Position{Epoch: 2, Pos: 0}, Position{2, 0}},   // epoch advance wins
-		{Position{Epoch: 1, Pos: 9}, Position{2, 0}},   // older epoch ignored
-		{Position{}, Position{2, 0}},                   // zero never resets
-		{Position{Epoch: 2, Pos: 7}, Position{2, 7}},   // forward again
+		{Position{}, Position{}},                     // zero ack imposes nothing
+		{Position{Epoch: 1, Pos: 5}, Position{1, 5}}, // first real ack
+		{Position{Epoch: 1, Pos: 3}, Position{1, 5}}, // older pos ignored
+		{Position{Epoch: 2, Pos: 0}, Position{2, 0}}, // epoch advance wins
+		{Position{Epoch: 1, Pos: 9}, Position{2, 0}}, // older epoch ignored
+		{Position{}, Position{2, 0}},                 // zero never resets
+		{Position{Epoch: 2, Pos: 7}, Position{2, 7}}, // forward again
 	}
 	for i, s := range steps {
 		rt.advanceWatermark(s.p)

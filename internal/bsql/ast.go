@@ -79,6 +79,21 @@ type Explain struct {
 
 func (Select) beliefStmt()  {}
 func (Explain) beliefStmt() {}
-func (Insert) beliefStmt() {}
-func (Delete) beliefStmt() {}
-func (Update) beliefStmt() {}
+func (Insert) beliefStmt()  {}
+func (Delete) beliefStmt()  {}
+func (Update) beliefStmt()  {}
+
+// ReadOnly reports whether every statement only reads: SELECT and EXPLAIN.
+// A replica serves such a script from its own state, and so does a sharded
+// server's Exec path; anything else must go to the primary, or through the
+// router's owner-checked batches.
+func ReadOnly(stmts []Statement) bool {
+	for _, s := range stmts {
+		switch s.(type) {
+		case Select, Explain:
+		default:
+			return false
+		}
+	}
+	return true
+}

@@ -41,6 +41,8 @@ func fuzzStore(t *testing.T) *store.Store {
 // either fails to parse (an error, not a crash), and anything that parses
 // must execute against a fresh belief database without panicking — errors
 // (unknown users, unknown relations, conflicts, arity mismatches) are fine.
+// A parsed statement must also survive the router's hop: its rendering
+// parses back to a statement with the same rendering.
 func FuzzBeliefSQL(f *testing.F) {
 	seeds := []string{
 		`insert into Sightings values ('s1','Carol','bald eagle','6-14-08','Lake Forest')`,
@@ -66,6 +68,9 @@ func FuzzBeliefSQL(f *testing.F) {
 		`select S.sid from BELIEF 'Alice' Sightings S where exists (select 1 from Sightings_v v where v.key = S.sid`,
 		`delete from BELIEF 'Bob' Sightings where exists (select 1 from Users U where U.name = species)`,
 		``,
+		`select S.sid from BELIEF 'Alice' Sightings S where S.date < 1e-05 limit 3`,
+		`insert into BELIEF 'O''Brien' not Sightings values ('s3', 2.5E+23, -1e-7, 'x', 'y')`,
+		`insert into BELIEF 'Alice' Sightings values ('s4', 0.00003, 'c', 'd', 'e')`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -74,6 +79,14 @@ func FuzzBeliefSQL(f *testing.F) {
 		stmt, err := bsql.Parse(src)
 		if err != nil {
 			return
+		}
+		text := bsql.Render(stmt)
+		again, err := bsql.Parse(text)
+		if err != nil {
+			t.Fatalf("Render(Parse(%q)) = %q does not parse: %v", src, text, err)
+		}
+		if got := bsql.Render(again); got != text {
+			t.Fatalf("render of %q is not stable: %q -> %q", src, text, got)
 		}
 		st := fuzzStore(t)
 		tr := bsql.NewTranslator(st)

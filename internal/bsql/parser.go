@@ -3,7 +3,6 @@ package bsql
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"beliefdb/internal/sqlparser"
 )
@@ -32,127 +31,80 @@ func asParseErr(err error) error {
 	return parseError{err}
 }
 
-// Parse parses one BeliefSQL statement (Fig. 1 grammar).
+// Parse parses one BeliefSQL statement (Fig. 1 grammar); empty statements
+// around it (stray semicolons) are skipped, as in SQL.
 func Parse(src string) (Statement, error) {
-	p, err := sqlparser.NewParser(src)
-	if err != nil {
-		return nil, asParseErr(err)
-	}
-	stmt, err := parseStatement(p)
-	if err != nil {
-		return nil, asParseErr(err)
-	}
-	if p.IsSymbol(";") {
-		if err := p.Advance(); err != nil {
-			return nil, asParseErr(err)
-		}
-	}
-	if !p.AtEOF() {
-		return nil, asParseErr(p.Errorf("unexpected trailing input %q", p.Tok().Text))
-	}
-	return stmt, nil
+	stmt, err := sqlparser.One(src, parseStatement)
+	return stmt, asParseErr(err)
 }
 
 // ParseAll parses a semicolon-separated script.
 func ParseAll(src string) ([]Statement, error) {
-	var out []Statement
-	p, err := sqlparser.NewParser(src)
-	if err != nil {
-		return nil, asParseErr(err)
-	}
-	for {
-		for p.IsSymbol(";") {
-			if err := p.Advance(); err != nil {
-				return nil, asParseErr(err)
-			}
-		}
-		if p.AtEOF() {
-			return out, nil
-		}
-		stmt, err := parseStatement(p)
-		if err != nil {
-			return nil, asParseErr(err)
-		}
-		out = append(out, stmt)
-		if !p.AtEOF() && !p.IsSymbol(";") {
-			return nil, asParseErr(p.Errorf("expected ';', got %q", p.Tok().Text))
-		}
-	}
+	stmts, err := sqlparser.Script(src, parseStatement)
+	return stmts, asParseErr(err)
 }
 
+// parseStatement is SQL's SELECT, EXPLAIN, INSERT, DELETE and UPDATE over
+// belief references, less what Fig. 1 does not have: those are refused by
+// name, with the rule.
 func parseStatement(p *sqlparser.Parser) (Statement, error) {
-	switch {
-	case p.IsKeyword("select"):
-		return parseSelect(p)
-	case p.IsKeyword("explain"):
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		if !p.IsKeyword("select") {
-			return nil, p.Errorf("expected SELECT after EXPLAIN, got %q", p.Tok().Text)
-		}
-		stmt, err := parseSelect(p)
-		if err != nil {
-			return nil, err
-		}
-		return Explain{Query: stmt.(Select)}, nil
-	case p.IsKeyword("insert"):
-		return parseInsert(p)
-	case p.IsKeyword("delete"):
-		return parseDelete(p)
-	case p.IsKeyword("update"):
-		return parseUpdate(p)
-	default:
-		return nil, p.Errorf("expected SELECT, EXPLAIN, INSERT, DELETE or UPDATE, got %q", p.Tok().Text)
+	s, refs, err := sqlparser.ParseStatement(p, parseBeliefRef)
+	if err != nil {
+		return nil, err
 	}
+	switch s := s.(type) {
+	case sqlparser.Select:
+		return newSelect(s, refs)
+	case sqlparser.Explain:
+		sel, err := newSelect(s.Query, refs)
+		return Explain{Query: sel}, err
+	case sqlparser.Insert:
+		if s.Cols != nil {
+			return nil, errors.New("bsql: INSERT names no columns in BeliefSQL (Fig. 1): a VALUES row gives every attribute of the relation, in schema order")
+		}
+		return Insert{Target: refs[0], Rows: s.Rows}, nil
+	case sqlparser.Delete:
+		return Delete{Target: refs[0], Where: s.Where}, nil
+	}
+	u := s.(sqlparser.Update) // the last statement ParseStatement parses
+	return Update{Target: refs[0], Set: u.Set, Where: u.Where}, nil
 }
 
-// parseBeliefRef parses ((BELIEF user)+ not?)? relation (AS? alias)?.
-// The alias is only consumed when allowAlias is set (FROM items).
-func parseBeliefRef(p *sqlparser.Parser, allowAlias bool) (BeliefRef, error) {
-	var ref BeliefRef
-	for p.IsKeyword("belief") {
-		if err := p.Advance(); err != nil {
-			return ref, err
+func newSelect(s sqlparser.Select, from []BeliefRef) (Select, error) {
+	if s.Distinct {
+		return Select{}, errors.New("bsql: BeliefSQL has no SELECT DISTINCT (Fig. 1): a belief query's answer is a set already")
+	}
+	seen := map[string]bool{}
+	for _, ref := range from {
+		n := ref.Name()
+		if seen[n] {
+			return Select{}, fmt.Errorf("bsql: duplicate binding %q in FROM", n)
 		}
+		seen[n] = true
+	}
+	return Select{Items: s.Items, From: from, Where: s.Where, GroupBy: s.GroupBy, OrderBy: s.OrderBy, Limit: s.Limit}, nil
+}
+
+// parseBeliefRef is BeliefSQL's relation reference (Fig. 1):
+// ((BELIEF user)+ not?)? relation, with an optional alias in FROM lists.
+func parseBeliefRef(p *sqlparser.Parser, from bool) (BeliefRef, error) {
+	var ref BeliefRef
+	for p.Match("belief") {
 		elem, err := parsePathElem(p)
 		if err != nil {
 			return ref, err
 		}
 		ref.Path = append(ref.Path, elem)
 	}
-	if p.IsKeyword("not") {
-		if len(ref.Path) == 0 {
-			return ref, p.Errorf("'not' requires at least one BELIEF prefix (Fig. 1 grammar)")
-		}
-		ref.Negated = true
-		if err := p.Advance(); err != nil {
-			return ref, err
-		}
+	if ref.Negated = p.Match("not"); ref.Negated && len(ref.Path) == 0 {
+		return ref, p.Errorf("'not' requires at least one BELIEF prefix (Fig. 1 grammar)")
 	}
-	table, err := p.ExpectIdent()
-	if err != nil {
+	var err error
+	if ref.Table, err = p.ExpectIdent(); err != nil || !from {
 		return ref, err
 	}
-	ref.Table = table
-	if allowAlias {
-		if p.IsKeyword("as") {
-			if err := p.Advance(); err != nil {
-				return ref, err
-			}
-			alias, err := p.ExpectIdent()
-			if err != nil {
-				return ref, err
-			}
-			ref.Alias = alias
-		} else if p.Tok().Kind == sqlparser.TokIdent && !sqlparser.IsReserved(p.Tok().Text) {
-			ref.Alias = p.Tok().Text
-			if err := p.Advance(); err != nil {
-				return ref, err
-			}
-		}
-	}
-	return ref, nil
+	ref.Alias, err = p.Alias()
+	return ref, err
 }
 
 // parsePathElem parses the believer after BELIEF: a string literal user
@@ -160,303 +112,13 @@ func parseBeliefRef(p *sqlparser.Parser, allowAlias bool) (BeliefRef, error) {
 // reference (U.uid) correlating the believer with another FROM item.
 func parsePathElem(p *sqlparser.Parser) (PathElem, error) {
 	tok := p.Tok()
-	switch tok.Kind {
-	case sqlparser.TokString:
-		if err := p.Advance(); err != nil {
-			return PathElem{}, err
-		}
-		return PathElem{Literal: tok.Text}, nil
-	case sqlparser.TokIdent:
-		if sqlparser.IsReserved(tok.Text) {
-			return PathElem{}, p.Errorf("expected user after BELIEF, got %q", tok.Text)
-		}
-		name := tok.Text
-		if err := p.Advance(); err != nil {
-			return PathElem{}, err
-		}
-		if p.IsSymbol(".") {
-			if err := p.Advance(); err != nil {
-				return PathElem{}, err
-			}
-			col, err := p.ExpectIdent()
-			if err != nil {
-				return PathElem{}, err
-			}
-			return PathElem{IsRef: true, Ref: sqlparser.ColumnRef{Table: name, Column: col}}, nil
-		}
-		return PathElem{Literal: name}, nil
-	default:
+	if tok.Kind != sqlparser.TokString && (tok.Kind != sqlparser.TokIdent || sqlparser.IsReserved(tok.Text)) {
 		return PathElem{}, p.Errorf("expected user after BELIEF, got %q", tok.Text)
 	}
-}
-
-func parseSelect(p *sqlparser.Parser) (Statement, error) {
-	if err := p.Advance(); err != nil { // SELECT
-		return nil, err
+	p.Advance()
+	if tok.Kind == sqlparser.TokString || !p.Match(".") {
+		return PathElem{Literal: tok.Text}, nil
 	}
-	sel := Select{Limit: -1}
-	for {
-		item, err := p.ParseSelectItemExt()
-		if err != nil {
-			return nil, err
-		}
-		sel.Items = append(sel.Items, item)
-		if p.IsSymbol(",") {
-			if err := p.Advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	if err := p.ExpectKeyword("from"); err != nil {
-		return nil, err
-	}
-	for {
-		ref, err := parseBeliefRef(p, true)
-		if err != nil {
-			return nil, err
-		}
-		sel.From = append(sel.From, ref)
-		if p.IsSymbol(",") {
-			if err := p.Advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	if p.IsKeyword("where") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		w, err := p.ParseExpression()
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = w
-	}
-	if p.IsKeyword("group") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		if err := p.ExpectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.ParseExpression()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if p.IsSymbol(",") {
-				if err := p.Advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-	}
-	if p.IsKeyword("order") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		if err := p.ExpectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.ParseExpression()
-			if err != nil {
-				return nil, err
-			}
-			item := sqlparser.OrderItem{Expr: e}
-			if p.IsKeyword("asc") {
-				if err := p.Advance(); err != nil {
-					return nil, err
-				}
-			} else if p.IsKeyword("desc") {
-				item.Desc = true
-				if err := p.Advance(); err != nil {
-					return nil, err
-				}
-			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if p.IsSymbol(",") {
-				if err := p.Advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-	}
-	if p.IsKeyword("limit") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		if p.Tok().Kind != sqlparser.TokNumber {
-			return nil, p.Errorf("expected number after LIMIT")
-		}
-		n := 0
-		if _, err := fmt.Sscanf(p.Tok().Text, "%d", &n); err != nil {
-			return nil, p.Errorf("bad LIMIT %q", p.Tok().Text)
-		}
-		sel.Limit = n
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-	}
-	// Check for duplicate binding names early.
-	seen := map[string]bool{}
-	for _, ref := range sel.From {
-		n := ref.Name()
-		if seen[n] {
-			return nil, fmt.Errorf("bsql: duplicate binding %q in FROM", n)
-		}
-		seen[n] = true
-	}
-	return sel, nil
-}
-
-func parseInsert(p *sqlparser.Parser) (Statement, error) {
-	if err := p.Advance(); err != nil { // INSERT
-		return nil, err
-	}
-	if err := p.ExpectKeyword("into"); err != nil {
-		return nil, err
-	}
-	target, err := parseBeliefRef(p, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.ExpectKeyword("values"); err != nil {
-		return nil, err
-	}
-	ins := Insert{Target: target}
-	for {
-		if err := p.ExpectSymbol("("); err != nil {
-			return nil, err
-		}
-		var row []sqlparser.Expr
-		for {
-			e, err := p.ParseExpression()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.IsSymbol(",") {
-				if err := p.Advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
-		if err := p.ExpectSymbol(")"); err != nil {
-			return nil, err
-		}
-		ins.Rows = append(ins.Rows, row)
-		if p.IsSymbol(",") {
-			if err := p.Advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	return ins, nil
-}
-
-func parseDelete(p *sqlparser.Parser) (Statement, error) {
-	if err := p.Advance(); err != nil { // DELETE
-		return nil, err
-	}
-	if err := p.ExpectKeyword("from"); err != nil {
-		return nil, err
-	}
-	target, err := parseBeliefRef(p, false)
-	if err != nil {
-		return nil, err
-	}
-	del := Delete{Target: target}
-	if p.IsKeyword("where") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		w, err := p.ParseExpression()
-		if err != nil {
-			return nil, err
-		}
-		del.Where = w
-	}
-	return del, nil
-}
-
-func parseUpdate(p *sqlparser.Parser) (Statement, error) {
-	if err := p.Advance(); err != nil { // UPDATE
-		return nil, err
-	}
-	target, err := parseBeliefRef(p, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.ExpectKeyword("set"); err != nil {
-		return nil, err
-	}
-	upd := Update{Target: target}
-	for {
-		col, err := p.ExpectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.ExpectSymbol("="); err != nil {
-			return nil, err
-		}
-		e, err := p.ParseExpression()
-		if err != nil {
-			return nil, err
-		}
-		upd.Set = append(upd.Set, sqlparser.Assignment{Column: col, Value: e})
-		if p.IsSymbol(",") {
-			if err := p.Advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	if p.IsKeyword("where") {
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
-		w, err := p.ParseExpression()
-		if err != nil {
-			return nil, err
-		}
-		upd.Where = w
-	}
-	return upd, nil
-}
-
-// String renders a belief ref for error messages.
-func (br BeliefRef) String() string {
-	var sb strings.Builder
-	for _, e := range br.Path {
-		sb.WriteString("BELIEF ")
-		if e.IsRef {
-			sb.WriteString(e.Ref.String())
-		} else {
-			sb.WriteString("'" + e.Literal + "'")
-		}
-		sb.WriteByte(' ')
-	}
-	if br.Negated {
-		sb.WriteString("not ")
-	}
-	sb.WriteString(br.Table)
-	if br.Alias != "" {
-		sb.WriteString(" AS " + br.Alias)
-	}
-	return sb.String()
+	col, err := p.ExpectIdent()
+	return PathElem{IsRef: true, Ref: sqlparser.ColumnRef{Table: tok.Text, Column: col}}, err
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"beliefdb/internal/sqlparser"
+	"beliefdb/internal/val"
 )
 
 // This file renders parsed BeliefSQL statements back to parseable text.
@@ -15,32 +16,26 @@ import (
 // (sqlparser's Expr.String produces parseable SQL, with string literals
 // escaped); this adds the BeliefSQL-specific statement shapes.
 
-// renderUser renders a literal user name as a string literal, escaping
-// embedded quotes (unlike BeliefRef.String, which is for error messages
-// only and does not escape).
-func renderUser(name string) string {
-	return "'" + strings.ReplaceAll(name, "'", "''") + "'"
-}
-
-// RenderRef renders a belief reference (FROM item or DML target) back to
-// parseable BeliefSQL.
-func RenderRef(ref BeliefRef) string {
+// String renders a belief reference (FROM item or DML target) as
+// parseable BeliefSQL: user names as escaped string literals, NOT for the
+// negation. Error messages quote it too, so they show what could be typed.
+func (br BeliefRef) String() string {
 	var sb strings.Builder
-	for _, e := range ref.Path {
+	for _, e := range br.Path {
 		sb.WriteString("BELIEF ")
 		if e.IsRef {
 			sb.WriteString(e.Ref.String())
 		} else {
-			sb.WriteString(renderUser(e.Literal))
+			sb.WriteString(val.Str(e.Literal).SQL())
 		}
 		sb.WriteByte(' ')
 	}
-	if ref.Negated {
+	if br.Negated {
 		sb.WriteString("NOT ")
 	}
-	sb.WriteString(ref.Table)
-	if ref.Alias != "" {
-		sb.WriteString(" AS " + ref.Alias)
+	sb.WriteString(br.Table)
+	if br.Alias != "" {
+		sb.WriteString(" AS " + br.Alias)
 	}
 	return sb.String()
 }
@@ -49,7 +44,7 @@ func RenderRef(ref BeliefRef) string {
 func RenderSelect(sel Select) string {
 	from := make([]string, len(sel.From))
 	for i, ref := range sel.From {
-		from[i] = RenderRef(ref)
+		from[i] = ref.String()
 	}
 	return sqlparser.Select{
 		Items: sel.Items, Where: sel.Where, GroupBy: sel.GroupBy, OrderBy: sel.OrderBy, Limit: sel.Limit,
@@ -66,7 +61,7 @@ func Render(stmt Statement) string {
 		return "EXPLAIN " + RenderSelect(s.Query)
 	case Insert:
 		var sb strings.Builder
-		sb.WriteString("INSERT INTO " + RenderRef(s.Target) + " VALUES ")
+		sb.WriteString("INSERT INTO " + s.Target.String() + " VALUES ")
 		for i, row := range s.Rows {
 			if i > 0 {
 				sb.WriteString(", ")
@@ -82,14 +77,14 @@ func Render(stmt Statement) string {
 		}
 		return sb.String()
 	case Delete:
-		out := "DELETE FROM " + RenderRef(s.Target)
+		out := "DELETE FROM " + s.Target.String()
 		if s.Where != nil {
 			out += " WHERE " + s.Where.String()
 		}
 		return out
 	case Update:
 		var sb strings.Builder
-		sb.WriteString("UPDATE " + RenderRef(s.Target) + " SET ")
+		sb.WriteString("UPDATE " + s.Target.String() + " SET ")
 		for i, a := range s.Set {
 			if i > 0 {
 				sb.WriteString(", ")

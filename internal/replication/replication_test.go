@@ -459,3 +459,40 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	}
 	mustConverge(t, c)
 }
+
+// TestReplicaServesExplain: EXPLAIN SELECT only reads, so a replica answers
+// it — directly and for a routed client, without falling back to the
+// primary.
+func TestReplicaServesExplain(t *testing.T) {
+	c := startCluster(t, Config{Replicas: 1})
+	rt, err := c.Routed(c.PrimaryAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx := context.Background()
+	if _, err := rt.Exec(ctx, "insert into R values ('a','x');"); err != nil {
+		t.Fatal(err)
+	}
+	mustConverge(t, c)
+
+	const explain = "explain select R.v from R where R.k = 'a';"
+	rep, err := client.Dial(c.ReplicaAddrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	res, err := rep.Query(ctx, explain)
+	if err != nil {
+		t.Fatalf("replica EXPLAIN: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("replica EXPLAIN returned no plan rows")
+	}
+	if _, err := rt.Query(ctx, explain); err != nil {
+		t.Fatalf("routed EXPLAIN: %v", err)
+	}
+	if n := rt.Fallbacks(); n != 0 {
+		t.Fatalf("routed EXPLAIN fell back to the primary %d times", n)
+	}
+}

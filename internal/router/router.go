@@ -216,7 +216,7 @@ func (r *Router) ServeRequest(w *wire.Conn, req wire.Msg) error {
 		if err != nil {
 			return w.Write(errFrame(err))
 		}
-		if readOnlyStmts(stmts) {
+		if bsql.ReadOnly(stmts) {
 			res, err := r.runReadStmts(ctx, stmts)
 			if err != nil {
 				return w.Write(errFrame(err))
@@ -273,17 +273,6 @@ func (r *Router) ServeRequest(w *wire.Conn, req wire.Msg) error {
 	}
 }
 
-func readOnlyStmts(stmts []bsql.Statement) bool {
-	for _, st := range stmts {
-		switch st.(type) {
-		case bsql.Select, bsql.Explain:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // runReadScript parses and runs a read-only script, returning the last
 // statement's result (like DB.ExecScript).
 func (r *Router) runReadScript(ctx context.Context, script string) (*client.Result, error) {
@@ -291,7 +280,7 @@ func (r *Router) runReadScript(ctx context.Context, script string) (*client.Resu
 	if err != nil {
 		return nil, err
 	}
-	if !readOnlyStmts(stmts) {
+	if !bsql.ReadOnly(stmts) {
 		return nil, fmt.Errorf("router: Query accepts only SELECT/EXPLAIN statements; route writes through Exec or ExecBatch")
 	}
 	return r.runReadStmts(ctx, stmts)

@@ -9,6 +9,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -247,4 +248,30 @@ func TestServerCoalescesAcrossClients(t *testing.T) {
 		}
 	}
 	t.Errorf("no attempt coalesced: best was %d fsyncs for %d remote batches", best, total)
+}
+
+// TestShardedServerExecServesExplain: a sharded server's Exec path runs
+// read-only scripts, and EXPLAIN SELECT is one; writes stay refused there.
+func TestShardedServerExecServesExplain(t *testing.T) {
+	db, err := beliefdb.Open(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	cli, err := client.Dial(startServer(t, db, WithShard(0, 1, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	res, err := cli.Exec(ctx, "explain select R.v from R where R.k = 'a'")
+	if err != nil {
+		t.Fatalf("EXPLAIN through Exec: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("EXPLAIN returned no plan rows")
+	}
+	if _, err := cli.Exec(ctx, "insert into R values ('a','1')"); !errors.Is(err, client.ErrWrongShard) {
+		t.Fatalf("Exec write on a sharded server: got %v, want ErrWrongShard", err)
+	}
 }

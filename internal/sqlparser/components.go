@@ -1,39 +1,25 @@
 package sqlparser
 
-// This file exports component-level parsing so that dialect extensions
-// (BeliefSQL in internal/bsql) can share the lexer and expression grammar
-// instead of duplicating them.
+// This file exports what a dialect's relation reference (a RefFunc) needs
+// to parse itself: BeliefSQL's `(BELIEF user)+ not? relation [AS alias]` in
+// internal/bsql. Every statement production is this package's own.
 
 // Tok returns the current token.
 func (p *Parser) Tok() Token { return p.tok }
 
 // Advance consumes the current token.
-func (p *Parser) Advance() error { return p.advance() }
+func (p *Parser) Advance() { p.advance() }
 
-// IsKeyword reports whether the current token is the given keyword
-// (case-insensitive).
-func (p *Parser) IsKeyword(kw string) bool { return p.isKeyword(kw) }
-
-// IsSymbol reports whether the current token is the given symbol.
-func (p *Parser) IsSymbol(s string) bool { return p.isSymbol(s) }
-
-// ExpectKeyword consumes the given keyword or fails.
-func (p *Parser) ExpectKeyword(kw string) error { return p.expectKeyword(kw) }
-
-// ExpectSymbol consumes the given symbol or fails.
-func (p *Parser) ExpectSymbol(s string) error { return p.expectSymbol(s) }
+// Match consumes the current token if it is the symbol or keyword s
+// (keywords in any case).
+func (p *Parser) Match(s string) bool { return p.match(s) }
 
 // ExpectIdent consumes and returns an identifier.
 func (p *Parser) ExpectIdent() (string, error) { return p.expectIdent() }
 
-// ParseExpression parses one expression with the full grammar.
-func (p *Parser) ParseExpression() (Expr, error) { return p.parseExpr() }
-
-// ParseSelectItemExt parses one projection item (expression, alias, star).
-func (p *Parser) ParseSelectItemExt() (SelectItem, error) { return p.parseSelectItem() }
-
-// AtEOF reports whether the whole input has been consumed.
-func (p *Parser) AtEOF() bool { return p.tok.Kind == TokEOF }
+// Alias parses an optional `[AS] alias`; a bare alias is not a reserved
+// word.
+func (p *Parser) Alias() (string, error) { return p.alias() }
 
 // Errorf builds a position-annotated parse error.
 func (p *Parser) Errorf(format string, args ...interface{}) error {
@@ -41,16 +27,4 @@ func (p *Parser) Errorf(format string, args ...interface{}) error {
 }
 
 // IsReserved reports whether an identifier is a reserved word.
-func IsReserved(ident string) bool {
-	return reservedWords[lowerASCII(ident)]
-}
-
-func lowerASCII(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
-}
+func IsReserved(ident string) bool { return reserved(ident) }

@@ -46,6 +46,8 @@ func FuzzParse(f *testing.F) {
 		"SELECT x FROM t WHERE NOT EXISTS (SELECT * FROM u AS w WHERE w.y = t.x ORDER BY w.y LIMIT 1) OR EXISTS (SELECT 1 FROM v)",
 		"SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.y = t.x",
 		"SELECT EXISTS (SELECT 1 FROM u) FROM t WHERE exists = 1",
+		"SELECT x FROM t WHERE x < 1e-05 OR x > 2.5E+23 OR x = 3e2",
+		"SELECT 1e, 1e+, 1E-x, 3e2x FROM t WHERE y = .5e1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,8 +1,10 @@
 // Package sqlparser implements the SQL subset understood by the embedded
 // engine: CREATE TABLE/INDEX, DROP TABLE, INSERT, SELECT (joins, WHERE,
 // correlated EXISTS subqueries, DISTINCT, GROUP BY, ORDER BY, LIMIT,
-// aggregates), UPDATE, DELETE, and transaction control. BeliefSQL (the paper's SQL extension) lives in
-// internal/bsql and compiles down to this dialect.
+// aggregates), UPDATE, DELETE, and transaction control; numeric literals are
+// digits[.digits][(e|E)[+|-]digits]. BeliefSQL (the paper's SQL extension)
+// lives in internal/bsql: it parses with this package's statement grammar
+// over its own relation reference, and compiles down to this dialect.
 package sqlparser
 
 import (
@@ -30,17 +32,14 @@ type Token struct {
 	Pos  int
 }
 
-// Lexer splits a SQL string into tokens.
-type Lexer struct {
+// lexer splits a SQL string into tokens.
+type lexer struct {
 	src string
 	pos int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
-
-// Next returns the next token, or an error on malformed input.
-func (l *Lexer) Next() (Token, error) {
+// next returns the next token, or an error on malformed input.
+func (l *lexer) next() (Token, error) {
 	l.skipSpaceAndComments()
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: l.pos}, nil
@@ -55,14 +54,14 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		return Token{Kind: TokIdent, Text: l.src[start:l.pos], Pos: start}, nil
-	case c >= '0' && c <= '9' || c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
+	case isDigit(c) || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		return l.lexNumber(start)
 	default:
 		return l.lexSymbol(start)
 	}
 }
 
-func (l *Lexer) skipSpaceAndComments() {
+func (l *lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -78,7 +77,7 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-func (l *Lexer) lexString(start int) (Token, error) {
+func (l *lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
 	var sb strings.Builder
 	for l.pos < len(l.src) {
@@ -98,25 +97,36 @@ func (l *Lexer) lexString(start int) (Token, error) {
 	return Token{}, fmt.Errorf("sql: unterminated string at offset %d", start)
 }
 
-func (l *Lexer) lexNumber(start int) (Token, error) {
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
-			l.pos++
-			continue
+// lexNumber reads digits[.digits][(e|E)[+|-]digits]. An e that no digit
+// follows is not part of the number: `1e` stays the number 1 and the name e.
+func (l *lexer) lexNumber(start int) (Token, error) {
+	l.digits()
+	if l.pos < len(l.src) && l.src[l.pos] == '.' {
+		l.pos++
+		l.digits()
+	}
+	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		exp := l.pos + 1
+		if exp < len(l.src) && (l.src[exp] == '+' || l.src[exp] == '-') {
+			exp++
 		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
+		if exp < len(l.src) && isDigit(l.src[exp]) {
+			l.pos = exp
+			l.digits()
 		}
-		break
 	}
 	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 }
 
-func (l *Lexer) lexSymbol(start int) (Token, error) {
+func (l *lexer) digits() {
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
+	}
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func (l *lexer) lexSymbol(start int) (Token, error) {
 	two := ""
 	if l.pos+1 < len(l.src) {
 		two = l.src[l.pos : l.pos+2]
@@ -143,12 +153,16 @@ func isIdentPart(r rune) bool {
 	return isIdentStart(r) || unicode.IsDigit(r)
 }
 
-// Tokenize runs the lexer to EOF, mostly for tests.
+// Tokenize lexes the whole of src, the parser's first step: a lexical error
+// anywhere in the input surfaces here, before any syntax error. The result
+// does not include the end-of-input token. Its slice is sized once from the
+// input length: the statements the translator and the router write run at
+// over three bytes a token, so only unusually dense input regrows it.
 func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
+	l := lexer{src: src}
+	out := make([]Token, 0, len(src)/3+1)
 	for {
-		t, err := l.Next()
+		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}

@@ -120,7 +120,7 @@ func TestParseSelectStar(t *testing.T) {
 }
 
 func TestParseSelectQualifiedExpr(t *testing.T) {
-	// Qualified column followed by binary tail (exercises continueExpr).
+	// Qualified column followed by a binary tail: not t.*, so an expression.
 	s := mustParse(t, "SELECT a.x + 1 FROM t a")
 	sel := s.(Select)
 	be, ok := sel.Items[0].Expr.(BinaryExpr)

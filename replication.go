@@ -21,18 +21,13 @@ var ErrStaleRead = errors.New("beliefdb: replica is behind the read watermark")
 func (db *DB) Store() *store.Store { return db.st }
 
 // ReadOnlyScript reports whether every statement of a semicolon-separated
-// BeliefSQL script is a SELECT. Replicas use it to refuse DML smuggled
-// through the query path: applying a write outside the replication stream
-// would silently fork the replica from its primary.
+// BeliefSQL script only reads (SELECT or EXPLAIN). Replicas use it to refuse
+// DML smuggled through the query path: applying a write outside the
+// replication stream would silently fork the replica from its primary.
 func ReadOnlyScript(script string) (bool, error) {
 	stmts, err := bsql.ParseAll(script)
 	if err != nil {
 		return false, err
 	}
-	for _, s := range stmts {
-		if _, ok := s.(bsql.Select); !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return bsql.ReadOnly(stmts), nil
 }
