@@ -293,8 +293,9 @@ func (db *DB) Translate(beliefSQL string) (string, error) {
 
 // SQL runs plain SQL directly against the internal schema (for inspection
 // and power users; the internal tables are Users, _e, _d, _s, <rel>_star,
-// <rel>_v).
-func (db *DB) SQL(sql string) (*Result, error) { return db.st.DB().Exec(sql) }
+// <rel>_v). A script is one transaction: BEGIN, COMMIT and ROLLBACK are
+// refused (see store.Store.SQL).
+func (db *DB) SQL(sql string) (*Result, error) { return db.st.SQL(sql) }
 
 // NewTuple builds a tuple for the typed API, converting Go values: string,
 // int/int64, float64, bool, nil, or Value.

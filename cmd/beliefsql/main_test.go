@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +165,35 @@ func TestMetaCommands(t *testing.T) {
 	}
 	if meta(sh, "\\quit") {
 		t.Error("\\quit did not quit")
+	}
+}
+
+// TestShellSQLRefusesTransactions: \sql BEGIN prints the refusal — a raw
+// SQL script is one transaction — and the shell keeps going.
+func TestShellSQLRefusesTransactions(t *testing.T) {
+	db, err := openDB(true, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &shell{sess: db, db: db}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	kept := sh.handleLine(`\sql BEGIN`)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kept {
+		t.Error("\\sql BEGIN quit the shell")
+	}
+	if want := "error: store: BEGIN refused: a script is one transaction"; !strings.Contains(string(out), want) {
+		t.Errorf("\\sql BEGIN printed %q, want %q", out, want)
 	}
 }
 

@@ -405,43 +405,40 @@ func TestDurableRejectsRawDDL(t *testing.T) {
 	}
 }
 
-// TestCheckpointInsideTransactionRejected: a snapshot taken inside an open
-// raw-SQL transaction would capture uncommitted rows as covered state while
-// the WAL reset orphans the journaled ROLLBACK — so Checkpoint refuses.
-func TestCheckpointInsideTransactionRejected(t *testing.T) {
-	dir := t.TempDir()
-	db, err := beliefdb.OpenAt(dir, natureSchema())
+// TestRawSQLTransactionRefused: a raw-SQL transaction would belong to no
+// session — any caller's COMMIT ends it, and every reader sees its rows
+// before it commits — so BEGIN is refused, a raw write is its own commit,
+// and the logical users and belief inserts are unaffected by it.
+func TestRawSQLTransactionRefused(t *testing.T) {
+	db, err := beliefdb.Open(natureSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadExample(t, db)
-	if _, err := db.SQL(`BEGIN`); err != nil {
+	if _, err := db.AddUser("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SQL(`insert into Users values (99, 'ghost')`); err != nil {
+	if _, err := db.SQL("BEGIN"); err == nil || !strings.Contains(err.Error(), "a script is one transaction") {
+		t.Fatalf("SQL(BEGIN) = %v, want a refusal", err)
+	}
+	if _, err := db.SQL("insert into Users values (50,'ghost')"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint inside an open transaction should fail")
-	}
-	if _, err := db.SQL(`ROLLBACK`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint after rollback: %v", err)
-	}
-	db.Close()
-
-	re, err := beliefdb.OpenAt(dir, natureSchema())
+	res, err := db.Query("select U.name from Users U")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	res, err := re.SQL(`select U.uid from Users U where U.uid = 99`)
-	if err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, row := range res.Rows {
+		names = append(names, row[0].String())
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("rolled-back row resurrected by recovery: %v", res.Rows)
+	sort.Strings(names)
+	if fmt.Sprint(names) != "[alice ghost]" {
+		t.Errorf("Users rows = %v, want [alice ghost]", names)
+	}
+	if got := db.Users(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Users() = %v, want [1]", got)
+	}
+	if _, err := db.Exec("insert into BELIEF 'alice' Sightings values ('s9','alice','owl','1-1-09','Lake')"); err != nil {
+		t.Errorf("belief insert after a raw write: %v", err)
 	}
 }

@@ -395,14 +395,14 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 			return nil, fmt.Errorf("bench: %s: %w", q.Name, err)
 		}
 		// Warm up once (also captures the result size).
-		res, err := st.DB().Query(sql)
+		res, err := st.SQL(sql)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", q.Name, err)
 		}
 		times := make([]float64, cfg.QueryReps)
 		for i := 0; i < cfg.QueryReps; i++ {
 			start := time.Now()
-			if _, err := st.DB().Query(sql); err != nil {
+			if _, err := st.SQL(sql); err != nil {
 				return nil, err
 			}
 			times[i] = float64(time.Since(start))

@@ -113,13 +113,13 @@ func (tr *Translator) ExecStmt(stmt Statement) (*query.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return tr.st.DB().Query(sql)
+		return tr.st.SQL(sql)
 	case Explain:
 		sql, err := tr.TranslateSelect(s.Query)
 		if err != nil {
 			return nil, err
 		}
-		return tr.st.DB().Query("EXPLAIN " + sql)
+		return tr.st.SQL("EXPLAIN " + sql)
 	default:
 		return tr.execDML([]Statement{stmt})
 	}

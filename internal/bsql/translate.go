@@ -46,7 +46,7 @@ type fromBinding struct {
 // Belief-path valuations respect Û* (adjacent believers differ), and the
 // result is DISTINCT (BCQ answers are sets).
 func (tr *Translator) TranslateSelect(sel Select) (string, error) {
-	cat := tr.st.DB().Catalog()
+	cat := tr.st.Snapshot()
 	used := make(map[string]bool)
 	bindings := make([]*fromBinding, 0, len(sel.From))
 	byName := make(map[string]*fromBinding)

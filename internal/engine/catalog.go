@@ -12,11 +12,11 @@ import (
 // Concurrency contract: the catalog's own mutex guards only the table *map*
 // (CreateTable/DropTable vs. Table/TableNames), so name resolution is always
 // race-free. Table *contents* and the active transaction are not locked
-// here — they are protected by the single-writer / multi-reader lock of the
-// owning facade (internal/sqldb, shared with the belief store): mutations
-// and Begin/Commit/Rollback run only under that exclusive writer lock, while
-// any number of readers (Scan, Get, index Lookup) may overlap under its
-// shared lock.
+// here — they are protected by the single-writer lock of the owning
+// facade, the belief store (internal/store): mutations and
+// Begin/Commit/Rollback run only under that exclusive writer lock, while
+// readers (Scan, Get, index Lookup) work on frozen snapshots (Freeze) and
+// take no lock at all.
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table

@@ -18,7 +18,7 @@ type Result struct {
 }
 
 // Run plans and executes one parsed statement against the catalog. The
-// caller is responsible for serializing access (see internal/sqldb).
+// caller is responsible for serializing access (see store.Store.SQL).
 func Run(cat *engine.Catalog, stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case sqlparser.CreateTable:

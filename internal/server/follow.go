@@ -101,15 +101,8 @@ func (s *Server) serveFollow(w *wire.Conn, req wire.Msg) {
 			// different life of this directory): resync from a snapshot.
 			m, err := st.ReplicationSnapshot()
 			if err != nil {
-				if errors.Is(err, beliefdb.ErrClosed) {
-					w.Write(s.errFrame(err))
-					return
-				}
-				// Mid-transaction; retry once it ends.
-				if !s.sleepFollow(followPollInterval) {
-					return
-				}
-				continue
+				w.Write(s.errFrame(err))
+				return
 			}
 			if !s.sendSnapshot(w, m) {
 				return

@@ -47,10 +47,9 @@ type Server struct {
 	// the old handle (which keeps serving reads) and publishes a freshly
 	// recovered one, while request handlers load whichever is current. A
 	// primary never swaps.
-	db     atomic.Pointer[beliefdb.DB]
-	window time.Duration
-	opts   wire.Options
-	ep     *wire.Endpoint
+	db   atomic.Pointer[beliefdb.DB]
+	opts wire.Options
+	ep   *wire.Endpoint
 
 	// follower is non-nil in replica mode: the server refuses mutations,
 	// answers only read queries (against the watermark its follower has
@@ -79,10 +78,6 @@ type Option func(*Server)
 // degraded-mode transition.
 func WithEndpoint(o wire.Options) Option { return func(s *Server) { s.opts = o } }
 
-// WithCommitWindow overrides DefaultCommitWindow (negative disables the
-// window entirely).
-func WithCommitWindow(d time.Duration) Option { return func(s *Server) { s.window = d } }
-
 // WithShard declares the server to be shard id of a cluster hash-
 // partitioned into count shards with the given partition seed. The triple
 // is announced in the wire handshake; batch writes are checked against it
@@ -96,7 +91,7 @@ func WithShard(id, count int, seed uint64) Option {
 // New returns a server over db and arms db's group-commit window so
 // concurrent clients' batches share WAL fsyncs.
 func New(db *beliefdb.DB, opts ...Option) *Server {
-	s := &Server{window: DefaultCommitWindow}
+	s := &Server{}
 	s.db.Store(db)
 	for _, o := range opts {
 		o(s)
@@ -105,7 +100,7 @@ func New(db *beliefdb.DB, opts ...Option) *Server {
 		s.opts.Info = "beliefdb"
 	}
 	s.ep = wire.NewEndpoint("server", s, s.opts)
-	db.SetGroupCommitWindow(max(s.window, 0))
+	db.SetGroupCommitWindow(DefaultCommitWindow)
 	return s
 }
 

@@ -152,14 +152,6 @@ func (st *Store) commitLocked(groups [][]BatchOp, tokens []string) []BatchOutcom
 		}
 		return tokens[i]
 	}
-	// The engine transactions open after the journal append, and a failing
-	// Begin must not leave a durable group that was never applied. Under the
-	// writer lock the only thing that can fail one is a raw-SQL transaction
-	// left open; refuse the round up front.
-	if st.cat.InTxn() {
-		return failAll(fmt.Errorf("store: cannot commit inside an open transaction"))
-	}
-
 	valid := make([]int, 0, len(groups))
 	// A retry can land in the same round as its original (the first
 	// attempt still queued when the resend arrives): journaling both would
@@ -333,7 +325,7 @@ func batchErr(ops []BatchOp, i int, err error) error {
 func (st *Store) applyBatchLocked(ops []BatchOp) (BatchResult, error) {
 	txn, err := st.cat.Begin()
 	if err != nil {
-		return BatchResult{}, err // unreachable under the lock after the InTxn check
+		return BatchResult{}, err // only a legacy raw-SQL span in recovery is open (see replaySQL)
 	}
 	mark := st.markLogical()
 	fail := func(err error) (BatchResult, error) {

@@ -283,60 +283,6 @@ func TestBatchCheckpointRoundTrip(t *testing.T) {
 	re.Close()
 }
 
-// TestBeginFailureNotJournaled is the satellite-2 regression: a mutation
-// whose engine transaction cannot open (here: a raw-SQL BEGIN holds the
-// catalog's single transaction slot) must not leave a WAL record behind —
-// before the fix the record was durable but never applied, and reopening
-// resurrected the statement the caller saw fail.
-func TestBeginFailureNotJournaled(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AddUser("u1")
-	if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k1", "kept")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.DB().Exec("BEGIN"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k2", "must fail")); err == nil {
-		t.Fatal("Insert inside a foreign transaction should fail")
-	}
-	if _, err := st.Delete(crashStmt(nil, core.Pos, "S", "k1", "kept")); err == nil {
-		t.Fatal("Delete inside a foreign transaction should fail")
-	}
-	if _, err := st.Replace(crashStmt(nil, core.Pos, "S", "k1", "kept"),
-		core.Tuple{Rel: "S", Vals: []val.Value{val.Str("k1"), val.Str("renamed")}}); err == nil {
-		t.Fatal("Replace inside a foreign transaction should fail")
-	}
-	if _, err := st.ApplyBatch([]BatchOp{bIns(nil, core.Pos, "S", "k3", "batch must fail")}); err == nil {
-		t.Fatal("ApplyBatch inside a foreign transaction should fail")
-	}
-	if _, err := st.DB().Exec("ROLLBACK"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k4", "after")); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	re, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	shadow, err := Open(crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow.AddUser("u1")
-	shadow.Insert(crashStmt(nil, core.Pos, "S", "k1", "kept"))
-	shadow.Insert(crashStmt(nil, core.Pos, "S", "k4", "after"))
-	assertSameStore(t, "begin-failure divergence", shadow, re)
-}
-
 // TestConflictRollbackRewindsWorlds: a single conflicting insert whose
 // target world was created on the way must not leave the world registered
 // in the path catalogs after the rollback (the map entries previously

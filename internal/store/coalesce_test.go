@@ -138,25 +138,6 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	assertSameStore(t, "recovered round", shadow, re)
 }
 
-// TestApplyBatchGroupInsideTxn: an open raw-SQL transaction refuses the
-// whole round before anything is journaled.
-func TestApplyBatchGroupInsideTxn(t *testing.T) {
-	st := groupFixture(t, "")
-	if _, err := st.DB().Exec("BEGIN"); err != nil {
-		t.Fatal(err)
-	}
-	outs := st.ApplyBatchGroupTokens([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}, nil)
-	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), "transaction") {
-		t.Fatalf("outcome inside txn = %+v", outs[0])
-	}
-	if _, err := st.DB().Exec("ROLLBACK"); err != nil {
-		t.Fatal(err)
-	}
-	if outs := st.ApplyBatchGroupTokens([][]BatchOp{{bIns(nil, core.Pos, "S", "k1", "x")}}, nil); outs[0].Err != nil {
-		t.Fatalf("after rollback: %v", outs[0].Err)
-	}
-}
-
 // TestCoalescerConcurrentSubmit: many goroutines submitting through one
 // Coalescer all commit, the store ends in the same state as sequential
 // application, and the WAL paid fewer fsyncs than batches (the whole point

@@ -54,10 +54,10 @@ func TestDurableOrderedIndexDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedSightings(t, st, 10)
-	if _, err := st.DB().Exec("CREATE ORDERED INDEX S_star_species ON S_star (species, sid)"); err != nil {
+	if _, err := st.SQL("CREATE ORDERED INDEX S_star_species ON S_star (species, sid)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DB().Exec("CREATE INDEX S_v_expl ON S_v (e)"); err != nil {
+	if _, err := st.SQL("CREATE INDEX S_v_expl ON S_v (e)"); err != nil {
 		t.Fatal(err)
 	}
 	seedSightings(t, st, 4) // maintained through inserts after creation
@@ -119,7 +119,7 @@ func TestDurableOrderedIndexDDL(t *testing.T) {
 
 	// The rebuilt index answers queries: an EXPLAIN proves the planner sees
 	// it and a range query runs through it.
-	res, err := st.DB().Query("EXPLAIN SELECT S.sid FROM S_star S WHERE S.species >= 'sp' ORDER BY S.species LIMIT 3")
+	res, err := st.SQL("EXPLAIN SELECT S.sid FROM S_star S WHERE S.species >= 'sp' ORDER BY S.species LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}

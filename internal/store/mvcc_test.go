@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"beliefdb/internal/core"
-	"beliefdb/internal/engine"
 	"beliefdb/internal/store"
 )
 
@@ -37,21 +36,20 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 
 	pinned := make(chan struct{})
 	committed := make(chan struct{})
-	readerDone := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
-		readerDone <- st.DB().View(func(cat *engine.Catalog) error {
-			vBefore := cat.Table("R_v").Len()
-			dBefore := cat.Table("_d").Len()
-			close(pinned)
-			<-committed // the writer has fully committed by now
-			if got := cat.Table("R_v").Len(); got != vBefore {
-				t.Errorf("pinned snapshot saw R_v grow %d -> %d across a later commit", vBefore, got)
-			}
-			if got := cat.Table("_d").Len(); got != dBefore {
-				t.Errorf("pinned snapshot saw _d grow %d -> %d across a later commit", dBefore, got)
-			}
-			return nil
-		})
+		cat := st.Snapshot()
+		vBefore := cat.Table("R_v").Len()
+		dBefore := cat.Table("_d").Len()
+		close(pinned)
+		<-committed // the writer has fully committed by now
+		if got := cat.Table("R_v").Len(); got != vBefore {
+			t.Errorf("pinned snapshot saw R_v grow %d -> %d across a later commit", vBefore, got)
+		}
+		if got := cat.Table("_d").Len(); got != dBefore {
+			t.Errorf("pinned snapshot saw _d grow %d -> %d across a later commit", dBefore, got)
+		}
+		close(readerDone)
 	}()
 
 	<-pinned
@@ -66,9 +64,7 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 		t.Fatalf("fresh read misses the committed statement (ok=%v, err=%v)", ok, err)
 	}
 	close(committed)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
+	<-readerDone
 }
 
 // TestParkedReaderDoesNotDelayCommit: a reader parked indefinitely inside
@@ -88,13 +84,13 @@ func TestParkedReaderDoesNotDelayCommit(t *testing.T) {
 
 	parked := make(chan struct{})
 	release := make(chan struct{})
-	readerDone := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
-		readerDone <- st.DB().View(func(cat *engine.Catalog) error {
-			close(parked)
-			<-release
-			return nil
-		})
+		cat := st.Snapshot()
+		close(parked)
+		<-release
+		_ = cat.Table("R_v").Len() // the pin outlived the commit
+		close(readerDone)
 	}()
 	<-parked
 
@@ -116,7 +112,5 @@ func TestParkedReaderDoesNotDelayCommit(t *testing.T) {
 		t.Errorf("commit acknowledged without an fsync (syncs %d -> %d)", syncsBefore, got)
 	}
 	close(release)
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
+	<-readerDone
 }

@@ -189,29 +189,15 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 			}
 		}
 	}
+	// A log written before raw-SQL transactions were refused can end inside
+	// one (see replaySQL). It was never committed, so it is rolled back.
+	if txn := st.cat.ActiveTxn(); txn != nil {
+		txn.Rollback()
+	}
 	st.wal = rec.Log
 	st.durable = true
-	// Route raw-SQL mutations (DB().Exec on the internal schema) through
-	// the WAL too; the hook runs under the shared writer lock before the
-	// statements execute, like every other logged mutation. CREATE INDEX is
-	// journaled like any mutation and its definition survives checkpoints
-	// in the snapshot's index section. CREATE/DROP TABLE stay refused: the
-	// snapshot format persists only the belief schema declared at open
-	// time, so a journaled table would be lost at the next checkpoint.
-	st.db.SetMutationHook(func(sql string, stmts []sqlparser.Statement) error {
-		for _, s := range stmts {
-			switch s.(type) {
-			case sqlparser.CreateTable, sqlparser.DropTable:
-				return fmt.Errorf("store: %T is not supported on a durable database: "+
-					"snapshots persist only the belief schema declared at open time", s)
-			}
-		}
-		return st.logOp(wal.SQL(sql))
-	})
 	st.replaying = false
-	st.mu.Lock()
-	st.db.PublishLocked()
-	st.mu.Unlock()
+	st.publishLocked() // no other goroutine holds st yet
 	return st, nil
 }
 
@@ -290,12 +276,40 @@ func (st *Store) applyOp(op wal.Op) error {
 	case wal.KindVacuum:
 		_, _ = st.Vacuum()
 	case wal.KindSQL:
-		_, _ = st.db.Exec(op.SQL)
+		return st.replaySQL(op.SQL)
 	case wal.KindSchema:
 		return st.validateSchemaDef(op.Def)
 	default:
 		return fmt.Errorf("store: cannot replay unknown WAL operation %s", op.Kind)
 	}
+	return nil
+}
+
+// replaySQL re-runs one journaled raw-SQL script, in recovery or on a
+// replica, through SQL's writer half; like every replayed operation its
+// outcome is ignored. Logs written before raw-SQL transactions were refused
+// can hold BEGIN/COMMIT/ROLLBACK records whose span crosses scripts.
+// Recovery runs such a script, and every script while a span is open,
+// statement by statement, exactly as it ran when journaled, so a committed
+// span applies and a rolled-back one does not; OpenAt rolls back a span the
+// log leaves open. A replica refuses them: only a primary that predates the
+// refusal ships one, and it must checkpoint first.
+func (st *Store) replaySQL(text string) error {
+	stmts, err := sqlparser.ParseAll(text)
+	if err != nil {
+		return nil // it failed the same way when it was journaled
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.cat.InTxn() && txnControl(stmts) == "" {
+		defer st.publishLocked()
+		_, _ = st.sqlLocked(text, stmts)
+		return nil
+	}
+	if !st.replaying {
+		return fmt.Errorf("store: replicated SQL %q controls a transaction, which raw SQL no longer may; checkpoint the primary", text)
+	}
+	_, _ = runScript(st.cat, stmts)
 	return nil
 }
 
@@ -349,12 +363,6 @@ func (st *Store) Checkpoint() error {
 	}
 	if st.walErr != nil {
 		return st.readOnlyErrLocked()
-	}
-	// A snapshot taken inside an open raw-SQL transaction would capture
-	// its uncommitted (eagerly applied, undo-logged) rows as covered state
-	// while the epoch reset orphans the journaled ROLLBACK/COMMIT.
-	if st.cat.InTxn() {
-		return fmt.Errorf("store: cannot checkpoint inside an open transaction")
 	}
 	// The writer lock quiesces the live view, so rendering it here is one
 	// consistent epoch by construction.

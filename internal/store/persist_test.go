@@ -369,7 +369,7 @@ func TestSnapshotCoversWALPrefix(t *testing.T) {
 		}
 	}
 	// A raw-SQL write: replaying it twice would duplicate the row.
-	if _, err := st.DB().Exec(`insert into Users values (77, 'rawsql')`); err != nil {
+	if _, err := st.SQL(`insert into Users values (77, 'rawsql')`); err != nil {
 		t.Fatal(err)
 	}
 	// The snapshot a checkpoint would have written at this point: it covers
@@ -393,11 +393,11 @@ func TestSnapshotCoversWALPrefix(t *testing.T) {
 	}
 	defer re.Close()
 	shadow := buildShadow(t, len(script))
-	if _, err := shadow.DB().Exec(`insert into Users values (77, 'rawsql')`); err != nil {
+	if _, err := shadow.SQL(`insert into Users values (77, 'rawsql')`); err != nil {
 		t.Fatal(err)
 	}
 	assertSameStore(t, "prefix-covering snapshot", shadow, re)
-	res, err := re.DB().Exec(`select U.name from Users U where U.uid = 77`)
+	res, err := re.SQL(`select U.name from Users U where U.uid = 77`)
 	if err != nil {
 		t.Fatal(err)
 	}

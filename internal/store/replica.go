@@ -60,11 +60,6 @@ func (st *Store) ReplicationSnapshot() (*snapshot.Model, error) {
 	if st.closed {
 		return nil, ErrClosed
 	}
-	// Mid-transaction state would ship uncommitted rows whose undo log the
-	// replica does not have; the caller retries once the transaction ends.
-	if st.cat.InTxn() {
-		return nil, fmt.Errorf("store: cannot snapshot inside an open transaction")
-	}
 	m := st.view.snapshotModel()
 	m.WalEpoch = st.wal.Epoch()
 	m.WalApplied = st.walCount

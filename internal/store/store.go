@@ -27,7 +27,6 @@ import (
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
-	"beliefdb/internal/sqldb"
 	"beliefdb/internal/val"
 	"beliefdb/internal/wal"
 )
@@ -62,27 +61,30 @@ type relInfo struct {
 
 // Store is a belief database persisted in the relational internal schema.
 //
-// A Store is safe for concurrent use under the single-writer /
+// The Store is the one owning facade of the internal schema's engine
+// catalog: nothing else holds the catalog, its writer lock or its
+// publication. It is safe for concurrent use under the single-writer /
 // snapshot-reader (MVCC) model: the update algorithms (Insert/Delete/
-// Replace, AddUser, Rebuild, Vacuum, the batch paths) hold the exclusive
-// writer lock shared with the embedded database (sqldb.DB.Locker) and, on
-// completion, publish an immutable view of the whole representation through
-// an atomic pointer swap. Read methods (WorldContent, Entails,
-// ExplicitStatements, Stats, user lookups) and translated BeliefSQL SELECTs
-// — which run through the same DB — pin the published view and run entirely
-// lock-free against it, so a long analytical read never delays a commit
-// round and a heavy commit never stalls readers. A pinned view is one
-// consistent epoch: readers only ever observe fully-applied statements
-// across R_star/R_v/_e/_d/_s, regardless of what the writer is doing.
+// Replace, AddUser, Rebuild, Vacuum, the batch paths) and mutating raw SQL
+// (SQL) hold the exclusive writer lock and, on completion, publish an
+// immutable view of the whole representation through an atomic pointer
+// swap. Read methods (WorldContent, Entails, ExplicitStatements, Stats, user
+// lookups) and read-only SQL — translated BeliefSQL SELECTs included — pin
+// the published view and run entirely lock-free against it, so a long
+// analytical read never delays a commit round and a heavy commit never
+// stalls readers. A pinned view is one consistent epoch: readers only ever
+// observe fully-applied statements across R_star/R_v/_e/_d/_s, regardless
+// of what the writer is doing.
 type Store struct {
-	// view is the live, writer-owned epoch: the engine tables plus the
-	// logical catalogs and counters. Its fields and read helpers are
-	// promoted onto Store for the writer paths; readers use pin() instead.
+	// view is the live, writer-owned epoch: the engine catalog and tables
+	// plus the logical catalogs and counters. Its fields and read helpers
+	// are promoted onto Store for the writer paths; readers use pin()
+	// instead.
 	view
 
-	mu  *sync.RWMutex // shared with db: the stack-wide single-writer lock
-	db  *sqldb.DB
-	cat *engine.Catalog
+	// mu is the stack-wide single-writer lock: every mutation of the
+	// internal schema holds it exclusively. Readers never take it.
+	mu sync.RWMutex
 
 	// snap is the most recently published immutable view (see view.go).
 	snap atomic.Pointer[view]
@@ -121,9 +123,9 @@ var reservedRelNames = map[string]bool{"Users": true, "_e": true, "_d": true, "_
 // fresh embedded database, in the paper's canonical representation (every
 // implicit belief materialized).
 func Open(rels []Relation) (*Store, error) {
-	db := sqldb.New()
 	st := &Store{
 		view: view{
+			cat:         engine.NewCatalog(),
 			rels:        make(map[string]*relInfo),
 			usersByID:   make(map[core.UserID]string),
 			usersByName: make(map[string]core.UserID),
@@ -133,9 +135,6 @@ func Open(rels []Relation) (*Store, error) {
 			nextWid:     1,
 			nextTid:     1,
 		},
-		mu:  db.Locker(),
-		db:  db,
-		cat: db.Catalog(),
 	}
 
 	mustTable := func(name string, cols []engine.Column, pk int, indexes ...[]string) (*engine.Table, error) {
@@ -195,13 +194,9 @@ func Open(rels []Relation) (*Store, error) {
 	st.pathByWid[0] = core.Path{}
 	st.worldsGen++
 
-	// Route every sqldb snapshot publication through the store's view
-	// builder, then publish the initial (empty) epoch so readers have a
-	// pinned view before the first mutation.
-	st.db.SetPublishHook(st.publishView)
-	st.mu.Lock()
-	st.db.PublishLocked()
-	st.mu.Unlock()
+	// Publish the initial (empty) epoch so readers have a pinned view before
+	// the first mutation. No other goroutine holds st yet.
+	st.publishLocked()
 	return st, nil
 }
 
@@ -261,9 +256,14 @@ func (st *Store) createRelation(r Relation) error {
 	return nil
 }
 
-// DB exposes the underlying SQL database; the BeliefSQL translation runs
-// its generated SQL through it.
-func (st *Store) DB() *sqldb.DB { return st.db }
+// Snapshot returns the engine catalog of the current published view: the
+// frozen internal tables of one epoch. The result is read-only and never
+// observes later commits.
+func (st *Store) Snapshot() *engine.Catalog { return st.pin().cat }
+
+// DB returns the store itself. It exists only so the benchmark module's
+// st.DB().Snapshot() calls keep compiling; everything else calls Snapshot.
+func (st *Store) DB() *Store { return st }
 
 // Relations returns the external relation definitions in creation order.
 // The relation set is fixed at Open time (rels/relOrder are never mutated
@@ -298,11 +298,20 @@ func (st *Store) AddUser(name string) (core.UserID, error) {
 	if _, dup := st.usersByName[name]; dup {
 		return 0, fmt.Errorf("store: user %q already exists", name)
 	}
+	// Raw SQL may already have taken uids in Users; skip them before
+	// journaling, so the record cannot fail on replay (which re-runs the
+	// raw insert first and skips the same uids).
+	uid := core.UserID(st.nextUID)
+	for {
+		if _, taken := st.usersTable.LookupPK(val.Int(int64(uid))); !taken {
+			break
+		}
+		uid++
+	}
 	if err := st.logOp(wal.AddUser(name)); err != nil {
 		return 0, err
 	}
-	uid := core.UserID(st.nextUID)
-	st.nextUID++
+	st.nextUID = int64(uid) + 1
 	if _, err := st.usersTable.Insert([]val.Value{val.Int(int64(uid)), val.Str(name)}); err != nil {
 		return 0, err
 	}

@@ -132,9 +132,8 @@ func TestFigure5(t *testing.T) {
 		}
 	}
 
-	db := st.DB()
 	// D relation (Fig. 5).
-	res, err := db.Query("SELECT wid, d FROM _d ORDER BY wid")
+	res, err := st.SQL("SELECT wid, d FROM _d ORDER BY wid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestFigure5(t *testing.T) {
 		}
 	}
 	// S relation: (1,0), (2,0), (3,1).
-	res, err = db.Query("SELECT wid1, wid2 FROM _s ORDER BY wid1")
+	res, err = st.SQL("SELECT wid1, wid2 FROM _s ORDER BY wid1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestFigure5(t *testing.T) {
 		}
 	}
 	// E relation: the nine edges of Fig. 5.
-	res, err = db.Query("SELECT wid1, uid, wid2 FROM _e ORDER BY wid1, uid")
+	res, err = st.SQL("SELECT wid1, uid, wid2 FROM _e ORDER BY wid1, uid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestFigure5(t *testing.T) {
 		}
 	}
 	// Sightings_star holds the four sighting alternatives.
-	res, err = db.Query("SELECT COUNT(*) FROM Sightings_star")
+	res, err = st.SQL("SELECT COUNT(*) FROM Sightings_star")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestFigure5(t *testing.T) {
 		t.Errorf("Sightings_star rows = %v", res.Rows)
 	}
 	// Sightings_v: the eight rows of Fig. 5 identified by (wid, species, s, e).
-	res, err = db.Query(`
+	res, err = st.SQL(`
 		SELECT v.wid, r.species, v.s, v.e
 		FROM Sightings_v v, Sightings_star r
 		WHERE v.tid = r.tid ORDER BY v.wid, r.species, v.s`)
@@ -219,7 +218,7 @@ func TestFigure5(t *testing.T) {
 	}
 	// Comments_v: rows of Fig. 5 (wid 1: c1 explicit; wid 2: c2.2 explicit;
 	// wid 3: c1 implicit, c2.1 explicit).
-	res, err = db.Query(`
+	res, err = st.SQL(`
 		SELECT v.wid, r.comment, v.s, v.e
 		FROM Comments_v v, Comments_star r
 		WHERE v.tid = r.tid ORDER BY v.wid, r.comment`)
@@ -577,11 +576,10 @@ func randomPath(r *rand.Rand, users []core.UserID) core.Path {
 // the root lands on the state's wid (Algorithm 2 line 1 equivalence).
 func TestWidCacheAgreesWithE(t *testing.T) {
 	st, _, _ := loadRandom(t, 42, 60, 4)
-	db := st.DB()
 	for wid, p := range st.States() {
 		cur := int64(0)
 		for _, u := range p {
-			res, err := db.Query(fmt.Sprintf(
+			res, err := st.SQL(fmt.Sprintf(
 				"SELECT wid2 FROM _e WHERE wid1 = %d AND uid = %d", cur, u))
 			if err != nil {
 				t.Fatal(err)
@@ -625,7 +623,7 @@ func TestStaleSuffixLinkFix(t *testing.T) {
 	// S(2·1) must now point at state 1, not the root.
 	widDeep, _ := st.WidOf(core.Path{2, 1})
 	widOne, _ := st.WidOf(core.Path{1})
-	res, err := st.DB().Query(fmt.Sprintf("SELECT wid2 FROM _s WHERE wid1 = %d", widDeep))
+	res, err := st.SQL(fmt.Sprintf("SELECT wid2 FROM _s WHERE wid1 = %d", widDeep))
 	if err != nil {
 		t.Fatal(err)
 	}

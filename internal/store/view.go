@@ -5,12 +5,12 @@ import (
 	"beliefdb/internal/engine"
 )
 
-// view is one consistent epoch of the belief database: the engine tables of
-// the internal schema plus the logical catalogs (users, world paths,
-// counters) that live outside them. The Store embeds a view as its live,
-// writer-owned state; every commit publishes an immutable copy of it — with
-// the tables replaced by their frozen snapshots — through an atomic pointer
-// swap. Readers pin the published view with one atomic load and traverse it
+// view is one consistent epoch of the belief database: the engine catalog
+// of the internal schema and its belief tables, plus the logical catalogs
+// (users, world paths, counters) that live outside them. The Store embeds a
+// view as its live, writer-owned state; every commit publishes an immutable
+// copy of it — with the catalog and tables replaced by their frozen
+// snapshots — through an atomic pointer swap. Readers pin the published view with one atomic load and traverse it
 // entirely lock-free: a pinned view never changes, never observes a later
 // commit, and is reclaimed by the garbage collector once the last reader
 // drops it and newer epochs stop sharing its structure.
@@ -19,6 +19,11 @@ import (
 // through promotion on Store (resolving against the live view, under the
 // writer lock); readers call them on a pinned snapshot.
 type view struct {
+	// cat holds every internal table: the live catalog in the writer's
+	// view, its frozen snapshot in a published one. Raw SQL (Store.SQL)
+	// resolves table names against it; the fields below point into it.
+	cat *engine.Catalog
+
 	rels     map[string]*relInfo
 	relOrder []string
 
@@ -44,18 +49,26 @@ type view struct {
 // pin. Callers need no lock.
 func (st *Store) pin() *view { return st.snap.Load() }
 
-// publishView builds a fresh immutable view from the live logical catalogs
-// and the frozen engine catalog fcat, and installs it for readers. It runs
-// under the writer lock — either from publishLocked (store mutators) or as
-// the sqldb publish hook when raw SQL mutates the internal schema. Logical
-// maps whose generation is unchanged are shared with the previously
-// published view (published maps are immutable — the writer only ever
-// mutates its live copies); a commit that touched no worlds or users then
-// publishes in O(1) map work. The tables share all row and index storage
-// with the live ones via the engine's copy-on-write epochs.
-func (st *Store) publishView(fcat *engine.Catalog) {
+// publishLocked freezes the live catalog and installs a fresh immutable
+// view built from it and the live logical catalogs for readers. Callers
+// hold the writer lock; mutators register it with defer immediately after
+// the unlock defer so it runs first (still under the lock). During WAL
+// replay and bulk loads publication is suppressed — OpenAt and BulkLoad
+// publish once when they finish.
+//
+// Logical maps whose generation is unchanged are shared with the
+// previously published view (published maps are immutable — the writer
+// only ever mutates its live copies); a commit that touched no worlds or
+// users then publishes in O(1) map work. The tables share all row and
+// index storage with the live ones via the engine's copy-on-write epochs.
+func (st *Store) publishLocked() {
+	if st.replaying || st.bulk {
+		return
+	}
+	fcat := st.cat.Freeze()
 	prev := st.snap.Load()
 	nv := &view{
+		cat:        fcat,
 		relOrder:   st.relOrder,
 		rels:       make(map[string]*relInfo, len(st.rels)),
 		usersTable: fcat.Table("Users"),
@@ -97,16 +110,4 @@ func (st *Store) publishView(fcat *engine.Catalog) {
 		}
 	}
 	st.snap.Store(nv)
-}
-
-// publishLocked publishes a fresh snapshot after a mutation. Callers hold
-// the writer lock; mutators register it with defer immediately after the
-// unlock defer so it runs first (still under the lock). During WAL replay
-// and bulk loads publication is suppressed — openAt and BulkLoad publish
-// once when they finish.
-func (st *Store) publishLocked() {
-	if st.replaying || st.bulk {
-		return
-	}
-	st.db.PublishLocked()
 }
