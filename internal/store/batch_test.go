@@ -283,7 +283,83 @@ func TestBatchCheckpointRoundTrip(t *testing.T) {
 	re.Close()
 }
 
-// TestConflictRollbackRewindsWorlds: a single conflicting insert whose
+// TestBeginFailureNotJournaled: a raw-SQL BEGIN (or ROLLBACK) is refused
+// before it is journaled, and leaves no transaction open behind it — the
+// belief mutations that follow commit as usual, and reopening replays
+// exactly them.
+func TestBeginFailureNotJournaled(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func(st *Store, label string) {
+		t.Helper()
+		if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k2", "after begin")); err != nil {
+			t.Fatalf("%s: Insert: %v", label, err)
+		}
+		if _, err := st.Replace(crashStmt(nil, core.Pos, "S", "k1", "kept"),
+			core.Tuple{Rel: "S", Vals: []val.Value{val.Str("k1"), val.Str("renamed")}}); err != nil {
+			t.Fatalf("%s: Replace: %v", label, err)
+		}
+		if _, err := st.ApplyBatch([]BatchOp{bIns(nil, core.Pos, "S", "k3", "batch")}); err != nil {
+			t.Fatalf("%s: ApplyBatch: %v", label, err)
+		}
+		if _, err := st.Delete(crashStmt(nil, core.Pos, "S", "k2", "after begin")); err != nil {
+			t.Fatalf("%s: Delete: %v", label, err)
+		}
+	}
+	st.AddUser("u1")
+	if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k1", "kept")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SQL("BEGIN"); err == nil {
+		t.Fatal("raw-SQL BEGIN should be refused")
+	}
+	ops(st, "after refused BEGIN")
+	if _, err := st.SQL("ROLLBACK"); err == nil {
+		t.Fatal("raw-SQL ROLLBACK should be refused")
+	}
+	if _, err := st.Insert(crashStmt(nil, core.Pos, "S", "k4", "after")); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	data, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _, _, err := wal.Recover(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		op, err := wal.DecodeOp(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.Kind == wal.KindSQL {
+			t.Errorf("refused script journaled: %q", op.SQL)
+		}
+	}
+
+	re, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	shadow, err := Open(crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow.AddUser("u1")
+	shadow.Insert(crashStmt(nil, core.Pos, "S", "k1", "kept"))
+	ops(shadow, "shadow")
+	shadow.Insert(crashStmt(nil, core.Pos, "S", "k4", "after"))
+	assertSameStore(t, "begin-failure divergence", shadow, re)
+}
+
+// TestConflictRollbackRewindsWorlds:a single conflicting insert whose
 // target world was created on the way must not leave the world registered
 // in the path catalogs after the rollback (the map entries previously
 // outlived their undone D/E/S rows).

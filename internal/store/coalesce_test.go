@@ -138,6 +138,31 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	assertSameStore(t, "recovered round", shadow, re)
 }
 
+// TestApplyBatchGroupInsideTxn: a round cannot run inside a raw-SQL
+// transaction, because none can be opened — BEGIN is refused by name and
+// the round that follows commits every batch.
+func TestApplyBatchGroupInsideTxn(t *testing.T) {
+	st := groupFixture(t, "")
+	if _, err := st.SQL("BEGIN"); err == nil || !strings.Contains(err.Error(), "transaction") {
+		t.Fatalf("SQL(BEGIN) = %v, want a refusal", err)
+	}
+	outs := st.ApplyBatchGroupTokens([][]BatchOp{
+		{bIns(nil, core.Pos, "S", "k1", "x")},
+		{bIns(nil, core.Pos, "S", "k2", "y")},
+	}, nil)
+	for i, out := range outs {
+		if out.Err != nil {
+			t.Fatalf("batch %d after refused BEGIN: %v", i, out.Err)
+		}
+	}
+	if _, err := st.SQL("ROLLBACK"); err == nil {
+		t.Fatal("SQL(ROLLBACK) accepted")
+	}
+	if got := st.Len(); got != 2 {
+		t.Errorf("ROLLBACK undid the round: %d statements, want 2", got)
+	}
+}
+
 // TestCoalescerConcurrentSubmit: many goroutines submitting through one
 // Coalescer all commit, the store ends in the same state as sequential
 // application, and the WAL paid fewer fsyncs than batches (the whole point
