@@ -359,7 +359,7 @@ func TestBeginFailureNotJournaled(t *testing.T) {
 	assertSameStore(t, "begin-failure divergence", shadow, re)
 }
 
-// TestConflictRollbackRewindsWorlds:a single conflicting insert whose
+// TestConflictRollbackRewindsWorlds: a single conflicting insert whose
 // target world was created on the way must not leave the world registered
 // in the path catalogs after the rollback (the map entries previously
 // outlived their undone D/E/S rows).

@@ -189,14 +189,22 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 			}
 		}
 	}
-	// A log written before raw-SQL transactions were refused can end inside
-	// one (see replaySQL). It was never committed, so it is rolled back.
-	if txn := st.cat.ActiveTxn(); txn != nil {
-		txn.Rollback()
-	}
 	st.wal = rec.Log
 	st.durable = true
 	st.replaying = false
+	// A log written before raw-SQL transactions were refused can end inside
+	// one (see replaySQL). It was never committed, so it is rolled back. The
+	// log still holds its BEGIN, and every write appended after it would
+	// replay inside the span and be lost with it, so a checkpoint makes the
+	// rollback durable: the recovered state becomes the snapshot and the
+	// WAL is reset.
+	if txn := st.cat.ActiveTxn(); txn != nil {
+		txn.Rollback()
+		if err := st.Checkpoint(); err != nil {
+			rec.Log.Close()
+			return nil, err
+		}
+	}
 	st.publishLocked() // no other goroutine holds st yet
 	return st, nil
 }
@@ -292,8 +300,8 @@ func (st *Store) applyOp(op wal.Op) error {
 // Recovery runs such a script, and every script while a span is open,
 // statement by statement, exactly as it ran when journaled, so a committed
 // span applies and a rolled-back one does not; OpenAt rolls back a span the
-// log leaves open. A replica refuses them: only a primary that predates the
-// refusal ships one, and it must checkpoint first.
+// log leaves open and checkpoints. A replica refuses them: only a primary
+// that predates the refusal ships one, and it must checkpoint first.
 func (st *Store) replaySQL(text string) error {
 	stmts, err := sqlparser.ParseAll(text)
 	if err != nil {

@@ -14,6 +14,26 @@ import (
 	"beliefdb/internal/wal"
 )
 
+// journal decodes the records of dir's WAL.
+func journal(t *testing.T, dir string) []wal.Op {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _, _, err := wal.Recover(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]wal.Op, len(payloads))
+	for i, p := range payloads {
+		if ops[i], err = wal.DecodeOp(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ops
+}
+
 // sqlInts runs a one-column integer query and returns its rows.
 func sqlInts(t *testing.T, st *Store, q string) []int64 {
 	t.Helper()
@@ -330,20 +350,8 @@ func TestAddUserSkipsRawSQLUids(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, WALFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, _, err := wal.Recover(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var journaled []string
-	for _, p := range payloads {
-		op, err := wal.DecodeOp(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, op := range journal(t, dir) {
 		if op.Kind == wal.KindAddUser {
 			journaled = append(journaled, op.Name)
 		}
@@ -409,6 +417,54 @@ func TestLegacyTxnWALReplay(t *testing.T) {
 	}
 	defer re.Close()
 	check(re, "checkpointed", []core.UserID{1, 2}, []int64{1, 2, 10, 11, 12, 13}, 3)
+}
+
+// TestLegacyTxnWALWritesSurviveReopen: writes acknowledged after recovery
+// rolled back testdata/legacy_txn's open span survive a reopen without an
+// explicit Checkpoint — they must not replay inside that span — and the
+// recovered WAL holds no transaction-control record for a replica to refuse.
+func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
+	dir := copyFixture(t, "legacy_txn")
+	st, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range journal(t, dir) {
+		if op.Kind == wal.KindSQL {
+			t.Errorf("recovered WAL still holds raw SQL %q", op.SQL)
+		}
+	}
+	stmt := crashStmt(core.Path{1}, core.Pos, "S", "k3", "after")
+	if _, err := st.Insert(stmt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SQL("insert into Users values (40, 'raw')"); err != nil {
+		t.Fatal(err)
+	}
+	if uid, err := st.AddUser("u2"); err != nil || uid != 2 {
+		t.Fatalf("AddUser(u2) = %d, %v; want uid 2", uid, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		re, err := OpenAt(dir, crashRels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := re.Entails(stmt.Path, stmt.Tuple, core.Pos); err != nil || !ok {
+			t.Errorf("reopen %d: belief written after recovery lost (ok=%v, err=%v)", i, ok, err)
+		}
+		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 10, 11, 12, 13, 40}) {
+			t.Errorf("reopen %d: Users rows = %v", i, got)
+		}
+		if got := re.Users(); !slices.Equal(got, []core.UserID{1, 2}) {
+			t.Errorf("reopen %d: Users() = %v, want [1 2]", i, got)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestApplyReplicatedRefusesTransactionControl: only a primary older than

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"maps"
+
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
 )
@@ -10,10 +12,11 @@ import (
 // (users, world paths, counters) that live outside them. The Store embeds a
 // view as its live, writer-owned state; every commit publishes an immutable
 // copy of it — with the catalog and tables replaced by their frozen
-// snapshots — through an atomic pointer swap. Readers pin the published view with one atomic load and traverse it
-// entirely lock-free: a pinned view never changes, never observes a later
-// commit, and is reclaimed by the garbage collector once the last reader
-// drops it and newer epochs stop sharing its structure.
+// snapshots — through an atomic pointer swap. Readers pin the published
+// view with one atomic load and traverse it entirely lock-free: a pinned
+// view never changes, never observes a later commit, and is reclaimed by
+// the garbage collector once the last reader drops it and newer epochs stop
+// sharing its structure.
 //
 // Every method on *view is a pure read. Writers reach the same methods
 // through promotion on Store (resolving against the live view, under the
@@ -88,26 +91,12 @@ func (st *Store) publishLocked() {
 	if prev != nil && prev.usersGen == st.usersGen {
 		nv.usersByID, nv.usersByName = prev.usersByID, prev.usersByName
 	} else {
-		nv.usersByID = make(map[core.UserID]string, len(st.usersByID))
-		nv.usersByName = make(map[string]core.UserID, len(st.usersByName))
-		for uid, name := range st.usersByID {
-			nv.usersByID[uid] = name
-		}
-		for name, uid := range st.usersByName {
-			nv.usersByName[name] = uid
-		}
+		nv.usersByID, nv.usersByName = maps.Clone(st.usersByID), maps.Clone(st.usersByName)
 	}
 	if prev != nil && prev.worldsGen == st.worldsGen {
 		nv.widByPath, nv.pathByWid = prev.widByPath, prev.pathByWid
 	} else {
-		nv.widByPath = make(map[string]int64, len(st.widByPath))
-		nv.pathByWid = make(map[int64]core.Path, len(st.pathByWid))
-		for k, wid := range st.widByPath {
-			nv.widByPath[k] = wid
-		}
-		for wid, p := range st.pathByWid {
-			nv.pathByWid[wid] = p
-		}
+		nv.widByPath, nv.pathByWid = maps.Clone(st.widByPath), maps.Clone(st.pathByWid)
 	}
 	st.snap.Store(nv)
 }
