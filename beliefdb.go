@@ -291,10 +291,10 @@ func (db *DB) Translate(beliefSQL string) (string, error) {
 	return db.tr.TranslateSelect(sel)
 }
 
-// SQL runs plain SQL directly against the internal schema (for inspection
-// and power users; the internal tables are Users, _e, _d, _s, <rel>_star,
-// <rel>_v). A script is one transaction: BEGIN, COMMIT and ROLLBACK are
-// refused (see store.Store.SQL).
+// SQL runs plain SQL against the internal schema (tables Users, _e, _d, _s,
+// <rel>_star, <rel>_v): SELECT, EXPLAIN and CREATE [ORDERED] INDEX. Any
+// other statement is refused by name, since only the belief update
+// algorithms write the internal tables (see store.Store.SQL).
 func (db *DB) SQL(sql string) (*Result, error) { return db.st.SQL(sql) }
 
 // NewTuple builds a tuple for the typed API, converting Go values: string,

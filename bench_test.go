@@ -8,7 +8,6 @@ package beliefdb_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"beliefdb"
@@ -324,65 +323,5 @@ func BenchmarkEntailment(b *testing.B) {
 		if _, err := db.Believes(beliefdb.Path{1, 2}, t); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchRangeDB builds an in-memory database holding a plain-SQL table
-// ev(id, ts, v) with n rows, ts dense 0..n-1, optionally carrying an
-// ordered index on ts. Inserts go in multi-statement batches so setup
-// stays a small fraction of the measured time.
-func benchRangeDB(b *testing.B, n int, ordered bool) *beliefdb.DB {
-	b.Helper()
-	db, err := beliefdb.Open(beliefdb.Schema{Relations: []beliefdb.Relation{benchRelation()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ddl := "CREATE TABLE ev (id INT PRIMARY KEY, ts INT, v INT)"
-	if ordered {
-		ddl += "; CREATE ORDERED INDEX ev_ts ON ev (ts)"
-	}
-	if _, err := db.SQL(ddl); err != nil {
-		b.Fatal(err)
-	}
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "INSERT INTO ev VALUES (%d, %d, %d);", i, i, i%97)
-		if (i+1)%500 == 0 || i == n-1 {
-			if _, err := db.SQL(sb.String()); err != nil {
-				b.Fatal(err)
-			}
-			sb.Reset()
-		}
-	}
-	return db
-}
-
-// BenchmarkRangeQuery measures a 1%-selective range predicate on a
-// 100k-row table with and without an ordered index on the range column.
-// The ordered walk touches ~1k keys where the scan touches 100k, so the
-// indexed side should come in well over an order of magnitude faster.
-func BenchmarkRangeQuery(b *testing.B) {
-	const n = 100000
-	const span = n / 100 // 1% selectivity
-	lo := (n - span) / 2
-	q := fmt.Sprintf("SELECT E.id FROM ev E WHERE E.ts >= %d AND E.ts < %d", lo, lo+span)
-
-	for _, tc := range []struct {
-		name    string
-		ordered bool
-	}{{"ordered", true}, {"scan", false}} {
-		db := benchRangeDB(b, n, tc.ordered)
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := db.SQL(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != span {
-					b.Fatalf("got %d rows, want %d", len(res.Rows), span)
-				}
-			}
-		})
-		db.Close()
 	}
 }

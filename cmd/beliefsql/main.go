@@ -30,8 +30,8 @@
 //	\users             list users
 //	\world PATH        show a belief world, e.g. \world Bob.Alice (empty = root)
 //	\translate QUERY   show the SQL that a BeliefSQL SELECT compiles to
-//	\sql STATEMENT     run plain SQL against the internal schema (one script
-//	                   = one transaction; BEGIN/COMMIT/ROLLBACK refused)
+//	\sql STATEMENT     run plain SQL reads and CREATE [ORDERED] INDEX against
+//	                   the internal schema
 //	\stats             representation size (|R*|, n, N, overhead)
 //	\statements        list explicit belief statements
 //	\help, \quit
@@ -378,8 +378,8 @@ func meta(sh *shell, line string) bool {
   \world PATH      show a belief world (PATH like Bob.Alice; empty = root)
   \translate Q     show the SQL a BeliefSQL SELECT compiles to
   \explain Q       show the access path the planner picks for a SELECT
-  \sql STMT        run plain SQL on the internal schema (one script = one
-                   transaction; BEGIN/COMMIT/ROLLBACK refused)
+  \sql STMT        run plain SQL reads and CREATE [ORDERED] INDEX on the
+                   internal schema
   \stats           representation size
   \statements      list explicit belief statements
   \dump            emit a replayable BeliefSQL script

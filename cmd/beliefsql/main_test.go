@@ -168,9 +168,9 @@ func TestMetaCommands(t *testing.T) {
 	}
 }
 
-// TestShellSQLRefusesTransactions: \sql BEGIN prints the refusal — a raw
-// SQL script is one transaction — and the shell keeps going.
-func TestShellSQLRefusesTransactions(t *testing.T) {
+// TestShellSQLRefusesWrites: a raw-SQL write prints the refusal — raw SQL
+// reads and creates indexes, the store writes — and the shell keeps going.
+func TestShellSQLRefusesWrites(t *testing.T) {
 	db, err := openDB(true, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestShellSQLRefusesTransactions(t *testing.T) {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	kept := sh.handleLine(`\sql BEGIN`)
+	kept := sh.handleLine(`\sql insert into Users values (9,'x')`)
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -190,10 +190,10 @@ func TestShellSQLRefusesTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !kept {
-		t.Error("\\sql BEGIN quit the shell")
+		t.Error("\\sql insert quit the shell")
 	}
-	if want := "error: store: BEGIN refused: a script is one transaction"; !strings.Contains(string(out), want) {
-		t.Errorf("\\sql BEGIN printed %q, want %q", out, want)
+	if want := "error: store: raw SQL only reads and creates indexes: INSERT refused"; !strings.Contains(string(out), want) {
+		t.Errorf("\\sql insert printed %q, want %q", out, want)
 	}
 }
 

@@ -243,6 +243,8 @@ func TestInMemoryCheckpointRejected(t *testing.T) {
 	}
 }
 
+// TestRawSQLMutationsJournaled: the one change raw SQL may make, index
+// DDL, is journaled and survives reopen.
 func TestRawSQLMutationsJournaled(t *testing.T) {
 	dir := t.TempDir()
 	db, err := beliefdb.OpenAt(dir, natureSchema())
@@ -250,8 +252,7 @@ func TestRawSQLMutationsJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadExample(t, db)
-	// A power-user write against the internal schema must survive reopen.
-	if _, err := db.SQL(`insert into Users values (99, 'ghost')`); err != nil {
+	if _, err := db.SQL(`create ordered index Sightings_star_species on Sightings_star (species)`); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
@@ -261,12 +262,9 @@ func TestRawSQLMutationsJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	res, err := re.SQL(`select U.name from Users U where U.uid = 99`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].String() != "ghost" {
-		t.Errorf("raw-SQL insert lost across reopen: %v", res.Rows)
+	ix, ok := re.Store().Snapshot().Table("Sightings_star").Indexes()["Sightings_star_species"]
+	if !ok || !ix.Ordered() {
+		t.Errorf("journaled CREATE ORDERED INDEX lost across reopen (found %v)", ok)
 	}
 }
 
@@ -363,52 +361,46 @@ func TestWALSchemaMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDurableRejectsRawDDL: table-changing SQL is refused on a durable
-// database — the snapshot format persists only the relations declared at
-// open time, so journaled CREATE/DROP TABLE would be silently dropped at
-// the next checkpoint. Index DDL is the exception: snapshot v2 records
-// index definitions, so CREATE INDEX is journaled and allowed.
+// TestDurableRejectsRawDDL: durable and in-memory databases follow one
+// rule — raw SQL reads and creates indexes, and refuses table DDL and every
+// write by name, together with the rest of its script.
 func TestDurableRejectsRawDDL(t *testing.T) {
-	dir := t.TempDir()
-	db, err := beliefdb.OpenAt(dir, natureSchema())
+	durable, err := beliefdb.OpenAt(t.TempDir(), natureSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	for _, ddl := range []string{
-		`create table notes (x int)`,
-		`drop table Users`,
-		`insert into Users values (5, 'ok'); create table sneaky (x int)`,
-	} {
-		if _, err := db.SQL(ddl); err == nil {
-			t.Errorf("durable SQL(%q) should be rejected", ddl)
-		}
-	}
-	if _, err := db.SQL(`create index ix on Sightings_star (sid)`); err != nil {
-		t.Errorf("durable CREATE INDEX should be journaled, got %v", err)
-	}
-	// The batch with the sneaky CREATE was aborted before its INSERT ran.
-	res, err := db.SQL(`select U.uid from Users U where U.uid = 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 0 {
-		t.Error("aborted batch still inserted a row")
-	}
-	// In-memory databases keep full raw-SQL freedom.
+	defer durable.Close()
 	mem, err := beliefdb.Open(natureSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.SQL(`create table notes (x int)`); err != nil {
-		t.Errorf("in-memory CREATE TABLE should work: %v", err)
+	for kind, db := range map[string]*beliefdb.DB{"durable": durable, "in-memory": mem} {
+		for script, kw := range map[string]string{
+			`create table notes (x int)`: "CREATE TABLE",
+			`drop table Users`:           "DROP TABLE",
+			`create index ix on Sightings_star (sid); insert into Users values (5, 'ok')`: "INSERT",
+		} {
+			if _, err := db.SQL(script); err == nil || !strings.Contains(err.Error(), kw+" refused") {
+				t.Errorf("%s SQL(%q) = %v, want %s refused", kind, script, err, kw)
+			}
+		}
+		// The refused script's CREATE INDEX never ran, so the name is free.
+		if _, err := db.SQL(`create index ix on Sightings_star (sid)`); err != nil {
+			t.Errorf("%s CREATE INDEX: %v", kind, err)
+		}
+		res, err := db.SQL(`select U.uid from Users U`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Errorf("%s: a refused script inserted %v", kind, res.Rows)
+		}
 	}
 }
 
-// TestRawSQLTransactionRefused: a raw-SQL transaction would belong to no
-// session — any caller's COMMIT ends it, and every reader sees its rows
-// before it commits — so BEGIN is refused, a raw write is its own commit,
-// and the logical users and belief inserts are unaffected by it.
+// TestRawSQLTransactionRefused: raw SQL can neither open a transaction nor
+// write a row, so the registered users and the Users rows always agree,
+// and belief inserts are unaffected.
 func TestRawSQLTransactionRefused(t *testing.T) {
 	db, err := beliefdb.Open(natureSchema())
 	if err != nil {
@@ -417,28 +409,30 @@ func TestRawSQLTransactionRefused(t *testing.T) {
 	if _, err := db.AddUser("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SQL("BEGIN"); err == nil || !strings.Contains(err.Error(), "a script is one transaction") {
-		t.Fatalf("SQL(BEGIN) = %v, want a refusal", err)
+	for script, kw := range map[string]string{
+		"BEGIN":                                 "BEGIN",
+		"insert into Users values (50,'ghost')": "INSERT",
+	} {
+		if _, err := db.SQL(script); err == nil || !strings.Contains(err.Error(), kw+" refused") {
+			t.Fatalf("SQL(%q) = %v, want %s refused", script, err, kw)
+		}
 	}
-	if _, err := db.SQL("insert into Users values (50,'ghost')"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query("select U.name from Users U")
+	res, err := db.SQL("select U.uid, U.name from Users U order by U.uid")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var rows, users []string
 	for _, row := range res.Rows {
-		names = append(names, row[0].String())
+		rows = append(rows, fmt.Sprintf("%d:%s", row[0].AsInt(), row[1].AsString()))
 	}
-	sort.Strings(names)
-	if fmt.Sprint(names) != "[alice ghost]" {
-		t.Errorf("Users rows = %v, want [alice ghost]", names)
+	for _, uid := range db.Users() {
+		name, _ := db.UserName(uid)
+		users = append(users, fmt.Sprintf("%d:%s", uid, name))
 	}
-	if got := db.Users(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Users() = %v, want [1]", got)
+	if fmt.Sprint(rows) != fmt.Sprint(users) || fmt.Sprint(rows) != "[1:alice]" {
+		t.Errorf("Users rows %v, registered users %v; want both [1:alice]", rows, users)
 	}
 	if _, err := db.Exec("insert into BELIEF 'alice' Sightings values ('s9','alice','owl','1-1-09','Lake')"); err != nil {
-		t.Errorf("belief insert after a raw write: %v", err)
+		t.Errorf("belief insert after refused raw writes: %v", err)
 	}
 }

@@ -462,13 +462,6 @@ func (f *Follower) applyRecord(payload []byte) error {
 		f.pending = f.pending[:0]
 	case op.Kind == wal.KindBatchBegin: // empty group: nothing to apply
 		f.advance(1)
-	case op.Kind == wal.KindSchema:
-		// The primary's schema identity record; the replica was opened
-		// with the same schema, so validation is all that is needed.
-		if err := st.ApplyReplicated(op); err != nil {
-			return err
-		}
-		f.advance(1)
 	default:
 		if err := st.ApplyReplicated(op); err != nil {
 			return err

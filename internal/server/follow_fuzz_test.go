@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"beliefdb"
+	"beliefdb/internal/core"
+	"beliefdb/internal/val"
 	"beliefdb/internal/wal"
 	"beliefdb/internal/wire"
 )
@@ -59,7 +61,8 @@ func FuzzFollowWAL(f *testing.F) {
 	// Seed corpus: the streams a healthy primary actually sends —
 	// heartbeats, record frames, a full snapshot bootstrap — plus the
 	// characteristic corruptions (truncation, flipped payload bytes,
-	// lying length declarations, wrong kinds mid-snapshot).
+	// lying length declarations, wrong kinds mid-snapshot, a legacy raw
+	// write no healthy primary ships).
 	frame := func(ms ...wire.Msg) []byte {
 		var b []byte
 		for _, m := range ms {
@@ -70,17 +73,22 @@ func FuzzFollowWAL(f *testing.F) {
 	f.Add(frame(wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 0})) // heartbeat
 	recs := [][]byte{
 		wal.AddUser("u1").Encode(nil),
-		wal.SQL("INSERT INTO r_R (k, v) VALUES ('a', 'b')").Encode(nil),
+		wal.SQL("CREATE INDEX R_star_v ON R_star (v)").Encode(nil),
 	}
 	healthy := frame(
 		wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 0, Recs: recs},
 		wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 2},
 	)
 	f.Add(healthy)
-	f.Add(frame(wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 0, Recs: [][]byte{
-		wal.Op{Kind: wal.KindBatchBegin, Count: 1, Token: "tok-f1"}.Encode(nil),
-		wal.SQL("INSERT INTO r_R (k, v) VALUES ('g', 'h')").Encode(nil),
-	}}))
+	group := func(member wal.Op) []byte {
+		return frame(wire.Msg{Kind: wire.KindWALRecs, Epoch: 0, Pos: 0, Recs: [][]byte{
+			wal.Op{Kind: wal.KindBatchBegin, Count: 1, Token: "tok-f1"}.Encode(nil),
+			member.Encode(nil),
+		}})
+	}
+	f.Add(group(wal.Insert(core.Statement{Sign: core.Pos, Tuple: core.Tuple{
+		Rel: "R", Vals: []val.Value{val.Str("g"), val.Str("h")},
+	}})))
 
 	// A real snapshot stream, captured from a scratch store with a little
 	// state in it.
@@ -124,6 +132,7 @@ func FuzzFollowWAL(f *testing.F) {
 	mangled := append([]byte(nil), healthy...)
 	mangled[len(mangled)-5] ^= 0xff // flipped record payload byte
 	f.Add(mangled)
+	f.Add(group(wal.SQL("INSERT INTO R_star VALUES (1, 'g', 'h')"))) // raw DML
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		// One session against the arbitrary stream: errors are expected

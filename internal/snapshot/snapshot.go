@@ -119,7 +119,7 @@ type RelData struct {
 // Model is the full image of a store: the physical contents of every
 // internal table (UserRows, DRows, SRows, Edges, Rels) plus the store's
 // logical catalogs (Users, Paths) and id counters. Physical and logical
-// state are recorded separately because raw-SQL writes can legitimately
+// state are recorded separately because a legacy log's raw-SQL writes can
 // make them diverge (a row inserted into Users by SQL is not a registered
 // community member), and recovery must reproduce both sides exactly.
 //

@@ -143,7 +143,7 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 // the round that follows commits every batch.
 func TestApplyBatchGroupInsideTxn(t *testing.T) {
 	st := groupFixture(t, "")
-	if _, err := st.SQL("BEGIN"); err == nil || !strings.Contains(err.Error(), "transaction") {
+	if _, err := st.SQL("BEGIN"); err == nil || !strings.Contains(err.Error(), "BEGIN refused") {
 		t.Fatalf("SQL(BEGIN) = %v, want a refusal", err)
 	}
 	outs := st.ApplyBatchGroupTokens([][]BatchOp{

@@ -4,7 +4,8 @@ package store
 // primitive has many callers (Insert/Delete/Replace, ApplyBatch, BulkLoad,
 // the Coalescer, replica apply, WAL replay — including logs written before
 // single statements journaled a marker), and each must leave exactly the
-// state core.BeliefBase derives from the same operations.
+// state core.BeliefBase derives from the same operations. Raw SQL is no
+// way in: every script that would write the internal schema is refused.
 
 import (
 	"fmt"
@@ -251,7 +252,12 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 		{"ApplyReplicated", "single", func(t *testing.T, groups [][]BatchOp) *Store {
 			st := traceStore(t, "")
 			for _, g := range groups {
-				if err := st.ApplyReplicated(g[0].walOp()); err != nil {
+				// A bare statement record is legacy: the replica refuses it
+				// and takes the group of one a current primary ships.
+				if err := st.ApplyReplicated(g[0].walOp()); err == nil || !strings.Contains(err.Error(), "checkpoint the primary") {
+					t.Fatalf("ApplyReplicated(%s) = %v, want a legacy-record refusal", g[0].walOp(), err)
+				}
+				if err := st.ApplyReplicatedGroup(walOps(g), ""); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -311,11 +317,52 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 			return re
 		}},
 		{"legacy WAL replay", "legacy", func(t *testing.T, _ [][]BatchOp) *Store {
-			re, err := OpenAt(copyFixture(t, "legacy"), []Relation{GenTestRelation()})
+			// The upgrade step checkpoints the bare records away; the second
+			// open loads the image it wrote.
+			dir := copyFixture(t, "legacy")
+			st, err := OpenAt(dir, []Relation{GenTestRelation()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ops := journal(t, dir); len(ops) != 0 {
+				t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenAt(dir, []Relation{GenTestRelation()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { re.Close() })
+			return re
+		}},
+		{"raw SQL battery", "trace", func(t *testing.T, groups [][]BatchOp) *Store {
+			st := traceStore(t, "")
+			for _, g := range groups {
+				st.ApplyBatch(g)
+			}
+			rawSQLBattery(t, st)
+			return st
+		}},
+		{"raw SQL battery + WAL replay", "trace", func(t *testing.T, groups [][]BatchOp) *Store {
+			dir := t.TempDir()
+			st := traceStore(t, dir)
+			for _, g := range groups {
+				st.ApplyBatch(g)
+			}
+			rawSQLBattery(t, st)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenAt(dir, []Relation{GenTestRelation()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { re.Close() })
+			if !findIndex(re, "S_v", "S_v_sign").exists {
+				t.Error("the battery's journaled index is missing after replay")
+			}
 			return re
 		}},
 	}
@@ -369,6 +416,48 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rawSQLBattery tries every way raw SQL could write the internal schema
+// after a trace: each script must be refused by name and journal nothing.
+// A script of a read and index DDL must then be accepted and journaled.
+// The caller compares every world with the oracle afterwards.
+func rawSQLBattery(t *testing.T, st *Store) {
+	t.Helper()
+	scripts := map[string]string{
+		"create table notes (x int)": "CREATE TABLE",
+		"drop table S_v":             "DROP TABLE",
+		"BEGIN":                      "BEGIN",
+		"select U.uid from Users U; insert into Users values (99, 'ghost')": "INSERT",
+	}
+	for _, tc := range []struct{ table, row, set string }{
+		{"Users", "(99, 'ghost')", "name = 'ghost'"},
+		{"_e", "(0, 1, 0)", "wid2 = 0"},
+		{"_d", "(999, 1)", "d = 0"},
+		{"_s", "(999, 0)", "wid2 = 0"},
+		{"S_star", "(999, 'k', 'o', 'sp', 'd', 'l')", "species = 'sp'"},
+		{"S_v", "(0, 1, 'k', '-', 'y')", "s = '-'"},
+	} {
+		scripts["insert into "+tc.table+" values "+tc.row] = "INSERT"
+		scripts["update "+tc.table+" set "+tc.set] = "UPDATE"
+		scripts["delete from "+tc.table] = "DELETE"
+	}
+	for script, kw := range scripts {
+		before := st.walCount
+		if _, err := st.SQL(script); err == nil || !strings.Contains(err.Error(), refusal(kw)) {
+			t.Errorf("SQL(%q) = %v, want %s refused", script, err, kw)
+		}
+		if st.walCount != before {
+			t.Errorf("refused SQL(%q) journaled %d records", script, st.walCount-before)
+		}
+	}
+	before := st.walCount
+	if _, err := st.SQL("select count(*) from S_v; create ordered index S_v_sign on S_v (s)"); err != nil {
+		t.Fatal(err)
+	}
+	if st.durable && st.walCount != before+1 {
+		t.Errorf("index DDL journaled %d records, want 1", st.walCount-before)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
+	"beliefdb/internal/query"
 	"beliefdb/internal/snapshot"
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/val"
@@ -156,15 +157,12 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	if haveSnap && rec.Epoch == snapEpoch {
 		skip = int(min(snapApplied, uint64(len(rec.Ops))))
 	}
-	for k := skip; k < len(rec.Ops); k++ {
+	legacy := false
+	for k := 0; k < len(rec.Ops); k++ {
 		op := rec.Ops[k]
-		switch op.Kind {
-		case wal.KindSchema:
-			if err := st.validateSchemaDef(op.Def); err != nil {
-				rec.Log.Close()
-				return nil, err
-			}
-		case wal.KindBatchBegin:
+		legacy = legacy || legacyOp(op)
+		switch {
+		case op.Kind == wal.KindBatchBegin:
 			// The marker groups the next Count records into one atomic
 			// batch; replay it through the same all-or-nothing path the
 			// live batch took, so a mid-batch conflict rolls back
@@ -177,12 +175,14 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 				rec.Log.Close()
 				return nil, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(rec.Ops)-k-1)
 			}
-			if err := st.ApplyReplicatedGroup(rec.Ops[k+1:k+1+n], op.Token); err != nil {
-				rec.Log.Close()
-				return nil, err
+			if k >= skip {
+				if err := st.ApplyReplicatedGroup(rec.Ops[k+1:k+1+n], op.Token); err != nil {
+					rec.Log.Close()
+					return nil, err
+				}
 			}
 			k += n
-		default:
+		case k >= skip:
 			if err := st.applyOp(op); err != nil {
 				rec.Log.Close()
 				return nil, err
@@ -192,14 +192,16 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	st.wal = rec.Log
 	st.durable = true
 	st.replaying = false
-	// A log written before raw-SQL transactions were refused can end inside
-	// one (see replaySQL). It was never committed, so it is rolled back. The
-	// log still holds its BEGIN, and every write appended after it would
-	// replay inside the span and be lost with it, so a checkpoint makes the
-	// rollback durable: the recovered state becomes the snapshot and the
-	// WAL is reset.
-	if txn := st.cat.ActiveTxn(); txn != nil {
-		txn.Rollback()
+	// The upgrade step, taken when any record, the covered prefix included,
+	// is legacy. Replay ran them exactly as they ran when journaled; a
+	// raw-SQL span the log leaves open was never committed, so it is rolled
+	// back. A checkpoint then makes the recovered state the snapshot and
+	// resets the WAL to the current vocabulary: no later write can replay
+	// inside the span's BEGIN, and no replica is shipped a legacy record.
+	if legacy {
+		if txn := st.cat.ActiveTxn(); txn != nil {
+			txn.Rollback()
+		}
 		if err := st.Checkpoint(); err != nil {
 			rec.Log.Close()
 			return nil, err
@@ -284,7 +286,7 @@ func (st *Store) applyOp(op wal.Op) error {
 	case wal.KindVacuum:
 		_, _ = st.Vacuum()
 	case wal.KindSQL:
-		return st.replaySQL(op.SQL)
+		st.replaySQL(op.SQL)
 	case wal.KindSchema:
 		return st.validateSchemaDef(op.Def)
 	default:
@@ -293,32 +295,49 @@ func (st *Store) applyOp(op wal.Op) error {
 	return nil
 }
 
+// legacyOp reports whether op, read outside a BatchBegin group, is a record
+// only logs written by earlier versions hold: a bare Insert, Delete or
+// Replace, or a raw-SQL script that is not reads and index DDL. Recovery
+// replays them once and OpenAt checkpoints them away; replicas refuse them.
+func legacyOp(op wal.Op) bool {
+	switch op.Kind {
+	case wal.KindInsert, wal.KindDelete, wal.KindReplace:
+		return true
+	case wal.KindSQL:
+		stmts, err := sqlparser.ParseAll(op.SQL)
+		return err == nil && refusedStmt(stmts) != ""
+	}
+	return false
+}
+
 // replaySQL re-runs one journaled raw-SQL script, in recovery or on a
-// replica, through SQL's writer half; like every replayed operation its
-// outcome is ignored. Logs written before raw-SQL transactions were refused
-// can hold BEGIN/COMMIT/ROLLBACK records whose span crosses scripts.
-// Recovery runs such a script, and every script while a span is open,
-// statement by statement, exactly as it ran when journaled, so a committed
-// span applies and a rolled-back one does not; OpenAt rolls back a span the
-// log leaves open and checkpoints. A replica refuses them: only a primary
-// that predates the refusal ships one, and it must checkpoint first.
-func (st *Store) replaySQL(text string) error {
+// replica; like every replayed operation its outcome is ignored. A script
+// of reads and index DDL runs through SQL's writer half. Legacy scripts
+// reach it only in recovery and run exactly as they did when journaled: a
+// multi-statement all-DML script as one engine transaction, any other —
+// and every script inside an open span — statement by statement, so a
+// committed span applies and a rolled-back one does not.
+func (st *Store) replaySQL(text string) {
 	stmts, err := sqlparser.ParseAll(text)
 	if err != nil {
-		return nil // it failed the same way when it was journaled
+		return // it failed the same way when it was journaled
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.cat.InTxn() && txnControl(stmts) == "" {
-		defer st.publishLocked()
+	defer st.publishLocked()
+	switch {
+	case !st.cat.InTxn() && refusedStmt(stmts) == "":
 		_, _ = st.sqlLocked(text, stmts)
-		return nil
+	case !st.cat.InTxn() && len(stmts) > 1 && query.AllDML(stmts):
+		txn, _ := st.cat.Begin() // cannot fail: no span is open
+		if _, err := runScript(st.cat, stmts); err != nil {
+			txn.Rollback()
+		} else {
+			_ = txn.Commit()
+		}
+	default:
+		_, _ = runScript(st.cat, stmts)
 	}
-	if !st.replaying {
-		return fmt.Errorf("store: replicated SQL %q controls a transaction, which raw SQL no longer may; checkpoint the primary", text)
-	}
-	_, _ = runScript(st.cat, stmts)
-	return nil
 }
 
 // logOp appends one operation to the WAL and syncs it. Mutating methods
@@ -459,7 +478,7 @@ func (v *view) snapshotModel() *snapshot.Model {
 		if a.UID != b.UID {
 			return int(a.UID - b.UID)
 		}
-		return int(a.Wid2 - b.Wid2) // total order even for raw-SQL duplicate edges
+		return int(a.Wid2 - b.Wid2) // total order even for legacy raw-SQL duplicate edges
 	})
 
 	for _, name := range v.relOrder {
@@ -497,9 +516,9 @@ func (v *view) snapshotModel() *snapshot.Model {
 			if a.Expl != b.Expl {
 				return a.Expl < b.Expl
 			}
-			// Raw SQL can insert rows that tie on every column above; the
-			// key's canonical encoding keeps the order total so identical
-			// stores always snapshot to identical bytes.
+			// Legacy raw SQL could insert rows that tie on every column
+			// above; the key's canonical encoding keeps the order total so
+			// identical stores always snapshot to identical bytes.
 			return a.Key.Key() < b.Key.Key()
 		})
 		m.Rels = append(m.Rels, rd)

@@ -353,35 +353,41 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 // TestSnapshotCoversWALPrefix simulates a crash between a checkpoint's two
 // steps: the snapshot landed (recording the WAL epoch and the K records it
 // covers) but the WAL was never truncated. Recovery must skip exactly those
-// K records and replay only the tail — double-applying a non-idempotent op
-// (raw SQL) would be visible immediately.
+// K records and replay only the tail. The covered records are not
+// idempotent: a negative statement Γ2 rejected while its positive twin
+// stood, then the deletion of that twin. Replayed on top of the snapshot,
+// which no longer holds the twin, the rejected statement would be accepted.
 func TestSnapshotCoversWALPrefix(t *testing.T) {
-	const prefix = 7
 	dir := t.TempDir()
 	st, err := OpenAt(dir, crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	script := crashScript()
-	for _, op := range script[:prefix] {
-		if _, err := op.do(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A raw-SQL write: replaying it twice would duplicate the row.
-	if _, err := st.SQL(`insert into Users values (77, 'rawsql')`); err != nil {
+	pos := crashStmt(nil, core.Pos, "S", "k1", "a")
+	neg := crashStmt(nil, core.Neg, "S", "k1", "a")
+	if _, err := st.AddUser("u1"); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot a checkpoint would have written at this point: it covers
-	// the prefix ops plus the SQL record, all under the current epoch.
+	if _, err := st.Insert(pos); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Insert(neg); err == nil {
+		t.Fatal("the negative twin of an explicit statement should fail Γ2")
+	}
+	if _, err := st.Delete(pos); err != nil {
+		t.Fatal(err)
+	}
+	if st.walCount != 4 {
+		t.Fatalf("the new epoch holds %d records, want two groups of two", st.walCount)
+	}
+	// The snapshot the next checkpoint would have written: it covers all
+	// four records of the current epoch.
 	m := st.SnapshotModel()
 	m.WalEpoch = st.wal.Epoch()
-	m.WalApplied = uint64(prefix + 1)
-	for _, op := range script[prefix:] {
-		if _, err := op.do(st); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m.WalApplied = st.walCount
 	st.Close()
 	if err := snapshot.WriteFile(filepath.Join(dir, SnapshotFileName), m); err != nil {
 		t.Fatal(err)
@@ -392,17 +398,17 @@ func TestSnapshotCoversWALPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	shadow := buildShadow(t, len(script))
-	if _, err := shadow.SQL(`insert into Users values (77, 'rawsql')`); err != nil {
-		t.Fatal(err)
-	}
-	assertSameStore(t, "prefix-covering snapshot", shadow, re)
-	res, err := re.SQL(`select U.name from Users U where U.uid = 77`)
+	shadow, err := Open(crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Errorf("raw-SQL row applied %d times across snapshot+WAL recovery, want exactly once", len(res.Rows))
+	shadow.AddUser("u1")
+	shadow.Insert(pos)
+	shadow.Insert(neg)
+	shadow.Delete(pos)
+	assertSameStore(t, "prefix-covering snapshot", shadow, re)
+	if re.Len() != 0 {
+		t.Errorf("%d statements after recovery, want none: the covered prefix was replayed", re.Len())
 	}
 }
 

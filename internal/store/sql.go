@@ -12,16 +12,16 @@ import (
 // SQL runs a semicolon-separated script of plain SQL against the internal
 // schema and returns the last statement's result. It is the one raw-SQL
 // entry point: translated BeliefSQL SELECTs (Algorithm 1) run through it,
-// and so does inspection and power-user access to the internal tables.
+// and so does inspection of the internal tables.
 //
-// A script of SELECT and EXPLAIN statements runs lock-free on the published
-// view's catalog. Any other script is one writer commit: under the
-// exclusive lock it is checked, journaled write-ahead, run, and published.
-// A script of several DML statements runs as one engine transaction, so a
-// failing statement rolls the whole script back; a script holding DDL runs
-// statement by statement. BEGIN, COMMIT and ROLLBACK are refused: a script
-// is one transaction, and a transaction spanning scripts would belong to no
-// session — any caller could end it and every reader would see its rows.
+// Raw SQL reads; the store writes. A script of SELECT and EXPLAIN statements
+// runs lock-free on the published view's catalog. A script that also holds
+// CREATE [ORDERED] INDEX is one writer commit: under the exclusive lock it is
+// journaled write-ahead, run, and published. Any other statement — INSERT,
+// UPDATE, DELETE, CREATE/DROP TABLE, BEGIN/COMMIT/ROLLBACK — is refused by
+// name before anything is journaled: the internal tables encode the
+// canonical Kripke structure of the explicit statements, so only the update
+// algorithms may change them.
 func (st *Store) SQL(text string) (*query.Result, error) {
 	stmts, err := sqlparser.ParseAll(text)
 	if err != nil {
@@ -33,8 +33,9 @@ func (st *Store) SQL(text string) (*query.Result, error) {
 	if query.AllReadOnly(stmts) {
 		return runScript(st.pin().cat, stmts)
 	}
-	if kw := txnControl(stmts); kw != "" {
-		return nil, fmt.Errorf("store: %s refused: a script is one transaction", kw)
+	if kw := refusedStmt(stmts); kw != "" {
+		return nil, fmt.Errorf("store: raw SQL only reads and creates indexes: %s refused; "+
+			"write beliefs through BeliefSQL or the typed API", kw)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -42,39 +43,13 @@ func (st *Store) SQL(text string) (*query.Result, error) {
 	return st.sqlLocked(text, stmts)
 }
 
-// sqlLocked is SQL's writer half, shared with WAL replay. The caller holds
-// the writer lock, and no statement of stmts controls a transaction.
+// sqlLocked is SQL's writer half, shared with WAL replay and replicas. The
+// caller holds the writer lock, and stmts are reads and index DDL only.
 func (st *Store) sqlLocked(text string, stmts []sqlparser.Statement) (*query.Result, error) {
-	if st.durable {
-		// CREATE INDEX is journaled like any mutation and its definition
-		// survives checkpoints in the snapshot's index section. CREATE/DROP
-		// TABLE stay refused: the snapshot format persists only the belief
-		// schema declared at open time, so a journaled table would be lost
-		// at the next checkpoint.
-		for _, s := range stmts {
-			switch s.(type) {
-			case sqlparser.CreateTable, sqlparser.DropTable:
-				return nil, fmt.Errorf("store: %T is not supported on a durable database: "+
-					"snapshots persist only the belief schema declared at open time", s)
-			}
-		}
-	}
 	if err := st.logOp(wal.SQL(text)); err != nil {
 		return nil, err
 	}
-	if len(stmts) == 1 || !query.AllDML(stmts) {
-		return runScript(st.cat, stmts)
-	}
-	txn, err := st.cat.Begin()
-	if err != nil {
-		return nil, err
-	}
-	res, err := runScript(st.cat, stmts)
-	if err != nil {
-		txn.Rollback()
-		return nil, err
-	}
-	return res, txn.Commit()
+	return runScript(st.cat, stmts)
 }
 
 // runScript runs stmts in order against cat, stopping at the first failure,
@@ -90,17 +65,31 @@ func runScript(cat *engine.Catalog, stmts []sqlparser.Statement) (*query.Result,
 	return res, nil
 }
 
-// txnControl names the first BEGIN, COMMIT or ROLLBACK of a script, or
+// refusedStmt names the first statement of a script that raw SQL may not
+// run — anything but SELECT, EXPLAIN and CREATE [ORDERED] INDEX — or
 // returns "" when it has none.
-func txnControl(stmts []sqlparser.Statement) string {
+func refusedStmt(stmts []sqlparser.Statement) string {
 	for _, s := range stmts {
 		switch s.(type) {
+		case sqlparser.Select, sqlparser.Explain, sqlparser.CreateIndex:
+		case sqlparser.Insert:
+			return "INSERT"
+		case sqlparser.Update:
+			return "UPDATE"
+		case sqlparser.Delete:
+			return "DELETE"
+		case sqlparser.CreateTable:
+			return "CREATE TABLE"
+		case sqlparser.DropTable:
+			return "DROP TABLE"
 		case sqlparser.Begin:
 			return "BEGIN"
 		case sqlparser.Commit:
 			return "COMMIT"
 		case sqlparser.Rollback:
 			return "ROLLBACK"
+		default:
+			return fmt.Sprintf("%T", s)
 		}
 	}
 	return ""

@@ -34,6 +34,25 @@ func journal(t *testing.T, dir string) []wal.Op {
 	return ops
 }
 
+// legacyWAL writes a directory whose WAL holds the crashRels schema record
+// followed by ops, as a binary from before the upgrade step could leave it.
+func legacyWAL(t *testing.T, ops ...wal.Op) string {
+	t.Helper()
+	st, err := Open(crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := wal.AppendHeader(nil, 0)
+	for _, op := range append([]wal.Op{wal.Schema(st.schemaDef())}, ops...) {
+		data = wal.AppendRecord(data, op.Encode(nil))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, WALFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // sqlInts runs a one-column integer query and returns its rows.
 func sqlInts(t *testing.T, st *Store, q string) []int64 {
 	t.Helper()
@@ -48,20 +67,32 @@ func sqlInts(t *testing.T, st *Store, q string) []int64 {
 	return out
 }
 
+// refusal is the error SQL returns for a script whose first forbidden
+// statement is kw.
+func refusal(kw string) string {
+	return "store: raw SQL only reads and creates indexes: " + kw + " refused"
+}
+
 func TestSQLExecAndQuery(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SQL("CREATE TABLE t (k INT PRIMARY KEY, v TEXT); INSERT INTO t VALUES (1, 'a'), (2, 'b')"); err != nil {
+	if _, err := st.AddUser("u1"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.SQL("SELECT v FROM t WHERE k = 2")
+	if _, err := st.SQL("CREATE INDEX Users_uid_name ON Users (uid, name)"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.SQL("SELECT U.name FROM Users U WHERE U.uid = 1 AND U.name = 'u1'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "b" {
+	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "u1" {
 		t.Errorf("rows = %v", res.Rows)
+	}
+	if !findIndex(st, "Users", "Users_uid_name").exists {
+		t.Error("CREATE INDEX did not create the index")
 	}
 	if _, err := st.SQL(""); err == nil {
 		t.Error("empty script accepted")
@@ -76,42 +107,41 @@ func TestSQLReturnsLastResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sqlInts(t, st, `
-		CREATE TABLE t (k INT);
-		INSERT INTO t VALUES (1), (2), (3);
-		SELECT COUNT(*) FROM t`); !slices.Equal(got, []int64{3}) {
-		t.Errorf("last result = %v, want [3]", got)
+	for _, name := range []string{"u1", "u2", "u3"} {
+		if _, err := st.AddUser(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, script := range []string{
+		"SELECT COUNT(*) FROM _d; SELECT COUNT(*) FROM Users",
+		"CREATE INDEX Users_n ON Users (name); SELECT COUNT(*) FROM Users",
+	} {
+		if got := sqlInts(t, st, script); !slices.Equal(got, []int64{3}) {
+			t.Errorf("%q: last result = %v, want [3]", script, got)
+		}
 	}
 }
 
-// TestSQLMultiStatementDMLAtomic: a script of plain DML commits as one
-// transaction — a failing statement rolls back the whole script — while a
-// script holding DDL runs statement by statement.
+// TestSQLMultiStatementDMLAtomic: a legacy script of plain DML replays as
+// one engine transaction — a failing statement rolls back the whole
+// script — while a legacy script holding DDL replays statement by
+// statement, exactly as both ran when they were journaled.
 func TestSQLMultiStatementDMLAtomic(t *testing.T) {
-	st, err := Open(crashRels())
+	dir := legacyWAL(t,
+		wal.SQL("INSERT INTO Users VALUES (1, 'a'); INSERT INTO Users VALUES (1, 'b')"),
+		wal.SQL("INSERT INTO Users VALUES (2, 'c'); INSERT INTO Users VALUES (3, 'd'); DELETE FROM Users WHERE uid = 2"),
+		wal.SQL("CREATE INDEX Users_n ON Users (name); INSERT INTO Users VALUES (4, 'e'); INSERT INTO Users VALUES (4, 'f')"),
+	)
+	st, err := OpenAt(dir, crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SQL("CREATE TABLE t (k INT PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	if got := sqlInts(t, st, "SELECT U.uid FROM Users U ORDER BY U.uid"); !slices.Equal(got, []int64{3, 4}) {
+		t.Errorf("Users rows = %v, want [3 4]", got)
 	}
-	if _, err := st.SQL("INSERT INTO t VALUES (1); INSERT INTO t VALUES (1)"); err == nil {
-		t.Fatal("duplicate key script should fail")
-	}
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM t"); got[0] != 0 {
-		t.Errorf("failed DML script left %d rows behind, want 0", got[0])
-	}
-	if _, err := st.SQL("INSERT INTO t VALUES (1); INSERT INTO t VALUES (2); DELETE FROM t WHERE k = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM t"); got[0] != 1 {
-		t.Errorf("count = %d, want 1", got[0])
-	}
-	if _, err := st.SQL("CREATE TABLE u (k INT PRIMARY KEY); INSERT INTO u VALUES (1); INSERT INTO u VALUES (1)"); err == nil {
-		t.Fatal("duplicate key should fail")
-	}
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM u"); got[0] != 1 {
-		t.Errorf("DDL script: u has %d rows, want 1 (statement by statement)", got[0])
+	if !findIndex(st, "Users", "Users_n").exists {
+		t.Error("the DDL script's index is missing")
 	}
 }
 
@@ -126,16 +156,19 @@ func TestSQLRefusesTransactionControl(t *testing.T) {
 		"BEGIN":    "BEGIN",
 		"COMMIT":   "COMMIT",
 		"ROLLBACK": "ROLLBACK",
-		"insert into Users values (50, 'ghost'); COMMIT":        "COMMIT",
+		"CREATE INDEX Users_n ON Users (name); COMMIT":          "COMMIT",
 		"BEGIN; insert into Users values (50, 'ghost'); COMMIT": "BEGIN",
 	} {
 		_, err := st.SQL(script)
-		if err == nil || !strings.Contains(err.Error(), kw+" refused: a script is one transaction") {
+		if err == nil || !strings.Contains(err.Error(), refusal(kw)) {
 			t.Errorf("SQL(%q) = %v, want %s refused", script, err, kw)
 		}
 	}
 	if got := sqlInts(t, st, "select U.uid from Users U"); len(got) != 0 {
 		t.Errorf("a refused script wrote users %v", got)
+	}
+	if findIndex(st, "Users", "Users_n").exists {
+		t.Error("a refused script created its index")
 	}
 }
 
@@ -179,20 +212,20 @@ func TestSQLReadersOverlapWriter(t *testing.T) {
 
 // TestSQLReadOnlyScriptsSkipWriterLock pins the statement routing: a script
 // of SELECTs runs on the pinned view, so it completes while another
-// goroutine holds the writer lock; a mutating script waits for it.
+// goroutine holds the writer lock; an index-creating script waits for it.
 func TestSQLReadOnlyScriptsSkipWriterLock(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SQL("CREATE TABLE t (k INT); INSERT INTO t VALUES (7)"); err != nil {
+	if _, err := st.AddUser("u1"); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
 	for _, q := range []string{
-		"SELECT k FROM t",
+		"SELECT D.wid FROM _d D",
 		"select U.name from Users U",
-		"SELECT COUNT(*) FROM t; SELECT k FROM t WHERE k = 7",
+		"SELECT COUNT(*) FROM _e; SELECT U.uid FROM Users U WHERE U.uid = 1",
 	} {
 		res := make(chan error, 1)
 		go func() {
@@ -211,54 +244,48 @@ func TestSQLReadOnlyScriptsSkipWriterLock(t *testing.T) {
 	}
 	write := make(chan error, 1)
 	go func() {
-		_, err := st.SQL("INSERT INTO t VALUES (8)")
+		_, err := st.SQL("SELECT COUNT(*) FROM Users; CREATE INDEX Users_n ON Users (name)")
 		write <- err
 	}()
 	select {
 	case err := <-write:
-		t.Errorf("a mutating script ran while the writer lock was held (err=%v)", err)
+		t.Errorf("an index-creating script ran while the writer lock was held (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	st.mu.Unlock()
 	if err := <-write; err != nil {
 		t.Fatal(err)
 	}
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM t"); got[0] != 2 {
-		t.Errorf("count = %d, want 2", got[0])
+	if !findIndex(st, "Users", "Users_n").exists {
+		t.Error("the index-creating script did not create its index")
 	}
 }
 
-// TestSQLReadersOverlap: a reader holding a pinned epoch blocks neither a
-// raw write nor the next reader, and keeps seeing its own epoch after the
-// write has published.
+// TestSQLReadersOverlap: a reader holding a pinned epoch blocks neither an
+// index-creating script nor the next reader, and keeps seeing its own
+// epoch after the script has published.
 func TestSQLReadersOverlap(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SQL("CREATE TABLE t (k INT PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
 	held := st.pin()
-	if _, err := st.SQL("INSERT INTO t VALUES (1), (2)"); err != nil {
+	if _, err := st.SQL("CREATE ORDERED INDEX S_v_e ON S_v (e)"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM t"); got[0] != 2 {
-		t.Errorf("a later reader sees %d rows, want 2", got[0])
+	if _, ok := st.pin().cat.Table("S_v").Indexes()["S_v_e"]; !ok {
+		t.Error("a later reader does not see the new index")
 	}
-	if n := held.cat.Table("t").Len(); n != 0 {
-		t.Errorf("the held epoch changed under its reader: %d rows, want 0", n)
+	if _, ok := held.cat.Table("S_v").Indexes()["S_v_e"]; ok {
+		t.Error("the held epoch changed under its reader: it sees the new index")
 	}
 }
 
-// TestSQLConcurrentQueries: many raw writers and readers at once all
-// succeed, and every write lands.
+// TestSQLConcurrentQueries: many index-creating scripts and readers at once
+// all succeed, and every index lands.
 func TestSQLConcurrentQueries(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.SQL("CREATE TABLE t (k INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -266,48 +293,48 @@ func TestSQLConcurrentQueries(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := st.SQL(fmt.Sprintf("INSERT INTO t VALUES (%d)", i)); err != nil {
+			if _, err := st.SQL(fmt.Sprintf("CREATE INDEX ix%d ON S_v (e)", i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
 		go func() {
 			defer wg.Done()
-			if _, err := st.SQL("SELECT COUNT(*) FROM t"); err != nil {
+			if _, err := st.SQL("SELECT COUNT(*) FROM S_v"); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := sqlInts(t, st, "SELECT COUNT(*) FROM t"); got[0] != 20 {
-		t.Errorf("count = %d, want 20", got[0])
+	for i := 0; i < 20; i++ {
+		if !findIndex(st, "S_v", fmt.Sprintf("ix%d", i)).exists {
+			t.Errorf("index ix%d missing", i)
+		}
 	}
 }
 
-// TestSQLDurable: on a durable store CREATE/DROP TABLE are refused — with
-// the rest of their script, before it is journaled — while CREATE INDEX and
-// DML are journaled and survive reopen.
+// TestSQLDurable: a durable store follows the one rule too — a refused
+// script journals nothing, while CREATE INDEX is journaled and survives
+// reopen.
 func TestSQLDurable(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenAt(dir, crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ddl := range []string{
-		"create table notes (x int)",
-		"drop table Users",
-		"insert into Users values (5, 'ok'); create table sneaky (x int)",
+	for script, kw := range map[string]string{
+		"create table notes (x int)": "CREATE TABLE",
+		"drop table Users":           "DROP TABLE",
+		"create index S_star_species on S_star (species); insert into Users values (5, 'ok')": "INSERT",
 	} {
-		if _, err := st.SQL(ddl); err == nil {
-			t.Errorf("durable SQL(%q) should be refused", ddl)
+		if _, err := st.SQL(script); err == nil || !strings.Contains(err.Error(), refusal(kw)) {
+			t.Errorf("durable SQL(%q) = %v, want %s refused", script, err, kw)
 		}
 	}
-	for _, q := range []string{
-		"create index S_star_species on S_star (species)",
-		"insert into Users values (7, 'raw')",
-	} {
-		if _, err := st.SQL(q); err != nil {
-			t.Fatal(err)
-		}
+	if st.walCount != 1 {
+		t.Errorf("refused scripts journaled: %d records, want the schema record alone", st.walCount)
+	}
+	if _, err := st.SQL("create index S_star_species on S_star (species)"); err != nil {
+		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -317,69 +344,27 @@ func TestSQLDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := sqlInts(t, re, "select U.uid from Users U"); !slices.Equal(got, []int64{7}) {
-		t.Errorf("users after reopen = %v, want [7]", got)
+	if got := sqlInts(t, re, "select U.uid from Users U"); len(got) != 0 {
+		t.Errorf("users after reopen = %v, want none", got)
 	}
 	if !findIndex(re, "S_star", "S_star_species").exists {
 		t.Error("journaled CREATE INDEX lost across reopen")
 	}
 }
 
-// TestAddUserSkipsRawSQLUids: a uid raw SQL already took is skipped before
-// AddUser journals, so the call succeeds and the WAL holds no AddUser that
-// fails on replay.
-func TestAddUserSkipsRawSQLUids(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.AddUser("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.SQL("insert into Users values (2, 'ghost')"); err != nil {
-		t.Fatal(err)
-	}
-	if uid, err := st.AddUser("bob"); err != nil || uid != 3 {
-		t.Fatalf("AddUser(bob) = %d, %v; want uid 3", uid, err)
-	}
-	if uid, err := st.AddUser("carol"); err != nil || uid != 4 {
-		t.Fatalf("AddUser(carol) = %d, %v; want uid 4", uid, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var journaled []string
-	for _, op := range journal(t, dir) {
-		if op.Kind == wal.KindAddUser {
-			journaled = append(journaled, op.Name)
-		}
-	}
-	re, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, name := range journaled {
-		if _, ok := re.UserID(name); !ok {
-			t.Errorf("journaled AddUser(%s) failed on replay", name)
-		}
-	}
-	if uid, _ := re.UserID("bob"); uid != 3 || len(journaled) != 3 {
-		t.Errorf("after replay bob = %d with AddUser records %v; want uid 3 and 3 records", uid, journaled)
-	}
-}
-
 // TestLegacyTxnWALReplay replays testdata/legacy_txn, written before raw
 // SQL refused BEGIN/COMMIT/ROLLBACK: the committed spans apply, the
-// rolled-back span and the span left open at close do not, and the store
-// serves its users, takes beliefs and checkpoints afterwards.
+// rolled-back span and the span left open at close do not, the upgraded
+// WAL holds no legacy record, and the store serves its users, takes
+// beliefs and checkpoints afterwards.
 func TestLegacyTxnWALReplay(t *testing.T) {
 	dir := copyFixture(t, "legacy_txn")
 	st, err := OpenAt(dir, crashRels())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ops := journal(t, dir); len(ops) != 0 {
+		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
 	}
 	check := func(st *Store, label string, users []core.UserID, rawUids []int64, statements int) {
 		t.Helper()
@@ -438,9 +423,6 @@ func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
 	if _, err := st.Insert(stmt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SQL("insert into Users values (40, 'raw')"); err != nil {
-		t.Fatal(err)
-	}
 	if uid, err := st.AddUser("u2"); err != nil || uid != 2 {
 		t.Fatalf("AddUser(u2) = %d, %v; want uid 2", uid, err)
 	}
@@ -455,7 +437,7 @@ func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
 		if ok, err := re.Entails(stmt.Path, stmt.Tuple, core.Pos); err != nil || !ok {
 			t.Errorf("reopen %d: belief written after recovery lost (ok=%v, err=%v)", i, ok, err)
 		}
-		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 10, 11, 12, 13, 40}) {
+		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 10, 11, 12, 13}) {
 			t.Errorf("reopen %d: Users rows = %v", i, got)
 		}
 		if got := re.Users(); !slices.Equal(got, []core.UserID{1, 2}) {
@@ -467,24 +449,75 @@ func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestApplyReplicatedRefusesTransactionControl: only a primary older than
-// the refusal ships a transaction-control record; a replica refuses it with
-// a structural error and applies nothing of it, and plain raw SQL still
-// replicates.
-func TestApplyReplicatedRefusesTransactionControl(t *testing.T) {
+// TestLegacyUidReplay: a log written before AddUser skipped uids that raw
+// SQL had taken replays as that binary decided it — the AddUser that hit
+// the raw Users row failed and burned its uid, so the next user got the one
+// after — and the upgrade step checkpoints the legacy record away.
+func TestLegacyUidReplay(t *testing.T) {
+	dir := legacyWAL(t,
+		wal.AddUser("alice"),
+		wal.SQL("insert into Users values (2, 'ghost')"),
+		wal.AddUser("bob"),
+		wal.AddUser("carol"),
+	)
+	st, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if uid, ok := st.UserID("bob"); ok {
+		t.Errorf("bob replayed as uid %d, want the AddUser to fail as it did", uid)
+	}
+	if uid, ok := st.UserID("carol"); !ok || uid != 3 {
+		t.Errorf("carol = %d (registered %v), want uid 3", uid, ok)
+	}
+	if got := sqlInts(t, st, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Errorf("Users rows = %v, want [1 2 3]", got)
+	}
+	if ops := journal(t, dir); len(ops) != 0 {
+		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
+	}
+	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName)); err != nil {
+		t.Errorf("the upgrade step wrote no snapshot: %v", err)
+	}
+}
+
+// TestApplyReplicatedRefusesLegacyRecords: only a primary whose log an
+// earlier version wrote ships a legacy record — raw-SQL DML, transaction
+// control, a bare statement record. A replica refuses each with a
+// structural error naming the remedy and applies nothing of it, and index
+// DDL still replicates.
+func TestApplyReplicatedRefusesLegacyRecords(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, text := range []string{"BEGIN", "insert into Users values (8, 'x'); COMMIT"} {
-		if err := st.ApplyReplicated(wal.SQL(text)); err == nil {
-			t.Errorf("ApplyReplicated(SQL %q) succeeded", text)
-		}
-	}
-	if err := st.ApplyReplicated(wal.SQL("insert into Users values (9, 'r')")); err != nil {
+	if _, err := st.AddUser("u1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sqlInts(t, st, "select U.uid from Users U"); !slices.Equal(got, []int64{9}) {
-		t.Errorf("replicated Users rows = %v, want [9]", got)
+	stmt := crashStmt(nil, core.Pos, "S", "k1", "x")
+	for _, op := range []wal.Op{
+		wal.SQL("insert into Users values (8, 'x')"),
+		wal.SQL("BEGIN"),
+		wal.SQL("create index Users_n on Users (name); COMMIT"),
+		wal.Insert(stmt),
+		wal.Delete(stmt),
+		wal.Replace(stmt, stmt.Tuple.Vals),
+	} {
+		if err := st.ApplyReplicated(op); err == nil || !strings.Contains(err.Error(), "checkpoint the primary") {
+			t.Errorf("ApplyReplicated(%s) = %v, want a refusal naming the checkpoint", op, err)
+		}
+	}
+	if got := sqlInts(t, st, "select U.uid from Users U"); !slices.Equal(got, []int64{1}) {
+		t.Errorf("replicated Users rows = %v, want [1]", got)
+	}
+	if st.Len() != 0 || findIndex(st, "Users", "Users_n").exists {
+		t.Errorf("a refused record applied: %d statements, index %v", st.Len(), findIndex(st, "Users", "Users_n"))
+	}
+	if err := st.ApplyReplicated(wal.SQL("create index Users_n on Users (name)")); err != nil {
+		t.Fatal(err)
+	}
+	if !findIndex(st, "Users", "Users_n").exists {
+		t.Error("replicated index DDL did not create the index")
 	}
 }

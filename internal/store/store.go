@@ -65,8 +65,8 @@ type relInfo struct {
 // catalog: nothing else holds the catalog, its writer lock or its
 // publication. It is safe for concurrent use under the single-writer /
 // snapshot-reader (MVCC) model: the update algorithms (Insert/Delete/
-// Replace, AddUser, Rebuild, Vacuum, the batch paths) and mutating raw SQL
-// (SQL) hold the exclusive writer lock and, on completion, publish an
+// Replace, AddUser, Rebuild, Vacuum, the batch paths) and raw-SQL index
+// DDL (SQL) hold the exclusive writer lock and, on completion, publish an
 // immutable view of the whole representation through an atomic pointer
 // swap. Read methods (WorldContent, Entails, ExplicitStatements, Stats, user
 // lookups) and read-only SQL — translated BeliefSQL SELECTs included — pin
@@ -298,20 +298,11 @@ func (st *Store) AddUser(name string) (core.UserID, error) {
 	if _, dup := st.usersByName[name]; dup {
 		return 0, fmt.Errorf("store: user %q already exists", name)
 	}
-	// Raw SQL may already have taken uids in Users; skip them before
-	// journaling, so the record cannot fail on replay (which re-runs the
-	// raw insert first and skips the same uids).
-	uid := core.UserID(st.nextUID)
-	for {
-		if _, taken := st.usersTable.LookupPK(val.Int(int64(uid))); !taken {
-			break
-		}
-		uid++
-	}
 	if err := st.logOp(wal.AddUser(name)); err != nil {
 		return 0, err
 	}
-	st.nextUID = int64(uid) + 1
+	uid := core.UserID(st.nextUID)
+	st.nextUID++
 	if _, err := st.usersTable.Insert([]val.Value{val.Int(int64(uid)), val.Str(name)}); err != nil {
 		return 0, err
 	}
