@@ -35,10 +35,10 @@
 // Open keeps the database in memory. OpenAt persists it under a directory:
 // every mutation is appended to a CRC-checksummed write-ahead log and
 // fsynced before it is acknowledged,
-// Checkpoint compacts the log into an atomically-replaced snapshot, and
-// reopening the directory recovers the exact committed state — loading the
-// snapshot, replaying the WAL tail, and truncating at the first torn
-// record. Close ends a durable session; afterwards mutations fail while
+// Checkpoint compacts the log into an atomically-replaced snapshot of the
+// users and explicit statements, and reopening the directory recovers the
+// committed belief database — loading the snapshot through the commit
+// path, replaying the WAL tail, and truncating at the first torn record. Close ends a durable session; afterwards mutations fail while
 // reads keep serving the in-memory state. See the Durability section of
 // DESIGN.md for the formats and the recovery algorithm.
 package beliefdb
@@ -217,8 +217,8 @@ func Open(schema Schema) (*DB, error) {
 // Rebuild, Vacuum, and raw-SQL writes through SQL) is appended to a
 // write-ahead log and fsynced before it is acknowledged; Checkpoint
 // compacts the log into a snapshot. Reopening the directory recovers the
-// exact committed state: the latest snapshot is loaded and the WAL tail
-// replayed, truncating at the first torn record (see the Durability
+// committed state: the latest snapshot's statements are loaded and the
+// WAL tail replayed, truncating at the first torn record (see the Durability
 // section of DESIGN.md). The schema must match the one the directory was
 // created with. A directory is exclusive to one open handle at a time,
 // enforced by an advisory lock (dir/LOCK) that dies with the process.
@@ -239,9 +239,12 @@ func (db *DB) Durable() bool { return db.st.Durable() }
 // error matching ErrDegraded.
 func (db *DB) Degraded() bool { return db.st.Degraded() }
 
-// Checkpoint writes a snapshot of the internal representation and
-// truncates the write-ahead log, bounding recovery time. It is an error on
-// an in-memory database.
+// Checkpoint writes a snapshot of the belief database — users and explicit
+// statements — and truncates the write-ahead log, bounding recovery time.
+// Reopening rebuilds the representation from the snapshot, so the reopened
+// database equals this one after Rebuild: the same statements and worlds,
+// without the states and tuples deletes left unsupported. It is an error
+// on an in-memory database.
 func (db *DB) Checkpoint() error { return db.st.Checkpoint() }
 
 // Close flushes and closes the write-ahead log of a durable database.

@@ -167,6 +167,9 @@ func TestCheckpointTruncatesWALAndRecovers(t *testing.T) {
 	}
 
 	ref, _, _, _ := openExample(t)
+	if err := ref.Rebuild(); err != nil { // where the durable side checkpointed
+		t.Fatal(err)
+	}
 	if _, err := ref.Exec(`insert into BELIEF 'Carol' not Sightings values ('s2','Alice','crow','6-14-08','Lake Placid')`); err != nil {
 		t.Fatal(err)
 	}

@@ -88,3 +88,19 @@ type Statement struct {
 func (st Statement) String() string {
 	return fmt.Sprintf("%s%s%s", st.Path.Modal(), st.Tuple, st.Sign)
 }
+
+// StatementLess is the canonical statement order: shallower paths first,
+// then path key, tuple identity, and positive before negative. Loading
+// statements in this order creates every world after its suffixes.
+func StatementLess(a, b Statement) bool {
+	if !a.Path.Equal(b.Path) {
+		if len(a.Path) != len(b.Path) {
+			return len(a.Path) < len(b.Path)
+		}
+		return a.Path.Key() < b.Path.Key()
+	}
+	if a.Tuple.ID() != b.Tuple.ID() {
+		return a.Tuple.ID() < b.Tuple.ID()
+	}
+	return a.Sign > b.Sign
+}

@@ -11,6 +11,7 @@ package replication
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -234,12 +235,17 @@ func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	}
 }
 
-// Fingerprint renders a database's externally visible state — users,
-// explicit statements, representation sizes, and every registered user's
-// materialized belief world — in a canonical order, so two handles with
-// equal fingerprints are equal on the whole public read surface. Line
-// order is normalized: a replica seeded from a snapshot scans in canonical
-// order while the primary scans in insertion order.
+// Fingerprint renders a database's logical state — users, explicit
+// statements, n and m, and the materialized belief world at the root, at
+// every registered user and at every path (and path prefix) carrying a
+// statement — in a canonical order, so two handles with equal
+// fingerprints hold the same belief database. |R*| and N are left out on
+// purpose: a replica bootstrapped from an image holds the representation
+// the commit path derives from the image's statements, which is the
+// primary's after Rebuild — the same worlds without the states and tuples
+// the primary's deletes left unsupported. Line order is normalized: a
+// replica seeded from a snapshot scans in canonical order while the
+// primary scans in insertion order.
 func Fingerprint(db *beliefdb.DB) (string, error) {
 	dump, err := db.Dump()
 	if err != nil {
@@ -249,11 +255,24 @@ func Fingerprint(db *beliefdb.DB) (string, error) {
 	slices.Sort(lines)
 	st := db.Stats()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "stats %+v\n", st)
+	fmt.Fprintf(&sb, "n=%d m=%d\n", st.Annotations, st.Users)
 	sb.WriteString(strings.Join(lines, "\n"))
 	sb.WriteString("\n")
+	paths := map[string]beliefdb.Path{"[]": {}}
 	for _, uid := range db.Users() {
-		entries, err := db.World(beliefdb.Path{uid})
+		paths[fmt.Sprint(beliefdb.Path{uid})] = beliefdb.Path{uid}
+	}
+	stmts, err := db.Statements()
+	if err != nil {
+		return "", err
+	}
+	for _, s := range stmts {
+		for i := 1; i <= len(s.Path); i++ {
+			paths[fmt.Sprint(s.Path[:i])] = s.Path[:i]
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(paths)) {
+		entries, err := db.World(paths[key])
 		if err != nil {
 			return "", err
 		}
@@ -262,7 +281,7 @@ func Fingerprint(db *beliefdb.DB) (string, error) {
 			rendered[i] = fmt.Sprintf("%v", e)
 		}
 		slices.Sort(rendered)
-		fmt.Fprintf(&sb, "world %d: %s\n", uid, strings.Join(rendered, " | "))
+		fmt.Fprintf(&sb, "world %s: %s\n", key, strings.Join(rendered, " | "))
 	}
 	return sb.String(), nil
 }

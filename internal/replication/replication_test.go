@@ -496,3 +496,50 @@ func TestReplicaServesExplain(t *testing.T) {
 		t.Fatalf("routed EXPLAIN fell back to the primary %d times", n)
 	}
 }
+
+// TestImageBootstrapThenRebuildAgrees: a snapshot holds the belief
+// database, so a replica bootstrapped from the primary's image after
+// deletes holds the same statements and worlds in fewer rows and states —
+// the primary's representation after Rebuild, which is why Fingerprint
+// leaves |R*| and N out. A Rebuild on the primary is journaled and shipped
+// like any write, and afterwards the full Stats agree too.
+func TestImageBootstrapThenRebuildAgrees(t *testing.T) {
+	c := startCluster(t, Config{Replicas: 1})
+	db := c.PrimaryDB()
+	for _, u := range []string{"u1", "u2"} {
+		if _, err := db.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.ExecScript(`
+		insert into R values ('k1','x');
+		insert into BELIEF 'u1' BELIEF 'u2' R values ('k2','y');
+		insert into BELIEF 'u2' not R values ('k1','x');
+		delete from BELIEF 'u1' BELIEF 'u2' R where R.k = 'k2';
+	`); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint rotates the epoch: the follower resyncs from an image.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecScript(`insert into BELIEF 'u1' R values ('k3','z');`); err != nil {
+		t.Fatal(err)
+	}
+	mustConverge(t, c)
+	if n := c.Follower(0).Resyncs(); n < 1 {
+		t.Fatalf("replica took %d snapshot resyncs, want a bootstrap from the image", n)
+	}
+	primary, replica := db.Stats(), c.ReplicaDB(0).Stats()
+	if replica.States >= primary.States || replica.TotalRows >= primary.TotalRows {
+		t.Fatalf("replica bootstrapped from the image holds as much as the primary:\nprimary %sreplica %s", primary, replica)
+	}
+
+	if err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	mustConverge(t, c)
+	if p, r := db.Stats().String(), c.ReplicaDB(0).Stats().String(); p != r {
+		t.Errorf("after a journaled Rebuild the Stats still differ:\nprimary %sreplica %s", p, r)
+	}
+}

@@ -489,7 +489,9 @@ func (f *Follower) resetPending() {
 // directory is rewritten — WAL first removed so the snapshot's epoch can
 // never meet a stale log — and a freshly recovered handle is swapped in.
 func (f *Follower) handleSnapshot(r *wire.Reader, begin wire.Msg) error {
-	data := make([]byte, 0, begin.Affected)
+	// The declared size is the peer's word: chunks are appended as they
+	// arrive, and the overrun check below bounds the buffer by it.
+	var data []byte
 	for {
 		msg, err := r.Read()
 		if err != nil {
@@ -536,21 +538,22 @@ func (f *Follower) handleSnapshot(r *wire.Reader, begin wire.Msg) error {
 	if err := snapshot.WriteFile(filepath.Join(f.dir, store.SnapshotFileName), m); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	f.epoch, f.pos = m.WalEpoch, m.WalApplied
-	f.mu.Unlock()
-	f.streamPos = m.WalApplied
-	f.resetPending()
-	if err := f.saveCursor(); err != nil {
-		return err
-	}
+	// Swap the loaded handle in (and count the resync) before the cursor
+	// moves: a cursor at the image's position must never front a handle
+	// that does not hold it. A crash before the cursor is saved leaves the
+	// old cursor, whose epoch forces another resync.
 	db, err := beliefdb.OpenAt(f.dir, f.schema)
 	if err != nil {
 		return err
 	}
 	f.srv.db.Store(db)
 	f.resyncs.Add(1)
-	return nil
+	f.mu.Lock()
+	f.epoch, f.pos = m.WalEpoch, m.WalApplied
+	f.mu.Unlock()
+	f.streamPos = m.WalApplied
+	f.resetPending()
+	return f.saveCursor()
 }
 
 // loadCursor reads the persisted replication cursor; a missing file means

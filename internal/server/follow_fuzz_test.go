@@ -9,6 +9,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -133,6 +134,7 @@ func FuzzFollowWAL(f *testing.F) {
 	mangled[len(mangled)-5] ^= 0xff // flipped record payload byte
 	f.Add(mangled)
 	f.Add(group(wal.SQL("INSERT INTO R_star VALUES (1, 'g', 'h')"))) // raw DML
+	f.Add(lyingSnapshotSize)
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		// One session against the arbitrary stream: errors are expected
@@ -151,6 +153,23 @@ func FuzzFollowWAL(f *testing.F) {
 		}
 		_, _ = srv.DB().Dump()
 	})
+}
+
+// lyingSnapshotSize announces a snapshot no machine could hold and ends it
+// at once. Frame CRCs keep the fuzzer from mutating Affected, so the
+// stream is a seed of its own.
+var lyingSnapshotSize = append(
+	wire.AppendFrame(nil, wire.Msg{Kind: wire.KindSnapBegin, Affected: 1 << 62}),
+	wire.AppendFrame(nil, wire.Msg{Kind: wire.KindSnapEnd})...)
+
+// TestFollowLyingSnapshotSize: the follower takes a snapshot's declared
+// size as a bound, not as an allocation — a primary announcing 2^62 bytes
+// and sending none ends the session with an error instead of panicking.
+func TestFollowLyingSnapshotSize(t *testing.T) {
+	_, err := followFake(t, wire.ServerHello("lying-primary"), lyingSnapshotSize)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("ended at 0 of %d declared bytes", uint64(1)<<62)) {
+		t.Errorf("follow session: err = %v, want the short-stream error", err)
+	}
 }
 
 // followFake runs one follow session of a fresh replica (configured with

@@ -1,9 +1,9 @@
 package snapshot
 
-// Golden-file test pinning the snapshot binary format. The committed
-// fixture makes any encoding change fail loudly, forcing a format-version
+// Golden-file tests pinning the snapshot binary format. The committed
+// fixtures make any encoding change fail loudly, forcing a format-version
 // bump instead of silently corrupting existing snapshot files. Regenerate
-// with:
+// the current version's fixture with:
 //
 //	go test ./internal/snapshot -run TestGoldenSnapshot -update
 
@@ -18,7 +18,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-const goldenSnap = "testdata/v2.snap"
+const goldenSnap = "testdata/v3.snap"
 
 func TestGoldenSnapshot(t *testing.T) {
 	img := sampleModel().Encode()
@@ -60,24 +60,34 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 }
 
-// TestGoldenSnapshotV1 pins backward compatibility: a version-1 image (no
-// index section) written before the v2 bump keeps decoding, with Indexes
-// empty. The fixture is frozen — it must never be regenerated.
+// TestGoldenSnapshotV1 and TestGoldenSnapshotV2 pin backward
+// compatibility with the images that recorded every row of the
+// representation: version 1 (no index section) and version 2 (with one).
+// Both decode to sampleModel's explicit statements — the R_v rows with
+// e = 'y', their paths and tuples resolved — and drop the rest, including
+// the raw-SQL-only user row 77 and world 9. The fixtures are frozen: no code
+// in this tree writes them any more, and they must never be regenerated.
 func TestGoldenSnapshotV1(t *testing.T) {
-	want, err := os.ReadFile("testdata/v1.snap")
+	want := sampleModel()
+	want.Indexes = nil
+	checkRowImage(t, "testdata/v1.snap", want)
+}
+
+func TestGoldenSnapshotV2(t *testing.T) {
+	checkRowImage(t, "testdata/v2.snap", sampleModel())
+}
+
+func checkRowImage(t *testing.T, file string, want *Model) {
+	t.Helper()
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(want)
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Indexes) != 0 {
-		t.Errorf("v1 image decoded with %d index defs, want 0", len(got.Indexes))
-	}
-	wantModel := sampleModel()
-	wantModel.Indexes = nil
-	if !reflect.DeepEqual(got, wantModel) {
-		t.Errorf("v1 fixture decodes to a different model:\ngot %+v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s decodes to a different model:\ngot  %+v\nwant %+v", file, got, want)
 	}
 }

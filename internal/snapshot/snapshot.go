@@ -1,27 +1,38 @@
-// Package snapshot serializes the belief store's relational representation
-// — the engine tables Users, _e, _d, _s, R_star and R_v plus the store's
-// catalog state (user maps, world paths, id counters) — to a compact binary
-// image, and loads it back. Together with the write-ahead log
-// (internal/wal) it forms the durability subsystem: a checkpoint writes a
-// snapshot and truncates the WAL; recovery loads the snapshot and replays
-// the WAL tail.
+// Package snapshot serializes a belief database — its relation definitions,
+// its users and its explicit belief statements — to a compact binary image,
+// and loads it back. Together with the write-ahead log (internal/wal) it
+// forms the durability subsystem: a checkpoint writes a snapshot and
+// truncates the WAL; recovery loads the snapshot and replays the WAL tail.
 //
-// # File layout (version 2)
+// The image holds the belief database, not its relational representation.
+// The representation (R*, V, E, D, S) is the canonical Kripke structure's
+// encoding and a function of the statements and the users, so the store
+// rebuilds it on load by committing the statements through its update
+// algorithms; world ids, tuple ids and unsupported states are not recorded.
+//
+// # File layout (version 3)
 //
 //	offset 0  magic   "BDBSNAP\x00" (8 bytes)
 //	offset 8  version 1 byte
-//	offset 9  body    varint/length-prefixed sections, see Encode
+//	offset 9  body    sections in this order:
+//	            WalEpoch (8 bytes LE), WalApplied (uvarint)
+//	            NextUID (varint)
+//	            users       count, then (uid varint, name string) each
+//	            relations   count, then (name, column count, (name, kind byte)...)
+//	            statements  count, then each in the WAL's statement encoding
+//	            indexes     count, then (table, name, ordered, column names)
 //	tail      CRC-32C 4 bytes little-endian over version + body
 //
-// Version 2 appends an index-definition section after the relations: the
-// secondary indexes (hash or ordered) present on every internal table, so
-// user-created indexes survive a checkpoint. Version 1 images (no index
-// section) still decode, with Indexes empty.
+// Statements are written in the store's canonical order (core.StatementLess:
+// shallower paths first), which is the order loading commits them in. A
+// model has exactly one encoding: Decode refuses any byte string that Encode
+// would not produce for the model it decodes to.
 //
-// The body is written in a canonical order (users by uid, worlds by wid,
-// edges by (wid, uid), tuples by tid, valuations by (wid, tid, sign)), so
-// encoding the same logical store always yields the same bytes — which is
-// what lets the golden-file tests pin the format.
+// Versions 1 and 2 recorded every row of the representation; Decode still
+// reads them and keeps only what version 3 holds — the explicit statements
+// are the R_v rows with e = 'y', their paths taken from the world-path
+// section and their tuples from R_star — so the store sees one model shape.
+// A version-1/2 header flagging the removed lazy representation is refused.
 //
 // Values use the same tagged encoding as WAL op payloads. Snapshots are
 // written to a temporary file and atomically renamed into place, so a crash
@@ -30,9 +41,12 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
+	"beliefdb/internal/core"
 	"beliefdb/internal/val"
 	"beliefdb/internal/wal"
 )
@@ -41,7 +55,7 @@ import (
 // then be rejected loudly (see the golden-file tests).
 const (
 	Magic   = "BDBSNAP\x00"
-	Version = 2
+	Version = 3
 )
 
 // Column is one attribute of an external relation, as recorded in the
@@ -57,47 +71,10 @@ type Relation struct {
 	Columns []Column
 }
 
-// User is one (uid, name) pair — used both for physical Users rows and for
-// the store's logical user catalog.
+// User is one registered user: (uid, name).
 type User struct {
 	UID  int64
 	Name string
-}
-
-// DRow is one physical _d row (world id, depth).
-type DRow struct {
-	Wid, Depth int64
-}
-
-// SRow is one physical _s row (world id, suffix-link world id).
-type SRow struct {
-	Wid1, Wid2 int64
-}
-
-// PathEntry is one entry of the store's logical world-path cache
-// (pathByWid): the belief path a world id stands for.
-type PathEntry struct {
-	Wid  int64
-	Path []int64
-}
-
-// Edge is one physical _e row.
-type Edge struct {
-	Wid1, UID, Wid2 int64
-}
-
-// StarRow is one R_star row: the ground tuple under its internal key.
-type StarRow struct {
-	Tid  int64
-	Vals []val.Value // external columns, key first (without the tid column)
-}
-
-// VRow is one R_v row.
-type VRow struct {
-	Wid, Tid int64
-	Key      val.Value
-	Sign     string // "+" or "-"
-	Expl     string // "y" or "n"
 }
 
 // IndexDef is one secondary index on an internal table, recorded by name so
@@ -109,19 +86,9 @@ type IndexDef struct {
 	Ordered bool     // B-tree shape (range scans) vs hash shape
 }
 
-// RelData is the definition plus contents of one belief relation.
-type RelData struct {
-	Def  Relation
-	Star []StarRow
-	V    []VRow
-}
-
-// Model is the full image of a store: the physical contents of every
-// internal table (UserRows, DRows, SRows, Edges, Rels) plus the store's
-// logical catalogs (Users, Paths) and id counters. Physical and logical
-// state are recorded separately because a legacy log's raw-SQL writes can
-// make them diverge (a row inserted into Users by SQL is not a registered
-// community member), and recovery must reproduce both sides exactly.
+// Model is the content of an image: the belief database (relations, users,
+// explicit statements), the secondary-index definitions, and the WAL
+// position the image covers.
 //
 // WalEpoch/WalApplied record which WAL prefix the snapshot already covers:
 // the epoch of the WAL file at snapshot time and the number of its records
@@ -130,25 +97,17 @@ type RelData struct {
 // fresh epoch and replays from its start (see the Durability section of
 // DESIGN.md).
 type Model struct {
-	Lazy       bool // decode-only, see wal.SchemaDef.Lazy
 	WalEpoch   uint64
 	WalApplied uint64
-	NextUID    int64
-	NextWid    int64
-	NextTid    int64
-	N          int64 // number of explicit belief statements
-	UserRows   []User
-	DRows      []DRow
-	SRows      []SRow
-	Edges      []Edge
-	Users      []User // logical user catalog
-	Paths      []PathEntry
-	Rels       []RelData
-	Indexes    []IndexDef // canonical order: table order, then name
+	NextUID    int64            // the uid the next registered user gets
+	Users      []User           // ascending uid
+	Rels       []Relation       // schema order
+	Statements []core.Statement // canonical order (core.StatementLess)
+	Indexes    []IndexDef       // canonical order: table order, then name
 }
 
-// All primitive encoding (strings, bools, tagged values) goes through
-// wal.AppendString/AppendBool/AppendValue, and decoding through
+// All primitive encoding (strings, bools, tagged values, statements) goes
+// through the wal package's Append* functions, and decoding through
 // wal.Reader — one definition of the byte vocabulary for both formats.
 
 // Encode renders the model as a complete snapshot image (header, body,
@@ -157,73 +116,27 @@ func (m *Model) Encode() []byte {
 	dst := []byte(Magic)
 	body := []byte{Version}
 
-	body = wal.AppendBool(body, m.Lazy)
 	body = binary.LittleEndian.AppendUint64(body, m.WalEpoch)
 	body = binary.AppendUvarint(body, m.WalApplied)
 	body = binary.AppendVarint(body, m.NextUID)
-	body = binary.AppendVarint(body, m.NextWid)
-	body = binary.AppendVarint(body, m.NextTid)
-	body = binary.AppendVarint(body, m.N)
-
-	appendUsers := func(us []User) {
-		body = binary.AppendUvarint(body, uint64(len(us)))
-		for _, u := range us {
-			body = binary.AppendVarint(body, u.UID)
-			body = wal.AppendString(body, u.Name)
-		}
-	}
-	appendUsers(m.UserRows)
-	body = binary.AppendUvarint(body, uint64(len(m.DRows)))
-	for _, d := range m.DRows {
-		body = binary.AppendVarint(body, d.Wid)
-		body = binary.AppendVarint(body, d.Depth)
-	}
-	body = binary.AppendUvarint(body, uint64(len(m.SRows)))
-	for _, s := range m.SRows {
-		body = binary.AppendVarint(body, s.Wid1)
-		body = binary.AppendVarint(body, s.Wid2)
-	}
-	body = binary.AppendUvarint(body, uint64(len(m.Edges)))
-	for _, e := range m.Edges {
-		body = binary.AppendVarint(body, e.Wid1)
-		body = binary.AppendVarint(body, e.UID)
-		body = binary.AppendVarint(body, e.Wid2)
-	}
-	appendUsers(m.Users)
-	body = binary.AppendUvarint(body, uint64(len(m.Paths)))
-	for _, p := range m.Paths {
-		body = binary.AppendVarint(body, p.Wid)
-		body = binary.AppendUvarint(body, uint64(len(p.Path)))
-		for _, u := range p.Path {
-			body = binary.AppendVarint(body, u)
-		}
+	body = binary.AppendUvarint(body, uint64(len(m.Users)))
+	for _, u := range m.Users {
+		body = binary.AppendVarint(body, u.UID)
+		body = wal.AppendString(body, u.Name)
 	}
 	body = binary.AppendUvarint(body, uint64(len(m.Rels)))
 	for _, r := range m.Rels {
-		body = wal.AppendString(body, r.Def.Name)
-		body = binary.AppendUvarint(body, uint64(len(r.Def.Columns)))
-		for _, c := range r.Def.Columns {
+		body = wal.AppendString(body, r.Name)
+		body = binary.AppendUvarint(body, uint64(len(r.Columns)))
+		for _, c := range r.Columns {
 			body = wal.AppendString(body, c.Name)
 			body = append(body, byte(c.Kind))
 		}
-		body = binary.AppendUvarint(body, uint64(len(r.Star)))
-		for _, s := range r.Star {
-			body = binary.AppendVarint(body, s.Tid)
-			body = binary.AppendUvarint(body, uint64(len(s.Vals)))
-			for _, v := range s.Vals {
-				body = wal.AppendValue(body, v)
-			}
-		}
-		body = binary.AppendUvarint(body, uint64(len(r.V)))
-		for _, v := range r.V {
-			body = binary.AppendVarint(body, v.Wid)
-			body = binary.AppendVarint(body, v.Tid)
-			body = wal.AppendValue(body, v.Key)
-			body = wal.AppendString(body, v.Sign)
-			body = wal.AppendString(body, v.Expl)
-		}
 	}
-
+	body = binary.AppendUvarint(body, uint64(len(m.Statements)))
+	for _, s := range m.Statements {
+		body = wal.AppendStatement(body, s)
+	}
 	body = binary.AppendUvarint(body, uint64(len(m.Indexes)))
 	for _, ix := range m.Indexes {
 		body = wal.AppendString(body, ix.Table)
@@ -240,6 +153,8 @@ func (m *Model) Encode() []byte {
 }
 
 // Decode parses a snapshot image, verifying magic, version, and checksum.
+// Version 1 and 2 images decode to the version-3 model of their explicit
+// statements.
 func Decode(data []byte) (*Model, error) {
 	if len(data) < len(Magic)+1+4 {
 		return nil, fmt.Errorf("snapshot: image too short (%d bytes)", len(data))
@@ -252,93 +167,144 @@ func Decode(data []byte) (*Model, error) {
 	if wal.Checksum(body) != sum {
 		return nil, fmt.Errorf("snapshot: checksum mismatch (corrupt image)")
 	}
-	ver := body[0]
-	if ver != Version && ver != 1 {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: 1..%d)", ver, Version)
-	}
-
 	d := wal.NewReader(body[1:])
-	m := &Model{}
-	m.Lazy = d.Bool()
-	m.WalEpoch = d.U64()
-	m.WalApplied = d.Uvarint()
-	m.NextUID = d.Varint()
-	m.NextWid = d.Varint()
-	m.NextTid = d.Varint()
-	m.N = d.Varint()
-
-	users := func() []User {
-		n := d.Count(2)
-		var out []User
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			out = append(out, User{UID: d.Varint(), Name: d.Str()})
+	var m *Model
+	switch ver := body[0]; ver {
+	case Version:
+		m = decodeV3(d)
+	case 1, 2:
+		var err error
+		if m, err = decodeRows(d, ver); err != nil {
+			return nil, err
 		}
-		return out
-	}
-	m.UserRows = users()
-	nD := d.Count(2)
-	for i := uint64(0); i < nD && d.Err() == nil; i++ {
-		m.DRows = append(m.DRows, DRow{Wid: d.Varint(), Depth: d.Varint()})
-	}
-	nS := d.Count(2)
-	for i := uint64(0); i < nS && d.Err() == nil; i++ {
-		m.SRows = append(m.SRows, SRow{Wid1: d.Varint(), Wid2: d.Varint()})
-	}
-	nEdges := d.Count(3)
-	for i := uint64(0); i < nEdges && d.Err() == nil; i++ {
-		m.Edges = append(m.Edges, Edge{Wid1: d.Varint(), UID: d.Varint(), Wid2: d.Varint()})
-	}
-	m.Users = users()
-	nPaths := d.Count(2)
-	for i := uint64(0); i < nPaths && d.Err() == nil; i++ {
-		p := PathEntry{Wid: d.Varint()}
-		np := d.Count(1)
-		for j := uint64(0); j < np && d.Err() == nil; j++ {
-			p.Path = append(p.Path, d.Varint())
-		}
-		m.Paths = append(m.Paths, p)
-	}
-	nRels := d.Count(3)
-	for i := uint64(0); i < nRels && d.Err() == nil; i++ {
-		var r RelData
-		r.Def.Name = d.Str()
-		nCols := d.Count(2)
-		for j := uint64(0); j < nCols && d.Err() == nil; j++ {
-			r.Def.Columns = append(r.Def.Columns, Column{Name: d.Str(), Kind: val.Kind(d.Byte())})
-		}
-		nStar := d.Count(2)
-		for j := uint64(0); j < nStar && d.Err() == nil; j++ {
-			s := StarRow{Tid: d.Varint()}
-			nv := d.Count(1)
-			for k := uint64(0); k < nv && d.Err() == nil; k++ {
-				s.Vals = append(s.Vals, d.Value())
-			}
-			r.Star = append(r.Star, s)
-		}
-		nV := d.Count(5)
-		for j := uint64(0); j < nV && d.Err() == nil; j++ {
-			r.V = append(r.V, VRow{
-				Wid: d.Varint(), Tid: d.Varint(), Key: d.Value(), Sign: d.Str(), Expl: d.Str(),
-			})
-		}
-		m.Rels = append(m.Rels, r)
-	}
-	if ver >= 2 {
-		nIdx := d.Count(3)
-		for i := uint64(0); i < nIdx && d.Err() == nil; i++ {
-			ix := IndexDef{Table: d.Str(), Name: d.Str(), Ordered: d.Bool()}
-			nc := d.Count(1)
-			for j := uint64(0); j < nc && d.Err() == nil; j++ {
-				ix.Cols = append(ix.Cols, d.Str())
-			}
-			m.Indexes = append(m.Indexes, ix)
-		}
+	default:
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: 1..%d)", ver, Version)
 	}
 	if d.Err() == nil && d.Len() != 0 {
 		d.Fail("%d trailing bytes", d.Len())
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if body[0] == Version && !bytes.Equal(m.Encode(), data) {
+		return nil, fmt.Errorf("snapshot: non-canonical encoding of a version-%d image", Version)
+	}
+	return m, nil
+}
+
+func decodeV3(d *wal.Reader) *Model {
+	m := &Model{WalEpoch: d.U64(), WalApplied: d.Uvarint(), NextUID: d.Varint()}
+	m.Users = users(d)
+	nRels := d.Count(2)
+	for i := uint64(0); i < nRels && d.Err() == nil; i++ {
+		m.Rels = append(m.Rels, relation(d))
+	}
+	nStmts := d.Count(4)
+	for i := uint64(0); i < nStmts && d.Err() == nil; i++ {
+		m.Statements = append(m.Statements, d.Statement())
+	}
+	m.Indexes = indexes(d)
+	return m
+}
+
+func users(d *wal.Reader) []User {
+	n := d.Count(2)
+	var out []User
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		out = append(out, User{UID: d.Varint(), Name: d.Str()})
+	}
+	return out
+}
+
+func relation(d *wal.Reader) Relation {
+	r := Relation{Name: d.Str()}
+	nCols := d.Count(2)
+	for j := uint64(0); j < nCols && d.Err() == nil; j++ {
+		r.Columns = append(r.Columns, Column{Name: d.Str(), Kind: val.Kind(d.Byte())})
+	}
+	return r
+}
+
+func indexes(d *wal.Reader) []IndexDef {
+	n := d.Count(3)
+	var out []IndexDef
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		ix := IndexDef{Table: d.Str(), Name: d.Str(), Ordered: d.Bool()}
+		nc := d.Count(1)
+		for j := uint64(0); j < nc && d.Err() == nil; j++ {
+			ix.Cols = append(ix.Cols, d.Str())
+		}
+		out = append(out, ix)
+	}
+	return out
+}
+
+// decodeRows reads a version-1 or -2 image, which recorded every row of the
+// representation, and keeps what version 3 holds: the logical users and
+// the explicit statements. Version 1 has no index section.
+func decodeRows(d *wal.Reader, ver byte) (*Model, error) {
+	if d.Bool() {
+		return nil, fmt.Errorf("snapshot: the snapshot header says the directory was created with the lazy representation, which is no longer supported")
+	}
+	m := &Model{WalEpoch: d.U64(), WalApplied: d.Uvarint(), NextUID: d.Varint()}
+	d.Varint()                             // next world id
+	d.Varint()                             // next tuple id
+	d.Varint()                             // statement count
+	users(d)                               // physical Users rows
+	for _, width := range []int{2, 2, 3} { // _d, _s and _e rows
+		n := d.Count(uint64(width))
+		for i := uint64(0); i < n*uint64(width) && d.Err() == nil; i++ {
+			d.Varint()
+		}
+	}
+	m.Users = users(d)
+	paths := map[int64]core.Path{}
+	nPaths := d.Count(2)
+	for i := uint64(0); i < nPaths && d.Err() == nil; i++ {
+		wid := d.Varint()
+		var p core.Path
+		np := d.Count(1)
+		for j := uint64(0); j < np && d.Err() == nil; j++ {
+			p = append(p, core.UserID(d.Varint()))
+		}
+		paths[wid] = p
+	}
+	nRels := d.Count(3)
+	for i := uint64(0); i < nRels && d.Err() == nil; i++ {
+		r := relation(d)
+		m.Rels = append(m.Rels, r)
+		star := map[int64][]val.Value{}
+		nStar := d.Count(2)
+		for j := uint64(0); j < nStar && d.Err() == nil; j++ {
+			tid := d.Varint()
+			var vals []val.Value
+			nv := d.Count(1)
+			for k := uint64(0); k < nv && d.Err() == nil; k++ {
+				vals = append(vals, d.Value())
+			}
+			star[tid] = vals
+		}
+		nV := d.Count(5)
+		for j := uint64(0); j < nV && d.Err() == nil; j++ {
+			wid, tid, _, sign, expl := d.Varint(), d.Varint(), d.Value(), d.Str(), d.Str()
+			if d.Err() != nil || expl != "y" {
+				continue
+			}
+			p, okP := paths[wid]
+			vals, okT := star[tid]
+			if !okP || !okT || (sign != "+" && sign != "-") {
+				return nil, fmt.Errorf("snapshot: version-%d explicit valuation (%d, %d, %q) of %s names no world, tuple or sign", ver, wid, tid, sign, r.Name)
+			}
+			s := core.Statement{Path: p, Sign: core.Pos, Tuple: core.Tuple{Rel: r.Name, Vals: vals}}
+			if sign == "-" {
+				s.Sign = core.Neg
+			}
+			m.Statements = append(m.Statements, s)
+		}
+	}
+	sort.Slice(m.Statements, func(i, j int) bool { return core.StatementLess(m.Statements[i], m.Statements[j]) })
+	if ver >= 2 {
+		m.Indexes = indexes(d)
 	}
 	return m, nil
 }

@@ -1,61 +1,39 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"beliefdb/internal/core"
 	"beliefdb/internal/val"
+	"beliefdb/internal/wal"
 )
 
-// sampleModel exercises every section and every value kind, including a
-// physical/logical divergence (user row 77 exists only in the table, world
-// 9 only in the path cache) as raw-SQL writes can produce.
+// sampleModel exercises every section and every column kind; it is what
+// the frozen version-1 and version-2 fixtures decode to.
 func sampleModel() *Model {
+	k1 := []val.Value{val.Str("k1"), val.Int(-7), val.Float(2.25), val.Bool(true)}
 	return &Model{
-		Lazy:       false,
 		WalEpoch:   2,
 		WalApplied: 11,
 		NextUID:    4,
-		NextWid:    5,
-		NextTid:    6,
-		N:          3,
-		UserRows: []User{
-			{UID: 1, Name: "Alice"}, {UID: 2, Name: "Bøb"}, {UID: 77, Name: "rawsql"},
+		Users:      []User{{UID: 1, Name: "Alice"}, {UID: 2, Name: "Bøb"}},
+		Rels: []Relation{
+			{Name: "S", Columns: []Column{
+				{Name: "sid", Kind: val.KindString},
+				{Name: "n", Kind: val.KindInt},
+				{Name: "x", Kind: val.KindFloat},
+				{Name: "ok", Kind: val.KindBool},
+			}},
+			{Name: "Empty", Columns: []Column{{Name: "k", Kind: val.KindString}}},
 		},
-		DRows: []DRow{{Wid: 0, Depth: 0}, {Wid: 1, Depth: 1}, {Wid: 2, Depth: 2}},
-		SRows: []SRow{{Wid1: 1, Wid2: 0}, {Wid1: 2, Wid2: 1}},
-		Edges: []Edge{
-			{Wid1: 0, UID: 1, Wid2: 1}, {Wid1: 0, UID: 2, Wid2: 0}, {Wid1: 1, UID: 2, Wid2: 2},
-		},
-		Users: []User{{UID: 1, Name: "Alice"}, {UID: 2, Name: "Bøb"}},
-		Paths: []PathEntry{
-			{Wid: 0}, {Wid: 1, Path: []int64{1}}, {Wid: 2, Path: []int64{2, 1}}, {Wid: 9, Path: []int64{1, 2}},
-		},
-		Rels: []RelData{
-			{
-				Def: Relation{Name: "S", Columns: []Column{
-					{Name: "sid", Kind: val.KindString},
-					{Name: "n", Kind: val.KindInt},
-					{Name: "x", Kind: val.KindFloat},
-					{Name: "ok", Kind: val.KindBool},
-				}},
-				Star: []StarRow{
-					{Tid: 1, Vals: []val.Value{val.Str("k1"), val.Int(-7), val.Float(2.25), val.Bool(true)}},
-					{Tid: 2, Vals: []val.Value{val.Str("k2"), val.Null(), val.Float(-0.5), val.Bool(false)}},
-				},
-				V: []VRow{
-					{Wid: 0, Tid: 1, Key: val.Str("k1"), Sign: "+", Expl: "y"},
-					{Wid: 1, Tid: 1, Key: val.Str("k1"), Sign: "-", Expl: "y"},
-					{Wid: 1, Tid: 2, Key: val.Str("k2"), Sign: "+", Expl: "n"},
-				},
-			},
-			{
-				Def:  Relation{Name: "Empty", Columns: []Column{{Name: "k", Kind: val.KindString}}},
-				Star: nil,
-				V:    nil,
-			},
+		Statements: []core.Statement{
+			{Sign: core.Pos, Tuple: core.Tuple{Rel: "S", Vals: k1}},
+			{Path: core.Path{1}, Sign: core.Neg, Tuple: core.Tuple{Rel: "S", Vals: k1}},
 		},
 		Indexes: []IndexDef{
 			{Table: "S_star", Name: "S_star_key", Cols: []string{"sid"}},
@@ -75,15 +53,23 @@ func TestModelRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Errorf("round trip changed the model:\nwant %+v\ngot  %+v", m, got)
 	}
+}
 
-	// Lazy flag round-trips too.
-	m.Lazy = true
-	got, err = Decode(m.Encode())
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeRefusesNonCanonical: a version-3 model has one encoding. An
+// image spelling a field differently — here NextUID as a two-byte varint —
+// is refused even with a valid checksum.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	m := sampleModel()
+	m.NextUID = 0
+	img := m.Encode()
+	at := len(Magic) + 1 + 8 + 1 // version, WalEpoch, WalApplied (11: one byte)
+	if img[at] != 0 {
+		t.Fatalf("NextUID byte = %#x, want 0", img[at])
 	}
-	if !got.Lazy {
-		t.Error("lazy flag lost")
+	padded := append(append(append([]byte(nil), img[:at]...), 0x80, 0x00), img[at+1:len(img)-4]...)
+	padded = binary.LittleEndian.AppendUint32(padded, wal.Checksum(padded[len(Magic):]))
+	if _, err := Decode(padded); err == nil || !strings.Contains(err.Error(), "non-canonical") {
+		t.Errorf("Decode(padded varint) = %v, want a non-canonical refusal", err)
 	}
 }
 
@@ -141,7 +127,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 
 	// Overwrite is atomic: the temp file is gone afterwards.
-	m.N = 99
+	m.NextUID = 99
 	if err := WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +142,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != 99 {
-		t.Errorf("overwritten snapshot has N=%d", got.N)
+	if got.NextUID != 99 {
+		t.Errorf("overwritten snapshot has NextUID=%d", got.NextUID)
 	}
 }

@@ -3,8 +3,9 @@ package store
 // One seeded trace, every way into the store, one oracle: the commit
 // primitive has many callers (Insert/Delete/Replace, ApplyBatch, BulkLoad,
 // the Coalescer, replica apply, WAL replay — including logs written before
-// single statements journaled a marker), and each must leave exactly the
-// state core.BeliefBase derives from the same operations. Raw SQL is no
+// single statements journaled a marker — and snapshot loading, on reopen
+// and on replica bootstrap), and each must leave exactly the state
+// core.BeliefBase derives from the same operations. Raw SQL is no
 // way in: every script that would write the internal schema is refused.
 
 import (
@@ -18,6 +19,7 @@ import (
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/gen"
+	"beliefdb/internal/snapshot"
 	"beliefdb/internal/wal"
 )
 
@@ -161,6 +163,21 @@ func copyFixture(t *testing.T, name string) string {
 	return dir
 }
 
+// replayFixture runs testdata/<name>'s journal through recovery's replay
+// on an in-memory store: the state an upgrade step checkpoints.
+func replayFixture(t *testing.T, name string, rels []Relation) *Store {
+	t.Helper()
+	st, err := Open(rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy, err := st.replay(journal(t, filepath.Join("testdata", name)), 0); err != nil || !legacy {
+		t.Fatalf("replaying %s = (legacy %v, %v), want a legacy log replayed", name, legacy, err)
+	}
+	st.publishLocked()
+	return st
+}
+
 // legacyGroups decodes testdata/legacy/wal.bdb — written by the commit
 // before the one-primitive store from genTrace(42, 160): bare Insert,
 // Delete and Replace records next to tokened and tokenless batch groups —
@@ -213,7 +230,13 @@ func legacyGroups(t *testing.T) [][]BatchOp {
 
 func TestEntryPointsMatchOracle(t *testing.T) {
 	trace := genTrace(42, 160)
-	groupings := map[string][][]BatchOp{"single": singletons(trace), "trace": trace, "legacy": legacyGroups(t)}
+	groupings := map[string][][]BatchOp{
+		"single": singletons(trace), "trace": trace, "legacy": legacyGroups(t),
+		// The trace again, reloaded from an image half-way: the
+		// representation after the reload is Rebuild's.
+		"reloaded": trace,
+	}
+	half := len(trace) / 2
 
 	entries := []struct {
 		name     string
@@ -337,6 +360,65 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 			t.Cleanup(func() { re.Close() })
 			return re
 		}},
+		{"checkpoint mid-trace + reopen", "reloaded", func(t *testing.T, groups [][]BatchOp) *Store {
+			dir := t.TempDir()
+			st := traceStore(t, dir)
+			for i, g := range groups {
+				if i == half {
+					if err := st.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st.ApplyBatch(g)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenAt(dir, []Relation{GenTestRelation()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { re.Close() })
+			return re
+		}},
+		{"replica bootstrap from ReplicationSnapshot", "reloaded", func(t *testing.T, groups [][]BatchOp) *Store {
+			primaryDir := t.TempDir()
+			primary := traceStore(t, primaryDir)
+			t.Cleanup(func() { primary.Close() })
+			for _, g := range groups[:half] {
+				primary.ApplyBatch(g)
+			}
+			m, err := primary.ReplicationSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range groups[half:] {
+				primary.ApplyBatch(g)
+			}
+			// Seed the replica's directory as a follower does, then ship
+			// the primary's records from the position the image covers.
+			dir := t.TempDir()
+			if err := snapshot.WriteFile(filepath.Join(dir, SnapshotFileName), m); err != nil {
+				t.Fatal(err)
+			}
+			replica, err := OpenAt(dir, []Relation{GenTestRelation()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { replica.Close() })
+			ops := journal(t, primaryDir)[m.WalApplied:]
+			for k := 0; k < len(ops); k++ {
+				if ops[k].Kind != wal.KindBatchBegin {
+					t.Fatalf("primary shipped %s outside a group", ops[k])
+				}
+				n := int(ops[k].Count)
+				if err := replica.ApplyReplicatedGroup(ops[k+1:k+1+n], ops[k].Token); err != nil {
+					t.Fatal(err)
+				}
+				k += n
+			}
+			return replica
+		}},
 		{"raw SQL battery", "trace", func(t *testing.T, groups [][]BatchOp) *Store {
 			st := traceStore(t, "")
 			for _, g := range groups {
@@ -368,9 +450,31 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 	}
 
 	// |R*| depends on which worlds the history created, so it is compared
-	// between entry points that committed the same groups; the legacy log
-	// is pinned to the state the commit that wrote it reported.
-	totalRows := map[string]int{"legacy": 592}
+	// between entry points that committed the same groups. Replaying the
+	// legacy log reproduces the 592 rows the commit that wrote it reported;
+	// the upgraded store, loaded from the image of that state, holds what
+	// Rebuild makes of it.
+	legacy := replayFixture(t, "legacy", []Relation{GenTestRelation()})
+	if rows := legacy.Stats().TotalRows; rows != 592 {
+		t.Fatalf("replayed legacy log: |R*| = %d, want 592", rows)
+	}
+	if err := legacy.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	// A reload half-way through the trace is a Rebuild there.
+	mid := traceStore(t, "")
+	for i, g := range trace {
+		if i == half {
+			if err := mid.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mid.ApplyBatch(g)
+	}
+	totalRows := map[string]int{"legacy": legacy.Stats().TotalRows, "reloaded": mid.Stats().TotalRows}
+	if totalRows["reloaded"] == 0 {
+		t.Fatal("empty reload reference")
+	}
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
 			groups := groupings[e.grouping]
@@ -486,4 +590,87 @@ func TestLazyDirectoryRefused(t *testing.T) {
 			t.Errorf("%s: OpenAt = %v, want an error naming the lazy flag in the %s", fixture, err, place)
 		}
 	}
+}
+
+// TestV2ImageFixture opens testdata/v2_image: a version-2 image of a store
+// that had deleted statements (so the image holds a state no statement
+// supports any more) plus a WAL tail of a new user and inserts, written by
+// the last commit that wrote row images. want.txt records what that commit
+// opened the directory to — users, explicit statements, and the world of
+// every state it held and every user — and the per-table rows its Rebuild
+// left. Loading the image through the commit path yields the same
+// database, and the Rebuild's representation.
+func TestV2ImageFixture(t *testing.T) {
+	st, err := OpenAt(copyFixture(t, "v2_image"), []Relation{GenTestRelation()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	data, err := os.ReadFile(filepath.Join("testdata", "v2_image", "want.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users, stmts []string
+	for _, uid := range st.Users() {
+		name, _ := st.UserName(uid)
+		users = append(users, fmt.Sprintf("%d %s", uid, name))
+	}
+	got, err := st.ExplicitStatements()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range got {
+		stmts = append(stmts, s.String())
+	}
+	var wantUsers, wantStmts []string
+	rows := st.Stats().TableRows
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		kind, rest, _ := strings.Cut(line, " ")
+		switch kind {
+		case "user":
+			wantUsers = append(wantUsers, rest)
+		case "stmt":
+			wantStmts = append(wantStmts, rest)
+		case "world":
+			ids, world, _ := strings.Cut(rest, ": ")
+			var p core.Path
+			for _, f := range strings.Fields(strings.Trim(ids, "[]")) {
+				var u core.UserID
+				fmt.Sscan(f, &u)
+				p = append(p, u)
+			}
+			w, err := st.WorldContent(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := renderWorld(w); g != world {
+				t.Errorf("world %v:\n got %s\nwant %s", p, g, world)
+			}
+		case "rows":
+			table, n, _ := strings.Cut(rest, " ")
+			if g := fmt.Sprint(rows[table]); g != n {
+				t.Errorf("table %s: %s rows, Rebuild left %s", table, g, n)
+			}
+		}
+	}
+	if len(wantStmts) == 0 {
+		t.Fatal("want.txt records no statements")
+	}
+	if g, w := strings.Join(users, "\n"), strings.Join(wantUsers, "\n"); g != w {
+		t.Errorf("users:\n got %s\nwant %s", g, w)
+	}
+	if g, w := strings.Join(stmts, "\n"), strings.Join(wantStmts, "\n"); g != w {
+		t.Errorf("statements:\n got %s\nwant %s", g, w)
+	}
+}
+
+// renderWorld renders a world's entries with their explicit flags.
+func renderWorld(w *core.World) string {
+	var parts []string
+	for _, s := range []core.Sign{core.Pos, core.Neg} {
+		for _, e := range w.Entries(s) {
+			parts = append(parts, fmt.Sprintf("%s%s/%v", e.Tuple, s, e.Explicit))
+		}
+	}
+	return strings.Join(parts, " ")
 }

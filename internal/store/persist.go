@@ -1,19 +1,19 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
 	"beliefdb/internal/query"
 	"beliefdb/internal/snapshot"
 	"beliefdb/internal/sqlparser"
-	"beliefdb/internal/val"
 	"beliefdb/internal/wal"
 )
 
@@ -75,7 +75,7 @@ func SetWALSinkWrapper(wrap func(wal.Sink) wal.Sink) { wrapWALSink = wrap }
 // every mutating operation is appended to the WAL — under the exclusive
 // writer lock, before any table is touched — and synced before the mutation
 // is acknowledged.
-func OpenAt(dir string, rels []Relation) (st *Store, err error) {
+func OpenAt(dir string, rels []Relation) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
@@ -83,16 +83,32 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			unlockDir(lock)
+	st, upgraded, err := recoverAt(dir, rels)
+	if err == nil && upgraded {
+		// The upgrade step wrote the replayed state as an image. Load that
+		// image like any other, so the store holds exactly what the commit
+		// path derives from its statements: raw rows a legacy log left in
+		// derived tables are gone from the first open on.
+		if err = st.wal.Close(); err == nil {
+			st, _, err = recoverAt(dir, rels)
 		}
-	}()
-	st, err = Open(rels)
+	}
 	if err != nil {
+		unlockDir(lock)
 		return nil, err
 	}
 	st.lockFile = lock
+	return st, nil
+}
+
+// recoverAt is OpenAt's recovery under the directory lock. It reports
+// whether it took the upgrade step: replayed legacy records and
+// checkpointed them away.
+func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
+	st, err := Open(rels)
+	if err != nil {
+		return nil, false, err
+	}
 	st.snapPath = filepath.Join(dir, SnapshotFileName)
 
 	// Recovery mutates through the regular update paths; suppress the
@@ -108,13 +124,13 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	switch m, err := snapshot.ReadFile(st.snapPath); {
 	case err == nil:
 		if err := st.loadSnapshot(m); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		haveSnap, snapEpoch, snapApplied = true, m.WalEpoch, m.WalApplied
 	case os.IsNotExist(err):
 		// Fresh directory (or one that never reached a checkpoint).
 	default:
-		return nil, err
+		return nil, false, err
 	}
 
 	// A recreated WAL must start above the snapshot's epoch (see
@@ -125,7 +141,7 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	}
 	rec, err := wal.OpenFile(filepath.Join(dir, WALFileName), freshEpoch, wrapWALSink)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	st.walCount = uint64(len(rec.Ops))
 
@@ -139,13 +155,13 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	case len(rec.Ops) == 0 && !haveSnap:
 		if err := rec.Log.Append(wal.Schema(st.schemaDef())); err != nil {
 			rec.Log.Close()
-			return nil, err
+			return nil, false, err
 		}
 		st.walCount = 1
 	case !haveSnap:
 		if rec.Ops[0].Kind != wal.KindSchema {
 			rec.Log.Close()
-			return nil, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
+			return nil, false, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
 		}
 	}
 
@@ -157,9 +173,41 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 	if haveSnap && rec.Epoch == snapEpoch {
 		skip = int(min(snapApplied, uint64(len(rec.Ops))))
 	}
-	legacy := false
-	for k := 0; k < len(rec.Ops); k++ {
-		op := rec.Ops[k]
+	legacy, err := st.replay(rec.Ops, skip)
+	if err != nil {
+		rec.Log.Close()
+		return nil, false, err
+	}
+	st.wal = rec.Log
+	st.durable = true
+	st.replaying = false
+	// The upgrade step, taken when any record, the covered prefix included,
+	// is legacy. Replay ran them exactly as they ran when journaled; a
+	// checkpoint then makes the recovered state the snapshot and resets the
+	// WAL to the current vocabulary: no later write can replay inside a
+	// legacy span's BEGIN, and no replica is shipped a legacy record.
+	if legacy {
+		if err := st.Checkpoint(); err != nil {
+			rec.Log.Close()
+			return nil, false, err
+		}
+	}
+	st.publishLocked() // no other goroutine holds st yet
+	return st, legacy, nil
+}
+
+// replay applies a recovered WAL's records from index skip on through the
+// regular update paths, and reports whether any record — the skipped ones
+// included — is legacy (see legacyOp). A raw-SQL span a legacy log leaves
+// open was never committed, so it is rolled back.
+func (st *Store) replay(ops []wal.Op, skip int) (legacy bool, err error) {
+	defer func() {
+		if txn := st.cat.ActiveTxn(); txn != nil {
+			txn.Rollback()
+		}
+	}()
+	for k := 0; k < len(ops); k++ {
+		op := ops[k]
 		legacy = legacy || legacyOp(op)
 		switch {
 		case op.Kind == wal.KindBatchBegin:
@@ -171,44 +219,22 @@ func OpenAt(dir string, rels []Relation) (st *Store, err error) {
 			// incomplete trailing groups, so a short group here is a
 			// format error.
 			n := int(op.Count)
-			if k+1+n > len(rec.Ops) {
-				rec.Log.Close()
-				return nil, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(rec.Ops)-k-1)
+			if k+1+n > len(ops) {
+				return false, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(ops)-k-1)
 			}
 			if k >= skip {
-				if err := st.ApplyReplicatedGroup(rec.Ops[k+1:k+1+n], op.Token); err != nil {
-					rec.Log.Close()
-					return nil, err
+				if err := st.ApplyReplicatedGroup(ops[k+1:k+1+n], op.Token); err != nil {
+					return false, err
 				}
 			}
 			k += n
 		case k >= skip:
 			if err := st.applyOp(op); err != nil {
-				rec.Log.Close()
-				return nil, err
+				return false, err
 			}
 		}
 	}
-	st.wal = rec.Log
-	st.durable = true
-	st.replaying = false
-	// The upgrade step, taken when any record, the covered prefix included,
-	// is legacy. Replay ran them exactly as they ran when journaled; a
-	// raw-SQL span the log leaves open was never committed, so it is rolled
-	// back. A checkpoint then makes the recovered state the snapshot and
-	// resets the WAL to the current vocabulary: no later write can replay
-	// inside the span's BEGIN, and no replica is shipped a legacy record.
-	if legacy {
-		if txn := st.cat.ActiveTxn(); txn != nil {
-			txn.Rollback()
-		}
-		if err := st.Checkpoint(); err != nil {
-			rec.Log.Close()
-			return nil, err
-		}
-	}
-	st.publishLocked() // no other goroutine holds st yet
-	return st, nil
+	return legacy, nil
 }
 
 // schemaDef renders the store's schema identity for the WAL's schema
@@ -369,9 +395,13 @@ func (st *Store) logOp(op wal.Op) error {
 	return nil
 }
 
-// Checkpoint writes a snapshot of the full relational representation and
-// truncates the WAL under a fresh epoch. It holds the exclusive writer
-// lock for the whole snapshot encode + fsync + rename, stalling readers
+// Checkpoint writes a snapshot of the belief database — users and explicit
+// statements, not the representation derived from them — and truncates the
+// WAL under a fresh epoch. Reopening loads the image through the commit
+// path, so the reopened store equals this one after Rebuild: the same
+// statements, users and worlds, without the unsupported states and
+// unreferenced tuples deletes left behind. It holds the exclusive writer
+// lock for the whole render + encode + fsync + rename, stalling readers
 // for the duration — acceptable for an explicit, occasional operation;
 // an incremental copy-under-read-lock scheme is future work if checkpoint
 // latency ever matters. Crash-safety of the pair: the
@@ -393,9 +423,10 @@ func (st *Store) Checkpoint() error {
 	}
 	// The writer lock quiesces the live view, so rendering it here is one
 	// consistent epoch by construction.
-	m := st.view.snapshotModel()
-	m.WalEpoch = st.wal.Epoch()
-	m.WalApplied = st.walCount
+	m, err := st.walModelLocked()
+	if err != nil {
+		return err
+	}
 	if err := snapshot.WriteFile(st.snapPath, m); err != nil {
 		return err
 	}
@@ -407,6 +438,18 @@ func (st *Store) Checkpoint() error {
 	}
 	st.walCount = 0
 	return nil
+}
+
+// walModelLocked renders the live view stamped with the WAL position it
+// covers. Callers hold the writer lock.
+func (st *Store) walModelLocked() (*snapshot.Model, error) {
+	m, err := st.view.snapshotModel()
+	if err != nil {
+		return nil, err
+	}
+	m.WalEpoch = st.wal.Epoch()
+	m.WalApplied = st.walCount
+	return m, nil
 }
 
 // Close syncs and closes the WAL. Further mutations fail with ErrClosed;
@@ -425,108 +468,23 @@ func (st *Store) Close() error {
 	return err
 }
 
-// snapshotModel renders one view epoch as a snapshot model, in the
-// canonical order the format prescribes (see internal/snapshot). On a
-// pinned view it needs no locking; on the live view callers hold the
-// writer lock.
-func (v *view) snapshotModel() *snapshot.Model {
-	m := &snapshot.Model{
-		NextUID: v.nextUID,
-		NextWid: v.nextWid,
-		NextTid: v.nextTid,
-		N:       int64(v.n),
+// snapshotModel renders one view epoch as a snapshot model: the users, the
+// relation definitions, the explicit statements in canonical order and the
+// index definitions. On a pinned view it needs no locking; on the live view
+// callers hold the writer lock.
+func (v *view) snapshotModel() (*snapshot.Model, error) {
+	stmts, err := v.explicitStatements()
+	if err != nil {
+		return nil, err
 	}
-	v.usersTable.Scan(func(_ engine.RowID, row []val.Value) bool {
-		m.UserRows = append(m.UserRows, snapshot.User{UID: row[0].AsInt(), Name: row[1].AsString()})
-		return true
-	})
-	slices.SortFunc(m.UserRows, func(a, b snapshot.User) int { return int(a.UID - b.UID) })
-	v.d.Scan(func(_ engine.RowID, row []val.Value) bool {
-		m.DRows = append(m.DRows, snapshot.DRow{Wid: row[0].AsInt(), Depth: row[1].AsInt()})
-		return true
-	})
-	slices.SortFunc(m.DRows, func(a, b snapshot.DRow) int { return int(a.Wid - b.Wid) })
-	v.s.Scan(func(_ engine.RowID, row []val.Value) bool {
-		m.SRows = append(m.SRows, snapshot.SRow{Wid1: row[0].AsInt(), Wid2: row[1].AsInt()})
-		return true
-	})
-	slices.SortFunc(m.SRows, func(a, b snapshot.SRow) int { return int(a.Wid1 - b.Wid1) })
-
+	m := &snapshot.Model{NextUID: v.nextUID, Statements: stmts}
 	for uid, name := range v.usersByID {
 		m.Users = append(m.Users, snapshot.User{UID: int64(uid), Name: name})
 	}
-	slices.SortFunc(m.Users, func(a, b snapshot.User) int { return int(a.UID - b.UID) })
-	for wid, p := range v.pathByWid {
-		pe := snapshot.PathEntry{Wid: wid}
-		for _, u := range p {
-			pe.Path = append(pe.Path, int64(u))
-		}
-		m.Paths = append(m.Paths, pe)
-	}
-	slices.SortFunc(m.Paths, func(a, b snapshot.PathEntry) int { return int(a.Wid - b.Wid) })
+	slices.SortFunc(m.Users, func(a, b snapshot.User) int { return cmp.Compare(a.UID, b.UID) })
 
-	v.e.Scan(func(_ engine.RowID, row []val.Value) bool {
-		m.Edges = append(m.Edges, snapshot.Edge{
-			Wid1: row[0].AsInt(), UID: row[1].AsInt(), Wid2: row[2].AsInt(),
-		})
-		return true
-	})
-	slices.SortFunc(m.Edges, func(a, b snapshot.Edge) int {
-		if a.Wid1 != b.Wid1 {
-			return int(a.Wid1 - b.Wid1)
-		}
-		if a.UID != b.UID {
-			return int(a.UID - b.UID)
-		}
-		return int(a.Wid2 - b.Wid2) // total order even for legacy raw-SQL duplicate edges
-	})
-
-	for _, name := range v.relOrder {
-		ri := v.rels[name]
-		rd := snapshot.RelData{Def: snapshot.Relation{Name: ri.def.Name}}
-		for _, c := range ri.def.Columns {
-			rd.Def.Columns = append(rd.Def.Columns, snapshot.Column{Name: c.Name, Kind: c.Type})
-		}
-		ri.star.Scan(func(_ engine.RowID, row []val.Value) bool {
-			rd.Star = append(rd.Star, snapshot.StarRow{
-				Tid:  row[0].AsInt(),
-				Vals: append([]val.Value(nil), row[1:]...),
-			})
-			return true
-		})
-		slices.SortFunc(rd.Star, func(a, b snapshot.StarRow) int { return int(a.Tid - b.Tid) })
-		ri.v.Scan(func(_ engine.RowID, row []val.Value) bool {
-			rd.V = append(rd.V, snapshot.VRow{
-				Wid: row[0].AsInt(), Tid: row[1].AsInt(), Key: row[2],
-				Sign: row[3].AsString(), Expl: row[4].AsString(),
-			})
-			return true
-		})
-		sort.Slice(rd.V, func(i, j int) bool {
-			a, b := rd.V[i], rd.V[j]
-			if a.Wid != b.Wid {
-				return a.Wid < b.Wid
-			}
-			if a.Tid != b.Tid {
-				return a.Tid < b.Tid
-			}
-			if a.Sign != b.Sign {
-				return a.Sign < b.Sign
-			}
-			if a.Expl != b.Expl {
-				return a.Expl < b.Expl
-			}
-			// Legacy raw SQL could insert rows that tie on every column
-			// above; the key's canonical encoding keeps the order total so
-			// identical stores always snapshot to identical bytes.
-			return a.Key.Key() < b.Key.Key()
-		})
-		m.Rels = append(m.Rels, rd)
-	}
-
-	// Index definitions of every internal table, built-ins included —
-	// recording them all keeps the render stateless; loading skips ones
-	// that already exist. Tables in schema order, names sorted per table.
+	// Tables in schema order, then index names sorted per table. Recording
+	// the built-ins too keeps the render stateless; loading matches them.
 	type namedTable struct {
 		name string
 		t    *engine.Table
@@ -534,16 +492,16 @@ func (v *view) snapshotModel() *snapshot.Model {
 	nts := []namedTable{{"Users", v.usersTable}, {"_d", v.d}, {"_e", v.e}, {"_s", v.s}}
 	for _, name := range v.relOrder {
 		ri := v.rels[name]
+		rel := snapshot.Relation{Name: ri.def.Name}
+		for _, c := range ri.def.Columns {
+			rel.Columns = append(rel.Columns, snapshot.Column{Name: c.Name, Kind: c.Type})
+		}
+		m.Rels = append(m.Rels, rel)
 		nts = append(nts, namedTable{name + "_star", ri.star}, namedTable{name + "_v", ri.v})
 	}
 	for _, nt := range nts {
 		ixs := nt.t.Indexes()
-		names := make([]string, 0, len(ixs))
-		for n := range ixs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(ixs)) {
 			ix := ixs[n]
 			def := snapshot.IndexDef{Table: nt.name, Name: n, Ordered: ix.Ordered()}
 			for _, c := range ix.Cols() {
@@ -552,29 +510,37 @@ func (v *view) snapshotModel() *snapshot.Model {
 			m.Indexes = append(m.Indexes, def)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // SnapshotModel renders the current published snapshot as a snapshot
 // model; used by the benchmarks and format tests. Pinning one view for the
-// whole render keeps it a single consistent epoch with no locking.
+// whole render keeps it a single consistent epoch with no locking. The
+// model holds the belief database, not the representation: loading it
+// yields this store after Rebuild. It panics if the view holds a valuation
+// naming no tuple, which only a corrupt representation can.
 func (st *Store) SnapshotModel() *snapshot.Model {
-	return st.pin().snapshotModel()
+	m, err := st.pin().snapshotModel()
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
-// loadSnapshot populates a freshly opened (empty) store from a model,
-// after validating that the caller's schema matches the one the snapshot
-// was taken under.
+// loadSnapshot populates a freshly opened (empty) store from a model: it
+// checks the model's schema against the store's, restores the users under
+// their uids, commits the statements through the commit path in the
+// model's (canonical) order — unjournaled, since the WAL is not open yet,
+// and published once when recovery completes — and then recreates the
+// recorded indexes over the rows that exist. A statement the commit path
+// refuses fails the load and is named: an image is never loaded in part.
 func (st *Store) loadSnapshot(m *snapshot.Model) error {
-	if m.Lazy {
-		return fmt.Errorf("store: the snapshot header says the directory was created with the lazy representation, which is no longer supported")
-	}
 	if len(m.Rels) != len(st.relOrder) {
 		return fmt.Errorf("store: snapshot has %d relations, schema declares %d", len(m.Rels), len(st.relOrder))
 	}
 	for i, name := range st.relOrder {
 		def := st.rels[name].def
-		sd := m.Rels[i].Def
+		sd := m.Rels[i]
 		if sd.Name != def.Name || len(sd.Columns) != len(def.Columns) {
 			return fmt.Errorf("store: snapshot relation %q does not match schema relation %q", sd.Name, def.Name)
 		}
@@ -586,78 +552,26 @@ func (st *Store) loadSnapshot(m *snapshot.Model) error {
 		}
 	}
 
-	// Drop the root world pre-seeded by open(); the snapshot carries it.
-	if id, ok := st.d.LookupPK(val.Int(0)); ok {
-		if err := st.d.Delete(id); err != nil {
-			return err
-		}
-	}
-
-	// Physical table contents, verbatim.
-	for _, u := range m.UserRows {
-		if _, err := st.usersTable.Insert([]val.Value{val.Int(u.UID), val.Str(u.Name)}); err != nil {
-			return fmt.Errorf("store: loading snapshot user row %d: %w", u.UID, err)
-		}
-	}
-	for _, d := range m.DRows {
-		if _, err := st.d.Insert([]val.Value{val.Int(d.Wid), val.Int(d.Depth)}); err != nil {
-			return fmt.Errorf("store: loading snapshot world %d: %w", d.Wid, err)
-		}
-	}
-	for _, s := range m.SRows {
-		if _, err := st.s.Insert([]val.Value{val.Int(s.Wid1), val.Int(s.Wid2)}); err != nil {
-			return err
-		}
-	}
-
-	// Logical catalogs.
-	st.widByPath = make(map[string]int64, len(m.Paths))
-	st.pathByWid = make(map[int64]core.Path, len(m.Paths))
-	st.worldsGen++
-	st.usersGen++
 	for _, u := range m.Users {
-		st.usersByID[core.UserID(u.UID)] = u.Name
-		st.usersByName[u.Name] = core.UserID(u.UID)
-	}
-	for _, pe := range m.Paths {
-		p := make(core.Path, len(pe.Path))
-		for i, u := range pe.Path {
-			p[i] = core.UserID(u)
-		}
-		st.widByPath[p.Key()] = pe.Wid
-		st.pathByWid[pe.Wid] = p
-	}
-	for _, e := range m.Edges {
-		if _, err := st.e.Insert([]val.Value{val.Int(e.Wid1), val.Int(e.UID), val.Int(e.Wid2)}); err != nil {
-			return err
-		}
-	}
-	for i, name := range st.relOrder {
-		ri := st.rels[name]
-		for _, s := range m.Rels[i].Star {
-			row := make([]val.Value, 0, len(s.Vals)+1)
-			row = append(row, val.Int(s.Tid))
-			row = append(row, s.Vals...)
-			if _, err := ri.star.Insert(row); err != nil {
-				return fmt.Errorf("store: loading snapshot tuple %s/%d: %w", name, s.Tid, err)
-			}
-		}
-		for _, v := range m.Rels[i].V {
-			if _, err := ri.v.Insert([]val.Value{
-				val.Int(v.Wid), val.Int(v.Tid), v.Key, val.Str(v.Sign), val.Str(v.Expl),
-			}); err != nil {
-				return fmt.Errorf("store: loading snapshot valuation %s/(%d,%d): %w", name, v.Wid, v.Tid, err)
-			}
+		if err := st.registerUser(core.UserID(u.UID), u.Name); err != nil {
+			return fmt.Errorf("store: loading snapshot user %d (%q): %w", u.UID, u.Name, err)
 		}
 	}
 	st.nextUID = m.NextUID
-	st.nextWid = m.NextWid
-	st.nextTid = m.NextTid
-	st.n = int(m.N)
+
+	groups := make([][]BatchOp, len(m.Statements))
+	for i, s := range m.Statements {
+		groups[i] = []BatchOp{{Stmt: s}}
+	}
+	for i, out := range st.commitLocked(groups, nil) {
+		if out.Err != nil {
+			return fmt.Errorf("store: snapshot statement %d (%s) refused: %w", i, m.Statements[i], out.Err)
+		}
+	}
 
 	// Recreate the recorded secondary indexes. Built-ins (and anything else
-	// open() already made) are matched by name and verified; the rest —
-	// user-created via journaled CREATE [ORDERED] INDEX — are rebuilt from
+	// Open already made) are matched by name and verified; the rest —
+	// user-created via journaled CREATE [ORDERED] INDEX — are built over
 	// the rows loaded above, reproducing their kind.
 	for _, d := range m.Indexes {
 		t := st.cat.Table(d.Table)

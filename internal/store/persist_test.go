@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"beliefdb/internal/core"
@@ -406,6 +407,7 @@ func TestSnapshotCoversWALPrefix(t *testing.T) {
 	shadow.Insert(pos)
 	shadow.Insert(neg)
 	shadow.Delete(pos)
+	shadow.Rebuild() // the image holds statements: loading it drops the orphaned tuple
 	assertSameStore(t, "prefix-covering snapshot", shadow, re)
 	if re.Len() != 0 {
 		t.Errorf("%d statements after recovery, want none: the covered prefix was replayed", re.Len())
@@ -458,4 +460,39 @@ func TestCheckpointResetCrashEpochCollision(t *testing.T) {
 	}
 	defer re.Close()
 	assertSameStore(t, "post-reset-crash recovery", buildShadow(t, len(script)), re)
+}
+
+// TestSnapshotRefusedStatementFailsOpen: loading an image commits its
+// statements through the commit path, and a statement that path refuses —
+// a Γ1 or Γ2 partner of an earlier one, or one naming no registered user —
+// fails the open and is named. Nothing is dropped silently.
+func TestSnapshotRefusedStatementFailsOpen(t *testing.T) {
+	held := crashStmt(core.Path{1}, core.Pos, "S", "k1", "crow")
+	for name, bad := range map[string]core.Statement{
+		"Γ1":           crashStmt(core.Path{1}, core.Pos, "S", "k1", "raven"),
+		"Γ2":           crashStmt(core.Path{1}, core.Neg, "S", "k1", "crow"),
+		"unknown user": crashStmt(core.Path{1, 9}, core.Pos, "S", "k2", "owl"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := Open(crashRels())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.AddUser("u1"); err != nil {
+				t.Fatal(err)
+			}
+			m := st.SnapshotModel()
+			m.Statements = append(m.Statements, held, bad)
+			dir := t.TempDir()
+			if err := snapshot.WriteFile(filepath.Join(dir, SnapshotFileName), m); err != nil {
+				t.Fatal(err)
+			}
+			if re, err := OpenAt(dir, crashRels()); err == nil {
+				re.Close()
+				t.Fatalf("OpenAt loaded an image holding %s and %s", held, bad)
+			} else if !strings.Contains(err.Error(), bad.String()) {
+				t.Errorf("OpenAt = %v, want the error to name %s", err, bad)
+			}
+		})
+	}
 }

@@ -93,18 +93,7 @@ func (v *view) explicitStatements() ([]core.Statement, error) {
 			out = append(out, core.Statement{Path: v.pathByWid[r.wid].Clone(), Sign: sign, Tuple: t})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Path.Equal(out[j].Path) {
-			if len(out[i].Path) != len(out[j].Path) {
-				return len(out[i].Path) < len(out[j].Path)
-			}
-			return out[i].Path.Key() < out[j].Path.Key()
-		}
-		if out[i].Tuple.ID() != out[j].Tuple.ID() {
-			return out[i].Tuple.ID() < out[j].Tuple.ID()
-		}
-		return out[i].Sign > out[j].Sign
-	})
+	sort.Slice(out, func(i, j int) bool { return core.StatementLess(out[i], out[j]) })
 	return out, nil
 }
 

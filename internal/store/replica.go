@@ -47,10 +47,12 @@ func (st *Store) WALPath() string {
 // ReplicationSnapshot renders the current state as a snapshot model stamped
 // with the WAL position it covers, for bootstrapping (or resyncing) a
 // replica: a follower that loads the model and then replays WAL records of
-// epoch WalEpoch from index WalApplied onward reconstructs the primary
-// exactly. Like Checkpoint it quiesces the writer for the render — a
-// bootstrap-time cost, not a steady-state one — but unlike Checkpoint it
-// leaves the WAL untouched.
+// epoch WalEpoch from index WalApplied onward reconstructs every
+// statement, user and world of the primary — the model holds the belief
+// database, so the follower's representation is the primary's after
+// Rebuild, with its own world and tuple ids. Like Checkpoint it quiesces
+// the writer for the render — a bootstrap-time cost, not a steady-state
+// one — but unlike Checkpoint it leaves the WAL untouched.
 func (st *Store) ReplicationSnapshot() (*snapshot.Model, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -60,10 +62,7 @@ func (st *Store) ReplicationSnapshot() (*snapshot.Model, error) {
 	if st.closed {
 		return nil, ErrClosed
 	}
-	m := st.view.snapshotModel()
-	m.WalEpoch = st.wal.Epoch()
-	m.WalApplied = st.walCount
-	return m, nil
+	return st.walModelLocked()
 }
 
 // ApplyReplicated replays one shipped WAL operation through the regular

@@ -125,20 +125,32 @@ func TestSQLReturnsLastResult(t *testing.T) {
 // TestSQLMultiStatementDMLAtomic: a legacy script of plain DML replays as
 // one engine transaction — a failing statement rolls back the whole
 // script — while a legacy script holding DDL replays statement by
-// statement, exactly as both ran when they were journaled.
+// statement, exactly as both ran when they were journaled. The raw Users
+// rows the scripts leave are gone once the upgrade step reloads its image,
+// so the AddUser records after them witness which rows replay left: an
+// AddUser whose uid a raw row holds fails and burns the uid.
 func TestSQLMultiStatementDMLAtomic(t *testing.T) {
 	dir := legacyWAL(t,
 		wal.SQL("INSERT INTO Users VALUES (1, 'a'); INSERT INTO Users VALUES (1, 'b')"),
 		wal.SQL("INSERT INTO Users VALUES (2, 'c'); INSERT INTO Users VALUES (3, 'd'); DELETE FROM Users WHERE uid = 2"),
 		wal.SQL("CREATE INDEX Users_n ON Users (name); INSERT INTO Users VALUES (4, 'e'); INSERT INTO Users VALUES (4, 'f')"),
+		wal.AddUser("u1"), wal.AddUser("u2"), wal.AddUser("u3"), wal.AddUser("u4"), wal.AddUser("u5"),
 	)
 	st, err := OpenAt(dir, crashRels())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := sqlInts(t, st, "SELECT U.uid FROM Users U ORDER BY U.uid"); !slices.Equal(got, []int64{3, 4}) {
-		t.Errorf("Users rows = %v, want [3 4]", got)
+	// Replay left raw rows 3 and 4 only: u3 and u4 hit them.
+	want := []core.UserID{1, 2, 5}
+	if got := st.Users(); !slices.Equal(got, want) {
+		t.Errorf("Users() = %v, want %v", got, want)
+	}
+	if uid, _ := st.UserID("u5"); uid != 5 {
+		t.Errorf("u5 = uid %d, want 5", uid)
+	}
+	if got := sqlInts(t, st, "SELECT U.uid FROM Users U ORDER BY U.uid"); !slices.Equal(got, []int64{1, 2, 5}) {
+		t.Errorf("Users rows = %v, want the registered users' [1 2 5]", got)
 	}
 	if !findIndex(st, "Users", "Users_n").exists {
 		t.Error("the DDL script's index is missing")
@@ -354,18 +366,11 @@ func TestSQLDurable(t *testing.T) {
 
 // TestLegacyTxnWALReplay replays testdata/legacy_txn, written before raw
 // SQL refused BEGIN/COMMIT/ROLLBACK: the committed spans apply, the
-// rolled-back span and the span left open at close do not, the upgraded
-// WAL holds no legacy record, and the store serves its users, takes
-// beliefs and checkpoints afterwards.
+// rolled-back span and the span left open at close do not. The upgraded
+// store holds none of those raw Users rows — it is loaded from the image
+// the upgrade step wrote — its WAL holds no legacy record, and it serves
+// its users, takes beliefs and checkpoints afterwards.
 func TestLegacyTxnWALReplay(t *testing.T) {
-	dir := copyFixture(t, "legacy_txn")
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops := journal(t, dir); len(ops) != 0 {
-		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
-	}
 	check := func(st *Store, label string, users []core.UserID, rawUids []int64, statements int) {
 		t.Helper()
 		if got := st.Users(); !slices.Equal(got, users) {
@@ -378,7 +383,18 @@ func TestLegacyTxnWALReplay(t *testing.T) {
 			t.Errorf("%s: %d statements, want %d", label, got, statements)
 		}
 	}
-	check(st, "reopened", []core.UserID{1}, []int64{1, 10, 11, 12, 13}, 2)
+
+	check(replayFixture(t, "legacy_txn", crashRels()), "replayed", []core.UserID{1}, []int64{1, 10, 11, 12, 13}, 2)
+
+	dir := copyFixture(t, "legacy_txn")
+	st, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := journal(t, dir); len(ops) != 0 {
+		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
+	}
+	check(st, "reopened", []core.UserID{1}, []int64{1}, 2)
 
 	if uid, err := st.AddUser("u2"); err != nil || uid != 2 {
 		t.Fatalf("AddUser(u2) = %d, %v; want uid 2", uid, err)
@@ -401,7 +417,7 @@ func TestLegacyTxnWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	check(re, "checkpointed", []core.UserID{1, 2}, []int64{1, 2, 10, 11, 12, 13}, 3)
+	check(re, "checkpointed", []core.UserID{1, 2}, []int64{1, 2}, 3)
 }
 
 // TestLegacyTxnWALWritesSurviveReopen: writes acknowledged after recovery
@@ -437,7 +453,7 @@ func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
 		if ok, err := re.Entails(stmt.Path, stmt.Tuple, core.Pos); err != nil || !ok {
 			t.Errorf("reopen %d: belief written after recovery lost (ok=%v, err=%v)", i, ok, err)
 		}
-		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 10, 11, 12, 13}) {
+		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2}) {
 			t.Errorf("reopen %d: Users rows = %v", i, got)
 		}
 		if got := re.Users(); !slices.Equal(got, []core.UserID{1, 2}) {
@@ -452,7 +468,8 @@ func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
 // TestLegacyUidReplay: a log written before AddUser skipped uids that raw
 // SQL had taken replays as that binary decided it — the AddUser that hit
 // the raw Users row failed and burned its uid, so the next user got the one
-// after — and the upgrade step checkpoints the legacy record away.
+// after — and the upgrade step checkpoints the legacy record away. The raw
+// row itself is not a user, so the reloaded store no longer holds it.
 func TestLegacyUidReplay(t *testing.T) {
 	dir := legacyWAL(t,
 		wal.AddUser("alice"),
@@ -471,11 +488,14 @@ func TestLegacyUidReplay(t *testing.T) {
 	if uid, ok := st.UserID("carol"); !ok || uid != 3 {
 		t.Errorf("carol = %d (registered %v), want uid 3", uid, ok)
 	}
-	if got := sqlInts(t, st, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2, 3}) {
-		t.Errorf("Users rows = %v, want [1 2 3]", got)
+	if got := sqlInts(t, st, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 3}) {
+		t.Errorf("Users rows = %v, want [1 3]", got)
 	}
-	if ops := journal(t, dir); len(ops) != 0 {
-		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
+	if uid, err := st.AddUser("dave"); err != nil || uid != 4 {
+		t.Errorf("AddUser(dave) = %d, %v; want uid 4", uid, err)
+	}
+	if ops := journal(t, dir); len(ops) != 1 || ops[0].Kind != wal.KindAddUser {
+		t.Errorf("the upgraded WAL holds %v, want the checkpointed log and dave's record", ops)
 	}
 	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName)); err != nil {
 		t.Errorf("the upgrade step wrote no snapshot: %v", err)

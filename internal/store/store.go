@@ -303,22 +303,29 @@ func (st *Store) AddUser(name string) (core.UserID, error) {
 	}
 	uid := core.UserID(st.nextUID)
 	st.nextUID++
-	if _, err := st.usersTable.Insert([]val.Value{val.Int(int64(uid)), val.Str(name)}); err != nil {
+	if err := st.registerUser(uid, name); err != nil {
 		return 0, err
 	}
+	return uid, nil
+}
+
+// registerUser enters user uid into Users and the user catalogs and inserts
+// the back edges E(x, uid, 0) from every existing world: a brand-new user
+// appears in no state path, so dss(w·uid) = ε. AddUser calls it with the
+// next uid; loading a snapshot, with each recorded one.
+func (st *Store) registerUser(uid core.UserID, name string) error {
+	if _, err := st.usersTable.Insert([]val.Value{val.Int(int64(uid)), val.Str(name)}); err != nil {
+		return err
+	}
 	for wid := range st.pathByWid {
-		// A brand-new user appears in no state path, so dss(w·u) = ε.
-		if st.pathByWid[wid].Last() == uid {
-			continue // cannot happen for a fresh uid; kept for clarity
-		}
 		if err := st.eSet(wid, uid, 0); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	st.usersByID[uid] = name
 	st.usersByName[name] = uid
 	st.usersGen++
-	return uid, nil
+	return nil
 }
 
 // UserID resolves a user name against the current published snapshot.

@@ -215,7 +215,11 @@ func DecodeValue(b []byte) (val.Value, []byte, error) {
 	return v, r.Rest(), r.Err()
 }
 
-func appendStatement(dst []byte, st core.Statement) []byte {
+// AppendStatement appends the encoding of one belief statement: the path's
+// user ids, the sign byte, the relation name and the tuple's values. It is
+// the one statement codec, shared by Insert/Delete/Replace records and the
+// snapshot's statement section; Reader.Statement reads it back.
+func AppendStatement(dst []byte, st core.Statement) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(st.Path)))
 	for _, u := range st.Path {
 		dst = binary.AppendVarint(dst, int64(u))
@@ -236,9 +240,9 @@ func (op Op) Encode(dst []byte) []byte {
 	case KindAddUser:
 		dst = AppendString(dst, op.Name)
 	case KindInsert, KindDelete:
-		dst = appendStatement(dst, op.Stmt)
+		dst = AppendStatement(dst, op.Stmt)
 	case KindReplace:
-		dst = appendStatement(dst, op.Stmt)
+		dst = AppendStatement(dst, op.Stmt)
 		dst = appendValues(dst, op.NewVals)
 	case KindSQL:
 		dst = AppendString(dst, op.SQL)
@@ -448,7 +452,8 @@ func (r *Reader) values() []val.Value {
 	return out
 }
 
-func (r *Reader) statement() core.Statement {
+// Statement reads one statement written by AppendStatement.
+func (r *Reader) Statement() core.Statement {
 	var st core.Statement
 	n := r.Uvarint()
 	if r.err != nil {
@@ -484,9 +489,9 @@ func DecodeOp(payload []byte) (Op, error) {
 	case KindAddUser:
 		op.Name = r.Str()
 	case KindInsert, KindDelete:
-		op.Stmt = r.statement()
+		op.Stmt = r.Statement()
 	case KindReplace:
-		op.Stmt = r.statement()
+		op.Stmt = r.Statement()
 		op.NewVals = r.values()
 	case KindRebuild, KindVacuum:
 		// no fields

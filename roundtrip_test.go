@@ -2,16 +2,19 @@ package beliefdb_test
 
 // Property-based durability round-trip: random annotation workloads from
 // internal/gen are applied simultaneously to a durable database and an
-// in-memory shadow, with deletes, rebuilds, and checkpoints interleaved.
-// After close + reopen the recovered database must be indistinguishable
-// from the shadow: identical Dump(), Statements(), Stats(), and World()
-// content for every user path. A fixed seed corpus keeps CI deterministic
+// in-memory shadow, with deletes, rebuilds, and checkpoints interleaved (the
+// shadow rebuilds where the durable side checkpoints: reopening loads the
+// image's statements through the commit path). After close + reopen the
+// recovered database must be indistinguishable from the shadow: identical
+// Dump(), Statements(), Stats(), and World() content for every user path. A fixed seed corpus keeps CI deterministic
 // while covering structurally different histories (different depth mixes,
 // conflict rates, checkpoint positions).
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"beliefdb"
@@ -130,6 +133,12 @@ func TestDurabilityRoundTripProperty(t *testing.T) {
 					if err := db.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
+					// The image holds statements and reopening loads them
+					// through the commit path: the shadow's equivalent is a
+					// Rebuild here.
+					if err := shadow.Rebuild(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if accepted < tc.accepted {
@@ -166,5 +175,95 @@ func TestDurabilityRoundTripProperty(t *testing.T) {
 			assertSameDB(t, shadow, re2)
 			re2.Close()
 		})
+	}
+}
+
+// TestReopenEqualsRebuild pins what a snapshot is: the belief database, not
+// its representation. A gen trace with frequent deletes leaves states no
+// statement supports and tuples no valuation references; after a
+// checkpoint, the image alone (no WAL record after it) reopens to exactly
+// the live store after Rebuild — every table's row count, the dump, and the
+// world at every state either store holds and every depth-2 path. It is
+// also a differential test of the update algorithms (loading commits the
+// statements through them) against the kripke construction Rebuild uses.
+func TestReopenEqualsRebuild(t *testing.T) {
+	dir := t.TempDir()
+	db, err := beliefdb.OpenAt(dir, genSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const users = 4
+	for i := 1; i <= users; i++ {
+		if _, err := db.AddUser(fmt.Sprintf("u%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := gen.New(gen.Config{
+		Users: users, DepthDist: []float64{0.3, 0.4, 0.2, 0.1}, KeyPool: 10, Variants: 3, NegProb: 0.3, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(11))
+	deleted := 0
+	for i := 0; i < 400; i++ {
+		stmt := g.Next()
+		if ok, err := db.InsertBelief(stmt.Path, stmt.Sign, stmt.Tuple); err != nil || !ok || i%3 != 0 {
+			continue
+		}
+		stmts, err := db.Statements()
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := stmts[r.Intn(len(stmts))]
+		if ok, err := db.DeleteBelief(victim.Path, victim.Sign, victim.Tuple); err != nil || !ok {
+			t.Fatalf("delete %s = %v, %v", victim, ok, err)
+		}
+		deleted++
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The image and the empty WAL of its fresh epoch, before the live
+	// store's Rebuild journals anything.
+	image := t.TempDir()
+	for _, f := range []string{"snapshot.bdb", "wal.bdb"} {
+		data, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := db.Stats()
+	if err := db.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := db.Stats()
+	if deleted == 0 || rebuilt.States >= live.States || rebuilt.TotalRows >= live.TotalRows {
+		t.Fatalf("vacuous trace: %d deletes, live %s rebuilt %s", deleted, live, rebuilt)
+	}
+
+	re, err := beliefdb.OpenAt(image, genSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertSameDB(t, db, re)
+	if got := re.Stats(); got.String() != rebuilt.String() {
+		t.Errorf("reopened stats:\n%swant Rebuild's\n%s", got, rebuilt)
+	}
+	paths := map[string]beliefdb.Path{}
+	for _, st := range []*beliefdb.DB{db, re} {
+		for _, p := range st.Store().States() {
+			paths[fmt.Sprint(p)] = p
+		}
+	}
+	for _, p := range paths {
+		if w, g := worldFingerprint(t, db, p), worldFingerprint(t, re, p); w != g {
+			t.Errorf("World(%v):\n--- rebuilt ---\n%s\n--- reopened ---\n%s", p, w, g)
+		}
 	}
 }
