@@ -127,7 +127,8 @@ func main() {
 		from Users U,
 			Sightings S1,
 			BELIEF U.uid Sightings S2
-		where S1.sid = S2.sid and S1.species <> S2.species`)
+		where S1.sid = S2.sid and S1.species <> S2.species
+		order by U.name, S2.sid`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,7 +145,8 @@ func main() {
 		from Users U1, Users U2,
 			BELIEF U1.uid Sightings S1,
 			BELIEF U2.uid Sightings S2
-		where S1.sid = S2.sid and S1.species <> S2.species and U1.uid < U2.uid`)
+		where S1.sid = S2.sid and S1.species <> S2.species and U1.uid < U2.uid
+		order by U1.name, U2.name, S1.sid`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func main() {
 		from Users U, BELIEF U.uid not Sightings S, Sightings P
 		where S.sid = P.sid and S.volunteer = P.volunteer
 		and S.species = P.species and S.location = P.location
-		group by U.name order by disputes desc`)
+		group by U.name order by disputes desc, U.name`)
 	if err != nil {
 		log.Fatal(err)
 	}

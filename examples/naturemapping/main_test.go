@@ -28,27 +28,27 @@ func Example_main() {
 	//
 	// == Expert disagreements ==
 	//   DrMoss vs DrReed on s08: "fisher" vs "marten"
-	//   DrMoss vs DrStone on s14: "bobcat" vs "lynx"
-	//   DrMoss vs DrStone on s28: "lynx" vs "bobcat"
-	//   DrMoss vs DrReed on s37: "bobcat" vs "lynx"
 	//   DrMoss vs DrReed on s10: "gray fox" vs "coyote"
-	//   DrMoss vs DrStone on s10: "gray fox" vs "coyote"
 	//   DrMoss vs DrReed on s12: "fisher" vs "marten"
-	//   DrMoss vs DrStone on s12: "fisher" vs "marten"
 	//   DrMoss vs DrReed on s13: "lynx" vs "bobcat"
-	//   DrMoss vs DrStone on s13: "lynx" vs "bobcat"
 	//   DrMoss vs DrReed on s16: "gray fox" vs "red fox"
-	//   DrMoss vs DrStone on s16: "gray fox" vs "red fox"
 	//   DrMoss vs DrReed on s20: "bobcat" vs "lynx"
-	//   DrMoss vs DrStone on s20: "bobcat" vs "lynx"
 	//   DrMoss vs DrReed on s30: "gray fox" vs "coyote"
-	//   DrMoss vs DrStone on s31: "fisher" vs "marten"
+	//   DrMoss vs DrReed on s37: "bobcat" vs "lynx"
 	//   DrMoss vs DrReed on s39: "lynx" vs "bobcat"
+	//   DrMoss vs DrStone on s10: "gray fox" vs "coyote"
+	//   DrMoss vs DrStone on s12: "fisher" vs "marten"
+	//   DrMoss vs DrStone on s13: "lynx" vs "bobcat"
+	//   DrMoss vs DrStone on s14: "bobcat" vs "lynx"
+	//   DrMoss vs DrStone on s16: "gray fox" vs "red fox"
+	//   DrMoss vs DrStone on s20: "bobcat" vs "lynx"
+	//   DrMoss vs DrStone on s28: "lynx" vs "bobcat"
+	//   DrMoss vs DrStone on s31: "fisher" vs "marten"
 	//   DrMoss vs DrStone on s39: "lynx" vs "bobcat"
+	//   DrReed vs DrStone on s08: "marten" vs "fisher"
 	//   DrReed vs DrStone on s14: "bobcat" vs "lynx"
 	//   DrReed vs DrStone on s28: "lynx" vs "bobcat"
 	//   DrReed vs DrStone on s30: "coyote" vs "gray fox"
-	//   DrReed vs DrStone on s08: "marten" vs "fisher"
 	//   DrReed vs DrStone on s31: "fisher" vs "marten"
 	//   DrReed vs DrStone on s37: "lynx" vs "bobcat"
 	//   (24 pairs)

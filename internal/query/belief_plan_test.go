@@ -20,7 +20,7 @@ import (
 const beliefPlanUsers = 4
 
 // beliefPlanStore is a fixed 400-statement store over gen's relation.
-func beliefPlanStore(t *testing.T) *bsql.Translator {
+func beliefPlanStore(t *testing.T) (*bsql.Translator, *store.Store) {
 	t.Helper()
 	cols := make([]store.Column, 0, 5)
 	for _, c := range gen.RelColumns() {
@@ -45,7 +45,7 @@ func beliefPlanStore(t *testing.T) *bsql.Translator {
 	if _, _, err := g.Load(400, func(s core.Statement) (bool, error) { return st.Insert(s) }); err != nil {
 		t.Fatal(err)
 	}
-	return bsql.NewTranslator(st)
+	return bsql.NewTranslator(st), st
 }
 
 // beliefExplain returns the EXPLAIN rows of q and their rendering as
@@ -63,33 +63,63 @@ func beliefExplain(t *testing.T, tr *bsql.Translator, q string) ([][]val.Value, 
 	return res.Rows, out
 }
 
-// TestPositivePlansUnchanged pins the plans of the shapes that contain no
-// negated atom — point (depth 0, 1, 2), location, world, group and top-k —
-// to the output of the commit before negated atoms became semi-joins: that
-// change must not move them.
-func TestPositivePlansUnchanged(t *testing.T) {
-	tr := beliefPlanStore(t)
+// TestPositivePlans pins the plans of the shapes that contain no negated
+// atom: the content queries of analytic-read at depths 0 to 4 along
+// u1·u2·u1·u2, point lookups (depth 0, 1, 2), location, world, group and
+// top-k. A point lookup probes its few key variants first and reaches S_v
+// through the (wid, tid) index; every other shape walks its belief world.
+func TestPositivePlans(t *testing.T) {
+	tr, _ := beliefPlanStore(t)
 	for _, tc := range []struct {
 		q    string
 		want []string
 	}{
+		{"select T.sid, T.species from S T", []string{
+			"_v1 | eq probe | index=S_v_ix1 est=77 | 56",
+			"T | index join | pk | 56",
+		}},
+		{"select T.sid, T.species from BELIEF 'u1' S T", []string{
+			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
+			"_v1 | index join | index=S_v_ix1 | 57",
+			"T | index join | pk | 57",
+		}},
+		{"select T.sid, T.species from BELIEF 'u1' BELIEF 'u2' S T", []string{
+			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
+			"_e2 | index join | index=_e_ix0 | 1",
+			"_v1 | index join | index=S_v_ix1 | 57",
+			"T | index join | pk | 57",
+		}},
+		{"select T.sid, T.species from BELIEF 'u1' BELIEF 'u2' BELIEF 'u1' S T", []string{
+			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
+			"_e2 | index join | index=_e_ix0 | 1",
+			"_e3 | index join | index=_e_ix0 | 1",
+			"_v1 | index join | index=S_v_ix1 | 56",
+			"T | index join | pk | 56",
+		}},
+		{"select T.sid, T.species from BELIEF 'u1' BELIEF 'u2' BELIEF 'u1' BELIEF 'u2' S T", []string{
+			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
+			"_e2 | index join | index=_e_ix0 | 1",
+			"_e3 | index join | index=_e_ix0 | 1",
+			"_e4 | index join | index=_e_ix0 | 1",
+			"_v1 | index join | index=S_v_ix1 | 57",
+			"T | index join | pk | 57",
+		}},
 		{"select T.species from S T where T.sid = 'k7'", []string{
 			"T | eq probe | index=S_star_key est=3 | 4",
-			"_v1 | eq probe | index=S_v_ix1 est=77 | 56",
-			"_v1 | hash join |  | 1",
+			"_v1 | index join | index=S_v_ix3 | 1",
 		}},
 		{"select T.species from BELIEF 'u1' S T where T.sid = 'k7'", []string{
 			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
 			"T | eq probe | index=S_star_key est=3 | 4",
-			"_v1 | index join | index=S_v_ix1 | 57",
-			"T | hash join |  | 1",
+			"T | cross join |  | 4",
+			"_v1 | index join | index=S_v_ix3 | 1",
 		}},
 		{"select T.species from BELIEF 'u2' BELIEF 'u1' S T where T.sid = 'k7'", []string{
 			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
-			"T | eq probe | index=S_star_key est=3 | 4",
 			"_e2 | index join | index=_e_ix0 | 1",
-			"_v1 | index join | index=S_v_ix1 | 56",
-			"T | hash join |  | 1",
+			"T | eq probe | index=S_star_key est=3 | 4",
+			"T | cross join |  | 4",
+			"_v1 | index join | index=S_v_ix3 | 1",
 		}},
 		{"select T.sid, T.species from BELIEF 'u1' S T where T.location = 'loc1'", []string{
 			"_e1 | eq probe | index=_e_ix0 est=1 | 1",
@@ -118,6 +148,35 @@ func TestPositivePlansUnchanged(t *testing.T) {
 	}
 }
 
+// TestPointReadsProbeKeyVariants: a point lookup at depth 0, 1 or 2, for
+// every key of the store and for an absent one, produces no EXPLAIN step
+// with more rows than the key has S_star variants (or than the one world
+// an E-chain step reaches), so the rows it examines do not grow with the
+// size of the belief world.
+func TestPointReadsProbeKeyVariants(t *testing.T) {
+	tr, st := beliefPlanStore(t)
+	for _, path := range []string{"", "BELIEF 'u1' ", "BELIEF 'u2' BELIEF 'u1' "} {
+		for k := 0; k <= 60; k++ { // gen's key pool is k0..k59; k60 is absent
+			key := fmt.Sprintf("k%d", k)
+			res, err := st.SQL(fmt.Sprintf("select count(*) from S_star where sid = '%s'", key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			variants := res.Rows[0][0].AsInt()
+			if k == 60 && variants != 0 {
+				t.Fatalf("%s has %d variants; the test wants an absent key", key, variants)
+			}
+			q := fmt.Sprintf("select T.species from %sS T where T.sid = '%s'", path, key)
+			rows, got := beliefExplain(t, tr, q)
+			for _, r := range rows {
+				if r[3].AsInt() > max(variants, 1) {
+					t.Errorf("%s: step %q produces more than the key's %d variants: %q", q, r[0].AsString(), variants, got)
+				}
+			}
+		}
+	}
+}
+
 const sameTuple = ` T2.sid = T1.sid and T2.observer = T1.observer and T2.species = T1.species
 	and T2.date = T1.date and T2.location = T1.location`
 
@@ -126,7 +185,7 @@ const sameTuple = ` T2.sid = T1.sid and T2.observer = T1.observer and T2.species
 // more rows than the positive part alone (its largest step) crossed with
 // the users — the witnesses of a negated atom are never materialised.
 func TestNegatedAtomsPlanAsSemiJoins(t *testing.T) {
-	tr := beliefPlanStore(t)
+	tr, _ := beliefPlanStore(t)
 	for _, tc := range []struct {
 		name, q, positive string
 		semiJoins         int

@@ -85,10 +85,6 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 	}
 
 	sch := b.table.Schema()
-	eqOn := make(map[int]val.Value, len(tc.constEqs))
-	for _, ce := range tc.constEqs {
-		eqOn[sch.ColumnIndex(ce.col)] = ce.v
-	}
 
 	// Find an ordered index whose columns, after the const-eq-bound
 	// prefix, start with exactly the ORDER BY columns.
@@ -99,13 +95,7 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 			continue
 		}
 		cols := cand.Cols()
-		p := 0
-		for p < len(cols) {
-			if _, ok := eqOn[cols[p]]; !ok {
-				break
-			}
-			p++
-		}
+		p := tc.eqPrefix(cols)
 		if p+len(orderCols) > len(cols) {
 			continue
 		}
@@ -134,7 +124,7 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 	// ordering column.
 	prefix := make([]val.Value, eqPrefix)
 	for i := 0; i < eqPrefix; i++ {
-		prefix[i] = eqOn[idx.Cols()[i]]
+		prefix[i] = tc.eqOn[idx.Cols()[i]]
 	}
 	iv := tc.interval(sch.Columns[idx.Cols()[eqPrefix]].Name)
 	lo, hi := prefix, prefix

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"beliefdb/internal/engine"
@@ -25,7 +26,6 @@ type binding struct {
 type joinEdge struct {
 	a, b       string // aliases
 	aCol, bCol string // column names on each side
-	consumed   bool
 }
 
 // residual is a conjunct that needs several bindings before it can run:
@@ -38,12 +38,6 @@ type residual struct {
 	done bool
 }
 
-// constEq is a column = literal conjunct usable for index access.
-type constEq struct {
-	col string
-	v   val.Value
-}
-
 // rangeBound is one inequality conjunct on a column, normalized to
 // column-on-left form: col <op> v.
 type rangeBound struct {
@@ -54,14 +48,28 @@ type rangeBound struct {
 
 // tableCtx is the per-binding planning state.
 type tableCtx struct {
-	b        binding
-	schema   relSchema // single-table schema (qualified by alias)
-	constEqs []constEq
-	bounds   []rangeBound     // inequality conjuncts usable for range access
-	filters  []sqlparser.Expr // all single-table conjuncts (includes constEqs/bounds)
-	mat      *rowSet          // materialized filtered rows, lazily computed
-	path     *accessPath      // chosen access path, lazily computed
-	rec      *planRecorder    // EXPLAIN sink; nil when not explaining
+	b       binding
+	schema  relSchema         // single-table schema (qualified by alias)
+	eqOn    map[int]val.Value // column position -> literal of a col = literal conjunct
+	bounds  []rangeBound      // inequality conjuncts usable for range access
+	filters []sqlparser.Expr  // all single-table conjuncts (includes eqOn/bounds)
+	path    *accessPath       // chosen access path, lazily computed
+	rec     *planRecorder     // EXPLAIN sink; nil when not explaining
+}
+
+// literal reports whether a const-eq conjunct fixes column c.
+func (tc *tableCtx) literal(c int) bool {
+	_, ok := tc.eqOn[c]
+	return ok
+}
+
+// eqPrefix is the number of leading index columns fixed by literals.
+func (tc *tableCtx) eqPrefix(cols []int) int {
+	p := 0
+	for p < len(cols) && tc.literal(cols[p]) {
+		p++
+	}
+	return p
 }
 
 func tableSchema(b binding) relSchema {
@@ -279,11 +287,47 @@ func (p *accessPath) detail() string {
 	return sb.String()
 }
 
+// bestProbe is the planner's one choice of index: the cheapest way to
+// fetch t's rows when the columns for which bound reports true hold known
+// values — literals, columns of rows already in place, or an enclosing
+// query's parameters. A bound primary key reaches one row; otherwise the
+// fully bound index with the fewest rows per key (N/L for L distinct keys)
+// wins, equal buckets going to the wider index and then to the first name.
+// key lists the probe's columns: the pk column alone (idx nil) or idx's.
+// With neither (key nil) the rows must be scanned, at cost N.
+func bestProbe(t *engine.Table, bound func(col int) bool) (key []int, idx *engine.Index, cost float64) {
+	if c := t.PKCol(); c >= 0 && bound(c) {
+		return []int{c}, nil, 1
+	}
+	n := float64(t.Len())
+	cost = n
+indexes:
+	for _, ix := range t.Indexes() {
+		for _, c := range ix.Cols() {
+			if !bound(c) {
+				continue indexes
+			}
+		}
+		if ix.Len() == 0 {
+			continue
+		}
+		perKey := n / float64(ix.Len())
+		if idx == nil || perKey < cost || perKey == cost &&
+			(len(ix.Cols()) > len(idx.Cols()) || len(ix.Cols()) == len(idx.Cols()) && ix.Name() < idx.Name()) {
+			idx, cost = ix, perKey
+		}
+	}
+	if idx == nil {
+		return nil, nil, cost
+	}
+	return idx.Cols(), idx, cost
+}
+
 // accessPath chooses the cheapest candidate path for the binding, caching
-// the result. Candidates are costed from the exact distinct-key counts the
-// indexes maintain (Index.Len, ordered-index range ranks) and the table
-// cardinality; ties between equally cheap index probes break toward the
-// more selective index (higher Len), then toward the wider one.
+// the result: the probe bestProbe picks on the literal-bound columns, or a
+// range walk over an ordered index, or a full scan. Candidates are costed
+// from the exact distinct-key counts the indexes maintain (Index.Len,
+// ordered-index range ranks) and the table cardinality.
 func (tc *tableCtx) accessPath() *accessPath {
 	if tc.path != nil {
 		return tc.path
@@ -292,67 +336,20 @@ func (tc *tableCtx) accessPath() *accessPath {
 	sch := t.Schema()
 	n := float64(t.Len())
 	best := &accessPath{kind: pathScan, est: n, cost: n}
-
-	better := func(p *accessPath) bool {
-		if p.cost != best.cost {
-			return p.cost < best.cost
+	switch key, idx, cost := bestProbe(t, tc.literal); {
+	case idx != nil:
+		vals := make([]val.Value, len(key))
+		for i, c := range key {
+			vals[i] = tc.eqOn[c]
 		}
-		if best.kind == pathScan {
-			return true
-		}
-		pl, bl := 0, 0
-		if p.idx != nil {
-			pl = p.idx.Len()
-		}
-		if best.idx != nil {
-			bl = best.idx.Len()
-		}
-		if pl != bl {
-			return pl > bl // more distinct keys = more selective
-		}
-		if p.idx != nil && best.idx != nil {
-			return len(p.idx.Cols()) > len(best.idx.Cols())
-		}
-		return false
-	}
-	consider := func(p *accessPath) {
-		if better(p) {
-			best = p
-		}
-	}
-
-	eqOn := make(map[int]val.Value, len(tc.constEqs))
-	for _, ce := range tc.constEqs {
-		eqOn[sch.ColumnIndex(ce.col)] = ce.v
-	}
-	if pk := t.PKCol(); pk >= 0 {
-		if v, ok := eqOn[pk]; ok {
-			consider(&accessPath{kind: pathPK, pkVal: v, est: 1, cost: 1})
-		}
+		best = &accessPath{kind: pathEqProbe, idx: idx, eqVals: vals, est: cost, cost: cost}
+	case key != nil:
+		best = &accessPath{kind: pathPK, pkVal: tc.eqOn[key[0]], est: 1, cost: 1}
 	}
 	for _, idx := range t.Indexes() {
 		cols := idx.Cols()
-		perKey := n
-		if k := idx.Len(); k > 0 {
-			perKey = n / float64(k)
-		}
-		// Longest prefix of the index columns bound by const-eq conjuncts.
-		p := 0
-		for p < len(cols) {
-			if _, ok := eqOn[cols[p]]; !ok {
-				break
-			}
-			p++
-		}
-		if p == len(cols) {
-			vals := make([]val.Value, len(cols))
-			for i, c := range cols {
-				vals[i] = eqOn[c]
-			}
-			consider(&accessPath{kind: pathEqProbe, idx: idx, eqVals: vals, est: perKey, cost: perKey})
-			continue
-		}
-		if !idx.Ordered() {
+		p := tc.eqPrefix(cols)
+		if !idx.Ordered() || p == len(cols) || idx.Len() == 0 {
 			continue
 		}
 		// Ordered index with a partial prefix: an eq prefix and/or an
@@ -363,7 +360,7 @@ func (tc *tableCtx) accessPath() *accessPath {
 		}
 		prefix := make([]val.Value, p)
 		for i := 0; i < p; i++ {
-			prefix[i] = eqOn[cols[i]]
+			prefix[i] = tc.eqOn[cols[i]]
 		}
 		ap := &accessPath{kind: pathRange, idx: idx, loIncl: true, hiIncl: true}
 		if iv.lo != nil {
@@ -379,9 +376,11 @@ func (tc *tableCtx) accessPath() *accessPath {
 			ap.hi = prefix
 		}
 		keys := float64(idx.RangeKeys(ap.lo, ap.loIncl, ap.hi, ap.hiIncl))
-		ap.est = keys * perKey
+		ap.est = keys * n / float64(idx.Len())
 		ap.cost = rangeWalkPenalty * ap.est
-		consider(ap)
+		if ap.cost < best.cost {
+			best = ap
+		}
 	}
 	tc.path = best
 	return best
@@ -389,9 +388,6 @@ func (tc *tableCtx) accessPath() *accessPath {
 
 // estimate guesses the post-filter cardinality of a base table.
 func (tc *tableCtx) estimate() int {
-	if tc.mat != nil {
-		return len(tc.mat.rows)
-	}
 	n := tc.b.table.Len()
 	switch p := tc.accessPath(); p.kind {
 	case pathPK:
@@ -399,7 +395,7 @@ func (tc *tableCtx) estimate() int {
 	case pathEqProbe, pathRange:
 		return int(p.est) + 1
 	default:
-		if len(tc.constEqs) > 0 {
+		if len(tc.eqOn) > 0 {
 			return n/3 + 1
 		}
 		if len(tc.filters) > 0 {
@@ -409,8 +405,7 @@ func (tc *tableCtx) estimate() int {
 	}
 }
 
-// pointwise reports whether the chosen path is a point-ish lookup cheap
-// enough to materialize eagerly during singleton folding.
+// pointwise reports whether the chosen path is a key probe on literals.
 func (tc *tableCtx) pointwise() bool {
 	switch tc.accessPath().kind {
 	case pathPK, pathEqProbe:
@@ -419,12 +414,44 @@ func (tc *tableCtx) pointwise() bool {
 	return false
 }
 
-// materialize produces the base table's filtered rows via the chosen
-// access path and caches the result.
-func (tc *tableCtx) materialize() (*rowSet, error) {
-	if tc.mat != nil {
-		return tc.mat, nil
+// stepCost is the number of rows one left row reaches when tc joins next,
+// given joined, the columns its edges to placed bindings fix: 1 through a
+// bound primary key, N/L through the best fully bound index (literals bind
+// too), otherwise its filtered cardinality, as a hash or cross join.
+func (tc *tableCtx) stepCost(joined []int) float64 {
+	bound := func(c int) bool { return tc.literal(c) || slices.Contains(joined, c) }
+	if key, _, cost := bestProbe(tc.b.table, bound); key != nil {
+		return cost
 	}
+	return float64(tc.estimate())
+}
+
+// joinedCols lists tc's columns that an edge to a placed binding fixes.
+func (tc *tableCtx) joinedCols(edges []*joinEdge, placed map[string]bool) []int {
+	var cols []int
+	for _, e := range edges {
+		if col, other, _ := e.from(tc.b.alias); placed[other] {
+			cols = append(cols, tc.b.table.Schema().ColumnIndex(col))
+		}
+	}
+	return cols
+}
+
+// from orients the edge from alias's side: alias's column, then the other
+// binding and its column; other is "" when alias is on neither side.
+func (e *joinEdge) from(alias string) (col, other, otherCol string) {
+	switch alias {
+	case e.a:
+		return e.aCol, e.b, e.bCol
+	case e.b:
+		return e.bCol, e.a, e.aCol
+	}
+	return "", "", ""
+}
+
+// materialize produces the base table's filtered rows via the chosen
+// access path.
+func (tc *tableCtx) materialize() (*rowSet, error) {
 	t := tc.b.table
 	var preds []compiledExpr
 	for _, f := range tc.filters {
@@ -490,7 +517,6 @@ func (tc *tableCtx) materialize() (*rowSet, error) {
 		}
 	}
 	tc.rec.record(tc.b.alias, ap.kind.String(), ap.detail(), len(out.rows))
-	tc.mat = out
 	return out, nil
 }
 
@@ -557,7 +583,10 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 				// Resolve the unqualified case to be sure of the column.
 				i, err := full.find(c)
 				if err == nil && full[i].rel == alias {
-					tc.constEqs = append(tc.constEqs, constEq{col: full[i].name, v: v})
+					if tc.eqOn == nil {
+						tc.eqOn = make(map[int]val.Value)
+					}
+					tc.eqOn[tc.b.table.Schema().ColumnIndex(full[i].name)] = v
 				}
 			} else if c, op, v, ok := asRangeBound(conj); ok {
 				i, err := full.find(c)
@@ -597,83 +626,7 @@ func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, re
 		return &rowSet{schema: full}, nil
 	}
 
-	// Greedy left-deep join order: start from the cheapest binding; then
-	// repeatedly add the cheapest binding connected by a join edge, falling
-	// back to a cross product when the join graph is disconnected.
-	joined := make(map[string]bool)
-	pick := func(candidates []string) string {
-		best, bestCard := "", int(^uint(0)>>1)
-		for _, a := range candidates {
-			if c := ctxs[a].estimate(); c < bestCard || best == "" {
-				best, bestCard = a, c
-			}
-		}
-		return best
-	}
-	remaining := append([]string(nil), order...)
-	removeRemaining := func(alias string) {
-		for i, a := range remaining {
-			if a == alias {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				return
-			}
-		}
-	}
-
-	start := pick(remaining)
-	cur, err := ctxs[start].materialize()
-	if err != nil {
-		return nil, err
-	}
-	joined[start] = true
-	removeRemaining(start)
-
-	// Eagerly fold in near-singleton tables (point lookups on constants):
-	// crossing with at most a couple of rows is free and seeds join edges
-	// that keep later fanouts bound — e.g. the E-chain anchors of
-	// translated belief queries, which must join before the much larger V
-	// tables. Tables whose constant predicates are fully index-covered are
-	// materialized first so the estimate is exact.
-	for _, a := range remaining {
-		tc := ctxs[a]
-		if tc.mat != nil || len(tc.constEqs) == 0 {
-			continue
-		}
-		if tc.pointwise() {
-			if _, err := tc.materialize(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for {
-		folded := false
-		for _, a := range append([]string(nil), remaining...) {
-			if ctxs[a].mat == nil || ctxs[a].estimate() > 2 {
-				continue
-			}
-			var active []*joinEdge
-			for _, e := range edges {
-				if e.consumed {
-					continue
-				}
-				if (e.a == a && joined[e.b]) || (e.b == a && joined[e.a]) {
-					active = append(active, e)
-					e.consumed = true
-				}
-			}
-			cur, err = joinNext(cur, ctxs[a], active)
-			if err != nil {
-				return nil, err
-			}
-			joined[a] = true
-			removeRemaining(a)
-			folded = true
-		}
-		if !folded {
-			break
-		}
-	}
-
+	placed := make(map[string]bool)
 	applyResiduals := func(rs *rowSet) (*rowSet, error) {
 		for _, r := range residuals {
 			if r.done {
@@ -681,7 +634,7 @@ func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, re
 			}
 			ready := true
 			for a := range r.refs {
-				if !joined[a] {
+				if !placed[a] {
 					ready = false
 					break
 				}
@@ -715,101 +668,43 @@ func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, re
 		}
 		return rs, nil
 	}
-	cur, err = applyResiduals(cur)
-	if err != nil {
-		return nil, err
-	}
 
-	// fanout estimates the per-left-row output of joining candidate a next:
-	// near 1 for PK or selective index joins, the filtered table size for
-	// hash joins.
-	fanout := func(a string) float64 {
-		tc := ctxs[a]
-		sch := tc.b.table.Schema()
-		joinCols := make(map[int]bool)
-		for _, e := range edges {
-			if e.consumed {
-				continue
-			}
-			if e.a == a && joined[e.b] {
-				joinCols[sch.ColumnIndex(e.aCol)] = true
-			} else if e.b == a && joined[e.a] {
-				joinCols[sch.ColumnIndex(e.bCol)] = true
-			}
-		}
-		if pk := tc.b.table.PKCol(); pk >= 0 && joinCols[pk] {
-			return 1
-		}
-		constCols := make(map[int]bool)
-		for _, ce := range tc.constEqs {
-			constCols[sch.ColumnIndex(ce.col)] = true
-		}
-		best := 0
-		for _, idx := range tc.b.table.Indexes() {
-			usable, hasJoin := true, false
-			for _, c := range idx.Cols() {
-				switch {
-				case joinCols[c]:
-					hasJoin = true
-				case constCols[c]:
-				default:
-					usable = false
-				}
-			}
-			if usable && hasJoin && idx.Len() > best {
-				best = idx.Len()
-			}
-		}
-		if best > 0 {
-			return float64(tc.b.table.Len()) / float64(best)
-		}
-		return float64(tc.estimate())
-	}
-
+	// Greedy left-deep order, the step rule of the semi-join's probe chain:
+	// a binding joined to a placed one by an edge, or reached by a key probe
+	// on its own literals, is a candidate at cost stepCost; the cheapest is
+	// placed, ties keeping FROM order. A binding that is neither would enter
+	// as a cross join costed by a guess, so it waits until no candidate is
+	// left (a disconnected join graph).
+	var cur *rowSet
+	remaining := append([]string(nil), order...)
 	for len(remaining) > 0 {
-		var connected []string
-		for _, a := range remaining {
-			for _, e := range edges {
-				if e.consumed {
+		next, nextCost := -1, 0.0
+		for _, all := range []bool{false, true} {
+			for i, a := range remaining {
+				joined := ctxs[a].joinedCols(edges, placed)
+				if !all && len(joined) == 0 && !ctxs[a].pointwise() {
 					continue
 				}
-				if (e.a == a && joined[e.b]) || (e.b == a && joined[e.a]) {
-					connected = append(connected, a)
-					break
+				if c := ctxs[a].stepCost(joined); next < 0 || c < nextCost {
+					next, nextCost = i, c
 				}
+			}
+			if next >= 0 {
+				break
 			}
 		}
-		var next string
-		if len(connected) > 0 {
-			next = connected[0]
-			bestF := fanout(next)
-			for _, a := range connected[1:] {
-				if f := fanout(a); f < bestF {
-					next, bestF = a, f
-				}
-			}
+		tc := ctxs[remaining[next]]
+		remaining = slices.Delete(remaining, next, next+1)
+		if cur == nil {
+			cur, err = tc.materialize()
 		} else {
-			next = pick(remaining)
+			cur, err = joinNext(cur, tc, edges, placed)
 		}
-		// Collect the edges that join next to the current set.
-		var active []*joinEdge
-		for _, e := range edges {
-			if e.consumed {
-				continue
-			}
-			if (e.a == next && joined[e.b]) || (e.b == next && joined[e.a]) {
-				active = append(active, e)
-				e.consumed = true
-			}
-		}
-		cur, err = joinNext(cur, ctxs[next], active)
 		if err != nil {
 			return nil, err
 		}
-		joined[next] = true
-		removeRemaining(next)
-		cur, err = applyResiduals(cur)
-		if err != nil {
+		placed[tc.b.alias] = true
+		if cur, err = applyResiduals(cur); err != nil {
 			return nil, err
 		}
 	}
@@ -825,37 +720,33 @@ func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, re
 // column position.
 type joinPair struct{ leftIdx, rightIdx int }
 
-// joinNext joins the accumulated row set with one more base table using the
-// given equi-join edges: by index nested loop when the new table has a
-// matching index, otherwise by hash join (or cross product with no edges).
-func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
-	outSchema := append(append(relSchema{}, cur.schema...), tc.schema...)
-	pairs := make([]joinPair, 0, len(edges))
-	sch := tc.b.table.Schema()
+// joinNext joins the accumulated row set with one more base table through
+// its edges to the placed bindings: by index nested loop when the probe
+// bestProbe picks for the joined and literal columns is keyed by a joined
+// one, otherwise by hash join (a cross product with no edges) over the
+// table's own access path.
+func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge, placed map[string]bool) (*rowSet, error) {
+	t := tc.b.table
+	var pairs []joinPair
 	for _, e := range edges {
-		leftAlias, leftCol, rightCol := e.a, e.aCol, e.bCol
-		if e.a == tc.b.alias {
-			leftAlias, leftCol, rightCol = e.b, e.bCol, e.aCol
+		col, other, otherCol := e.from(tc.b.alias)
+		if !placed[other] {
+			continue
 		}
-		li, err := cur.schema.find(sqlparser.ColumnRef{Table: leftAlias, Column: leftCol})
+		li, err := cur.schema.find(sqlparser.ColumnRef{Table: other, Column: otherCol})
 		if err != nil {
 			return nil, err
 		}
-		ri := sch.ColumnIndex(rightCol)
-		if ri < 0 {
-			return nil, fmt.Errorf("query: no column %s in %s", rightCol, tc.b.alias)
-		}
-		pairs = append(pairs, joinPair{leftIdx: li, rightIdx: ri})
+		pairs = append(pairs, joinPair{leftIdx: li, rightIdx: t.Schema().ColumnIndex(col)})
 	}
 
-	out := &rowSet{schema: outSchema}
+	out := &rowSet{schema: append(append(relSchema{}, cur.schema...), tc.schema...)}
 	emit := func(l, r []val.Value) {
 		row := make([]val.Value, 0, len(l)+len(r))
 		row = append(row, l...)
 		row = append(row, r...)
 		out.rows = append(out.rows, row)
 	}
-
 	if len(pairs) == 0 {
 		rs, err := tc.materialize()
 		if err != nil {
@@ -870,20 +761,14 @@ func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
 		return out, nil
 	}
 
-	// Index nested-loop join: usable when the table has not yet been
-	// materialized and an index (or the primary key) covers a subset of the
-	// join/const columns.
-	if tc.mat == nil {
-		ok, detail, err := indexJoin(cur, tc, pairs, emit)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			tc.rec.record(tc.b.alias, "index join", detail, len(out.rows))
-			return out, nil
-		}
+	ok, detail, err := indexJoin(cur, tc, pairs, emit)
+	if err != nil {
+		return nil, err
 	}
-
+	if ok {
+		tc.rec.record(tc.b.alias, "index join", detail, len(out.rows))
+		return out, nil
+	}
 	rs, err := tc.materialize()
 	if err != nil {
 		return nil, err
@@ -918,21 +803,30 @@ func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge) (*rowSet, error) {
 	return out, nil
 }
 
-// indexJoin attempts an index nested-loop join, calling emit for every
-// joined row pair; it reports ok=false when no suitable index exists. The
-// detail string names the probe structure for EXPLAIN.
+// indexJoin runs an index nested-loop join, calling emit for every joined
+// row pair, when the probe bestProbe picks for the joined and literal
+// columns is keyed by at least one joined column; a probe on literals alone
+// is the table's own access path, which the caller hash joins instead. It
+// reports ok=false then. The detail string names the probe for EXPLAIN.
 func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val.Value)) (bool, string, error) {
 	t := tc.b.table
-	sch := t.Schema()
-	joinCols := make(map[int]int) // right col -> left offset
+	joined := make(map[int]int, len(pairs)) // right column -> left offset
 	for _, p := range pairs {
-		joinCols[p.rightIdx] = p.leftIdx
+		joined[p.rightIdx] = p.leftIdx
 	}
-	constCols := make(map[int]val.Value)
-	for _, ce := range tc.constEqs {
-		constCols[sch.ColumnIndex(ce.col)] = ce.v
+	keyCols, idx, _ := bestProbe(t, func(c int) bool {
+		_, ok := joined[c]
+		return ok || tc.literal(c)
+	})
+	if !slices.ContainsFunc(keyCols, func(c int) bool { _, ok := joined[c]; return ok }) {
+		return false, "", nil
 	}
-	// Compile leftover single-table filters to apply after the lookup.
+	detail := "pk"
+	if idx != nil {
+		detail = "index=" + idx.Name()
+	}
+	// Leftover single-table filters and join columns the key does not
+	// cover are checked on every fetched row.
 	var preds []compiledExpr
 	for _, f := range tc.filters {
 		p, err := compileExpr(f, tc.schema)
@@ -941,81 +835,41 @@ func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val
 		}
 		preds = append(preds, p)
 	}
-	checkEmit := func(l, r []val.Value) (bool, error) {
-		for _, p := range preds {
-			ok, err := truthy(p, r)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		// Verify join columns not covered by the index.
-		for _, pr := range pairs {
-			if !val.Equal(l[pr.leftIdx], r[pr.rightIdx]) {
-				return false, nil
+	key := make([]val.Value, len(keyCols))
+	var one [1]engine.RowID
+	for _, l := range cur.rows {
+		for i, c := range keyCols {
+			if off, ok := joined[c]; ok {
+				key[i] = l[off]
+			} else {
+				key[i] = tc.eqOn[c]
 			}
 		}
-		emit(l, r)
-		return true, nil
-	}
-
-	// Primary key join when the pk column participates in the join.
-	if pk := t.PKCol(); pk >= 0 {
-		if leftOff, ok := joinCols[pk]; ok {
-			for _, l := range cur.rows {
-				if id, found := t.LookupPK(l[leftOff]); found {
-					if _, err := checkEmit(l, t.Get(id)); err != nil {
-						return false, "", err
-					}
+		ids := one[:0]
+		if idx != nil {
+			ids = idx.Lookup(key)
+		} else if id, found := t.LookupPK(key[0]); found {
+			ids = append(ids, id)
+		}
+	rows:
+		for _, id := range ids {
+			r := t.Get(id)
+			for _, p := range preds {
+				ok, err := truthy(p, r)
+				if err != nil {
+					return false, "", err
+				}
+				if !ok {
+					continue rows
 				}
 			}
-			return true, "pk", nil
+			for _, pr := range pairs {
+				if !val.Equal(l[pr.leftIdx], r[pr.rightIdx]) {
+					continue rows
+				}
+			}
+			emit(l, r)
 		}
 	}
-	// Secondary index whose columns are all join or const columns; prefer
-	// the most selective one (smallest expected bucket: highest distinct
-	// key count), breaking ties toward wider indexes.
-	var best *engine.Index
-	for _, idx := range t.Indexes() {
-		usable, hasJoin := true, false
-		for _, c := range idx.Cols() {
-			if _, ok := joinCols[c]; ok {
-				hasJoin = true
-				continue
-			}
-			if _, ok := constCols[c]; ok {
-				continue
-			}
-			usable = false
-			break
-		}
-		if !usable || !hasJoin {
-			continue
-		}
-		if best == nil || idx.Len() > best.Len() ||
-			(idx.Len() == best.Len() && len(idx.Cols()) > len(best.Cols())) {
-			best = idx
-		}
-	}
-	if best == nil {
-		return false, "", nil
-	}
-	vals := make([]val.Value, len(best.Cols()))
-	for _, l := range cur.rows {
-		for i, c := range best.Cols() {
-			if off, ok := joinCols[c]; ok {
-				vals[i] = l[off]
-			} else {
-				vals[i] = constCols[c]
-			}
-		}
-		for _, id := range best.Lookup(vals) {
-			if _, err := checkEmit(l, t.Get(id)); err != nil {
-				return false, "", err
-			}
-		}
-	}
-	return true, "index=" + best.Name(), nil
+	return true, detail, nil
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -317,37 +316,11 @@ func planSemiStep(i int, b binding, conjs []*semiConj, placed []bool) (*semiStep
 			}
 		}
 	}
-	use := func(cols []int) {
-		st.keyConj, st.corr = st.keyConj[:0], false
-		for _, c := range cols {
-			st.keyConj = append(st.keyConj, bound[c])
-			st.corr = st.corr || bound[c].outer
-		}
-	}
-	n := float64(t.Len())
-	cost := n
-	if pk := t.PKCol(); pk >= 0 && bound[pk] != nil {
-		st.pk, cost = true, 1
-		use([]int{pk})
-	} else {
-	indexes:
-		// In name order, for a deterministic choice among equally good indexes.
-		for _, name := range slices.Sorted(maps.Keys(t.Indexes())) {
-			idx := t.Indexes()[name]
-			for _, c := range idx.Cols() {
-				if bound[c] == nil {
-					continue indexes
-				}
-			}
-			if idx.Len() == 0 {
-				continue
-			}
-			perKey := n / float64(idx.Len())
-			if perKey < cost || (perKey == cost && st.idx != nil && len(idx.Cols()) > len(st.idx.Cols())) {
-				st.idx, cost = idx, perKey
-				use(idx.Cols())
-			}
-		}
+	cols, idx, cost := bestProbe(t, func(c int) bool { return bound[c] != nil })
+	st.pk, st.idx = cols != nil && idx == nil, idx
+	for _, c := range cols {
+		st.keyConj = append(st.keyConj, bound[c])
+		st.corr = st.corr || bound[c].outer
 	}
 	st.key = make([]val.Value, len(st.keyConj))
 	return st, cost
