@@ -2,6 +2,7 @@ package bsql
 
 import (
 	"fmt"
+	"slices"
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/query"
@@ -161,15 +162,7 @@ func (tr *Translator) compile(stmt Statement) ([]store.BatchOp, error) {
 	case Insert:
 		return tr.insertOps(s)
 	case Delete:
-		targets, _, err := tr.matchTargets(s.Target, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		ops := make([]store.BatchOp, len(targets))
-		for i, t := range targets {
-			ops[i] = store.BatchOp{Delete: true, Stmt: t}
-		}
-		return ops, nil
+		return tr.deleteOps(s)
 	case Update:
 		return tr.updateOps(s)
 	default:
@@ -257,65 +250,155 @@ func (tr *Translator) insertOps(ins Insert) ([]store.BatchOp, error) {
 	return ops, nil
 }
 
-// matchTargets returns the explicit statements in the target world matching
-// the WHERE clause.
-func (tr *Translator) matchTargets(target BeliefRef, where sqlparser.Expr) ([]core.Statement, []string, error) {
-	p, sign, err := tr.targetPathSign(target)
+// dmlTarget is the target of a DELETE or UPDATE, resolved before any
+// statement is read: the world, the sign and the relation with its column
+// names, against which the WHERE and SET expressions compile (bare or
+// qualified by the relation name).
+type dmlTarget struct {
+	path core.Path
+	sign core.Sign
+	rel  store.Relation
+	cols []string
+}
+
+func (tr *Translator) resolveTarget(ref BeliefRef) (dmlTarget, error) {
+	p, sign, err := tr.targetPathSign(ref)
 	if err != nil {
-		return nil, nil, err
+		return dmlTarget{}, err
 	}
-	rel, ok := tr.st.Relation(target.Table)
+	rel, ok := tr.st.Relation(ref.Table)
 	if !ok {
-		return nil, nil, fmt.Errorf("bsql: unknown belief relation %q", target.Table)
+		return dmlTarget{}, fmt.Errorf("bsql: unknown belief relation %q", ref.Table)
 	}
 	cols := make([]string, len(rel.Columns))
 	for i, c := range rel.Columns {
 		cols[i] = c.Name
 	}
-	all, err := tr.st.ExplicitStatements()
-	if err != nil {
-		return nil, nil, err
+	return dmlTarget{path: p, sign: sign, rel: rel, cols: cols}, nil
+}
+
+// keyProbe returns the key a top-level AND conjunct `key = literal` (in
+// either order, the key column bare or qualified) pins the WHERE clause
+// to, coerced to the key column's type. It returns nil when no conjunct
+// does, or when the literal does not coerce exactly to the key's type.
+func (t dmlTarget) keyProbe(where sqlparser.Expr) *val.Value {
+	ex, ok := where.(sqlparser.BinaryExpr)
+	if !ok {
+		return nil
 	}
-	var out []core.Statement
-	for _, st := range all {
-		if st.Tuple.Rel != rel.Name || st.Sign != sign || !st.Path.Equal(p) {
-			continue
+	switch ex.Op {
+	case "AND":
+		if k := t.keyProbe(ex.L); k != nil {
+			return k
 		}
-		ok, err := query.PredicateOnRow(where, target.Table, cols, st.Tuple.Vals)
+		return t.keyProbe(ex.R)
+	case "=":
+		if k := t.keyEquals(ex.L, ex.R); k != nil {
+			return k
+		}
+		return t.keyEquals(ex.R, ex.L)
+	}
+	return nil
+}
+
+// keyEquals returns lit coerced to the key type when col names the key
+// column and lit is a constant of that type.
+func (t dmlTarget) keyEquals(col, lit sqlparser.Expr) *val.Value {
+	ref, ok := col.(sqlparser.ColumnRef)
+	if !ok || ref.Column != t.cols[0] || (ref.Table != "" && ref.Table != t.rel.Name) {
+		return nil
+	}
+	v, err := ConstValue(lit)
+	if err != nil {
+		return nil
+	}
+	k, ok := val.Coerce(v, t.rel.Columns[0].Type)
+	if !ok {
+		return nil
+	}
+	return &k
+}
+
+// matchTargets returns the explicit statements of the target world that
+// satisfy the WHERE clause, in canonical order. The clause compiles before
+// any statement is read, so a bad column fails whatever the world holds.
+// The candidates are the world's explicit statements of the target
+// relation and sign, probed by key when the clause pins the key column
+// (keyProbe); the whole clause is the residual on every candidate, so the
+// probe narrows the candidates without changing the answer.
+func (tr *Translator) matchTargets(t dmlTarget, where sqlparser.Expr) ([]core.Statement, error) {
+	pred, err := query.CompileRow(where, t.rel.Name, t.cols)
+	if err != nil {
+		return nil, err
+	}
+	cands, err := tr.st.ExplicitIn(t.rel.Name, t.path, t.sign, t.keyProbe(where))
+	if err != nil {
+		return nil, err
+	}
+	out := cands[:0]
+	for _, st := range cands {
+		ok, err := pred.Holds(st.Tuple.Vals)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ok {
 			out = append(out, st)
 		}
 	}
-	return out, cols, nil
+	return out, nil
+}
+
+// deleteOps resolves one DELETE into delete operations, one per matching
+// explicit statement.
+func (tr *Translator) deleteOps(del Delete) ([]store.BatchOp, error) {
+	t, err := tr.resolveTarget(del.Target)
+	if err != nil {
+		return nil, err
+	}
+	targets, err := tr.matchTargets(t, del.Where)
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]store.BatchOp, len(targets))
+	for i, st := range targets {
+		ops[i] = store.BatchOp{Delete: true, Stmt: st}
+	}
+	return ops, nil
 }
 
 // updateOps resolves one UPDATE into replace operations: each matching
 // explicit statement keeps its world and sign and takes the SET values.
+// The SET expressions compile before the targets are matched, so a bad
+// column fails whatever the world holds.
 func (tr *Translator) updateOps(upd Update) ([]store.BatchOp, error) {
-	targets, cols, err := tr.matchTargets(upd.Target, upd.Where)
+	t, err := tr.resolveTarget(upd.Target)
 	if err != nil {
 		return nil, err
 	}
-	colPos := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colPos[c] = i
+	pos := make([]int, len(upd.Set))
+	exprs := make([]query.RowExpr, len(upd.Set))
+	for i, a := range upd.Set {
+		pos[i] = slices.Index(t.cols, a.Column)
+		if pos[i] < 0 {
+			return nil, fmt.Errorf("bsql: no column %q in %s", a.Column, upd.Target.Table)
+		}
+		if exprs[i], err = query.CompileRow(a.Value, t.rel.Name, t.cols); err != nil {
+			return nil, err
+		}
+	}
+	targets, err := tr.matchTargets(t, upd.Where)
+	if err != nil {
+		return nil, err
 	}
 	ops := make([]store.BatchOp, len(targets))
 	for i, st := range targets {
 		newVals := append([]val.Value(nil), st.Tuple.Vals...)
-		for _, a := range upd.Set {
-			pos, ok := colPos[a.Column]
-			if !ok {
-				return nil, fmt.Errorf("bsql: no column %q in %s", a.Column, upd.Target.Table)
-			}
-			v, err := query.EvalOnRow(a.Value, upd.Target.Table, cols, st.Tuple.Vals)
+		for j, x := range exprs {
+			v, err := x.Eval(st.Tuple.Vals)
 			if err != nil {
 				return nil, err
 			}
-			newVals[pos] = v
+			newVals[pos[j]] = v
 		}
 		ops[i] = store.BatchOp{Replace: true, Stmt: st, NewVals: newVals}
 	}

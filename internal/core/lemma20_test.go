@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -161,5 +162,38 @@ func TestQuickClosureLocality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortStatementsMatchesStatementLess: SortStatements orders gen traces
+// exactly as sorting with StatementLess does. The traces have users up to
+// 15, where path key "10" sorts before "2".
+func TestSortStatementsMatchesStatementLess(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		_, stmts, err := gen.Statements(gen.Config{
+			Users: 15, DepthDist: []float64{0.2, 0.5, 0.3},
+			Participation: gen.Uniform, KeyPool: 40, Seed: seed,
+		}, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(seed))
+		r.Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+		want := append([]core.Statement(nil), stmts...)
+		sort.Slice(want, func(i, j int) bool { return core.StatementLess(want[i], want[j]) })
+		got := append([]core.Statement(nil), stmts...)
+		core.SortStatements(got)
+		wide := false
+		for i := range want {
+			if got[i].String() != want[i].String() {
+				t.Fatalf("seed %d: position %d is %s, StatementLess puts %s", seed, i, got[i], want[i])
+			}
+			for _, u := range want[i].Path {
+				wide = wide || u >= 10
+			}
+		}
+		if !wide {
+			t.Fatalf("seed %d: no path reaches user 10", seed)
+		}
 	}
 }

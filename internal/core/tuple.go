@@ -7,7 +7,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"beliefdb/internal/val"
@@ -103,4 +105,30 @@ func StatementLess(a, b Statement) bool {
 		return a.Tuple.ID() < b.Tuple.ID()
 	}
 	return a.Sign > b.Sign
+}
+
+// SortStatements sorts stmts into the canonical order of StatementLess. It
+// renders each statement's path key and tuple identity once, where
+// StatementLess renders both on every comparison; paths of one length are
+// equal exactly when their keys are.
+func SortStatements(stmts []Statement) {
+	type keyed struct {
+		path, tuple string
+		s           Statement
+	}
+	ks := make([]keyed, len(stmts))
+	for i, s := range stmts {
+		ks[i] = keyed{s.Path.Key(), s.Tuple.ID(), s}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(
+			cmp.Compare(len(a.s.Path), len(b.s.Path)),
+			strings.Compare(a.path, b.path),
+			strings.Compare(a.tuple, b.tuple),
+			cmp.Compare(b.s.Sign, a.s.Sign),
+		)
+	})
+	for i, k := range ks {
+		stmts[i] = k.s
+	}
 }

@@ -44,7 +44,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/val"
@@ -302,7 +301,7 @@ func decodeRows(d *wal.Reader, ver byte) (*Model, error) {
 			m.Statements = append(m.Statements, s)
 		}
 	}
-	sort.Slice(m.Statements, func(i, j int) bool { return core.StatementLess(m.Statements[i], m.Statements[j]) })
+	core.SortStatements(m.Statements)
 	if ver >= 2 {
 		m.Indexes = indexes(d)
 	}

@@ -94,9 +94,10 @@ func (st *Store) Vacuum() (removed int, err error) {
 	}
 	for _, ri := range st.rels {
 		live := make(map[int64]bool)
-		for _, r := range allVRows(ri) {
-			live[r.tid] = true
-		}
+		ri.v.Scan(func(_ engine.RowID, row []val.Value) bool {
+			live[row[1].AsInt()] = true
+			return true
+		})
 		var doomed []int64
 		ri.star.Scan(func(_ engine.RowID, row []val.Value) bool {
 			if !live[row[0].AsInt()] {

@@ -1,22 +1,12 @@
 package store
 
 import (
-	"sort"
+	"fmt"
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
 	"beliefdb/internal/val"
 )
-
-// allVRows returns every valuation row of a relation.
-func allVRows(ri *relInfo) []vRow {
-	var out []vRow
-	ri.v.Scan(func(id engine.RowID, row []val.Value) bool {
-		out = append(out, vRowFrom(id, row))
-		return true
-	})
-	return out
-}
 
 // WorldContent materializes the entailed belief world D̄_w for any path
 // w ∈ Û* from the relational representation: the path resolves to its
@@ -78,22 +68,74 @@ func (v *view) explicitStatements() ([]core.Statement, error) {
 	var out []core.Statement
 	for _, name := range v.relOrder {
 		ri := v.rels[name]
-		for _, r := range allVRows(ri) {
-			if r.expl != ExplicitYes {
-				continue
+		var err error
+		ri.v.Scan(func(id engine.RowID, row []val.Value) bool {
+			if row[4].AsString() != ExplicitYes {
+				return true
 			}
-			t, err := v.starGet(ri, r.tid)
-			if err != nil {
-				return nil, err
+			var s core.Statement
+			if s, err = v.explicitStatement(ri, vRowFrom(id, row)); err != nil {
+				return false
 			}
-			sign := core.Pos
-			if r.sign == SignNeg {
-				sign = core.Neg
-			}
-			out = append(out, core.Statement{Path: v.pathByWid[r.wid].Clone(), Sign: sign, Tuple: t})
+			out = append(out, s)
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return core.StatementLess(out[i], out[j]) })
+	core.SortStatements(out)
+	return out, nil
+}
+
+// explicitStatement decodes an explicit V row into its belief statement.
+func (v *view) explicitStatement(ri *relInfo, r vRow) (core.Statement, error) {
+	t, err := v.starGet(ri, r.tid)
+	if err != nil {
+		return core.Statement{}, err
+	}
+	sign := core.Pos
+	if r.sign == SignNeg {
+		sign = core.Neg
+	}
+	return core.Statement{Path: v.pathByWid[r.wid].Clone(), Sign: sign, Tuple: t}, nil
+}
+
+// ExplicitIn returns the explicit statements of relation rel with sign s
+// in world p, in canonical order. A non-nil key restricts them to that
+// external key, probed through R_v's (wid, key) index; otherwise the
+// world's (wid) index serves. A path that is not a state holds none. It is
+// how BeliefSQL DELETE and UPDATE find their candidate targets, and runs
+// lock-free against the current published snapshot.
+func (st *Store) ExplicitIn(rel string, p core.Path, s core.Sign, key *val.Value) ([]core.Statement, error) {
+	v := st.pin()
+	ri, ok := v.rels[rel]
+	if !ok {
+		return nil, fmt.Errorf("store: unknown relation %q", rel)
+	}
+	wid, ok := v.widOf(p)
+	if !ok {
+		return nil, nil
+	}
+	var rows []vRow
+	if key != nil {
+		rows = v.vRowsByWidKey(ri, wid, *key)
+	} else {
+		rows = v.vRowsByWid(ri, wid)
+	}
+	sign := signStr(s)
+	var out []core.Statement
+	for _, r := range rows {
+		if r.expl != ExplicitYes || r.sign != sign {
+			continue
+		}
+		stmt, err := v.explicitStatement(ri, r)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, stmt)
+	}
+	core.SortStatements(out)
 	return out, nil
 }
 
