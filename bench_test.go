@@ -278,6 +278,37 @@ func BenchmarkQueryUsers(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryPoint measures a depth-1 key lookup: a one-row answer,
+// whose cost is the front end, the plan choice and the access path. B/op
+// shows what a per-query output buffer costs such an answer.
+func BenchmarkQueryPoint(b *testing.B) {
+	db := benchDB(b, 1000, 10)
+	q := fmt.Sprintf("select T.species from BELIEF 'u1' %s T where T.sid = 'k7'", gen.DefaultRel)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			b.Fatal("no row for key k7")
+		}
+	}
+}
+
+// BenchmarkQueryGroup measures a depth-1 GROUP BY count: one belief world
+// folded into a group per observer.
+func BenchmarkQueryGroup(b *testing.B) {
+	db := benchDB(b, 1000, 10)
+	q := fmt.Sprintf("select T.observer, count(T.sid) from BELIEF 'u1' %s T group by T.observer", gen.DefaultRel)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTranslate measures BeliefSQL -> SQL translation alone.
 func BenchmarkTranslate(b *testing.B) {
 	db := benchDB(b, 100, 10)

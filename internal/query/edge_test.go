@@ -1,10 +1,13 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"beliefdb/internal/engine"
+	"beliefdb/internal/val"
 )
 
 // Edge cases of the SELECT tail: empty inputs, NULL ordering, LIMIT 0,
@@ -142,5 +145,90 @@ func TestUpdateWithSelfReference(t *testing.T) {
 	res := exec(t, cat, "SELECT SUM(v) FROM m")
 	if res.Rows[0][0].AsInt() != 10+5+7+1+400 {
 		t.Errorf("sum = %v", res.Rows)
+	}
+}
+
+// TestResultRowsDoNotAlias: result rows are cut from shared buffers, so
+// each is capacity-capped (appending to one never writes into the next),
+// and two runs of one statement share no row.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	cat := fixture(t)
+	for _, sql := range []string{
+		"SELECT o.item, o.amount FROM orders o",
+		"SELECT DISTINCT o.uid FROM orders o",
+		"SELECT o.uid, COUNT(*), SUM(o.amount) FROM orders o GROUP BY o.uid",
+		"SELECT o.item FROM users u, orders o WHERE u.uid = o.uid ORDER BY o.amount DESC",
+	} {
+		first, second := exec(t, cat, sql), exec(t, cat, sql)
+		want := rowKeys(second.Rows)
+		if len(first.Rows) < 2 {
+			t.Fatalf("%s: %d rows, the test wants at least 2", sql, len(first.Rows))
+		}
+		for i := range first.Rows[:len(first.Rows)-1] {
+			next := val.RowKey(first.Rows[i+1])
+			_ = append(first.Rows[i], val.Str("appended"))
+			if got := val.RowKey(first.Rows[i+1]); got != next {
+				t.Errorf("%s: appending to row %d changed row %d", sql, i, i+1)
+			}
+		}
+		for _, r := range first.Rows {
+			for j := range r {
+				r[j] = val.Str("overwritten")
+			}
+		}
+		if got := rowKeys(second.Rows); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: writing the first run's rows changed the second run's", sql)
+		}
+	}
+}
+
+// TestLimitStopsChain: without ORDER BY or aggregates a LIMIT stops the
+// chain once k rows are kept. The answer stays the first k rows of the
+// unlimited one (after DISTINCT), and EXPLAIN counts only the rows that
+// ran; an ORDER BY still reads every row.
+func TestLimitStopsChain(t *testing.T) {
+	cat := fixture(t)
+	for _, q := range []string{
+		"SELECT o.item FROM orders o",
+		"SELECT DISTINCT o.uid FROM orders o",
+		"SELECT u.name, o.item FROM users u, orders o WHERE u.uid = o.uid",
+		"SELECT DISTINCT u.name FROM users u, orders o WHERE u.uid = o.uid AND o.amount > 1",
+	} {
+		all := rowKeys(exec(t, cat, q).Rows)
+		for k := 0; k <= len(all)+1; k++ {
+			sql := fmt.Sprintf("%s LIMIT %d", q, k)
+			if got := rowKeys(exec(t, cat, sql).Rows); !reflect.DeepEqual(got, all[:min(k, len(all))]) {
+				t.Errorf("%s = %v, want the first %d of %v", sql, got, k, all)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT o.item FROM orders o LIMIT 2", []string{"full scan est=4 rows=2"}},
+		// The uids are 1, 1, 2, 3: the second distinct one is the third row.
+		{"SELECT DISTINCT o.uid FROM orders o LIMIT 2", []string{"full scan est=4 rows=3"}},
+		{"SELECT u.name, o.item FROM users u, orders o WHERE u.uid = o.uid LIMIT 1",
+			[]string{"full scan est=3 rows=1", "index join index=orders_uid rows=1"}},
+		{"SELECT o.item FROM orders o ORDER BY o.item LIMIT 2", []string{"full scan est=4 rows=4"}},
+	} {
+		var got []string
+		for _, r := range exec(t, cat, "EXPLAIN "+tc.sql).Rows {
+			got = append(got, strings.TrimSpace(fmt.Sprintf("%s %s", r[1].AsString(), r[2].AsString()))+fmt.Sprintf(" rows=%d", r[3].AsInt()))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("EXPLAIN %s\n got  %q\n want %q", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// TestGlobalAggregateOverNoRows: an aggregate without GROUP BY over no rows
+// is one row, whose plain columns read NULL.
+func TestGlobalAggregateOverNoRows(t *testing.T) {
+	cat := fixture(t)
+	res := exec(t, cat, "SELECT COUNT(*), item FROM orders WHERE amount > 100")
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 0 || !res.Rows[0][1].IsNull() {
+		t.Errorf("rows = %v, want one row [0 NULL]", res.Rows)
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -269,9 +270,9 @@ func runSelect(cat *engine.Catalog, s sqlparser.Select) (*Result, error) {
 }
 
 // runExplain executes the query with a plan recorder attached and returns
-// the recorded access-path decisions instead of the query result. Running
-// for real (rather than dry-planning) keeps the output honest: the greedy
-// join order depends on actual materialized sizes.
+// the recorded access-path decisions instead of the query result. EXPLAIN
+// runs the real chain, so each step reports the rows it actually produced
+// (and a LIMIT that stops the chain early shows as fewer).
 func runExplain(cat *engine.Catalog, s sqlparser.Explain) (*Result, error) {
 	rec := &planRecorder{}
 	if _, err := runSelectPlan(cat, s.Query, rec); err != nil {
@@ -302,44 +303,18 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 		}
 	}
 
-	// Single-table ORDER BY can come straight off an ordered index, making
-	// the sort free and a LIMIT an early-stopping top-k walk.
-	var src *rowSet
-	preOrdered := false
-	if len(bindings) == 1 && !hasAgg && !s.Distinct && len(s.OrderBy) > 0 {
-		os, ok, err := orderedScan(cat, bindings[0], s, rec)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			src, preOrdered = os, true
-		}
-	}
-	if src == nil {
-		src, err = planJoins(cat, bindings, s.Where, rec)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var out *Result
-	if hasAgg {
-		out, err = aggregate(s, items, src)
-	} else {
-		out, err = project(items, src)
-	}
+	p, err := planChain(cat, bindings, s, !hasAgg && !s.Distinct && len(s.OrderBy) > 0, rec)
 	if err != nil {
 		return nil, err
 	}
-
-	if s.Distinct {
-		out.Rows = dedupeRows(out.Rows)
+	var out *Result
+	if hasAgg {
+		out, err = aggregate(s, items, p, rec)
+	} else {
+		out, err = project(s, items, p, rec)
 	}
-
-	if len(s.OrderBy) > 0 && !preOrdered {
-		if err := orderRows(s, items, src, out, hasAgg); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	if s.Limit >= 0 && len(out.Rows) > s.Limit {
 		out.Rows = out.Rows[:s.Limit]
@@ -394,143 +369,234 @@ func itemName(it sqlparser.SelectItem) string {
 	return it.Expr.String()
 }
 
-func project(items []sqlparser.SelectItem, src *rowSet) (*Result, error) {
-	evals := make([]compiledExpr, len(items))
-	names := make([]string, len(items))
+// slab hands out capacity-capped rows of width w from chunks that double
+// with the answer (1, 2, 4, ... rows, at most 256 a chunk), so a one-row
+// answer allocates one row and a large one a few dozen chunks.
+type slab struct {
+	w, n int
+	buf  []val.Value
+}
+
+func (s *slab) row() []val.Value {
+	if len(s.buf) < s.w {
+		s.n = min(max(2*s.n, 1), 256)
+		s.buf = make([]val.Value, s.n*s.w)
+	}
+	r := s.buf[:s.w:s.w]
+	s.buf = s.buf[s.w:]
+	return r
+}
+
+// rowIndex finds rows by value among the rows added so far: rows that hash
+// together are compared for real equality, so colliding distinct rows stay
+// apart. The rows live in the caller's slice, in the order added.
+type rowIndex struct {
+	head map[uint64]int // hash -> 1 + position of the last row added with it
+	next []int          // per row: 1 + position of the previous one with its hash
+}
+
+// find returns the position of the row of rows Equal to r, or -1, and r's
+// hash.
+func (x *rowIndex) find(rows [][]val.Value, r []val.Value) (int, uint64) {
+	h := val.HashRow(val.HashSeed(), r)
+	for i := x.head[h]; i > 0; i = x.next[i-1] {
+		if val.RowsEqual(rows[i-1], r) {
+			return i - 1, h
+		}
+	}
+	return -1, h
+}
+
+// add records that the next row of the caller's slice hashes to h.
+func (x *rowIndex) add(h uint64) {
+	if x.head == nil {
+		x.head = make(map[uint64]int)
+	}
+	x.next = append(x.next, x.head[h])
+	x.head[h] = len(x.next)
+}
+
+// orderKey is one compiled ORDER BY item: over the frame (onFrame) or over
+// an output row.
+type orderKey struct {
+	e       compiledExpr
+	onFrame bool
+	desc    bool
+}
+
+// outputKey resolves an ORDER BY expression once source rows are gone
+// (after DISTINCT or aggregation): against the output columns, else by
+// matching it textually against a select item (covers ORDER BY u.name over
+// aggregated output).
+func outputKey(e sqlparser.Expr, items []sqlparser.SelectItem, cols []string) (compiledExpr, error) {
+	schema := make(relSchema, len(cols))
+	for i, n := range cols {
+		schema[i] = colID{name: n}
+	}
+	ce, err := compileExpr(e, schema)
+	if err == nil {
+		return ce, nil
+	}
+	want := e.String()
 	for i, it := range items {
-		ce, err := compileExpr(it.Expr, src.schema)
+		if it.Expr != nil && it.Expr.String() == want {
+			return func(row []val.Value) (val.Value, error) { return row[i], nil }, nil
+		}
+	}
+	return nil, err
+}
+
+// evalKeys evaluates the ORDER BY keys of one output row into dst.
+func evalKeys(keys []orderKey, frame, row, dst []val.Value) error {
+	for j, k := range keys {
+		in := row
+		if k.onFrame {
+			in = frame
+		}
+		v, err := k.e(in)
+		if err != nil {
+			return err
+		}
+		dst[j] = v
+	}
+	return nil
+}
+
+// sortByKeys stable-sorts rows by their key rows; keyRows nil evaluates
+// keys, which read output rows only, on every row first. Incomparable or
+// equal keys defer to the next key.
+func sortByKeys(rows, keyRows [][]val.Value, keys []orderKey) error {
+	if keyRows == nil {
+		s := slab{w: len(keys)}
+		keyRows = make([][]val.Value, len(rows))
+		for i, r := range rows {
+			keyRows[i] = s.row()
+			if err := evalKeys(keys, nil, r, keyRows[i]); err != nil {
+				return err
+			}
+		}
+	}
+	sort.Stable(keyedRows{rows, keyRows, keys})
+	return nil
+}
+
+type keyedRows struct {
+	rows, keyRows [][]val.Value
+	keys          []orderKey
+}
+
+func (k keyedRows) Len() int { return len(k.rows) }
+
+func (k keyedRows) Swap(a, b int) {
+	k.rows[a], k.rows[b] = k.rows[b], k.rows[a]
+	k.keyRows[a], k.keyRows[b] = k.keyRows[b], k.keyRows[a]
+}
+
+func (k keyedRows) Less(a, b int) bool {
+	for j, key := range k.keys {
+		if cmp, ok := val.Compare(k.keyRows[a][j], k.keyRows[b][j]); ok && cmp != 0 {
+			return (cmp < 0) != key.desc
+		}
+	}
+	return false
+}
+
+// projector is the sink of a query without aggregates. It evaluates the
+// select list on every frame the chain emits, keeps first occurrences under
+// DISTINCT, evaluates ORDER BY keys beside each row it keeps (a key may
+// read columns the select list drops), and stops the chain at a LIMIT when
+// no sort follows, so the first limit rows in execution order are final.
+type projector struct {
+	evals    []compiledExpr
+	keys     []orderKey
+	distinct *rowIndex // nil without DISTINCT
+	limit    int       // stop once this many rows are kept; -1 never
+	rows     [][]val.Value
+	keyRows  [][]val.Value
+	out      slab
+	keyOut   slab
+	scratch  []val.Value
+}
+
+func (p *projector) consume(frame []val.Value) (bool, error) {
+	row := p.scratch
+	if p.distinct == nil {
+		row = p.out.row()
+	}
+	for i, ce := range p.evals {
+		v, err := ce(frame)
+		if err != nil {
+			return false, err
+		}
+		row[i] = v
+	}
+	if p.distinct != nil {
+		i, h := p.distinct.find(p.rows, row)
+		if i >= 0 {
+			return false, nil
+		}
+		row = p.out.row()
+		copy(row, p.scratch)
+		p.distinct.add(h)
+	}
+	p.rows = append(p.rows, row)
+	if p.keyOut.w > 0 {
+		k := p.keyOut.row()
+		if err := evalKeys(p.keys, frame, row, k); err != nil {
+			return false, err
+		}
+		p.keyRows = append(p.keyRows, k)
+	}
+	return p.limit >= 0 && len(p.rows) >= p.limit, nil
+}
+
+// project runs the plan into a projector and orders its rows.
+func project(s sqlparser.Select, items []sqlparser.SelectItem, p *plan, rec *planRecorder) (*Result, error) {
+	out := &Result{Columns: make([]string, len(items))}
+	pr := &projector{evals: make([]compiledExpr, len(items)), limit: -1, rows: [][]val.Value{}, out: slab{w: len(items)}}
+	for i, it := range items {
+		ce, err := compileExpr(it.Expr, p.schema)
 		if err != nil {
 			return nil, err
 		}
-		evals[i] = ce
-		names[i] = itemName(it)
+		pr.evals[i], out.Columns[i] = ce, itemName(it)
 	}
-	out := &Result{Columns: names, Rows: make([][]val.Value, 0, len(src.rows))}
-	for _, row := range src.rows {
-		o := make([]val.Value, len(evals))
-		for i, ce := range evals {
-			v, err := ce(row)
-			if err != nil {
+	// Without DISTINCT an ORDER BY item may read the frame, so non-projected
+	// columns can be sorted on; otherwise it reads the output row. An
+	// ordered walk needs no sort, and without one a LIMIT stops the chain.
+	sorted := len(s.OrderBy) > 0 && !p.ordered
+	if !sorted {
+		pr.limit = s.Limit
+	}
+	for i := 0; sorted && i < len(s.OrderBy); i++ {
+		k := orderKey{desc: s.OrderBy[i].Desc}
+		var err error
+		if !s.Distinct {
+			k.e, err = compileExpr(s.OrderBy[i].Expr, p.schema)
+			k.onFrame = err == nil
+		}
+		if !k.onFrame {
+			if k.e, err = outputKey(s.OrderBy[i].Expr, items, out.Columns); err != nil {
 				return nil, err
 			}
-			o[i] = v
 		}
-		out.Rows = append(out.Rows, o)
+		pr.keys = append(pr.keys, k)
 	}
+	if s.Distinct {
+		pr.distinct, pr.scratch = &rowIndex{}, make([]val.Value, len(items))
+	} else {
+		pr.keyOut.w = len(pr.keys)
+	}
+	if err := p.exec(pr.consume, rec); err != nil {
+		return nil, err
+	}
+	if sorted {
+		if err := sortByKeys(pr.rows, pr.keyRows, pr.keys); err != nil {
+			return nil, err
+		}
+	}
+	out.Rows = pr.rows
 	return out, nil
-}
-
-func dedupeRows(rows [][]val.Value) [][]val.Value {
-	// Hash-bucketed dedup: rows that hash together are compared for real
-	// equality, so colliding distinct rows are both kept.
-	seen := make(map[uint64][][]val.Value, len(rows))
-	out := rows[:0:0]
-nextRow:
-	for _, r := range rows {
-		h := val.HashRow(val.HashSeed(), r)
-		for _, prev := range seen[h] {
-			if val.RowsEqual(prev, r) {
-				continue nextRow
-			}
-		}
-		seen[h] = append(seen[h], r)
-		out = append(out, r)
-	}
-	return out
-}
-
-// orderRows sorts out.Rows in place according to ORDER BY. Order
-// expressions are resolved against the source schema when possible (so that
-// non-projected columns can be sorted on); otherwise against the output
-// columns (aliases). With DISTINCT or aggregation only output resolution is
-// available.
-func orderRows(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet, out *Result, aggregated bool) error {
-	outSchema := make(relSchema, len(out.Columns))
-	for i, n := range out.Columns {
-		outSchema[i] = colID{name: n}
-	}
-	srcAllowed := !s.Distinct && !aggregated && len(out.Rows) == len(src.rows)
-
-	type keyFn struct {
-		onSrc bool
-		e     compiledExpr
-		desc  bool
-	}
-	fns := make([]keyFn, 0, len(s.OrderBy))
-	for _, ob := range s.OrderBy {
-		if srcAllowed {
-			if ce, err := compileExpr(ob.Expr, src.schema); err == nil {
-				fns = append(fns, keyFn{onSrc: true, e: ce, desc: ob.Desc})
-				continue
-			}
-		}
-		ce, err := compileExpr(ob.Expr, outSchema)
-		if err != nil {
-			// Fall back to matching the ORDER BY expression against a select
-			// item textually (covers ORDER BY u.name over aggregated output).
-			want := ob.Expr.String()
-			found := -1
-			for i, it := range items {
-				if it.Expr.String() == want {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				return err
-			}
-			pos := found
-			ce = func(row []val.Value) (val.Value, error) { return row[pos], nil }
-		}
-		fns = append(fns, keyFn{e: ce, desc: ob.Desc})
-	}
-
-	idx := make([]int, len(out.Rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, f := range fns {
-			var ra, rb []val.Value
-			if f.onSrc {
-				ra, rb = src.rows[idx[a]], src.rows[idx[b]]
-			} else {
-				ra, rb = out.Rows[idx[a]], out.Rows[idx[b]]
-			}
-			va, err := f.e(ra)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			vb, err := f.e(rb)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			cmp, ok := val.Compare(va, vb)
-			if !ok {
-				continue
-			}
-			if cmp == 0 {
-				continue
-			}
-			if f.desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	sorted := make([][]val.Value, len(out.Rows))
-	for i, j := range idx {
-		sorted[i] = out.Rows[j]
-	}
-	out.Rows = sorted
-	return nil
 }
 
 // aggSpec describes one aggregate call found in the select list.
@@ -637,100 +703,121 @@ func compileUnaryOn(op string, x compiledExpr) (compiledExpr, error) {
 	return nil, fmt.Errorf("query: unknown unary op %q", op)
 }
 
-// aggregate evaluates grouped (or global) aggregation over src.
-func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, src *rowSet) (*Result, error) {
-	groupEvals := make([]compiledExpr, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		ce, err := compileExpr(g, src.schema)
+// grouper is the sink of a query with aggregates: it folds every frame the
+// chain emits into its group, keyed by the GROUP BY values, and copies one
+// representative frame per new group for the select list's plain columns.
+type grouper struct {
+	groupEvals []compiledExpr
+	specs      []aggSpec
+	width      int           // frame columns a representative keeps
+	keys       [][]val.Value // group-key values per group, first-appearance order
+	index      rowIndex
+	reps       [][]val.Value
+	accs       [][]AggAcc
+	scratch    []val.Value
+}
+
+func (g *grouper) consume(frame []val.Value) (bool, error) {
+	for i, ge := range g.groupEvals {
+		v, err := ge(frame)
+		if err != nil {
+			return false, err
+		}
+		g.scratch[i] = v
+	}
+	n, h := g.index.find(g.keys, g.scratch)
+	if n < 0 {
+		n = len(g.keys)
+		g.keys = append(g.keys, slices.Clone(g.scratch))
+		g.index.add(h)
+		g.reps = append(g.reps, slices.Clone(frame[:g.width]))
+		g.accs = append(g.accs, make([]AggAcc, len(g.specs)))
+	}
+	for i, spec := range g.specs {
+		if spec.star {
+			g.accs[n][i].AddRow()
+			continue
+		}
+		v, err := spec.arg(frame)
+		if err != nil {
+			return false, err
+		}
+		if err := g.accs[n][i].Add(spec.fn, v); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// aggregate runs the plan into a grouper (global aggregation is one group)
+// and evaluates the select list once per group, in first-appearance order.
+func aggregate(s sqlparser.Select, items []sqlparser.SelectItem, p *plan, rec *planRecorder) (*Result, error) {
+	g := &grouper{groupEvals: make([]compiledExpr, len(s.GroupBy)), width: len(p.schema), scratch: make([]val.Value, len(s.GroupBy))}
+	for i, ge := range s.GroupBy {
+		ce, err := compileExpr(ge, p.schema)
 		if err != nil {
 			return nil, err
 		}
-		groupEvals[i] = ce
+		g.groupEvals[i] = ce
 	}
 	ctx := &aggCtx{}
-	var specs []aggSpec
 	itemEvals := make([]compiledExpr, len(items))
-	names := make([]string, len(items))
+	out := &Result{Columns: make([]string, len(items))}
 	for i, it := range items {
-		ce, err := compileWithAggs(it.Expr, src.schema, ctx, &specs)
+		ce, err := compileWithAggs(it.Expr, p.schema, ctx, &g.specs)
 		if err != nil {
 			return nil, err
 		}
-		itemEvals[i] = ce
-		names[i] = itemName(it)
+		itemEvals[i], out.Columns[i] = ce, itemName(it)
 	}
-
-	type group struct {
-		key  []val.Value // group-key values, for collision verification
-		rep  []val.Value // representative source row
-		accs []AggAcc
+	if err := p.exec(g.consume, rec); err != nil {
+		return nil, err
 	}
-	newGroup := func(key, row []val.Value) *group {
-		return &group{key: key, rep: row, accs: make([]AggAcc, len(specs))}
+	// A global aggregate over zero rows still yields one output row; its
+	// plain columns read NULL.
+	if len(g.groupEvals) == 0 && len(g.reps) == 0 {
+		g.reps = append(g.reps, make([]val.Value, g.width))
+		g.accs = append(g.accs, make([]AggAcc, len(g.specs)))
 	}
-	// Groups are hash-bucketed by the composite hash of the group-key
-	// values; rows landing in an occupied bucket verify real key equality,
-	// so colliding distinct keys form separate groups. Output order is the
-	// first-appearance order of each group, as before.
-	groups := make(map[uint64][]*group)
-	var ordered []*group
-	scratch := make([]val.Value, len(groupEvals))
-	for _, row := range src.rows {
-		h := val.HashSeed()
-		for i, ge := range groupEvals {
-			v, err := ge(row)
-			if err != nil {
-				return nil, err
-			}
-			scratch[i] = v
-			h = val.Hash64(h, v)
-		}
-		var g *group
-		for _, cand := range groups[h] {
-			if val.RowsEqual(cand.key, scratch) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = newGroup(append([]val.Value(nil), scratch...), row)
-			groups[h] = append(groups[h], g)
-			ordered = append(ordered, g)
-		}
-		for i, spec := range specs {
-			if spec.star {
-				g.accs[i].AddRow()
-				continue
-			}
-			v, err := spec.arg(row)
-			if err != nil {
-				return nil, err
-			}
-			if err := g.accs[i].Add(spec.fn, v); err != nil {
-				return nil, err
-			}
-		}
+	rows := slab{w: len(items)}
+	var seen *rowIndex
+	if s.Distinct {
+		seen = &rowIndex{}
 	}
-	// A global aggregate over zero rows still yields one output row.
-	if len(groupEvals) == 0 && len(ordered) == 0 {
-		ordered = append(ordered, newGroup(nil, nil))
-	}
-
-	out := &Result{Columns: names}
-	for _, g := range ordered {
-		ctx.vals = make([]val.Value, len(specs))
-		for i, spec := range specs {
-			ctx.vals[i] = g.accs[i].Result(spec.fn)
+	for n, rep := range g.reps {
+		ctx.vals = make([]val.Value, len(g.specs))
+		for i, spec := range g.specs {
+			ctx.vals[i] = g.accs[n][i].Result(spec.fn)
 		}
-		o := make([]val.Value, len(itemEvals))
+		o := rows.row()
 		for i, ce := range itemEvals {
-			v, err := ce(g.rep)
+			v, err := ce(rep)
 			if err != nil {
 				return nil, err
 			}
 			o[i] = v
 		}
+		if seen != nil {
+			i, h := seen.find(out.Rows, o)
+			if i >= 0 {
+				continue
+			}
+			seen.add(h)
+		}
 		out.Rows = append(out.Rows, o)
+	}
+	if len(s.OrderBy) > 0 {
+		keys := make([]orderKey, len(s.OrderBy))
+		for i, ob := range s.OrderBy {
+			ce, err := outputKey(ob.Expr, items, out.Columns)
+			if err != nil {
+				return nil, err
+			}
+			keys[i] = orderKey{e: ce, desc: ob.Desc}
+		}
+		if err := sortByKeys(out.Rows, nil, keys); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package query
 
 import (
-	"fmt"
-
 	"beliefdb/internal/engine"
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/val"
@@ -46,51 +44,40 @@ func (p *planRecorder) result() *Result {
 	return out
 }
 
-// orderedScan attempts the single-table ORDER BY/LIMIT pushdown: when an
+// orderedPath is the single-table ORDER BY/LIMIT pushdown: when an
 // ordered index's columns — after any const-eq-bound prefix — match the
 // ORDER BY columns in order and direction, the index walk itself yields
-// rows in result order, so no sort is needed and a LIMIT turns into a
-// bounded top-k walk that stops after limit matching rows. Returns
-// ok=false when the query shape or the available indexes do not allow it.
-func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRecorder) (*rowSet, bool, error) {
-	tc := &tableCtx{b: b, schema: tableSchema(b), rec: rec}
-	ctxs := map[string]*tableCtx{b.alias: tc}
-	_, residuals, constTrue, err := classifyWhere(cat, s.Where, tc.schema, ctxs)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(residuals) > 0 {
-		// An EXISTS conjunct must filter before a LIMIT counts rows, which
-		// the walk cannot do; leave the query to the general plan.
-		return nil, false, nil
-	}
-
+// rows in result order, so no sort is needed and a LIMIT stops the chain
+// after limit matching rows (a bounded top-k walk). It returns nil when the
+// ORDER BY or the available indexes do not allow it. schema is tc's alone.
+func orderedPath(tc *tableCtx, s sqlparser.Select, schema relSchema) *accessPath {
 	// Every ORDER BY item must be a plain column of this table, all in the
 	// same direction (a B-tree walk has one direction for the whole key).
 	desc := s.OrderBy[0].Desc
 	orderCols := make([]int, 0, len(s.OrderBy))
 	for _, ob := range s.OrderBy {
 		if ob.Desc != desc {
-			return nil, false, nil
+			return nil
 		}
 		cr, ok := ob.Expr.(sqlparser.ColumnRef)
 		if !ok {
-			return nil, false, nil
+			return nil
 		}
-		i, err := tc.schema.find(cr)
+		i, err := schema.find(cr)
 		if err != nil {
-			return nil, false, nil
+			return nil
 		}
 		orderCols = append(orderCols, i)
 	}
 
-	sch := b.table.Schema()
+	t := tc.b.table
+	sch := t.Schema()
 
 	// Find an ordered index whose columns, after the const-eq-bound
 	// prefix, start with exactly the ORDER BY columns.
 	var idx *engine.Index
 	var eqPrefix int
-	for _, cand := range b.table.Indexes() {
+	for _, cand := range t.Indexes() {
 		if !cand.Ordered() {
 			continue
 		}
@@ -112,12 +99,7 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 		}
 	}
 	if idx == nil {
-		return nil, false, nil
-	}
-
-	if !constTrue {
-		rec.record("", "empty", "constant-false predicate", 0)
-		return &rowSet{schema: tc.schema}, true, nil
+		return nil
 	}
 
 	// Composite bounds: the eq prefix plus any interval on the first
@@ -127,21 +109,20 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 		prefix[i] = tc.eqOn[idx.Cols()[i]]
 	}
 	iv := tc.interval(sch.Columns[idx.Cols()[eqPrefix]].Name)
-	lo, hi := prefix, prefix
-	loIncl, hiIncl := true, true
+	ap := &accessPath{kind: pathOrdered, idx: idx, lo: prefix, hi: prefix, loIncl: true, hiIncl: true, desc: desc, limit: s.Limit}
 	if iv.lo != nil {
-		lo = append(append([]val.Value(nil), prefix...), *iv.lo)
-		loIncl = iv.loIncl
+		ap.lo = append(append([]val.Value(nil), prefix...), *iv.lo)
+		ap.loIncl = iv.loIncl
 	}
 	if iv.hi != nil {
-		hi = append(append([]val.Value(nil), prefix...), *iv.hi)
-		hiIncl = iv.hiIncl
+		ap.hi = append(append([]val.Value(nil), prefix...), *iv.hi)
+		ap.hiIncl = iv.hiIncl
 	}
-	if len(lo) == 0 {
-		lo, loIncl = nil, true
+	if len(ap.lo) == 0 {
+		ap.lo, ap.loIncl = nil, true
 	}
-	if len(hi) == 0 {
-		hi, hiIncl = nil, true
+	if len(ap.hi) == 0 {
+		ap.hi, ap.hiIncl = nil, true
 	}
 
 	// Without a LIMIT the walk must still win on cost: visiting the whole
@@ -149,69 +130,16 @@ func orderedScan(cat *engine.Catalog, b binding, s sqlparser.Select, rec *planRe
 	// followed by a sort. With a LIMIT the walk stops after limit matches,
 	// which no probe-then-sort plan can do, so top-k always walks.
 	if s.Limit < 0 {
-		n := float64(b.table.Len())
+		n := float64(t.Len())
 		perKey := n
 		if k := idx.Len(); k > 0 {
 			perKey = n / float64(k)
 		}
-		walkCost := rangeWalkPenalty * float64(idx.RangeKeys(lo, loIncl, hi, hiIncl)) * perKey
+		walkCost := rangeWalkPenalty * float64(idx.RangeKeys(ap.lo, ap.loIncl, ap.hi, ap.hiIncl)) * perKey
 		alt := tc.accessPath()
 		if walkCost > alt.cost+alt.est {
-			return nil, false, nil
+			return nil
 		}
 	}
-
-	var preds []compiledExpr
-	for _, f := range tc.filters {
-		p, err := compileExpr(f, tc.schema)
-		if err != nil {
-			return nil, false, err
-		}
-		preds = append(preds, p)
-	}
-	out := &rowSet{schema: tc.schema}
-	limit := s.Limit // -1 = unbounded
-	var walkErr error
-	visit := func(_ []val.Value, ids []engine.RowID) bool {
-		for _, id := range ids {
-			row := b.table.Get(id)
-			keep := true
-			for _, p := range preds {
-				ok, err := truthy(p, row)
-				if err != nil {
-					walkErr = err
-					return false
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			out.rows = append(out.rows, row)
-			if limit >= 0 && len(out.rows) >= limit {
-				return false
-			}
-		}
-		return true
-	}
-	if desc {
-		idx.DescendRange(lo, loIncl, hi, hiIncl, visit)
-	} else {
-		idx.AscendRange(lo, loIncl, hi, hiIncl, visit)
-	}
-	if walkErr != nil {
-		return nil, false, walkErr
-	}
-	detail := fmt.Sprintf("index=%s order-satisfying", idx.Name())
-	if desc {
-		detail += " desc"
-	}
-	if limit >= 0 {
-		detail += fmt.Sprintf(" limit=%d", limit)
-	}
-	rec.record(b.alias, "ordered walk", detail, len(out.rows))
-	return out, true, nil
+	return ap
 }

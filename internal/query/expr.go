@@ -1,8 +1,8 @@
 // Package query plans and executes parsed SQL statements against an engine
-// catalog. SELECT plans use predicate pushdown, index scans, greedy
-// left-deep join ordering with index-nested-loop and hash joins, EXISTS
-// conjuncts as semi-joins, then projection, aggregation, DISTINCT, ORDER
-// BY, and LIMIT.
+// catalog. A SELECT runs as one greedy left-deep chain of steps over a
+// reused frame (access paths with pushed-down predicates, index, hash and
+// cross joins, EXISTS conjuncts as semi-joins on the same run loop) into a
+// sink that projects or aggregates, then DISTINCT, ORDER BY and LIMIT.
 package query
 
 import (

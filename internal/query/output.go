@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sort"
-
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/val"
 )
@@ -17,7 +15,15 @@ import (
 // together are verified with real value equality, so colliding distinct
 // rows are both kept). The input slice is not modified.
 func DedupeRows(rows [][]val.Value) [][]val.Value {
-	return dedupeRows(rows)
+	var seen rowIndex
+	out := rows[:0:0]
+	for _, r := range rows {
+		if i, h := seen.find(out, r); i < 0 {
+			seen.add(h)
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // ItemName reports the output column name of a select item, exactly as the
@@ -51,55 +57,13 @@ func CompileOutput(e sqlparser.Expr, cols []string) (OutputExpr, error) {
 // item. items carries the select list the rows were projected from; cols
 // their output column names.
 func SortRows(orderBy []sqlparser.OrderItem, items []sqlparser.SelectItem, cols []string, rows [][]val.Value) error {
-	type keyFn struct {
-		e    OutputExpr
-		desc bool
-	}
-	fns := make([]keyFn, 0, len(orderBy))
-	for _, ob := range orderBy {
-		ce, err := CompileOutput(ob.Expr, cols)
+	keys := make([]orderKey, len(orderBy))
+	for i, ob := range orderBy {
+		ce, err := outputKey(ob.Expr, items, cols)
 		if err != nil {
-			// Match the expression against a select item textually (covers
-			// ORDER BY u.name over aggregated or deduplicated output).
-			want := ob.Expr.String()
-			found := -1
-			for i, it := range items {
-				if it.Expr != nil && it.Expr.String() == want {
-					found = i
-					break
-				}
-			}
-			if found < 0 {
-				return err
-			}
-			pos := found
-			ce = func(row []val.Value) (val.Value, error) { return row[pos], nil }
+			return err
 		}
-		fns = append(fns, keyFn{e: ce, desc: ob.Desc})
+		keys[i] = orderKey{e: ce, desc: ob.Desc}
 	}
-	var sortErr error
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, f := range fns {
-			va, err := f.e(rows[a])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			vb, err := f.e(rows[b])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			cmp, ok := val.Compare(va, vb)
-			if !ok || cmp == 0 {
-				continue
-			}
-			if f.desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	})
-	return sortErr
+	return sortByKeys(rows, nil, keys)
 }

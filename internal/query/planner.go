@@ -10,12 +10,6 @@ import (
 	"beliefdb/internal/val"
 )
 
-// rowSet is a materialized intermediate relation.
-type rowSet struct {
-	schema relSchema
-	rows   [][]val.Value
-}
-
 // binding ties a FROM-list alias to its table.
 type binding struct {
 	alias string
@@ -30,12 +24,22 @@ type joinEdge struct {
 
 // residual is a conjunct that needs several bindings before it can run:
 // a predicate over their columns, or an EXISTS subquery planned as a
-// semi-join (semi set, expr nil).
+// semi-join (semi set, expr nil). It runs at the first step after which
+// every binding it mentions is in place.
 type residual struct {
 	refs map[string]bool
 	expr sqlparser.Expr
+	pred compiledExpr
 	semi *semiJoin
 	done bool
+}
+
+// holds decides the residual for the row in the frame.
+func (r *residual) holds(frame []val.Value) (bool, error) {
+	if r.semi != nil {
+		return r.semi.holds()
+	}
+	return truthy(r.pred, frame)
 }
 
 // rangeBound is one inequality conjunct on a column, normalized to
@@ -49,12 +53,11 @@ type rangeBound struct {
 // tableCtx is the per-binding planning state.
 type tableCtx struct {
 	b       binding
-	schema  relSchema         // single-table schema (qualified by alias)
+	off     int               // frame offset of the binding's columns
 	eqOn    map[int]val.Value // column position -> literal of a col = literal conjunct
 	bounds  []rangeBound      // inequality conjuncts usable for range access
 	filters []sqlparser.Expr  // all single-table conjuncts (includes eqOn/bounds)
 	path    *accessPath       // chosen access path, lazily computed
-	rec     *planRecorder     // EXPLAIN sink; nil when not explaining
 }
 
 // literal reports whether a const-eq conjunct fixes column c.
@@ -208,6 +211,7 @@ const (
 	pathPK                      // primary-key point lookup
 	pathEqProbe                 // secondary index probe, all columns const-eq bound
 	pathRange                   // ordered-index range walk (eq prefix + interval)
+	pathOrdered                 // range walk in ORDER BY order (see orderedPath)
 )
 
 func (k pathKind) String() string {
@@ -218,6 +222,8 @@ func (k pathKind) String() string {
 		return "eq probe"
 	case pathRange:
 		return "range walk"
+	case pathOrdered:
+		return "ordered walk"
 	default:
 		return "full scan"
 	}
@@ -238,6 +244,8 @@ type accessPath struct {
 	eqVals         []val.Value   // pathEqProbe: one value per index column
 	lo, hi         []val.Value   // pathRange: composite bounds (possibly prefix, possibly nil)
 	loIncl, hiIncl bool
+	desc           bool    // pathOrdered: walk in descending key order
+	limit          int     // pathOrdered: the query's LIMIT, -1 for none
 	est            float64 // estimated rows fetched before residual filters
 	cost           float64 // estimated work
 }
@@ -245,6 +253,16 @@ type accessPath struct {
 // detail renders the path for EXPLAIN output.
 func (p *accessPath) detail() string {
 	var sb strings.Builder
+	if p.kind == pathOrdered {
+		fmt.Fprintf(&sb, "index=%s order-satisfying", p.idx.Name())
+		if p.desc {
+			sb.WriteString(" desc")
+		}
+		if p.limit >= 0 {
+			fmt.Fprintf(&sb, " limit=%d", p.limit)
+		}
+		return sb.String()
+	}
 	if p.idx != nil {
 		fmt.Fprintf(&sb, "index=%s", p.idx.Name())
 	}
@@ -449,79 +467,9 @@ func (e *joinEdge) from(alias string) (col, other, otherCol string) {
 	return "", "", ""
 }
 
-// materialize produces the base table's filtered rows via the chosen
-// access path.
-func (tc *tableCtx) materialize() (*rowSet, error) {
-	t := tc.b.table
-	var preds []compiledExpr
-	for _, f := range tc.filters {
-		p, err := compileExpr(f, tc.schema)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
-	}
-	out := &rowSet{schema: tc.schema}
-	emit := func(row []val.Value) (bool, error) {
-		for _, p := range preds {
-			ok, err := truthy(p, row)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		out.rows = append(out.rows, row)
-		return true, nil
-	}
-	ap := tc.accessPath()
-	switch ap.kind {
-	case pathPK:
-		if id, ok := t.LookupPK(ap.pkVal); ok {
-			if _, err := emit(t.Get(id)); err != nil {
-				return nil, err
-			}
-		}
-	case pathEqProbe:
-		for _, id := range ap.idx.Lookup(ap.eqVals) {
-			if _, err := emit(t.Get(id)); err != nil {
-				return nil, err
-			}
-		}
-	case pathRange:
-		var walkErr error
-		ap.idx.AscendRange(ap.lo, ap.loIncl, ap.hi, ap.hiIncl, func(_ []val.Value, ids []engine.RowID) bool {
-			for _, id := range ids {
-				if _, err := emit(t.Get(id)); err != nil {
-					walkErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
-	default:
-		var scanErr error
-		t.Scan(func(_ engine.RowID, row []val.Value) bool {
-			if _, err := emit(row); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
-	}
-	tc.rec.record(tc.b.alias, ap.kind.String(), ap.detail(), len(out.rows))
-	return out, nil
-}
-
-// buildCtxs creates the per-binding planning state for a FROM list.
-func buildCtxs(bindings []binding, rec *planRecorder) (map[string]*tableCtx, []string, relSchema, error) {
+// buildCtxs creates the per-binding planning state for a FROM list and the
+// schema of the frame's leading columns: every binding's, in FROM order.
+func buildCtxs(bindings []binding) (map[string]*tableCtx, []string, relSchema, error) {
 	full := relSchema{}
 	ctxs := make(map[string]*tableCtx, len(bindings))
 	var order []string
@@ -529,10 +477,9 @@ func buildCtxs(bindings []binding, rec *planRecorder) (map[string]*tableCtx, []s
 		if _, dup := ctxs[b.alias]; dup {
 			return nil, nil, nil, fmt.Errorf("query: duplicate table binding %q", b.alias)
 		}
-		tc := &tableCtx{b: b, schema: tableSchema(b), rec: rec}
-		ctxs[b.alias] = tc
+		ctxs[b.alias] = &tableCtx{b: b, off: len(full)}
 		order = append(order, b.alias)
-		full = append(full, tc.schema...)
+		full = append(full, tableSchema(b)...)
 	}
 	return ctxs, order, full, nil
 }
@@ -540,34 +487,36 @@ func buildCtxs(bindings []binding, rec *planRecorder) (map[string]*tableCtx, []s
 // classifyWhere splits a WHERE conjunction into per-binding filters
 // (recording const-eq and range conjuncts on their tableCtx), join edges,
 // residual predicates (EXISTS conjuncts among them, planned here against
-// cat), and a constant-truth verdict.
-func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs map[string]*tableCtx) (edges []*joinEdge, residuals []*residual, constTrue bool, err error) {
-	constTrue = true
+// cat, each taking the frame columns from the previous one's end on), the
+// frame width, and a constant-truth verdict.
+func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs map[string]*tableCtx) (edges []*joinEdge, residuals []*residual, width int, constTrue bool, err error) {
+	width, constTrue = len(full), true
 	if where == nil {
-		return nil, nil, true, nil
+		return nil, nil, width, true, nil
 	}
 	for _, conj := range splitAnd(where, nil) {
 		if ex, ok := conj.(sqlparser.Exists); ok {
-			sj, err := planSemiJoin(cat, ex, full)
+			sj, err := planSemiJoin(cat, ex, full, width)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, 0, false, err
 			}
+			width = sj.end
 			residuals = append(residuals, &residual{refs: sj.refs, semi: sj})
 			continue
 		}
 		refs := make(map[string]bool)
 		if err := exprRefs(conj, full, refs); err != nil {
-			return nil, nil, false, err
+			return nil, nil, 0, false, err
 		}
 		switch len(refs) {
 		case 0:
 			p, err := compileExpr(conj, relSchema{})
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, 0, false, err
 			}
 			ok, err := truthy(p, nil)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, 0, false, err
 			}
 			if !ok {
 				constTrue = false
@@ -604,78 +553,52 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 			residuals = append(residuals, &residual{refs: refs, expr: conj})
 		}
 	}
-	return edges, residuals, constTrue, nil
+	return edges, residuals, width, constTrue, nil
 }
 
-// planJoins materializes and joins all FROM bindings, applying pushdown,
-// join edges, and residual conjuncts. It returns the joined row set. When
-// rec is non-nil every access-path and join decision is recorded for
-// EXPLAIN output.
-func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, rec *planRecorder) (*rowSet, error) {
-	ctxs, order, full, err := buildCtxs(bindings, rec)
+// plan is a SELECT's FROM list as one left-deep chain of steps over a
+// single frame: every binding's columns in FROM order (schema), then the
+// columns of each EXISTS subquery's tables.
+type plan struct {
+	chain
+	schema  relSchema
+	empty   bool // a constant-false conjunct: the chain emits nothing
+	ordered bool // the first step walks an ordered index in ORDER BY order
+}
+
+// planChain orders the bindings into a chain and chooses each one's step.
+// The greedy order is the semi-join's step rule: a binding joined to a
+// placed one by an edge, or reached by a key probe on its own literals, is
+// a candidate at cost stepCost; the cheapest is placed, ties keeping FROM
+// order. A binding that is neither would enter as a cross join costed by a
+// guess, so it waits until no candidate is left (a disconnected join
+// graph). Every residual runs at the first step after which it is
+// decidable. With inOrder a single binding whose ORDER BY an ordered index
+// satisfies walks that index (orderedPath).
+func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOrder bool, rec *planRecorder) (*plan, error) {
+	ctxs, order, full, err := buildCtxs(bindings)
 	if err != nil {
 		return nil, err
 	}
-	edges, residuals, constTrue, err := classifyWhere(cat, where, full, ctxs)
+	edges, residuals, width, constTrue, err := classifyWhere(cat, s.Where, full, ctxs)
 	if err != nil {
 		return nil, err
 	}
-	if !constTrue {
-		// A constant-false conjunct empties the result.
+	p := &plan{schema: full, empty: !constTrue}
+	if p.empty {
 		rec.record("", "empty", "constant-false predicate", 0)
-		return &rowSet{schema: full}, nil
+		return p, nil
+	}
+	p.frame = make([]val.Value, width)
+	for _, r := range residuals {
+		if r.semi == nil {
+			if r.pred, err = compileExpr(r.expr, full); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	placed := make(map[string]bool)
-	applyResiduals := func(rs *rowSet) (*rowSet, error) {
-		for _, r := range residuals {
-			if r.done {
-				continue
-			}
-			ready := true
-			for a := range r.refs {
-				if !placed[a] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			r.done = true
-			if r.semi != nil {
-				var err error
-				if rs, err = r.semi.filter(rs, rec); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			p, err := compileExpr(r.expr, rs.schema)
-			if err != nil {
-				return nil, err
-			}
-			kept := rs.rows[:0:0]
-			for _, row := range rs.rows {
-				ok, err := truthy(p, row)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, row)
-				}
-			}
-			rs = &rowSet{schema: rs.schema, rows: kept}
-		}
-		return rs, nil
-	}
-
-	// Greedy left-deep order, the step rule of the semi-join's probe chain:
-	// a binding joined to a placed one by an edge, or reached by a key probe
-	// on its own literals, is a candidate at cost stepCost; the cheapest is
-	// placed, ties keeping FROM order. A binding that is neither would enter
-	// as a cross join costed by a guess, so it waits until no candidate is
-	// left (a disconnected join graph).
-	var cur *rowSet
 	remaining := append([]string(nil), order...)
 	for len(remaining) > 0 {
 		next, nextCost := -1, 0.0
@@ -695,181 +618,353 @@ func planJoins(cat *engine.Catalog, bindings []binding, where sqlparser.Expr, re
 		}
 		tc := ctxs[remaining[next]]
 		remaining = slices.Delete(remaining, next, next+1)
-		if cur == nil {
-			cur, err = tc.materialize()
+		var st *step
+		if len(p.steps) == 0 {
+			if inOrder && len(bindings) == 1 && len(residuals) == 0 {
+				if ap := orderedPath(tc, s, full); ap != nil {
+					tc.path, p.ordered = ap, true
+				}
+			}
+			st, err = tc.pathStep(full)
 		} else {
-			cur, err = joinNext(cur, tc, edges, placed)
+			st, err = tc.joinStep(edges, placed, full)
 		}
 		if err != nil {
 			return nil, err
 		}
 		placed[tc.b.alias] = true
-		if cur, err = applyResiduals(cur); err != nil {
-			return nil, err
+	residuals:
+		for _, r := range residuals {
+			for a := range r.refs {
+				if r.done || !placed[a] {
+					continue residuals
+				}
+			}
+			r.done = true
+			st.after = append(st.after, r)
 		}
+		p.steps = append(p.steps, st)
 	}
 	for _, r := range residuals {
 		if !r.done {
 			return nil, fmt.Errorf("query: internal error: a residual predicate was never applied")
 		}
 	}
-	return cur, nil
+	return p, nil
 }
 
-// joinPair maps one equi-join edge to a left row offset and a right table
-// column position.
-type joinPair struct{ leftIdx, rightIdx int }
+// exec runs the plan into term: each step's once-only work first (build
+// sides collected, EXISTS prefixes resolved), then the chain. With rec set
+// it records every step with the rows it actually produced.
+func (p *plan) exec(term func(frame []val.Value) (bool, error), rec *planRecorder) error {
+	if p.empty {
+		return nil
+	}
+	for _, st := range p.steps {
+		if err := st.prepare(p.frame); err != nil {
+			return err
+		}
+	}
+	p.term = term
+	if _, err := p.run(0); err != nil {
+		return err
+	}
+	if rec != nil {
+		for _, st := range p.steps {
+			st.explain(rec)
+		}
+	}
+	return nil
+}
 
-// joinNext joins the accumulated row set with one more base table through
-// its edges to the placed bindings: by index nested loop when the probe
-// bestProbe picks for the joined and literal columns is keyed by a joined
-// one, otherwise by hash join (a cross product with no edges) over the
-// table's own access path.
-func joinNext(cur *rowSet, tc *tableCtx, edges []*joinEdge, placed map[string]bool) (*rowSet, error) {
+// compileFilters compiles the binding's single-table conjuncts against the
+// frame.
+func (tc *tableCtx) compileFilters(full relSchema) ([]compiledExpr, error) {
+	preds := make([]compiledExpr, 0, len(tc.filters))
+	for _, f := range tc.filters {
+		p, err := compileExpr(f, full)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, p)
+	}
+	return preds, nil
+}
+
+// pathStep reaches the binding's rows through its own access path.
+func (tc *tableCtx) pathStep(full relSchema) (*step, error) {
+	ap := tc.accessPath()
+	st := &step{alias: tc.b.alias, table: tc.b.table, off: tc.off, path: ap, idx: ap.idx, fetch: fetchScan}
+	switch ap.kind {
+	case pathPK:
+		st.fetch, st.key = fetchProbe, []val.Value{ap.pkVal}
+	case pathEqProbe:
+		st.fetch, st.key = fetchProbe, ap.eqVals
+	case pathRange, pathOrdered:
+		st.fetch = fetchWalk
+	}
+	var err error
+	st.filters, err = tc.compileFilters(full)
+	return st, err
+}
+
+// joinStep joins the binding to the placed ones through its edges: by
+// index join when the probe bestProbe picks for the joined and literal
+// columns is keyed by a joined one, otherwise by hash join (a cross join
+// with no edges) over the rows its own access path collects once.
+func (tc *tableCtx) joinStep(edges []*joinEdge, placed map[string]bool, full relSchema) (*step, error) {
 	t := tc.b.table
-	var pairs []joinPair
+	joined := make(map[int]int) // column -> frame slot of a placed column equal to it
+	var pairs [][2]int          // frame slots of equal columns: placed side, this binding's
 	for _, e := range edges {
 		col, other, otherCol := e.from(tc.b.alias)
 		if !placed[other] {
 			continue
 		}
-		li, err := cur.schema.find(sqlparser.ColumnRef{Table: other, Column: otherCol})
+		left, err := full.find(sqlparser.ColumnRef{Table: other, Column: otherCol})
 		if err != nil {
 			return nil, err
 		}
-		pairs = append(pairs, joinPair{leftIdx: li, rightIdx: t.Schema().ColumnIndex(col)})
+		c := t.Schema().ColumnIndex(col)
+		joined[c] = left
+		pairs = append(pairs, [2]int{left, tc.off + c})
 	}
-
-	out := &rowSet{schema: append(append(relSchema{}, cur.schema...), tc.schema...)}
-	emit := func(l, r []val.Value) {
-		row := make([]val.Value, 0, len(l)+len(r))
-		row = append(row, l...)
-		row = append(row, r...)
-		out.rows = append(out.rows, row)
-	}
-	if len(pairs) == 0 {
-		rs, err := tc.materialize()
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range cur.rows {
-			for _, r := range rs.rows {
-				emit(l, r)
-			}
-		}
-		tc.rec.record(tc.b.alias, "cross join", "", len(out.rows))
-		return out, nil
-	}
-
-	ok, detail, err := indexJoin(cur, tc, pairs, emit)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		tc.rec.record(tc.b.alias, "index join", detail, len(out.rows))
-		return out, nil
-	}
-	rs, err := tc.materialize()
-	if err != nil {
-		return nil, err
-	}
-	// Hash join: build on the new (right) side, probe with cur. Buckets are
-	// keyed by the 64-bit composite hash of the join columns; the probe
-	// re-verifies value equality so hash collisions never join unequal rows.
-	build := make(map[uint64][][]val.Value, len(rs.rows))
-	for _, r := range rs.rows {
-		h := val.HashSeed()
-		for _, p := range pairs {
-			h = val.Hash64(h, r[p.rightIdx])
-		}
-		build[h] = append(build[h], r)
-	}
-	for _, l := range cur.rows {
-		h := val.HashSeed()
-		for _, p := range pairs {
-			h = val.Hash64(h, l[p.leftIdx])
-		}
-	probe:
-		for _, r := range build[h] {
-			for _, p := range pairs {
-				if !val.Equal(l[p.leftIdx], r[p.rightIdx]) {
-					continue probe
-				}
-			}
-			emit(l, r)
-		}
-	}
-	tc.rec.record(tc.b.alias, "hash join", "", len(out.rows))
-	return out, nil
-}
-
-// indexJoin runs an index nested-loop join, calling emit for every joined
-// row pair, when the probe bestProbe picks for the joined and literal
-// columns is keyed by at least one joined column; a probe on literals alone
-// is the table's own access path, which the caller hash joins instead. It
-// reports ok=false then. The detail string names the probe for EXPLAIN.
-func indexJoin(cur *rowSet, tc *tableCtx, pairs []joinPair, emit func(l, r []val.Value)) (bool, string, error) {
-	t := tc.b.table
-	joined := make(map[int]int, len(pairs)) // right column -> left offset
-	for _, p := range pairs {
-		joined[p.rightIdx] = p.leftIdx
-	}
+	st := &step{alias: tc.b.alias, table: t, off: tc.off}
 	keyCols, idx, _ := bestProbe(t, func(c int) bool {
 		_, ok := joined[c]
 		return ok || tc.literal(c)
 	})
-	if !slices.ContainsFunc(keyCols, func(c int) bool { _, ok := joined[c]; return ok }) {
-		return false, "", nil
-	}
-	detail := "pk"
-	if idx != nil {
-		detail = "index=" + idx.Name()
-	}
-	// Leftover single-table filters and join columns the key does not
-	// cover are checked on every fetched row.
-	var preds []compiledExpr
-	for _, f := range tc.filters {
-		p, err := compileExpr(f, tc.schema)
-		if err != nil {
-			return false, "", err
-		}
-		preds = append(preds, p)
-	}
-	key := make([]val.Value, len(keyCols))
-	var one [1]engine.RowID
-	for _, l := range cur.rows {
-		for i, c := range keyCols {
-			if off, ok := joined[c]; ok {
-				key[i] = l[off]
+	if slices.ContainsFunc(keyCols, func(c int) bool { _, ok := joined[c]; return ok }) {
+		st.fetch, st.op, st.idx = fetchProbe, "index join", idx
+		st.key, st.keySlot = make([]val.Value, len(keyCols)), make([]int, len(keyCols))
+		for k, c := range keyCols {
+			if slot, ok := joined[c]; ok {
+				st.keySlot[k] = slot
 			} else {
-				key[i] = tc.eqOn[c]
+				st.key[k], st.keySlot[k] = tc.eqOn[c], -1
 			}
 		}
-		ids := one[:0]
-		if idx != nil {
-			ids = idx.Lookup(key)
-		} else if id, found := t.LookupPK(key[0]); found {
-			ids = append(ids, id)
+		// The probe enforces the equalities it is keyed by; the rest are
+		// checked on every fetched row.
+		for _, pr := range pairs {
+			if k := slices.Index(keyCols, pr[1]-tc.off); k < 0 || st.keySlot[k] != pr[0] {
+				st.checks = append(st.checks, pr)
+			}
 		}
-	rows:
-		for _, id := range ids {
-			r := t.Get(id)
-			for _, p := range preds {
-				ok, err := truthy(p, r)
-				if err != nil {
-					return false, "", err
-				}
-				if !ok {
-					continue rows
-				}
-			}
-			for _, pr := range pairs {
-				if !val.Equal(l[pr.leftIdx], r[pr.rightIdx]) {
-					continue rows
-				}
-			}
-			emit(l, r)
+		var err error
+		st.filters, err = tc.compileFilters(full)
+		return st, err
+	}
+	src, err := tc.pathStep(full)
+	if err != nil {
+		return nil, err
+	}
+	st.src, st.fetch, st.op = src, fetchRows, "cross join"
+	if len(pairs) > 0 {
+		// Buckets are keyed by the 64-bit composite hash of the join
+		// columns; the checks re-verify value equality, so hash collisions
+		// never join unequal rows.
+		st.fetch, st.op, st.checks = fetchHash, "hash join", pairs
+		for _, pr := range pairs {
+			st.keySlot = append(st.keySlot, pr[0])
+			st.hashCols = append(st.hashCols, pr[1]-tc.off)
 		}
 	}
-	return true, detail, nil
+	return st, nil
+}
+
+// fetchKind is how a step reaches its rows.
+type fetchKind int
+
+const (
+	fetchScan  fetchKind = iota // every row of the table
+	fetchProbe                  // a primary-key (idx nil) or index lookup of key
+	fetchWalk                   // path's ordered-index range walk
+	fetchRows                   // the rows collected once (a cross join, a replayed prefix)
+	fetchHash                   // the collected rows in the bucket of keySlot's hash
+)
+
+// step is one binding of a probe chain: how its rows are reached once the
+// steps before it are in place, where in the frame they go, and what is
+// decided there. Positive joins and EXISTS subqueries are chains of steps.
+type step struct {
+	alias string
+	table *engine.Table
+	off   int // frame offset of the table's columns
+
+	fetch    fetchKind
+	idx      *engine.Index            // fetchProbe (nil: primary key), fetchWalk
+	key      []val.Value              // fetchProbe key; literal parts are filled in once
+	keySlot  []int                    // frame slot feeding key[k], -1 for a literal; fetchHash: the slots hashed
+	path     *accessPath              // the binding's own access path
+	src      *step                    // fetchRows, fetchHash: the step collecting rows
+	rows     [][]val.Value            // fetchRows, fetchHash: the rows src collected (or prefix copies)
+	build    map[uint64][][]val.Value // fetchHash: rows by the hash of hashCols
+	hashCols []int                    // fetchHash: the columns hashed
+	op       string                   // EXPLAIN: a join's name; "" for an access path
+
+	checks  [][2]int       // frame slots that must be Equal
+	filters []compiledExpr // conjuncts decidable once the row is placed
+	after   []*residual    // residuals decidable here, run past the row count
+
+	row             []val.Value // the row last placed, for a collecting terminal
+	fetched, passed int         // rows fetched; rows past checks and filters
+}
+
+// chain runs its steps left-deep over one frame: each fetched row is
+// placed at its step's offset, checked, and handed to the next step; past
+// the last one the terminal reads the frame. A positive join's terminal is
+// a sink that emits and continues; an EXISTS subquery's stops at the first
+// match. A terminal's stop ends the whole run, which then reports true.
+type chain struct {
+	steps []*step
+	frame []val.Value
+	term  func(frame []val.Value) (stop bool, err error)
+}
+
+func (c *chain) run(i int) (bool, error) {
+	if i == len(c.steps) {
+		return c.term(c.frame)
+	}
+	st := c.steps[i]
+	var rows [][]val.Value
+	switch st.fetch {
+	case fetchProbe:
+		for k, s := range st.keySlot {
+			if s >= 0 {
+				st.key[k] = c.frame[s]
+			}
+		}
+		if st.idx == nil {
+			if id, ok := st.table.LookupPK(st.key[0]); ok {
+				return c.place(i, st.table.Get(id))
+			}
+			return false, nil
+		}
+		for _, id := range st.idx.Lookup(st.key) {
+			if stop, err := c.place(i, st.table.Get(id)); stop || err != nil {
+				return stop, err
+			}
+		}
+		return false, nil
+	case fetchScan, fetchWalk:
+		var stop bool
+		var err error
+		each := func(_ []val.Value, ids []engine.RowID) bool {
+			for _, id := range ids {
+				if stop, err = c.place(i, st.table.Get(id)); stop || err != nil {
+					return false
+				}
+			}
+			return true
+		}
+		switch p := st.path; {
+		case st.fetch == fetchScan:
+			st.table.Scan(func(_ engine.RowID, row []val.Value) bool {
+				stop, err = c.place(i, row)
+				return !stop && err == nil
+			})
+		case p.desc:
+			st.idx.DescendRange(p.lo, p.loIncl, p.hi, p.hiIncl, each)
+		default:
+			st.idx.AscendRange(p.lo, p.loIncl, p.hi, p.hiIncl, each)
+		}
+		return stop, err
+	case fetchHash:
+		h := val.HashSeed()
+		for _, s := range st.keySlot {
+			h = val.Hash64(h, c.frame[s])
+		}
+		rows = st.build[h]
+	default:
+		rows = st.rows
+	}
+	for _, r := range rows {
+		if stop, err := c.place(i, r); stop || err != nil {
+			return stop, err
+		}
+	}
+	return false, nil
+}
+
+// place puts one fetched row of step i in the frame, applies what is
+// decidable there, and continues with the next step.
+func (c *chain) place(i int, row []val.Value) (bool, error) {
+	st := c.steps[i]
+	st.fetched++
+	st.row = row
+	copy(c.frame[st.off:], row)
+	for _, ck := range st.checks {
+		if !val.Equal(c.frame[ck[0]], c.frame[ck[1]]) {
+			return false, nil
+		}
+	}
+	for _, f := range st.filters {
+		if ok, err := truthy(f, c.frame); !ok || err != nil {
+			return false, err
+		}
+	}
+	st.passed++
+	for _, r := range st.after {
+		if ok, err := r.holds(c.frame); !ok || err != nil {
+			return false, err
+		}
+	}
+	return c.run(i + 1)
+}
+
+// prepare does the step's once-only work before the chain runs: a cross or
+// hash join's build side collected through its own access path, and the
+// EXISTS subqueries decided here prepared.
+func (st *step) prepare(frame []val.Value) error {
+	if st.src != nil {
+		collect := chain{steps: []*step{st.src}, frame: frame, term: func([]val.Value) (bool, error) {
+			st.rows = append(st.rows, st.src.row)
+			return false, nil
+		}}
+		if _, err := collect.run(0); err != nil {
+			return err
+		}
+	}
+	if st.fetch == fetchHash {
+		st.build = make(map[uint64][][]val.Value, len(st.rows))
+		for _, r := range st.rows {
+			h := val.HashSeed()
+			for _, c := range st.hashCols {
+				h = val.Hash64(h, r[c])
+			}
+			st.build[h] = append(st.build[h], r)
+		}
+	}
+	for _, r := range st.after {
+		if r.semi != nil {
+			if err := r.semi.prepare(frame); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// explain records the step: a build side's access path before its join,
+// then the residual semi-joins it ran.
+func (st *step) explain(rec *planRecorder) {
+	switch {
+	case st.src != nil:
+		st.src.explain(rec)
+		rec.record(st.alias, st.op, "", st.passed)
+	case st.op != "":
+		detail := "pk"
+		if st.idx != nil {
+			detail = "index=" + st.idx.Name()
+		}
+		rec.record(st.alias, st.op, detail, st.passed)
+	default:
+		rec.record(st.alias, st.path.kind.String(), st.path.detail(), st.passed)
+	}
+	for _, r := range st.after {
+		if r.semi != nil {
+			r.semi.explain(rec)
+		}
+	}
 }

@@ -496,6 +496,197 @@ func FuzzJoinAgainstNaive(f *testing.F) {
 	})
 }
 
+// sinksAgainstNaive draws a random join of a, b and c that reaches every
+// step kind — b and c each joined by an index join (an edge to an indexed
+// column), a hash join (an edge to a column without one) or a cross join
+// (no edge), c perhaps by two edges — with an optional residual over all
+// three bindings and an optional correlated EXISTS over d. It runs the
+// join under DISTINCT
+// projection, GROUP BY with COUNT and SUM, and ORDER BY every projected
+// column with LIMIT k, and compares the answers with naive evaluation as a
+// set, as groups and in exact order. It describes the first disagreement.
+func sinksAgainstNaive(seed int64) error {
+	r := rand.New(rand.NewSource(seed))
+	cat := engine.NewCatalog()
+	ddl := `CREATE TABLE a (x INT, y INT); CREATE TABLE b (u INT, v INT, w INT); CREATE TABLE c (k INT, p INT);
+		CREATE TABLE d (q INT, s INT); CREATE INDEX b_u ON b (u); CREATE INDEX c_k ON c (k); CREATE INDEX d_q ON d (q);`
+	if _, err := execErr(cat, ddl); err != nil {
+		return err
+	}
+	tables := map[string][][]val.Value{}
+	for _, tb := range []struct {
+		name  string
+		arity int
+	}{{"a", 2}, {"b", 3}, {"c", 2}, {"d", 2}} {
+		for i, n := 0, r.Intn(10); i < n; i++ {
+			row := make([]val.Value, tb.arity)
+			lits := make([]string, tb.arity)
+			for j := range row {
+				v := int64(r.Intn(4))
+				row[j], lits[j] = val.Int(v), fmt.Sprint(v)
+			}
+			tables[tb.name] = append(tables[tb.name], row)
+			execMust(cat, fmt.Sprintf("INSERT INTO %s VALUES (%s)", tb.name, strings.Join(lits, ", ")))
+		}
+	}
+	// A joined row is a.x a.y b.u b.v b.w c.k c.p.
+	var conds []string
+	var preds []func(row []val.Value) bool
+	eq := func(cond string, i, j int) {
+		conds = append(conds, cond)
+		preds = append(preds, func(row []val.Value) bool { return row[i].AsInt() == row[j].AsInt() })
+	}
+	switch r.Intn(3) {
+	case 0:
+		eq("b.u = a.x", 2, 0)
+	case 1:
+		eq("a.y = b.v", 1, 3)
+	}
+	switch r.Intn(4) {
+	case 0:
+		eq("c.k = b.w", 5, 4)
+	case 1:
+		eq("a.x = c.p", 0, 6)
+	case 2: // the probe on c_k leaves c.p = a.x to a check
+		eq("c.k = b.w", 5, 4)
+		eq("a.x = c.p", 0, 6)
+	}
+	if r.Intn(2) == 0 {
+		conds = append(conds, "a.y + b.w > c.p")
+		preds = append(preds, func(row []val.Value) bool { return row[1].AsInt()+row[4].AsInt() > row[6].AsInt() })
+	}
+	if r.Intn(2) == 0 {
+		conds = append(conds, "EXISTS (SELECT 1 FROM d WHERE d.q = b.v AND d.s <> c.k)")
+		preds = append(preds, func(row []val.Value) bool {
+			for _, d := range tables["d"] {
+				if d[0].AsInt() == row[3].AsInt() && d[1].AsInt() != row[5].AsInt() {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	r.Shuffle(len(conds), func(i, j int) { conds[i], conds[j] = conds[j], conds[i] })
+	from := []string{"a", "b", "c"}
+	r.Shuffle(len(from), func(i, j int) { from[i], from[j] = from[j], from[i] })
+	body := " FROM " + strings.Join(from, ", ")
+	if len(conds) > 0 {
+		body += " WHERE " + strings.Join(conds, " AND ")
+	}
+	joined := naiveJoin([][][]val.Value{tables["a"], tables["b"], tables["c"]}, func(row []val.Value) bool {
+		for _, p := range preds {
+			if !p(row) {
+				return false
+			}
+		}
+		return true
+	})
+	pick := func(row []val.Value, cols ...int) []val.Value {
+		out := make([]val.Value, len(cols))
+		for i, c := range cols {
+			out[i] = row[c]
+		}
+		return out
+	}
+
+	// DISTINCT projection, as a set.
+	sql := "SELECT DISTINCT a.y, b.v, c.p" + body
+	res, err := execErr(cat, sql)
+	if err != nil {
+		return fmt.Errorf("%s: %v", sql, err)
+	}
+	var want [][]val.Value
+	for _, row := range joined {
+		want = append(want, pick(row, 1, 3, 6))
+	}
+	if want = DedupeRows(want); !multisetEqual(res.Rows, want) {
+		return fmt.Errorf("%s: %d rows, naive %d", sql, len(res.Rows), len(want))
+	}
+
+	// GROUP BY with COUNT and SUM, as groups.
+	sql = "SELECT a.y, COUNT(*), SUM(b.w)" + body + " GROUP BY a.y"
+	if res, err = execErr(cat, sql); err != nil {
+		return fmt.Errorf("%s: %v", sql, err)
+	}
+	groups := map[int64][2]int64{}
+	for _, row := range joined {
+		g := groups[row[1].AsInt()]
+		groups[row[1].AsInt()] = [2]int64{g[0] + 1, g[1] + row[4].AsInt()}
+	}
+	if len(res.Rows) != len(groups) {
+		return fmt.Errorf("%s: %d groups, naive %d", sql, len(res.Rows), len(groups))
+	}
+	for _, row := range res.Rows {
+		if g := groups[row[0].AsInt()]; row[1].AsInt() != g[0] || row[2].AsInt() != g[1] {
+			return fmt.Errorf("%s: group %v, naive count %d sum %d", sql, row, g[0], g[1])
+		}
+	}
+
+	// ORDER BY every projected column with LIMIT k, in exact order.
+	desc := []bool{r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0}
+	k := r.Intn(6)
+	order := make([]string, 3)
+	for i, col := range []string{"a.x", "b.v", "c.p"} {
+		order[i] = col
+		if desc[i] {
+			order[i] += " DESC"
+		}
+	}
+	sql = fmt.Sprintf("SELECT a.x, b.v, c.p%s ORDER BY %s LIMIT %d", body, strings.Join(order, ", "), k)
+	if res, err = execErr(cat, sql); err != nil {
+		return fmt.Errorf("%s: %v", sql, err)
+	}
+	want = nil
+	for _, row := range joined {
+		want = append(want, pick(row, 0, 3, 6))
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		for c, d := range desc {
+			if x, y := want[i][c].AsInt(), want[j][c].AsInt(); x != y {
+				return (x < y) != d
+			}
+		}
+		return false
+	})
+	want = want[:min(k, len(want))]
+	if !reflect.DeepEqual(rowKeys(res.Rows), rowKeys(want)) {
+		return fmt.Errorf("%s:\n got   %v\n naive %v", sql, rowKeys(res.Rows), rowKeys(want))
+	}
+	return nil
+}
+
+func rowKeys(rows [][]val.Value) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = val.RowKey(r)
+	}
+	return out
+}
+
+func TestQuickSinksAgainstNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		if err := sinksAgainstNaive(seed); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func FuzzSinksAgainstNaive(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 18} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if err := sinksAgainstNaive(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func execMust(cat *engine.Catalog, sql string) {
 	if _, err := execErr(cat, sql); err != nil {
 		panic(err)

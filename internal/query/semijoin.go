@@ -11,50 +11,35 @@ import (
 )
 
 // semiJoin is one EXISTS (subquery) conjunct, planned once per statement
-// into a chain of probes over the subquery's tables. The columns of the
-// enclosing query it mentions are parameters; per outer row the chain runs
-// as nested index probes on one reused frame and stops at the first match,
-// so no intermediate row set is built. Leading steps that read no parameter
-// (a literal-user E-chain, say) are resolved once and their matches
-// replayed for every outer row.
+// into a chain of probes over the subquery's tables, whose columns take
+// their own region of the enclosing query's frame. The columns of the
+// enclosing query it mentions are read from that frame in place; per outer
+// row the chain runs on the same run loop as the positive join and stops at
+// the first match, so no intermediate row set is built. Leading steps that
+// read no outer column (a literal-user E-chain, say) are resolved once and
+// their matches replayed for every outer row.
 type semiJoin struct {
-	refs   map[string]bool // outer bindings the subquery mentions
-	steps  []*semiStep     // probe order
-	inner  int             // frame width taken by the steps' columns
-	params []colID         // outer column feeding frame[inner+i]
-	frame  []val.Value     // step columns in probe order, then the parameters
-
-	prefixLen int           // leading steps that read no parameter
-	prefix    [][]val.Value // their matches: copies of frame[:steps[prefixLen].off]
-	collect   bool          // match is gathering prefix rows, not deciding existence
-	fetched   int           // rows fetched from the subquery's tables, for EXPLAIN
+	refs      map[string]bool // outer bindings the subquery mentions
+	steps     []*step         // probe order
+	end       int             // frame offset past the steps' columns
+	prefixLen int             // leading steps that read no outer column
+	per       chain           // what runs per outer row (see prepare)
+	kept      int             // outer rows with a match, for EXPLAIN
 }
 
-// semiStep is one table of the subquery and how its rows are reached once
-// the steps before it are in place.
+// semiStep is a step of the subquery while its probe order is chosen.
 type semiStep struct {
-	tbl   int // position in the subquery's FROM list
-	alias string
-	table *engine.Table
-	off   int // frame offset of this table's columns
-
-	// Access path: a primary-key probe, an index probe, or (neither) a scan.
-	pk      bool
-	idx     *engine.Index
+	*step
+	tbl     int         // position in the subquery's FROM list
 	keyConj []*semiConj // the equalities the probe enforces, one per probed column
-	key     []val.Value // probe key; literal parts are filled in once
-	keySlot []int       // frame slot feeding key[k]; -1 for a literal
-
-	checks  [][2]int       // equi-conjuncts the probe does not cover: frame slots that must be Equal
-	filters []compiledExpr // every other conjunct decidable once this row is in place
-	corr    bool           // reads a parameter
+	corr    bool        // reads an outer column
 }
 
 // semiOperand is one side of an equi-conjunct of the subquery: a column of
-// one of its tables, a parameter, or a literal.
+// one of its tables, an outer column, or a literal.
 type semiOperand struct {
-	tbl   int // subquery table (FROM position); -1 for a parameter or literal
-	col   int // column position in that table, or parameter number
+	tbl   int // subquery table (FROM position); -1 for an outer column or literal
+	col   int // column position in that table, or the outer column's frame slot
 	isLit bool
 	lit   val.Value
 }
@@ -73,9 +58,8 @@ type semiConj struct {
 }
 
 // semiScope resolves the subquery's column references: its own tables
-// first, the enclosing query second (allocating a parameter). Once the
-// probe order has fixed tblOff it is the colResolver of the subquery's
-// expressions.
+// first, the enclosing query second. Once the probe order has fixed tblOff
+// it is the colResolver of the subquery's expressions.
 type semiScope struct {
 	sj       *semiJoin
 	inner    relSchema // subquery tables in FROM order
@@ -104,21 +88,14 @@ func (sc *semiScope) resolve(ref sqlparser.ColumnRef) (semiOperand, error) {
 	if err != nil {
 		return semiOperand{}, err
 	}
-	id := sc.outer[o]
-	for p, have := range sc.sj.params {
-		if have == id {
-			return semiOperand{tbl: -1, col: p}, nil
-		}
-	}
-	sc.sj.params = append(sc.sj.params, id)
-	sc.sj.refs[id.rel] = true
-	return semiOperand{tbl: -1, col: len(sc.sj.params) - 1}, nil
+	sc.sj.refs[sc.outer[o].rel] = true
+	return semiOperand{tbl: -1, col: o}, nil
 }
 
-// slot is the frame position of a column or parameter operand.
+// slot is the frame position of a column or outer-column operand.
 func (sc *semiScope) slot(o semiOperand) int {
 	if o.tbl < 0 {
-		return sc.sj.inner + o.col
+		return o.col
 	}
 	return sc.tblOff[o.tbl] + o.col
 }
@@ -176,8 +153,9 @@ func (sc *semiScope) classify(e sqlparser.Expr) (*semiConj, error) {
 }
 
 // planSemiJoin plans the subquery of an EXISTS conjunct against the
-// enclosing query's schema.
-func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema) (*semiJoin, error) {
+// enclosing query's frame schema, its tables' columns from frame offset
+// base on.
+func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema, base int) (*semiJoin, error) {
 	q := ex.Query
 	if q.Distinct || len(q.GroupBy) > 0 || len(q.OrderBy) > 0 || q.Limit >= 0 {
 		return nil, fmt.Errorf("query: an EXISTS subquery supports only SELECT ... FROM ... [WHERE ...]")
@@ -187,7 +165,7 @@ func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema) (*s
 			return nil, fmt.Errorf("query: aggregate in the select list of an EXISTS subquery")
 		}
 	}
-	sj := &semiJoin{refs: make(map[string]bool)}
+	sj := &semiJoin{refs: make(map[string]bool), end: base}
 	sc := &semiScope{sj: sj, aliases: make(map[string]bool), outer: outer, tblOff: make([]int, len(q.From))}
 	tables := make([]binding, len(q.From))
 	for i, ref := range q.From {
@@ -218,9 +196,10 @@ func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema) (*s
 	}
 
 	// Greedy probe order: the table cheapest to reach from what is already
-	// in place (literals, parameters, earlier steps); on a tie uncorrelated
-	// before correlated, so the once-resolved prefix grows.
+	// in place (literals, outer columns, earlier steps); on a tie
+	// uncorrelated before correlated, so the once-resolved prefix grows.
 	placed := make([]bool, len(tables))
+	steps := make([]*semiStep, 0, len(tables))
 	for range tables {
 		var best *semiStep
 		var bestCost float64
@@ -233,18 +212,19 @@ func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema) (*s
 				best, bestCost = st, cost
 			}
 		}
-		best.off = sj.inner
-		sc.tblOff[best.tbl] = sj.inner
-		sj.inner += best.table.Schema().Arity()
+		best.off = sj.end
+		sc.tblOff[best.tbl] = sj.end
+		sj.end += best.table.Schema().Arity()
 		placed[best.tbl] = true
-		sj.steps = append(sj.steps, best)
+		steps = append(steps, best)
+		sj.steps = append(sj.steps, best.step)
 	}
 
 	// Attach every conjunct to the first step at which it is decidable: as
 	// the probe key where planSemiStep chose it, else as an equality check,
 	// else as a compiled filter.
 	clear(placed)
-	for n, st := range sj.steps {
+	for n, st := range steps {
 		placed[st.tbl] = true
 		st.keySlot = make([]int, len(st.keyConj))
 		for k, c := range st.keyConj {
@@ -282,7 +262,6 @@ func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema) (*s
 			sj.prefixLen = n + 1
 		}
 	}
-	sj.frame = make([]val.Value, sj.inner+len(sj.params))
 	return sj, nil
 }
 
@@ -298,7 +277,7 @@ func (c *semiConj) other(tbl int) semiOperand {
 // tables already placed, and estimates the rows one probe fetches.
 func planSemiStep(i int, b binding, conjs []*semiConj, placed []bool) (*semiStep, float64) {
 	t := b.table
-	st := &semiStep{tbl: i, alias: b.alias, table: t}
+	st := &semiStep{step: &step{alias: b.alias, table: t}, tbl: i}
 	// bound maps a column of this table to the first equality fixing its
 	// value from what is in place; later ones on the same column check.
 	bound := make(map[int]*semiConj)
@@ -317,7 +296,9 @@ func planSemiStep(i int, b binding, conjs []*semiConj, placed []bool) (*semiStep
 		}
 	}
 	cols, idx, cost := bestProbe(t, func(c int) bool { return bound[c] != nil })
-	st.pk, st.idx = cols != nil && idx == nil, idx
+	if st.idx = idx; cols != nil {
+		st.fetch = fetchProbe
+	}
 	for _, c := range cols {
 		st.keyConj = append(st.keyConj, bound[c])
 		st.corr = st.corr || bound[c].outer
@@ -326,141 +307,68 @@ func planSemiStep(i int, b binding, conjs []*semiConj, placed []bool) (*semiStep
 	return st, cost
 }
 
-// filter keeps the rows of rs for which the subquery has a match and
-// records the step for EXPLAIN.
-func (sj *semiJoin) filter(rs *rowSet, rec *planRecorder) (*rowSet, error) {
-	src := make([]int, len(sj.params))
-	for i, id := range sj.params {
-		o, err := rs.schema.find(sqlparser.ColumnRef{Table: id.rel, Column: id.name})
-		if err != nil {
-			return nil, err
-		}
-		src[i] = o
-	}
-	out := &rowSet{schema: rs.schema}
+// prepare readies the per-row chain before the outer chain runs. With
+// nothing correlated one evaluation decides every row; otherwise the
+// uncorrelated prefix's matches are collected once, as copies of its frame
+// region, and replayed ahead of the correlated steps.
+func (sj *semiJoin) prepare(frame []val.Value) error {
+	found := func([]val.Value) (bool, error) { return true, nil }
+	once := chain{steps: sj.steps[:sj.prefixLen], frame: frame, term: found}
 	switch {
 	case sj.prefixLen == len(sj.steps):
-		// Nothing is correlated: one evaluation decides every row.
-		ok, err := sj.match(0)
+		ok, err := once.run(0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if ok {
-			out.rows = rs.rows
-		}
-	default:
-		if sj.prefixLen > 0 {
-			sj.collect = true
-			if _, err := sj.match(0); err != nil {
-				return nil, err
-			}
-			sj.collect = false
-		}
-		for _, row := range rs.rows {
-			for i, o := range src {
-				sj.frame[sj.inner+i] = row[o]
-			}
-			ok, err := sj.exists()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.rows = append(out.rows, row)
-			}
-		}
-	}
-	if rec != nil {
-		aliases := make([]string, len(sj.steps))
-		parts := make([]string, len(sj.steps))
-		for i, st := range sj.steps {
-			aliases[i] = st.alias
-			switch {
-			case st.pk:
-				parts[i] = st.alias + " pk"
-			case st.idx != nil:
-				parts[i] = st.alias + " index=" + st.idx.Name()
-			default:
-				parts[i] = st.alias + " scan"
-			}
-			if i < sj.prefixLen {
-				parts[i] += " once"
-			}
-		}
-		rec.record(strings.Join(aliases, ","), "semi join",
-			fmt.Sprintf("%s fetched=%d", strings.Join(parts, " -> "), sj.fetched), len(out.rows))
-	}
-	return out, nil
-}
-
-// exists decides the subquery for the parameters loaded in the frame.
-func (sj *semiJoin) exists() (bool, error) {
-	if sj.prefixLen == 0 {
-		return sj.match(0)
-	}
-	for _, p := range sj.prefix {
-		copy(sj.frame, p)
-		if ok, err := sj.match(sj.prefixLen); ok || err != nil {
-			return ok, err
-		}
-	}
-	return false, nil
-}
-
-// match reports whether steps i.. have a match given the frame so far. In
-// collect mode it instead records every match of the uncorrelated prefix.
-func (sj *semiJoin) match(i int) (bool, error) {
-	if sj.collect && i == sj.prefixLen {
-		sj.prefix = append(sj.prefix, append([]val.Value(nil), sj.frame[:sj.steps[i].off]...))
-		return false, nil
-	}
-	if i == len(sj.steps) {
-		return true, nil
-	}
-	st := sj.steps[i]
-	for k, s := range st.keySlot {
-		if s >= 0 {
-			st.key[k] = sj.frame[s]
-		}
-	}
-	switch {
-	case st.pk:
-		if id, ok := st.table.LookupPK(st.key[0]); ok {
-			return sj.try(i, st.table.Get(id))
-		}
-		return false, nil
-	case st.idx != nil:
-		for _, id := range st.idx.Lookup(st.key) {
-			if ok, err := sj.try(i, st.table.Get(id)); ok || err != nil {
-				return ok, err
-			}
-		}
-		return false, nil
-	default:
-		var found bool
-		var err error
-		st.table.Scan(func(_ engine.RowID, row []val.Value) bool {
-			found, err = sj.try(i, row)
-			return !found && err == nil
-		})
-		return found, err
-	}
-}
-
-// try places one fetched row of step i in the frame, applies the step's
-// checks and filters, and continues with the next step.
-func (sj *semiJoin) try(i int, row []val.Value) (bool, error) {
-	st := sj.steps[i]
-	sj.fetched++
-	copy(sj.frame[st.off:], row)
-	for _, c := range st.checks {
-		if !val.Equal(sj.frame[c[0]], sj.frame[c[1]]) {
+		sj.per = chain{term: func([]val.Value) (bool, error) { return ok, nil }}
+	case sj.prefixLen > 0:
+		replay := &step{fetch: fetchRows, off: sj.steps[0].off}
+		end := sj.steps[sj.prefixLen].off
+		once.term = func([]val.Value) (bool, error) {
+			replay.rows = append(replay.rows, slices.Clone(frame[replay.off:end]))
 			return false, nil
 		}
-	}
-	for _, f := range st.filters {
-		if ok, err := truthy(f, sj.frame); !ok || err != nil {
-			return false, err
+		if _, err := once.run(0); err != nil {
+			return err
 		}
+		sj.per = chain{steps: append([]*step{replay}, sj.steps[sj.prefixLen:]...), frame: frame, term: found}
+	default:
+		sj.per = chain{steps: sj.steps, frame: frame, term: found}
 	}
-	return sj.match(i + 1)
+	return nil
+}
+
+// holds decides the subquery for the outer row in the frame.
+func (sj *semiJoin) holds() (bool, error) {
+	ok, err := sj.per.run(0)
+	if ok && err == nil {
+		sj.kept++
+	}
+	return ok, err
+}
+
+// explain records the semi-join as one step: its probes in order, the
+// uncorrelated prefix marked, the rows its tables fetched, the outer rows
+// kept.
+func (sj *semiJoin) explain(rec *planRecorder) {
+	aliases := make([]string, len(sj.steps))
+	parts := make([]string, len(sj.steps))
+	fetched := 0
+	for i, st := range sj.steps {
+		aliases[i] = st.alias
+		switch {
+		case st.fetch == fetchScan:
+			parts[i] = st.alias + " scan"
+		case st.idx != nil:
+			parts[i] = st.alias + " index=" + st.idx.Name()
+		default:
+			parts[i] = st.alias + " pk"
+		}
+		if i < sj.prefixLen {
+			parts[i] += " once"
+		}
+		fetched += st.fetched
+	}
+	rec.record(strings.Join(aliases, ","), "semi join",
+		fmt.Sprintf("%s fetched=%d", strings.Join(parts, " -> "), fetched), sj.kept)
 }
