@@ -10,7 +10,7 @@ import (
 // the (single) active transaction.
 //
 // Concurrency contract: the catalog's own mutex guards only the table *map*
-// (CreateTable/DropTable vs. Table/TableNames), so name resolution is always
+// (CreateTable vs. Table/TableNames), so name resolution is always
 // race-free. Table *contents* and the active transaction are not locked
 // here — they are protected by the single-writer lock of the owning
 // facade, the belief store (internal/store): mutations and
@@ -49,22 +49,6 @@ func (c *Catalog) CreateTable(name string, schema Schema, pkCol int) (*Table, er
 	c.tables[name] = t
 	c.dirty = true
 	return t, nil
-}
-
-// DropTable removes a table. Dropping inside a transaction is not undoable
-// and therefore rejected.
-func (c *Catalog) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.txn != nil {
-		return fmt.Errorf("engine: cannot drop table %q inside a transaction", name)
-	}
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("engine: no table %q", name)
-	}
-	delete(c.tables, name)
-	c.dirty = true
-	return nil
 }
 
 // Freeze returns an immutable snapshot of the whole catalog: every table is

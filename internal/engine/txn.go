@@ -39,12 +39,6 @@ func (c *Catalog) Begin() (*Txn, error) {
 	return t, nil
 }
 
-// InTxn reports whether a transaction is active.
-func (c *Catalog) InTxn() bool { return c.txn != nil }
-
-// ActiveTxn returns the active transaction, or nil.
-func (c *Catalog) ActiveTxn() *Txn { return c.txn }
-
 // Commit makes the transaction's effects permanent.
 func (t *Txn) Commit() error {
 	if t.cat.txn != t {

@@ -139,15 +139,6 @@ func TestThreeTableChainUsesIndexJoins(t *testing.T) {
 	}
 }
 
-func TestUpdateWithSelfReference(t *testing.T) {
-	cat := edgeFixture(t)
-	exec(t, cat, "UPDATE m SET v = v + 100 WHERE v IS NOT NULL")
-	res := exec(t, cat, "SELECT SUM(v) FROM m")
-	if res.Rows[0][0].AsInt() != 10+5+7+1+400 {
-		t.Errorf("sum = %v", res.Rows)
-	}
-}
-
 // TestResultRowsDoNotAlias: result rows are cut from shared buffers, so
 // each is capacity-capped (appending to one never writes into the next),
 // and two runs of one statement share no row.

@@ -18,71 +18,22 @@ type Result struct {
 	Affected int
 }
 
-// Run plans and executes one parsed statement against the catalog. The
-// caller is responsible for serializing access (see store.Store.SQL).
+// Run plans and executes one parsed statement against the catalog: a
+// SELECT, an EXPLAIN or a CREATE [ORDERED] INDEX. The tables themselves
+// are written only by the belief store's update algorithms; every other
+// statement is unsupported here. The caller is responsible for
+// serializing access (see store.Store.SQL).
 func Run(cat *engine.Catalog, stmt sqlparser.Statement) (*Result, error) {
 	switch s := stmt.(type) {
-	case sqlparser.CreateTable:
-		return runCreateTable(cat, s)
 	case sqlparser.CreateIndex:
 		return runCreateIndex(cat, s)
-	case sqlparser.DropTable:
-		if err := cat.DropTable(s.Name); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case sqlparser.Insert:
-		return runInsert(cat, s)
 	case sqlparser.Select:
 		return runSelect(cat, s)
 	case sqlparser.Explain:
 		return runExplain(cat, s)
-	case sqlparser.Delete:
-		return runDelete(cat, s)
-	case sqlparser.Update:
-		return runUpdate(cat, s)
-	case sqlparser.Begin:
-		if _, err := cat.Begin(); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case sqlparser.Commit:
-		txn := cat.ActiveTxn()
-		if txn == nil {
-			return nil, fmt.Errorf("query: COMMIT outside a transaction")
-		}
-		return &Result{}, txn.Commit()
-	case sqlparser.Rollback:
-		txn := cat.ActiveTxn()
-		if txn == nil {
-			return nil, fmt.Errorf("query: ROLLBACK outside a transaction")
-		}
-		return &Result{}, txn.Rollback()
 	default:
 		return nil, fmt.Errorf("query: unsupported statement %T", stmt)
 	}
-}
-
-func runCreateTable(cat *engine.Catalog, s sqlparser.CreateTable) (*Result, error) {
-	cols := make([]engine.Column, len(s.Cols))
-	pk := -1
-	for i, c := range s.Cols {
-		cols[i] = engine.Column{Name: c.Name, Type: c.Type}
-		if c.PrimaryKey {
-			if pk >= 0 {
-				return nil, fmt.Errorf("query: multiple primary keys on %s", s.Name)
-			}
-			pk = i
-		}
-	}
-	schema, err := engine.NewSchema(cols)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cat.CreateTable(s.Name, schema, pk); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
 }
 
 func runCreateIndex(cat *engine.Catalog, s sqlparser.CreateIndex) (*Result, error) {
@@ -100,169 +51,6 @@ func runCreateIndex(cat *engine.Catalog, s sqlparser.CreateIndex) (*Result, erro
 		return nil, err
 	}
 	return &Result{}, nil
-}
-
-func runInsert(cat *engine.Catalog, s sqlparser.Insert) (*Result, error) {
-	t := cat.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("query: no table %q", s.Table)
-	}
-	sch := t.Schema()
-	colPos := make([]int, 0, len(s.Cols))
-	for _, c := range s.Cols {
-		p := sch.ColumnIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("query: no column %q in %s", c, s.Table)
-		}
-		colPos = append(colPos, p)
-	}
-	// All-or-nothing: open an implicit transaction unless one is active.
-	implicit := !cat.InTxn()
-	var txn *engine.Txn
-	if implicit {
-		var err error
-		txn, err = cat.Begin()
-		if err != nil {
-			return nil, err
-		}
-	}
-	n := 0
-	for _, exprRow := range s.Rows {
-		vals := make([]val.Value, len(exprRow))
-		for i, e := range exprRow {
-			ce, err := compileExpr(e, relSchema{})
-			if err != nil {
-				return nil, rollbackOnErr(txn, err)
-			}
-			v, err := ce(nil)
-			if err != nil {
-				return nil, rollbackOnErr(txn, err)
-			}
-			vals[i] = v
-		}
-		row := vals
-		if len(colPos) > 0 {
-			if len(vals) != len(colPos) {
-				return nil, rollbackOnErr(txn, fmt.Errorf("query: %d values for %d columns", len(vals), len(colPos)))
-			}
-			row = make([]val.Value, sch.Arity())
-			for i, p := range colPos {
-				row[p] = vals[i]
-			}
-		}
-		if _, err := t.Insert(row); err != nil {
-			return nil, rollbackOnErr(txn, err)
-		}
-		n++
-	}
-	if implicit {
-		if err := txn.Commit(); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: n}, nil
-}
-
-func rollbackOnErr(txn *engine.Txn, err error) error {
-	if txn != nil {
-		txn.Rollback()
-	}
-	return err
-}
-
-func runDelete(cat *engine.Catalog, s sqlparser.Delete) (*Result, error) {
-	t := cat.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("query: no table %q", s.Table)
-	}
-	ids, _, err := matchRows(t, s.Table, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		if err := t.Delete(id); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(ids)}, nil
-}
-
-func runUpdate(cat *engine.Catalog, s sqlparser.Update) (*Result, error) {
-	t := cat.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("query: no table %q", s.Table)
-	}
-	sch := t.Schema()
-	schema := tableSchema(binding{alias: s.Table, table: t})
-	type setOp struct {
-		pos int
-		e   compiledExpr
-	}
-	sets := make([]setOp, 0, len(s.Set))
-	for _, a := range s.Set {
-		p := sch.ColumnIndex(a.Column)
-		if p < 0 {
-			return nil, fmt.Errorf("query: no column %q in %s", a.Column, s.Table)
-		}
-		ce, err := compileExpr(a.Value, schema)
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, setOp{pos: p, e: ce})
-	}
-	ids, rows, err := matchRows(t, s.Table, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	for i, id := range ids {
-		newRow := append([]val.Value(nil), rows[i]...)
-		for _, op := range sets {
-			v, err := op.e(rows[i])
-			if err != nil {
-				return nil, err
-			}
-			newRow[op.pos] = v
-		}
-		if err := t.Update(id, newRow); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(ids)}, nil
-}
-
-// matchRows returns the ids and row images of rows satisfying where.
-func matchRows(t *engine.Table, alias string, where sqlparser.Expr) ([]engine.RowID, [][]val.Value, error) {
-	schema := tableSchema(binding{alias: alias, table: t})
-	var pred compiledExpr
-	if where != nil {
-		var err error
-		pred, err = compileExpr(where, schema)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var ids []engine.RowID
-	var rows [][]val.Value
-	var scanErr error
-	t.Scan(func(id engine.RowID, row []val.Value) bool {
-		if pred != nil {
-			ok, err := truthy(pred, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		rows = append(rows, row)
-		return true
-	})
-	if scanErr != nil {
-		return nil, nil, scanErr
-	}
-	return ids, rows, nil
 }
 
 func runSelect(cat *engine.Catalog, s sqlparser.Select) (*Result, error) {

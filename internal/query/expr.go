@@ -1,5 +1,5 @@
 // Package query plans and executes parsed SQL statements against an engine
-// catalog. A SELECT runs as one greedy left-deep chain of steps over a
+// catalog: SELECT, EXPLAIN and CREATE [ORDERED] INDEX. A SELECT runs as one greedy left-deep chain of steps over a
 // reused frame (access paths with pushed-down predicates, index, hash and
 // cross joins, EXISTS conjuncts as semi-joins on the same run loop) into a
 // sink that projects or aggregates, then DISTINCT, ORDER BY and LIMIT.

@@ -3,14 +3,11 @@ package query
 import "beliefdb/internal/sqlparser"
 
 // ReadOnly reports whether stmt can run under a shared (reader) lock of the
-// single-writer / multi-reader model: it neither mutates table data or
-// schema nor opens, commits, or rolls back a transaction. SELECT — and with
-// it every BCQ produced by the BeliefSQL translation (Algorithm 1) — is the
-// only read-only statement; CREATE/DROP/INSERT/UPDATE/DELETE and the
-// transaction-control statements all require the exclusive writer lock
-// (BEGIN/COMMIT/ROLLBACK manipulate the catalog's single active Txn).
-// EXPLAIN executes its SELECT for real but discards the rows, so it is
-// read-only too.
+// single-writer / multi-reader model: it changes no table and no index.
+// SELECT — and with it every BCQ produced by the BeliefSQL translation
+// (Algorithm 1) — is read-only, and so is EXPLAIN, which executes its
+// SELECT for real but discards the rows. CREATE [ORDERED] INDEX needs the
+// exclusive writer lock; every other statement Run refuses.
 func ReadOnly(stmt sqlparser.Statement) bool {
 	switch stmt.(type) {
 	case sqlparser.Select, sqlparser.Explain:
@@ -25,22 +22,6 @@ func ReadOnly(stmt sqlparser.Statement) bool {
 func AllReadOnly(stmts []sqlparser.Statement) bool {
 	for _, s := range stmts {
 		if !ReadOnly(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllDML reports whether every statement of a batch is plain data
-// manipulation (INSERT/UPDATE/DELETE): no DDL, whose effects the engine's
-// undo log cannot roll back, and no explicit transaction control, which
-// would clash with the wrapper transaction. Such a batch can run inside a
-// single engine transaction — one commit for the whole script.
-func AllDML(stmts []sqlparser.Statement) bool {
-	for _, s := range stmts {
-		switch s.(type) {
-		case sqlparser.Insert, sqlparser.Update, sqlparser.Delete:
-		default:
 			return false
 		}
 	}

@@ -1,10 +1,8 @@
 package router
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"beliefdb/client"
@@ -31,34 +29,47 @@ var fuzzAggQueries = []string{
 // fuzzRows decodes five bytes per row: group key, int, float and string
 // value (each NULL for some byte values) and the part the row lands in.
 // Floats are tenths, so partial sums really do round differently.
-func fuzzRows(data []byte, parts int) [][]string {
-	out := make([][]string, parts)
+func fuzzRows(data []byte, parts int) [][][]val.Value {
+	out := make([][][]val.Value, parts)
 	for ; len(data) >= 5; data = data[5:] {
-		g, i, f, s := "NULL", "NULL", "NULL", "NULL"
+		row := []val.Value{val.Null(), val.Null(), val.Null(), val.Null()}
 		if data[0]%5 != 4 {
-			g = fmt.Sprint(data[0] % 5)
+			row[0] = val.Int(int64(data[0] % 5))
 		}
 		if data[1]%7 != 0 {
-			i = fmt.Sprint(int(int8(data[1])))
+			row[1] = val.Int(int64(int8(data[1])))
 		}
 		if data[2]%6 != 0 {
-			f = fmt.Sprintf("%.1f", float64(int8(data[2]))/10)
+			row[2] = val.Float(float64(int8(data[2])) / 10)
 		}
 		if data[3]%4 != 0 {
-			s = fmt.Sprintf("'%c%c'", 'a'+data[3]%26, 'a'+data[3]/26)
+			row[3] = val.Str(string([]byte{'a' + data[3]%26, 'a' + data[3]/26}))
 		}
 		p := int(data[4]) % parts
-		out[p] = append(out[p], fmt.Sprintf("(%s, %s, %s, %s)", g, i, f, s))
+		out[p] = append(out[p], row)
 	}
 	return out
 }
 
-func fuzzCatalog(t *testing.T, rows []string) *engine.Catalog {
+// fuzzCatalog holds Tab(g, i, f, s) with the given rows.
+func fuzzCatalog(t *testing.T, rows [][]val.Value) *engine.Catalog {
 	t.Helper()
 	cat := engine.NewCatalog()
-	fuzzRun(t, cat, "CREATE TABLE Tab (g INT, i INT, f FLOAT, s TEXT)")
-	if len(rows) > 0 {
-		fuzzRun(t, cat, "INSERT INTO Tab VALUES "+strings.Join(rows, ", "))
+	schema, err := engine.NewSchema([]engine.Column{
+		{Name: "g", Type: val.KindInt}, {Name: "i", Type: val.KindInt},
+		{Name: "f", Type: val.KindFloat}, {Name: "s", Type: val.KindString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := cat.CreateTable("Tab", schema, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if _, err := tab.Insert(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return cat
 }
@@ -107,7 +118,7 @@ func FuzzAggregateMerge(f *testing.F) {
 			data = data[:5*200]
 		}
 		parts := fuzzRows(data, int(k%4)+1)
-		var all []string
+		var all [][]val.Value
 		shards := make([]*engine.Catalog, len(parts))
 		for i, rows := range parts {
 			all = append(all, rows...)

@@ -59,35 +59,3 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Error("bumped version byte with stale checksum was accepted")
 	}
 }
-
-// TestGoldenSnapshotV1 and TestGoldenSnapshotV2 pin backward
-// compatibility with the images that recorded every row of the
-// representation: version 1 (no index section) and version 2 (with one).
-// Both decode to sampleModel's explicit statements — the R_v rows with
-// e = 'y', their paths and tuples resolved — and drop the rest, including
-// the raw-SQL-only user row 77 and world 9. The fixtures are frozen: no code
-// in this tree writes them any more, and they must never be regenerated.
-func TestGoldenSnapshotV1(t *testing.T) {
-	want := sampleModel()
-	want.Indexes = nil
-	checkRowImage(t, "testdata/v1.snap", want)
-}
-
-func TestGoldenSnapshotV2(t *testing.T) {
-	checkRowImage(t, "testdata/v2.snap", sampleModel())
-}
-
-func checkRowImage(t *testing.T, file string, want *Model) {
-	t.Helper()
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s decodes to a different model:\ngot  %+v\nwant %+v", file, got, want)
-	}
-}

@@ -28,11 +28,10 @@
 // model has exactly one encoding: Decode refuses any byte string that Encode
 // would not produce for the model it decodes to.
 //
-// Versions 1 and 2 recorded every row of the representation; Decode still
-// reads them and keeps only what version 3 holds — the explicit statements
-// are the R_v rows with e = 'y', their paths taken from the world-path
-// section and their tuples from R_star — so the store sees one model shape.
-// A version-1/2 header flagging the removed lazy representation is refused.
+// Versions 1 and 2 recorded every row of the representation. Decode
+// refuses them by version and names UpgradeCommit, the last commit that
+// reads them; a version-1/2 header flagging the removed lazy
+// representation is refused as that.
 //
 // Values use the same tagged encoding as WAL op payloads. Snapshots are
 // written to a temporary file and atomically renamed into place, so a crash
@@ -56,6 +55,18 @@ const (
 	Magic   = "BDBSNAP\x00"
 	Version = 3
 )
+
+// UpgradeCommit is the last commit that reads the older on-disk formats —
+// version-1 and -2 images, and WALs holding records no current writer
+// journals — and so the one to upgrade such a directory with. Every
+// refusal of an older format names it through UpgradeHint.
+const UpgradeCommit = "ca6a455fd0235605b8be4762a629edbae9f95f1e"
+
+// UpgradeHint ends every refusal of an older format. Opening at
+// UpgradeCommit replays a legacy WAL and checkpoints it; an older image is
+// only rewritten by a checkpoint, so the hint asks for one either way.
+const UpgradeHint = "to upgrade the directory, open it with commit " + UpgradeCommit +
+	", checkpoint it there, and reopen it with this version"
 
 // Column is one attribute of an external relation, as recorded in the
 // snapshot for schema validation at load time.
@@ -152,8 +163,6 @@ func (m *Model) Encode() []byte {
 }
 
 // Decode parses a snapshot image, verifying magic, version, and checksum.
-// Version 1 and 2 images decode to the version-3 model of their explicit
-// statements.
 func Decode(data []byte) (*Model, error) {
 	if len(data) < len(Magic)+1+4 {
 		return nil, fmt.Errorf("snapshot: image too short (%d bytes)", len(data))
@@ -167,25 +176,24 @@ func Decode(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("snapshot: checksum mismatch (corrupt image)")
 	}
 	d := wal.NewReader(body[1:])
-	var m *Model
 	switch ver := body[0]; ver {
 	case Version:
-		m = decodeV3(d)
 	case 1, 2:
-		var err error
-		if m, err = decodeRows(d, ver); err != nil {
-			return nil, err
+		if d.Bool() {
+			return nil, fmt.Errorf("snapshot: the snapshot header says the directory was created with the lazy representation, which is no longer supported")
 		}
+		return nil, fmt.Errorf("snapshot: version-%d image (every row of the representation) is no longer read; %s", ver, UpgradeHint)
 	default:
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: 1..%d)", ver, Version)
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: %d)", ver, Version)
 	}
+	m := decodeV3(d)
 	if d.Err() == nil && d.Len() != 0 {
 		d.Fail("%d trailing bytes", d.Len())
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if body[0] == Version && !bytes.Equal(m.Encode(), data) {
+	if !bytes.Equal(m.Encode(), data) {
 		return nil, fmt.Errorf("snapshot: non-canonical encoding of a version-%d image", Version)
 	}
 	return m, nil
@@ -236,74 +244,4 @@ func indexes(d *wal.Reader) []IndexDef {
 		out = append(out, ix)
 	}
 	return out
-}
-
-// decodeRows reads a version-1 or -2 image, which recorded every row of the
-// representation, and keeps what version 3 holds: the logical users and
-// the explicit statements. Version 1 has no index section.
-func decodeRows(d *wal.Reader, ver byte) (*Model, error) {
-	if d.Bool() {
-		return nil, fmt.Errorf("snapshot: the snapshot header says the directory was created with the lazy representation, which is no longer supported")
-	}
-	m := &Model{WalEpoch: d.U64(), WalApplied: d.Uvarint(), NextUID: d.Varint()}
-	d.Varint()                             // next world id
-	d.Varint()                             // next tuple id
-	d.Varint()                             // statement count
-	users(d)                               // physical Users rows
-	for _, width := range []int{2, 2, 3} { // _d, _s and _e rows
-		n := d.Count(uint64(width))
-		for i := uint64(0); i < n*uint64(width) && d.Err() == nil; i++ {
-			d.Varint()
-		}
-	}
-	m.Users = users(d)
-	paths := map[int64]core.Path{}
-	nPaths := d.Count(2)
-	for i := uint64(0); i < nPaths && d.Err() == nil; i++ {
-		wid := d.Varint()
-		var p core.Path
-		np := d.Count(1)
-		for j := uint64(0); j < np && d.Err() == nil; j++ {
-			p = append(p, core.UserID(d.Varint()))
-		}
-		paths[wid] = p
-	}
-	nRels := d.Count(3)
-	for i := uint64(0); i < nRels && d.Err() == nil; i++ {
-		r := relation(d)
-		m.Rels = append(m.Rels, r)
-		star := map[int64][]val.Value{}
-		nStar := d.Count(2)
-		for j := uint64(0); j < nStar && d.Err() == nil; j++ {
-			tid := d.Varint()
-			var vals []val.Value
-			nv := d.Count(1)
-			for k := uint64(0); k < nv && d.Err() == nil; k++ {
-				vals = append(vals, d.Value())
-			}
-			star[tid] = vals
-		}
-		nV := d.Count(5)
-		for j := uint64(0); j < nV && d.Err() == nil; j++ {
-			wid, tid, _, sign, expl := d.Varint(), d.Varint(), d.Value(), d.Str(), d.Str()
-			if d.Err() != nil || expl != "y" {
-				continue
-			}
-			p, okP := paths[wid]
-			vals, okT := star[tid]
-			if !okP || !okT || (sign != "+" && sign != "-") {
-				return nil, fmt.Errorf("snapshot: version-%d explicit valuation (%d, %d, %q) of %s names no world, tuple or sign", ver, wid, tid, sign, r.Name)
-			}
-			s := core.Statement{Path: p, Sign: core.Pos, Tuple: core.Tuple{Rel: r.Name, Vals: vals}}
-			if sign == "-" {
-				s.Sign = core.Neg
-			}
-			m.Statements = append(m.Statements, s)
-		}
-	}
-	core.SortStatements(m.Statements)
-	if ver >= 2 {
-		m.Indexes = indexes(d)
-	}
-	return m, nil
 }

@@ -13,8 +13,8 @@ import (
 	"beliefdb/internal/wal"
 )
 
-// sampleModel exercises every section and every column kind; it is what
-// the frozen version-1 and version-2 fixtures decode to.
+// sampleModel exercises every section and every column kind; the frozen
+// version-1 and version-2 fixtures hold the same database as row images.
 func sampleModel() *Model {
 	k1 := []val.Value{val.Str("k1"), val.Int(-7), val.Float(2.25), val.Bool(true)}
 	return &Model{

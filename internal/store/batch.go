@@ -325,7 +325,7 @@ func batchErr(ops []BatchOp, i int, err error) error {
 func (st *Store) applyBatchLocked(ops []BatchOp) (BatchResult, error) {
 	txn, err := st.cat.Begin()
 	if err != nil {
-		return BatchResult{}, err // only a legacy raw-SQL span in recovery is open (see replaySQL)
+		return BatchResult{}, err
 	}
 	mark := st.markLogical()
 	fail := func(err error) (BatchResult, error) {

@@ -2,13 +2,13 @@ package store
 
 // One seeded trace, every way into the store, one oracle: the commit
 // primitive has many callers (Insert/Delete/Replace, ApplyBatch, BulkLoad,
-// the Coalescer, replica apply, WAL replay — including logs written before
-// single statements journaled a marker — and snapshot loading, on reopen
+// the Coalescer, replica apply, WAL replay and snapshot loading, on reopen
 // and on replica bootstrap), and each must leave exactly the state
 // core.BeliefBase derives from the same operations. Raw SQL is no
 // way in: every script that would write the internal schema is refused.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -163,75 +163,10 @@ func copyFixture(t *testing.T, name string) string {
 	return dir
 }
 
-// replayFixture runs testdata/<name>'s journal through recovery's replay
-// on an in-memory store: the state an upgrade step checkpoints.
-func replayFixture(t *testing.T, name string, rels []Relation) *Store {
-	t.Helper()
-	st, err := Open(rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy, err := st.replay(journal(t, filepath.Join("testdata", name)), 0); err != nil || !legacy {
-		t.Fatalf("replaying %s = (legacy %v, %v), want a legacy log replayed", name, legacy, err)
-	}
-	st.publishLocked()
-	return st
-}
-
-// legacyGroups decodes testdata/legacy/wal.bdb — written by the commit
-// before the one-primitive store from genTrace(42, 160): bare Insert,
-// Delete and Replace records next to tokened and tokenless batch groups —
-// into the groups its replay must apply.
-func legacyGroups(t *testing.T) [][]BatchOp {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "legacy", WALFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads, _, _, err := wal.Recover(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := make([]wal.Op, len(payloads))
-	for i, p := range payloads {
-		if ops[i], err = wal.DecodeOp(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var groups [][]BatchOp
-	bare := map[wal.Kind]int{}
-	users, markers := 0, 0
-	for i := 0; i < len(ops); i++ {
-		members := ops[i : i+1]
-		switch ops[i].Kind {
-		case wal.KindSchema:
-			continue
-		case wal.KindAddUser:
-			users++
-			continue
-		case wal.KindBatchBegin:
-			markers++
-			members = ops[i+1 : i+1+int(ops[i].Count)]
-			i += len(members)
-		default:
-			bare[ops[i].Kind]++
-		}
-		g, err := batchOps(members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups = append(groups, g)
-	}
-	if users != traceUsers || markers == 0 || bare[wal.KindInsert] == 0 || bare[wal.KindDelete] == 0 || bare[wal.KindReplace] == 0 {
-		t.Fatalf("legacy fixture: %d users, %d markers, bare records %v", users, markers, bare)
-	}
-	return groups
-}
-
 func TestEntryPointsMatchOracle(t *testing.T) {
 	trace := genTrace(42, 160)
 	groupings := map[string][][]BatchOp{
-		"single": singletons(trace), "trace": trace, "legacy": legacyGroups(t),
+		"single": singletons(trace), "trace": trace,
 		// The trace again, reloaded from an image half-way: the
 		// representation after the reload is Rebuild's.
 		"reloaded": trace,
@@ -277,7 +212,7 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 			for _, g := range groups {
 				// A bare statement record is legacy: the replica refuses it
 				// and takes the group of one a current primary ships.
-				if err := st.ApplyReplicated(g[0].walOp()); err == nil || !strings.Contains(err.Error(), "checkpoint the primary") {
+				if err := st.ApplyReplicated(g[0].walOp()); !legacyRefusal(err) {
 					t.Fatalf("ApplyReplicated(%s) = %v, want a legacy-record refusal", g[0].walOp(), err)
 				}
 				if err := st.ApplyReplicatedGroup(walOps(g), ""); err != nil {
@@ -328,27 +263,6 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 			st := traceStore(t, dir)
 			for _, g := range groups {
 				st.ApplyBatch(g)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := OpenAt(dir, []Relation{GenTestRelation()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { re.Close() })
-			return re
-		}},
-		{"legacy WAL replay", "legacy", func(t *testing.T, _ [][]BatchOp) *Store {
-			// The upgrade step checkpoints the bare records away; the second
-			// open loads the image it wrote.
-			dir := copyFixture(t, "legacy")
-			st, err := OpenAt(dir, []Relation{GenTestRelation()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ops := journal(t, dir); len(ops) != 0 {
-				t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -450,18 +364,8 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 	}
 
 	// |R*| depends on which worlds the history created, so it is compared
-	// between entry points that committed the same groups. Replaying the
-	// legacy log reproduces the 592 rows the commit that wrote it reported;
-	// the upgraded store, loaded from the image of that state, holds what
-	// Rebuild makes of it.
-	legacy := replayFixture(t, "legacy", []Relation{GenTestRelation()})
-	if rows := legacy.Stats().TotalRows; rows != 592 {
-		t.Fatalf("replayed legacy log: |R*| = %d, want 592", rows)
-	}
-	if err := legacy.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	// A reload half-way through the trace is a Rebuild there.
+	// between entry points that committed the same groups. A reload
+	// half-way through the trace is a Rebuild there.
 	mid := traceStore(t, "")
 	for i, g := range trace {
 		if i == half {
@@ -471,7 +375,7 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 		}
 		mid.ApplyBatch(g)
 	}
-	totalRows := map[string]int{"legacy": legacy.Stats().TotalRows, "reloaded": mid.Stats().TotalRows}
+	totalRows := map[string]int{"reloaded": mid.Stats().TotalRows}
 	if totalRows["reloaded"] == 0 {
 		t.Fatal("empty reload reference")
 	}
@@ -592,85 +496,99 @@ func TestLazyDirectoryRefused(t *testing.T) {
 	}
 }
 
-// TestV2ImageFixture opens testdata/v2_image: a version-2 image of a store
-// that had deleted statements (so the image holds a state no statement
-// supports any more) plus a WAL tail of a new user and inserts, written by
-// the last commit that wrote row images. want.txt records what that commit
-// opened the directory to — users, explicit statements, and the world of
-// every state it held and every user — and the per-table rows its Rebuild
-// left. Loading the image through the commit path yields the same
-// database, and the Rebuild's representation.
-func TestV2ImageFixture(t *testing.T) {
-	st, err := OpenAt(copyFixture(t, "v2_image"), []Relation{GenTestRelation()})
-	if err != nil {
-		t.Fatal(err)
+// TestOlderFormatRefused: a directory an older binary wrote — a WAL holding
+// a legacy record, in the prefix a snapshot covers too, or a version-1/2
+// image — is refused with an error naming the record or the version and
+// the commit that upgrades it. The refused open changes no byte of the
+// directory and releases its lock: a second open is refused the same way.
+func TestOlderFormatRefused(t *testing.T) {
+	fixture := func(name string) func(*testing.T) string {
+		return func(t *testing.T) string { return copyFixture(t, name) }
 	}
-	defer st.Close()
-	data, err := os.ReadFile(filepath.Join("testdata", "v2_image", "want.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var users, stmts []string
-	for _, uid := range st.Users() {
-		name, _ := st.UserName(uid)
-		users = append(users, fmt.Sprintf("%d %s", uid, name))
-	}
-	got, err := st.ExplicitStatements()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range got {
-		stmts = append(stmts, s.String())
-	}
-	var wantUsers, wantStmts []string
-	rows := st.Stats().TableRows
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		kind, rest, _ := strings.Cut(line, " ")
-		switch kind {
-		case "user":
-			wantUsers = append(wantUsers, rest)
-		case "stmt":
-			wantStmts = append(wantStmts, rest)
-		case "world":
-			ids, world, _ := strings.Cut(rest, ": ")
-			var p core.Path
-			for _, f := range strings.Fields(strings.Trim(ids, "[]")) {
-				var u core.UserID
-				fmt.Sscan(f, &u)
-				p = append(p, u)
-			}
-			w, err := st.WorldContent(p)
+	image := func(file string) func(*testing.T) string {
+		return func(t *testing.T) string {
+			data, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", file))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g := renderWorld(w); g != world {
-				t.Errorf("world %v:\n got %s\nwant %s", p, g, world)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-		case "rows":
-			table, n, _ := strings.Cut(rest, " ")
-			if g := fmt.Sprint(rows[table]); g != n {
-				t.Errorf("table %s: %s rows, Rebuild left %s", table, g, n)
-			}
+			return dir
 		}
 	}
-	if len(wantStmts) == 0 {
-		t.Fatal("want.txt records no statements")
+	rawDML := []wal.Op{wal.AddUser("alice"), wal.SQL("insert into Users values (2, 'ghost')")}
+	covered := func(t *testing.T) string {
+		// A v3 image covering every record: the old binary that wrote it
+		// had replayed the legacy record before checkpointing.
+		dir := legacyWAL(t, rawDML...)
+		st, err := Open(crashRels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AddUser("alice"); err != nil {
+			t.Fatal(err)
+		}
+		m := st.SnapshotModel()
+		m.WalEpoch, m.WalApplied = 0, uint64(1+len(rawDML))
+		if err := snapshot.WriteFile(filepath.Join(dir, SnapshotFileName), m); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
-	if g, w := strings.Join(users, "\n"), strings.Join(wantUsers, "\n"); g != w {
-		t.Errorf("users:\n got %s\nwant %s", g, w)
-	}
-	if g, w := strings.Join(stmts, "\n"), strings.Join(wantStmts, "\n"); g != w {
-		t.Errorf("statements:\n got %s\nwant %s", g, w)
+	gen, crash := []Relation{GenTestRelation()}, crashRels()
+	for _, tc := range []struct {
+		name string
+		rels []Relation
+		dir  func(*testing.T) string
+		want string
+	}{
+		{"legacy", gen, fixture("legacy"), "wal.bdb record 10 (Replace("},
+		{"legacy_txn", crash, fixture("legacy_txn"), `wal.bdb record 4 (SQL("BEGIN"))`},
+		{"v2_image", gen, fixture("v2_image"), "snapshot.bdb: snapshot: version-2 image"},
+		{"v1.snap", gen, image("v1.snap"), "snapshot.bdb: snapshot: version-1 image"},
+		{"v2.snap", gen, image("v2.snap"), "snapshot.bdb: snapshot: version-2 image"},
+		{"raw SQL DML", crash, func(t *testing.T) string { return legacyWAL(t, rawDML...) }, "wal.bdb record 2 (SQL(\"insert"},
+		{"covered prefix", crash, covered, "wal.bdb record 2 (SQL(\"insert"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.dir(t)
+			before := dirFiles(t, dir)
+			_, err := OpenAt(dir, tc.rels)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), snapshot.UpgradeCommit) {
+				t.Fatalf("OpenAt = %v, want a refusal naming %q and commit %s", err, tc.want, snapshot.UpgradeCommit)
+			}
+			after := dirFiles(t, dir)
+			delete(after, "LOCK")
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Errorf("the refused open changed %s", name)
+				}
+				delete(after, name)
+			}
+			for name := range after {
+				t.Errorf("the refused open created %s", name)
+			}
+			if _, again := OpenAt(dir, tc.rels); again == nil || again.Error() != err.Error() {
+				t.Errorf("second OpenAt = %v, want the first refusal again", again)
+			}
+		})
 	}
 }
 
-// renderWorld renders a world's entries with their explicit flags.
-func renderWorld(w *core.World) string {
-	var parts []string
-	for _, s := range []core.Sign{core.Pos, core.Neg} {
-		for _, e := range w.Entries(s) {
-			parts = append(parts, fmt.Sprintf("%s%s/%v", e.Tuple, s, e.Explicit))
+// dirFiles reads every file of dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return strings.Join(parts, " ")
+	return files
 }

@@ -11,7 +11,6 @@ import (
 
 	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
-	"beliefdb/internal/query"
 	"beliefdb/internal/snapshot"
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/wal"
@@ -74,7 +73,9 @@ func SetWALSinkWrapper(wrap func(wal.Sink) wal.Sink) { wrapWALSink = wrap }
 // covered by it, and truncates the WAL at the first torn record; afterwards
 // every mutating operation is appended to the WAL — under the exclusive
 // writer lock, before any table is touched — and synced before the mutation
-// is acknowledged.
+// is acknowledged. A directory in an older format — a version-1/2 image, or
+// a WAL holding a legacy record (see legacyOp) — is refused by name; only
+// a torn WAL tail is cut first, as on every open.
 func OpenAt(dir string, rels []Relation) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -83,16 +84,7 @@ func OpenAt(dir string, rels []Relation) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, upgraded, err := recoverAt(dir, rels)
-	if err == nil && upgraded {
-		// The upgrade step wrote the replayed state as an image. Load that
-		// image like any other, so the store holds exactly what the commit
-		// path derives from its statements: raw rows a legacy log left in
-		// derived tables are gone from the first open on.
-		if err = st.wal.Close(); err == nil {
-			st, _, err = recoverAt(dir, rels)
-		}
-	}
+	st, err := recoverAt(dir, rels)
 	if err != nil {
 		unlockDir(lock)
 		return nil, err
@@ -101,13 +93,11 @@ func OpenAt(dir string, rels []Relation) (*Store, error) {
 	return st, nil
 }
 
-// recoverAt is OpenAt's recovery under the directory lock. It reports
-// whether it took the upgrade step: replayed legacy records and
-// checkpointed them away.
-func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
+// recoverAt is OpenAt's recovery under the directory lock.
+func recoverAt(dir string, rels []Relation) (*Store, error) {
 	st, err := Open(rels)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st.snapPath = filepath.Join(dir, SnapshotFileName)
 
@@ -124,13 +114,13 @@ func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
 	switch m, err := snapshot.ReadFile(st.snapPath); {
 	case err == nil:
 		if err := st.loadSnapshot(m); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		haveSnap, snapEpoch, snapApplied = true, m.WalEpoch, m.WalApplied
 	case os.IsNotExist(err):
 		// Fresh directory (or one that never reached a checkpoint).
 	default:
-		return nil, false, err
+		return nil, err
 	}
 
 	// A recreated WAL must start above the snapshot's epoch (see
@@ -141,7 +131,7 @@ func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
 	}
 	rec, err := wal.OpenFile(filepath.Join(dir, WALFileName), freshEpoch, wrapWALSink)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st.walCount = uint64(len(rec.Ops))
 
@@ -155,13 +145,13 @@ func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
 	case len(rec.Ops) == 0 && !haveSnap:
 		if err := rec.Log.Append(wal.Schema(st.schemaDef())); err != nil {
 			rec.Log.Close()
-			return nil, false, err
+			return nil, err
 		}
 		st.walCount = 1
 	case !haveSnap:
 		if rec.Ops[0].Kind != wal.KindSchema {
 			rec.Log.Close()
-			return nil, false, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
+			return nil, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
 		}
 	}
 
@@ -173,42 +163,28 @@ func recoverAt(dir string, rels []Relation) (*Store, bool, error) {
 	if haveSnap && rec.Epoch == snapEpoch {
 		skip = int(min(snapApplied, uint64(len(rec.Ops))))
 	}
-	legacy, err := st.replay(rec.Ops, skip)
-	if err != nil {
+	if err := st.replay(rec.Ops, skip); err != nil {
 		rec.Log.Close()
-		return nil, false, err
+		return nil, err
 	}
 	st.wal = rec.Log
 	st.durable = true
 	st.replaying = false
-	// The upgrade step, taken when any record, the covered prefix included,
-	// is legacy. Replay ran them exactly as they ran when journaled; a
-	// checkpoint then makes the recovered state the snapshot and resets the
-	// WAL to the current vocabulary: no later write can replay inside a
-	// legacy span's BEGIN, and no replica is shipped a legacy record.
-	if legacy {
-		if err := st.Checkpoint(); err != nil {
-			rec.Log.Close()
-			return nil, false, err
-		}
-	}
 	st.publishLocked() // no other goroutine holds st yet
-	return st, legacy, nil
+	return st, nil
 }
 
 // replay applies a recovered WAL's records from index skip on through the
-// regular update paths, and reports whether any record — the skipped ones
-// included — is legacy (see legacyOp). A raw-SQL span a legacy log leaves
-// open was never committed, so it is rolled back.
-func (st *Store) replay(ops []wal.Op, skip int) (legacy bool, err error) {
-	defer func() {
-		if txn := st.cat.ActiveTxn(); txn != nil {
-			txn.Rollback()
-		}
-	}()
+// regular update paths. It fails at the first legacy record (see legacyOp),
+// the covered prefix included: that log can only come from a binary older
+// than snapshot.UpgradeCommit.
+func (st *Store) replay(ops []wal.Op, skip int) error {
 	for k := 0; k < len(ops); k++ {
 		op := ops[k]
-		legacy = legacy || legacyOp(op)
+		if legacyOp(op) {
+			return fmt.Errorf("store: %s record %d (%s) is a legacy record this version does not replay; %s",
+				WALFileName, k, op, snapshot.UpgradeHint)
+		}
 		switch {
 		case op.Kind == wal.KindBatchBegin:
 			// The marker groups the next Count records into one atomic
@@ -220,21 +196,21 @@ func (st *Store) replay(ops []wal.Op, skip int) (legacy bool, err error) {
 			// format error.
 			n := int(op.Count)
 			if k+1+n > len(ops) {
-				return false, fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(ops)-k-1)
+				return fmt.Errorf("store: WAL batch declares %d records, %d remain", n, len(ops)-k-1)
 			}
 			if k >= skip {
 				if err := st.ApplyReplicatedGroup(ops[k+1:k+1+n], op.Token); err != nil {
-					return false, err
+					return err
 				}
 			}
 			k += n
 		case k >= skip:
 			if err := st.applyOp(op); err != nil {
-				return false, err
+				return err
 			}
 		}
 	}
-	return legacy, nil
+	return nil
 }
 
 // schemaDef renders the store's schema identity for the WAL's schema
@@ -294,8 +270,8 @@ func (st *Store) WALSyncs() uint64 {
 	return st.wal.Syncs()
 }
 
-// applyOp replays one WAL operation through the regular update algorithms.
-// Operation-level outcomes (conflicts, duplicate users, no-op deletes) are
+// applyOp replays one WAL operation — not a batch marker, not a legacy
+// record — through the regular update algorithms. Operation-level outcomes (conflicts, duplicate users, no-op deletes) are
 // deliberately ignored: the log records attempted operations, and replaying
 // them produces byte-for-byte the same decisions they produced originally —
 // including the failures. Only structural problems abort recovery.
@@ -303,10 +279,6 @@ func (st *Store) applyOp(op wal.Op) error {
 	switch op.Kind {
 	case wal.KindAddUser:
 		_, _ = st.AddUser(op.Name)
-	case wal.KindInsert, wal.KindDelete, wal.KindReplace:
-		// A bare statement record (logs written before every commit
-		// journaled a marker) is a group of one.
-		return st.ApplyReplicatedGroup([]wal.Op{op}, "")
 	case wal.KindRebuild:
 		_ = st.Rebuild()
 	case wal.KindVacuum:
@@ -324,7 +296,7 @@ func (st *Store) applyOp(op wal.Op) error {
 // legacyOp reports whether op, read outside a BatchBegin group, is a record
 // only logs written by earlier versions hold: a bare Insert, Delete or
 // Replace, or a raw-SQL script that is not reads and index DDL. Recovery
-// replays them once and OpenAt checkpoints them away; replicas refuse them.
+// and replicas refuse them.
 func legacyOp(op wal.Op) bool {
 	switch op.Kind {
 	case wal.KindInsert, wal.KindDelete, wal.KindReplace:
@@ -336,13 +308,9 @@ func legacyOp(op wal.Op) bool {
 	return false
 }
 
-// replaySQL re-runs one journaled raw-SQL script, in recovery or on a
-// replica; like every replayed operation its outcome is ignored. A script
-// of reads and index DDL runs through SQL's writer half. Legacy scripts
-// reach it only in recovery and run exactly as they did when journaled: a
-// multi-statement all-DML script as one engine transaction, any other —
-// and every script inside an open span — statement by statement, so a
-// committed span applies and a rolled-back one does not.
+// replaySQL re-runs one journaled raw-SQL script — reads and index DDL,
+// as legacyOp checked — through SQL's writer half, in recovery or on a
+// replica; like every replayed operation its outcome is ignored.
 func (st *Store) replaySQL(text string) {
 	stmts, err := sqlparser.ParseAll(text)
 	if err != nil {
@@ -351,19 +319,7 @@ func (st *Store) replaySQL(text string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	defer st.publishLocked()
-	switch {
-	case !st.cat.InTxn() && refusedStmt(stmts) == "":
-		_, _ = st.sqlLocked(text, stmts)
-	case !st.cat.InTxn() && len(stmts) > 1 && query.AllDML(stmts):
-		txn, _ := st.cat.Begin() // cannot fail: no span is open
-		if _, err := runScript(st.cat, stmts); err != nil {
-			txn.Rollback()
-		} else {
-			_ = txn.Commit()
-		}
-	default:
-		_, _ = runScript(st.cat, stmts)
-	}
+	_, _ = st.sqlLocked(text, stmts)
 }
 
 // logOp appends one operation to the WAL and syncs it. Mutating methods

@@ -71,13 +71,15 @@ func (st *Store) ReplicationSnapshot() (*snapshot.Model, error) {
 // re-runs of the primary's decisions and are deliberately ignored; only
 // structural problems are errors. Batch markers are refused — groups
 // arrive whole via ApplyReplicatedGroup — and so are legacy records (see
-// legacyOp), which only a primary running an earlier version ships.
+// legacyOp), which only a primary running a binary older than
+// snapshot.UpgradeCommit ships.
 func (st *Store) ApplyReplicated(op wal.Op) error {
 	if op.Kind == wal.KindBatchBegin {
 		return fmt.Errorf("store: replicated %s outside a group", op.Kind)
 	}
 	if legacyOp(op) {
-		return fmt.Errorf("store: replicated %s is a legacy record only recovery replays; checkpoint the primary", op)
+		return fmt.Errorf("store: replicated %s is a legacy record this version does not replay, so an older binary wrote the primary's directory; %s",
+			op, snapshot.UpgradeHint)
 	}
 	return st.applyOp(op)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"beliefdb/internal/core"
+	"beliefdb/internal/snapshot"
 	"beliefdb/internal/wal"
 )
 
@@ -35,7 +36,8 @@ func journal(t *testing.T, dir string) []wal.Op {
 }
 
 // legacyWAL writes a directory whose WAL holds the crashRels schema record
-// followed by ops, as a binary from before the upgrade step could leave it.
+// followed by ops, as a binary older than snapshot.UpgradeCommit could
+// leave it.
 func legacyWAL(t *testing.T, ops ...wal.Op) string {
 	t.Helper()
 	st, err := Open(crashRels())
@@ -51,6 +53,13 @@ func legacyWAL(t *testing.T, ops ...wal.Op) string {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// legacyRefusal reports whether err refuses a legacy record and names the
+// commit that upgrades it.
+func legacyRefusal(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "is a legacy record this version does not replay") &&
+		strings.Contains(err.Error(), snapshot.UpgradeCommit)
 }
 
 // sqlInts runs a one-column integer query and returns its rows.
@@ -119,41 +128,6 @@ func TestSQLReturnsLastResult(t *testing.T) {
 		if got := sqlInts(t, st, script); !slices.Equal(got, []int64{3}) {
 			t.Errorf("%q: last result = %v, want [3]", script, got)
 		}
-	}
-}
-
-// TestSQLMultiStatementDMLAtomic: a legacy script of plain DML replays as
-// one engine transaction — a failing statement rolls back the whole
-// script — while a legacy script holding DDL replays statement by
-// statement, exactly as both ran when they were journaled. The raw Users
-// rows the scripts leave are gone once the upgrade step reloads its image,
-// so the AddUser records after them witness which rows replay left: an
-// AddUser whose uid a raw row holds fails and burns the uid.
-func TestSQLMultiStatementDMLAtomic(t *testing.T) {
-	dir := legacyWAL(t,
-		wal.SQL("INSERT INTO Users VALUES (1, 'a'); INSERT INTO Users VALUES (1, 'b')"),
-		wal.SQL("INSERT INTO Users VALUES (2, 'c'); INSERT INTO Users VALUES (3, 'd'); DELETE FROM Users WHERE uid = 2"),
-		wal.SQL("CREATE INDEX Users_n ON Users (name); INSERT INTO Users VALUES (4, 'e'); INSERT INTO Users VALUES (4, 'f')"),
-		wal.AddUser("u1"), wal.AddUser("u2"), wal.AddUser("u3"), wal.AddUser("u4"), wal.AddUser("u5"),
-	)
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Replay left raw rows 3 and 4 only: u3 and u4 hit them.
-	want := []core.UserID{1, 2, 5}
-	if got := st.Users(); !slices.Equal(got, want) {
-		t.Errorf("Users() = %v, want %v", got, want)
-	}
-	if uid, _ := st.UserID("u5"); uid != 5 {
-		t.Errorf("u5 = uid %d, want 5", uid)
-	}
-	if got := sqlInts(t, st, "SELECT U.uid FROM Users U ORDER BY U.uid"); !slices.Equal(got, []int64{1, 2, 5}) {
-		t.Errorf("Users rows = %v, want the registered users' [1 2 5]", got)
-	}
-	if !findIndex(st, "Users", "Users_n").exists {
-		t.Error("the DDL script's index is missing")
 	}
 }
 
@@ -364,149 +338,11 @@ func TestSQLDurable(t *testing.T) {
 	}
 }
 
-// TestLegacyTxnWALReplay replays testdata/legacy_txn, written before raw
-// SQL refused BEGIN/COMMIT/ROLLBACK: the committed spans apply, the
-// rolled-back span and the span left open at close do not. The upgraded
-// store holds none of those raw Users rows — it is loaded from the image
-// the upgrade step wrote — its WAL holds no legacy record, and it serves
-// its users, takes beliefs and checkpoints afterwards.
-func TestLegacyTxnWALReplay(t *testing.T) {
-	check := func(st *Store, label string, users []core.UserID, rawUids []int64, statements int) {
-		t.Helper()
-		if got := st.Users(); !slices.Equal(got, users) {
-			t.Errorf("%s: Users() = %v, want %v", label, got, users)
-		}
-		if got := sqlInts(t, st, "select U.uid from Users U order by U.uid"); !slices.Equal(got, rawUids) {
-			t.Errorf("%s: Users rows = %v, want %v", label, got, rawUids)
-		}
-		if got := st.Len(); got != statements {
-			t.Errorf("%s: %d statements, want %d", label, got, statements)
-		}
-	}
-
-	check(replayFixture(t, "legacy_txn", crashRels()), "replayed", []core.UserID{1}, []int64{1, 10, 11, 12, 13}, 2)
-
-	dir := copyFixture(t, "legacy_txn")
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops := journal(t, dir); len(ops) != 0 {
-		t.Errorf("the upgraded WAL holds %v, want a checkpointed, empty log", ops)
-	}
-	check(st, "reopened", []core.UserID{1}, []int64{1}, 2)
-
-	if uid, err := st.AddUser("u2"); err != nil || uid != 2 {
-		t.Fatalf("AddUser(u2) = %d, %v; want uid 2", uid, err)
-	}
-	stmt := crashStmt(core.Path{2}, core.Pos, "S", "k3", "after")
-	if _, err := st.Insert(stmt); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := st.Entails(stmt.Path, stmt.Tuple, core.Pos); err != nil || !ok {
-		t.Fatalf("belief inserted after reopen not entailed (ok=%v, err=%v)", ok, err)
-	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	check(re, "checkpointed", []core.UserID{1, 2}, []int64{1, 2}, 3)
-}
-
-// TestLegacyTxnWALWritesSurviveReopen: writes acknowledged after recovery
-// rolled back testdata/legacy_txn's open span survive a reopen without an
-// explicit Checkpoint — they must not replay inside that span — and the
-// recovered WAL holds no transaction-control record for a replica to refuse.
-func TestLegacyTxnWALWritesSurviveReopen(t *testing.T) {
-	dir := copyFixture(t, "legacy_txn")
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range journal(t, dir) {
-		if op.Kind == wal.KindSQL {
-			t.Errorf("recovered WAL still holds raw SQL %q", op.SQL)
-		}
-	}
-	stmt := crashStmt(core.Path{1}, core.Pos, "S", "k3", "after")
-	if _, err := st.Insert(stmt); err != nil {
-		t.Fatal(err)
-	}
-	if uid, err := st.AddUser("u2"); err != nil || uid != 2 {
-		t.Fatalf("AddUser(u2) = %d, %v; want uid 2", uid, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		re, err := OpenAt(dir, crashRels())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := re.Entails(stmt.Path, stmt.Tuple, core.Pos); err != nil || !ok {
-			t.Errorf("reopen %d: belief written after recovery lost (ok=%v, err=%v)", i, ok, err)
-		}
-		if got := sqlInts(t, re, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 2}) {
-			t.Errorf("reopen %d: Users rows = %v", i, got)
-		}
-		if got := re.Users(); !slices.Equal(got, []core.UserID{1, 2}) {
-			t.Errorf("reopen %d: Users() = %v, want [1 2]", i, got)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestLegacyUidReplay: a log written before AddUser skipped uids that raw
-// SQL had taken replays as that binary decided it — the AddUser that hit
-// the raw Users row failed and burned its uid, so the next user got the one
-// after — and the upgrade step checkpoints the legacy record away. The raw
-// row itself is not a user, so the reloaded store no longer holds it.
-func TestLegacyUidReplay(t *testing.T) {
-	dir := legacyWAL(t,
-		wal.AddUser("alice"),
-		wal.SQL("insert into Users values (2, 'ghost')"),
-		wal.AddUser("bob"),
-		wal.AddUser("carol"),
-	)
-	st, err := OpenAt(dir, crashRels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if uid, ok := st.UserID("bob"); ok {
-		t.Errorf("bob replayed as uid %d, want the AddUser to fail as it did", uid)
-	}
-	if uid, ok := st.UserID("carol"); !ok || uid != 3 {
-		t.Errorf("carol = %d (registered %v), want uid 3", uid, ok)
-	}
-	if got := sqlInts(t, st, "select U.uid from Users U order by U.uid"); !slices.Equal(got, []int64{1, 3}) {
-		t.Errorf("Users rows = %v, want [1 3]", got)
-	}
-	if uid, err := st.AddUser("dave"); err != nil || uid != 4 {
-		t.Errorf("AddUser(dave) = %d, %v; want uid 4", uid, err)
-	}
-	if ops := journal(t, dir); len(ops) != 1 || ops[0].Kind != wal.KindAddUser {
-		t.Errorf("the upgraded WAL holds %v, want the checkpointed log and dave's record", ops)
-	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFileName)); err != nil {
-		t.Errorf("the upgrade step wrote no snapshot: %v", err)
-	}
-}
-
 // TestApplyReplicatedRefusesLegacyRecords: only a primary whose log an
 // earlier version wrote ships a legacy record — raw-SQL DML, transaction
 // control, a bare statement record. A replica refuses each with a
-// structural error naming the remedy and applies nothing of it, and index
-// DDL still replicates.
+// structural error naming the upgrade commit and applies nothing of it,
+// and index DDL still replicates.
 func TestApplyReplicatedRefusesLegacyRecords(t *testing.T) {
 	st, err := Open(crashRels())
 	if err != nil {
@@ -524,8 +360,8 @@ func TestApplyReplicatedRefusesLegacyRecords(t *testing.T) {
 		wal.Delete(stmt),
 		wal.Replace(stmt, stmt.Tuple.Vals),
 	} {
-		if err := st.ApplyReplicated(op); err == nil || !strings.Contains(err.Error(), "checkpoint the primary") {
-			t.Errorf("ApplyReplicated(%s) = %v, want a refusal naming the checkpoint", op, err)
+		if err := st.ApplyReplicated(op); !legacyRefusal(err) {
+			t.Errorf("ApplyReplicated(%s) = %v, want a refusal naming the upgrade commit", op, err)
 		}
 	}
 	if got := sqlInts(t, st, "select U.uid from Users U"); !slices.Equal(got, []int64{1}) {
