@@ -1,10 +1,12 @@
 package beliefdb_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"beliefdb"
+	"beliefdb/internal/bench"
 	"beliefdb/internal/query"
 	"beliefdb/internal/sqlparser"
 )
@@ -147,6 +149,37 @@ func TestTranslateExposesSQL(t *testing.T) {
 	}
 	if len(res.Rows) != 2 { // raven + purple... no: raven and nothing else positive... s22 and c22 is Comments; Sightings only raven
 		t.Logf("rows = %v", res.Rows)
+	}
+}
+
+// TestTranslateRunsAsQuery: the text DB.Translate shows is what DB.Query
+// runs — through the raw-SQL door it returns the same rows, in the same
+// order, for the Sect. 6.2 queries and a point lookup.
+func TestTranslateRunsAsQuery(t *testing.T) {
+	db := benchDB(t, 400, 10)
+	qs := []string{pointQuery}
+	for _, q := range bench.Table2Queries() {
+		qs = append(qs, q.Query)
+	}
+	for _, q := range qs {
+		want, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql, err := db.Translate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.SQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s\n SQL(Translate) %d rows, Query %d rows", q, len(got.Rows), len(want.Rows))
+		}
+		if len(want.Rows) == 0 {
+			t.Errorf("%s: no rows, so the comparison shows nothing", q)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package beliefdb_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"beliefdb"
@@ -86,7 +87,7 @@ func BenchmarkSpaceBounds(b *testing.B) {
 
 // --- operation micro-benchmarks ---
 
-func benchDB(b *testing.B, n, m int) *beliefdb.DB {
+func benchDB(b testing.TB, n, m int) *beliefdb.DB {
 	b.Helper()
 	db, err := beliefdb.Open(beliefdb.Schema{Relations: []beliefdb.Relation{benchRelation()}})
 	if err != nil {
@@ -143,6 +144,49 @@ func BenchmarkInsertDepth2(b *testing.B) {
 			fmt.Sprintf("bk%d", i), "obs", "species-x", "6-14-08", "loc")
 		if _, err := db.InsertBelief(beliefdb.Path{1, 2}, beliefdb.Pos, t); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalytic runs the seven Sect. 6.2 queries of the analytic-read
+// workload (q1 at depths 0 to 4 along u1·u2·u1·u2, q2, q3), one
+// sub-benchmark each, on one store.
+func BenchmarkAnalytic(b *testing.B) {
+	db := benchDB(b, 1000, 10)
+	for _, q := range bench.Table2Queries() {
+		b.Run(strings.ReplaceAll(q.Name, ",", "_"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(q.Query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestQueryAllocs bounds the allocations of a whole DB.Query — parse,
+// translate, plan, run — for the point lookup and the q2 conflict query.
+// A translated query reaches the executor as an AST; rendering it to text
+// and parsing that again would put the point read over its bound.
+func TestQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	db := benchDB(t, 1000, 10)
+	for _, c := range []struct {
+		name, q string
+		max     float64
+	}{
+		{"point", pointQuery, 110},
+		{"q2", conflictQuery, 821},
+	} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := db.Query(c.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations per query, want at most %.0f", c.name, got, c.max)
 		}
 	}
 }
@@ -228,13 +272,17 @@ func BenchmarkQueryContentParallelUnderIngest(b *testing.B) {
 	<-writerDone
 }
 
-// BenchmarkQueryConflict measures the q2-style conflict query.
-func BenchmarkQueryConflict(b *testing.B) {
-	db := benchDB(b, 1000, 10)
-	q := fmt.Sprintf(`select T1.sid, T1.species
+// conflictQuery is the q2-style conflict query: what u2 believes u1
+// believes that u2 does not believe.
+var conflictQuery = fmt.Sprintf(`select T1.sid, T1.species
 		from BELIEF 'u2' BELIEF 'u1' %[1]s T1, BELIEF 'u2' not %[1]s T2
 		where T2.sid = T1.sid and T2.observer = T1.observer and T2.species = T1.species
 		and T2.date = T1.date and T2.location = T1.location`, gen.DefaultRel)
+
+// BenchmarkQueryConflict measures the q2-style conflict query.
+func BenchmarkQueryConflict(b *testing.B) {
+	db := benchDB(b, 1000, 10)
+	q := conflictQuery
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(q); err != nil {
@@ -247,10 +295,7 @@ func BenchmarkQueryConflict(b *testing.B) {
 // conflict query (see BenchmarkQueryContentParallel).
 func BenchmarkQueryConflictParallel(b *testing.B) {
 	db := benchDB(b, 1000, 10)
-	q := fmt.Sprintf(`select T1.sid, T1.species
-		from BELIEF 'u2' BELIEF 'u1' %[1]s T1, BELIEF 'u2' not %[1]s T2
-		where T2.sid = T1.sid and T2.observer = T1.observer and T2.species = T1.species
-		and T2.date = T1.date and T2.location = T1.location`, gen.DefaultRel)
+	q := conflictQuery
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -278,12 +323,15 @@ func BenchmarkQueryUsers(b *testing.B) {
 	}
 }
 
+// pointQuery is a depth-1 key lookup with a one-row answer.
+var pointQuery = fmt.Sprintf("select T.species from BELIEF 'u1' %s T where T.sid = 'k7'", gen.DefaultRel)
+
 // BenchmarkQueryPoint measures a depth-1 key lookup: a one-row answer,
 // whose cost is the front end, the plan choice and the access path. B/op
 // shows what a per-query output buffer costs such an answer.
 func BenchmarkQueryPoint(b *testing.B) {
 	db := benchDB(b, 1000, 10)
-	q := fmt.Sprintf("select T.species from BELIEF 'u1' %s T where T.sid = 'k7'", gen.DefaultRel)
+	q := pointQuery
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Query(q)

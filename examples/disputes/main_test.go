@@ -10,7 +10,7 @@ func Example_main() {
 	// BCQ (Def. 13):  q(x,y,z) :- [y]R+(x,u,v), [z]R-(x,u,v)
 	//
 	// Algorithm 1 translation:
-	//   SELECT DISTINCT R1.sample, U1.name, U2.name FROM Users U1, Users U2, _e _e1, R_v _v1, R_star R1 WHERE _e1.wid1 = 0 AND _e1.uid = U1.uid AND _v1.wid = _e1.wid2 AND _v1.tid = R1.tid AND _v1.s = '+' AND EXISTS (SELECT 1 FROM _e _e2, R_v _v2, R_star R2 WHERE _e2.wid1 = 0 AND _e2.uid = U2.uid AND _v2.wid = _e2.wid2 AND _v2.key = R1.sample AND R2.tid = _v2.tid AND ((_v2.s = '-' AND (R2.category = R1.category OR (R2.category IS NULL AND R1.category IS NULL)) AND (R2.origin = R1.origin OR (R2.origin IS NULL AND R1.origin IS NULL))) OR (_v2.s = '+' AND NOT ((R2.category = R1.category OR (R2.category IS NULL AND R1.category IS NULL)) AND (R2.origin = R1.origin OR (R2.origin IS NULL AND R1.origin IS NULL))))))
+	//   SELECT DISTINCT R1.sample, U1.name, U2.name FROM Users AS U1, Users AS U2, _e AS _e1, R_v AS _v1, R_star AS R1 WHERE ((((((_e1.wid1 = 0) AND (_e1.uid = U1.uid)) AND (_v1.wid = _e1.wid2)) AND (_v1.tid = R1.tid)) AND (_v1.s = '+')) AND EXISTS (SELECT 1 FROM _e AS _e2, R_v AS _v2, R_star AS R2 WHERE ((((((_e2.wid1 = 0) AND (_e2.uid = U2.uid)) AND (_v2.wid = _e2.wid2)) AND (_v2.key = R1.sample)) AND (R2.tid = _v2.tid)) AND ((((_v2.s = '-') AND ((R2.category = R1.category) OR ((R2.category IS NULL) AND (R1.category IS NULL)))) AND ((R2.origin = R1.origin) OR ((R2.origin IS NULL) AND (R1.origin IS NULL)))) OR ((_v2.s = '+') AND (NOT (((R2.category = R1.category) OR ((R2.category IS NULL) AND (R1.category IS NULL))) AND ((R2.origin = R1.origin) OR ((R2.origin IS NULL) AND (R1.origin IS NULL))))))))))
 	//
 	// Disputed samples (sample, believer, disputer):
 	//   m01  believed by ana  disputed by ben

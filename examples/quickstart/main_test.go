@@ -32,7 +32,7 @@ func Example_main() {
 	// Bob | crow | raven
 	//
 	// == The SQL q2 compiles to (Algorithm 1) ==
-	// SELECT DISTINCT U2.name, S1.species, S2.species FROM Users U1, Users U2, _e _e1, Sightings_v _v1, Sightings_star S1, _e _e2, Sightings_v _v2, Sightings_star S2 WHERE _e1.wid1 = 0 AND _e1.uid = U1.uid AND _v1.wid = _e1.wid2 AND _v1.tid = S1.tid AND _v1.s = '+' AND _e2.wid1 = 0 AND _e2.uid = U2.uid AND _v2.wid = _e2.wid2 AND _v2.tid = S2.tid AND _v2.s = '+' AND (U1.name = 'Alice') AND (S1.sid = S2.sid) AND (S1.species <> S2.species)
+	// SELECT DISTINCT U2.name, S1.species, S2.species FROM Users AS U1, Users AS U2, _e AS _e1, Sightings_v AS _v1, Sightings_star AS S1, _e AS _e2, Sightings_v AS _v2, Sightings_star AS S2 WHERE (((((((((((((_e1.wid1 = 0) AND (_e1.uid = U1.uid)) AND (_v1.wid = _e1.wid2)) AND (_v1.tid = S1.tid)) AND (_v1.s = '+')) AND (_e2.wid1 = 0)) AND (_e2.uid = U2.uid)) AND (_v2.wid = _e2.wid2)) AND (_v2.tid = S2.tid)) AND (_v2.s = '+')) AND (U1.name = 'Alice')) AND (S1.sid = S2.sid)) AND (S1.species <> S2.species))
 	//
 	// == Representation size ==
 	// |R*| = 38 rows over 8 tables (n=8 annotations, N=4 states, m=3 users, overhead 4.8)

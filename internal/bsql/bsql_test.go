@@ -476,7 +476,7 @@ func TestTranslateSelectShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"SELECT DISTINCT", "_e", "Sightings_v", "Sightings_star S", "wid1 = 0", ".s = '+'"} {
+	for _, frag := range []string{"SELECT DISTINCT", "_e", "Sightings_v", "Sightings_star AS S", "wid1 = 0", ".s = '+'"} {
 		if !strings.Contains(sql, frag) {
 			t.Errorf("translated SQL missing %q:\n%s", frag, sql)
 		}

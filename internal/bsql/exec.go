@@ -106,21 +106,25 @@ func (tr *Translator) CompileBatch(src string) ([]store.BatchOp, error) {
 	return ops, nil
 }
 
-// ExecStmt executes one parsed BeliefSQL statement.
+// ExecStmt executes one parsed BeliefSQL statement. A SELECT or EXPLAIN is
+// translated against a pinned view, and the executor runs the translated
+// AST on that same view: no SQL text is rendered or parsed.
 func (tr *Translator) ExecStmt(stmt Statement) (*query.Result, error) {
 	switch s := stmt.(type) {
 	case Select:
-		sql, err := tr.TranslateSelect(s)
+		pv := tr.st.Pin()
+		q, err := tr.translate(pv, s)
 		if err != nil {
 			return nil, err
 		}
-		return tr.st.SQL(sql)
+		return pv.Read(q)
 	case Explain:
-		sql, err := tr.TranslateSelect(s.Query)
+		pv := tr.st.Pin()
+		q, err := tr.translate(pv, s.Query)
 		if err != nil {
 			return nil, err
 		}
-		return tr.st.SQL("EXPLAIN " + sql)
+		return pv.Read(sqlparser.Explain{Query: q})
 	default:
 		return tr.execDML([]Statement{stmt})
 	}

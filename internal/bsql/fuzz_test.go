@@ -1,9 +1,11 @@
 package bsql_test
 
 import (
+	"reflect"
 	"testing"
 
 	"beliefdb/internal/bsql"
+	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/store"
 	"beliefdb/internal/val"
 )
@@ -42,7 +44,10 @@ func fuzzStore(t *testing.T) *store.Store {
 // must execute against a fresh belief database without panicking — errors
 // (unknown users, unknown relations, conflicts, arity mismatches) are fine.
 // A parsed statement must also survive the router's hop: its rendering
-// parses back to a statement with the same rendering.
+// parses back to a statement with the same rendering. A SELECT or EXPLAIN
+// that translates must translate to an AST that its own rendering
+// (TranslateSelect's text) parses back to, so DB.Translate shows exactly
+// what the executor runs.
 func FuzzBeliefSQL(f *testing.F) {
 	seeds := []string{
 		`insert into Sightings values ('s1','Carol','bald eagle','6-14-08','Lake Forest')`,
@@ -69,6 +74,9 @@ func FuzzBeliefSQL(f *testing.F) {
 		`delete from BELIEF 'Bob' Sightings where exists (select 1 from Users U where U.name = species)`,
 		``,
 		`select S.sid from BELIEF 'Alice' Sightings S where S.date < 1e-05 limit 3`,
+		`select S.observer, count(*) AS n from BELIEF 'Alice' Sightings S group by S.observer order by n desc limit 5`,
+		`select * from Users U, BELIEF U.uid Sightings`,
+		`select S.sid, 2.0 * 3 AS six from BELIEF 'Alice' Sightings S, BELIEF 'Bob' not Sightings N where N.sid = S.sid and N.observer = 1.0 and N.species = S.species and N.date = S.date and N.location = S.location order by six`,
 		`insert into BELIEF 'O''Brien' not Sightings values ('s3', 2.5E+23, -1e-7, 'x', 'y')`,
 		`insert into BELIEF 'Alice' Sightings values ('s4', 0.00003, 'c', 'd', 'e')`,
 	}
@@ -90,6 +98,27 @@ func FuzzBeliefSQL(f *testing.F) {
 		}
 		st := fuzzStore(t)
 		tr := bsql.NewTranslator(st)
+		sel, isSel := stmt.(bsql.Select)
+		if ex, ok := stmt.(bsql.Explain); ok {
+			sel, isSel = ex.Query, true
+		}
+		// An integral float literal (2.0) renders as 2 and parses back as an
+		// integer, in the input's rendering as in the translation's; such an
+		// input, the one whose own AST does not survive rendering, is held
+		// to render stability alone.
+		if ast, err := tr.SelectAST(sel); isSel && err == nil && reflect.DeepEqual(again, stmt) {
+			sql, err := tr.TranslateSelect(sel)
+			if err != nil {
+				t.Fatalf("%q: the AST translates but TranslateSelect fails: %v", src, err)
+			}
+			back, err := sqlparser.Parse(sql)
+			if err != nil {
+				t.Fatalf("translation %q of %q does not parse: %v", sql, src, err)
+			}
+			if !reflect.DeepEqual(back, ast) {
+				t.Fatalf("translation %q of %q does not parse back to the AST the executor runs", sql, src)
+			}
+		}
 		// Execution may error but must not panic; a second execution on the
 		// same store must not panic either (DML leaves consistent state).
 		if _, err := tr.ExecStmt(stmt); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"beliefdb/internal/query"
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/val"
 )
@@ -110,7 +111,7 @@ func Aggregated(sel Select) bool {
 		return true
 	}
 	for _, it := range sel.Items {
-		if it.Expr != nil && containsAggCall(it.Expr) {
+		if it.Expr != nil && query.ContainsAggregate(it.Expr) {
 			return true
 		}
 	}

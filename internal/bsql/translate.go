@@ -2,10 +2,14 @@ package bsql
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
+	"beliefdb/internal/query"
 	"beliefdb/internal/sqlparser"
 	"beliefdb/internal/store"
+	"beliefdb/internal/val"
 )
 
 // Translator compiles BeliefSQL queries into plain SQL over the internal
@@ -30,292 +34,146 @@ const (
 type fromBinding struct {
 	ref   BeliefRef
 	kind  refKind
-	cols  []string // column names of the relation (external schema)
-	rel   store.Relation
-	vName string   // V-table alias (belief refs)
-	eName []string // E-table aliases, one per path element
+	cols  []string         // column names of the relation (external schema)
+	vName string           // V-table alias (belief refs)
+	eName []string         // E-table aliases, one per path element
+	bound []sqlparser.Expr // negRef: what each attribute is equated to
 }
 
-// TranslateSelect compiles a BeliefSQL SELECT into SQL text over the
-// internal schema. Per positive belief item the output joins an E-chain
-// from the root (E*(0, w̄, z)), the relation's V table (s='+') and its R*
-// table. A negated item selects nothing and has every attribute bound, so
-// it is a filter: one correlated EXISTS over its own E-chain, V and R*
-// tables holding the stated/unstated disjunction of Algorithm 1 step 5,
-// which the engine runs as a semi-join through V's (wid, key) index.
-// Belief-path valuations respect Û* (adjacent believers differ), and the
-// result is DISTINCT (BCQ answers are sets).
-func (tr *Translator) TranslateSelect(sel Select) (string, error) {
-	cat := tr.st.Snapshot()
-	used := make(map[string]bool)
-	bindings := make([]*fromBinding, 0, len(sel.From))
-	byName := make(map[string]*fromBinding)
-	for _, ref := range sel.From {
-		used[ref.Name()] = true
-	}
-	fresh := func(prefix string) string {
-		for i := 1; ; i++ {
-			name := fmt.Sprintf("%s%d", prefix, i)
-			if !used[name] {
-				used[name] = true
-				return name
-			}
-		}
-	}
+// translation is the state of one SELECT's translation, against pv.
+type translation struct {
+	pv           store.Pinned
+	bindings     []fromBinding
+	nextV, nextE int // last generated _v and _e alias numbers
+}
 
-	for _, ref := range sel.From {
-		b := &fromBinding{ref: ref}
+// Literals every translation uses, boxed once.
+var (
+	zeroLit   sqlparser.Expr = sqlparser.Literal{Val: val.Int(0)}
+	posLit    sqlparser.Expr = sqlparser.Literal{Val: val.Str("+")}
+	negLit    sqlparser.Expr = sqlparser.Literal{Val: val.Str("-")}
+	selectOne                = []sqlparser.SelectItem{{Expr: sqlparser.Literal{Val: val.Int(1)}}}
+)
+
+// TranslateSelect compiles a BeliefSQL SELECT into SQL text over the
+// internal schema: the rendering of the AST that ExecStmt runs.
+func (tr *Translator) TranslateSelect(sel Select) (string, error) {
+	q, err := tr.translate(tr.st.Pin(), sel)
+	if err != nil {
+		return "", err
+	}
+	return q.String(), nil
+}
+
+// translate compiles a BeliefSQL SELECT into a SELECT over the internal
+// schema, resolving users and tables against pv. Per positive belief item
+// the output joins an E-chain from the root (E*(0, w̄, z)), the relation's
+// V table (s='+') and its R* table. A negated item selects nothing and has
+// every attribute bound, so it is a filter: one correlated EXISTS over its
+// own E-chain, V and R* tables holding the stated/unstated disjunction of
+// Algorithm 1 step 5, which the engine runs as a semi-join through V's
+// (wid, key) index. Belief-path valuations respect Û* (adjacent believers
+// differ), and the result is DISTINCT (BCQ answers are sets). AND chains
+// are left-deep, as the parser builds them.
+func (tr *Translator) translate(pv store.Pinned, sel Select) (q sqlparser.Select, err error) {
+	x := &translation{pv: pv, bindings: make([]fromBinding, len(sel.From))}
+	var buf [16]sqlparser.Expr
+	conjuncts := splitConjuncts(sel.Where, buf[:0])
+	ntables, nconds := 0, len(conjuncts)
+	for i, ref := range sel.From {
+		x.bindings[i].ref = ref
+		ntables += len(ref.Path) + 2
+		nconds += 3*len(ref.Path) + 3
+	}
+	q.From = make([]sqlparser.TableRef, 0, ntables)
+	conds := make([]sqlparser.Expr, 0, nconds)
+	for i, ref := range sel.From {
+		b := &x.bindings[i]
 		if rel, ok := tr.st.Relation(ref.Table); ok {
-			b.rel = rel
-			for _, c := range rel.Columns {
-				b.cols = append(b.cols, c.Name)
+			b.cols = make([]string, len(rel.Columns))
+			for j, c := range rel.Columns {
+				b.cols[j] = c.Name
 			}
-			if ref.Negated {
+			if b.kind = posRef; ref.Negated {
 				b.kind = negRef
-			} else {
-				b.kind = posRef
+				b.bound = make([]sqlparser.Expr, len(b.cols))
 			}
-			b.vName = fresh("_v")
+			b.vName = x.fresh("_v", &x.nextV)
 			for range ref.Path {
-				b.eName = append(b.eName, fresh("_e"))
+				b.eName = append(b.eName, x.fresh("_e", &x.nextE))
 			}
-		} else if t := cat.Table(ref.Table); t != nil && !strings.Contains(ref.Table, "_") {
+		} else if t := pv.Catalog().Table(ref.Table); t != nil && !strings.Contains(ref.Table, "_") {
 			if len(ref.Path) > 0 || ref.Negated {
-				return "", fmt.Errorf("bsql: %s is not a belief relation; BELIEF/not prefixes do not apply", ref.Table)
+				return q, fmt.Errorf("bsql: %s is not a belief relation; BELIEF/not prefixes do not apply", ref.Table)
 			}
 			b.kind = plainRef
 			for _, c := range t.Schema().Columns {
 				b.cols = append(b.cols, c.Name)
 			}
 		} else {
-			return "", fmt.Errorf("bsql: unknown relation %q", ref.Table)
+			return q, fmt.Errorf("bsql: unknown relation %q", ref.Table)
 		}
-		bindings = append(bindings, b)
-		byName[ref.Name()] = b
 	}
-
-	resolve := func(cr sqlparser.ColumnRef) (*fromBinding, string, error) {
-		if cr.Table != "" {
-			b, ok := byName[cr.Table]
-			if !ok {
-				return nil, "", fmt.Errorf("bsql: unknown binding %q", cr.Table)
-			}
-			for _, c := range b.cols {
-				if c == cr.Column {
-					return b, c, nil
-				}
-			}
-			return nil, "", fmt.Errorf("bsql: no column %q in %s", cr.Column, cr.Table)
-		}
-		var found *fromBinding
-		var col string
-		for _, b := range bindings {
-			for _, c := range b.cols {
-				if c == cr.Column {
-					if found != nil {
-						return nil, "", fmt.Errorf("bsql: ambiguous column %q", cr.Column)
-					}
-					found, col = b, c
-				}
-			}
-		}
-		if found == nil {
-			return nil, "", fmt.Errorf("bsql: unknown column %q", cr.Column)
-		}
-		return found, col, nil
-	}
-
-	// qualify rewrites the column references of a negated item's binding
-	// expression to binding.column form: inside the item's subquery an
-	// unqualified name would resolve against the subquery's tables first.
-	var qualify func(e sqlparser.Expr) (sqlparser.Expr, error)
-	qualify = func(e sqlparser.Expr) (sqlparser.Expr, error) {
-		switch ex := e.(type) {
-		case sqlparser.ColumnRef:
-			b, col, err := resolve(ex)
-			if err != nil {
-				return nil, err
-			}
-			return sqlparser.ColumnRef{Table: b.ref.Name(), Column: col}, nil
-		case sqlparser.BinaryExpr:
-			l, err := qualify(ex.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := qualify(ex.R)
-			if err != nil {
-				return nil, err
-			}
-			return sqlparser.BinaryExpr{Op: ex.Op, L: l, R: r}, nil
-		case sqlparser.UnaryExpr:
-			x, err := qualify(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			return sqlparser.UnaryExpr{Op: ex.Op, X: x}, nil
-		case sqlparser.Literal:
-			return ex, nil
-		}
-		return nil, fmt.Errorf("bsql: a negated item's attribute cannot be bound to %s", e)
-	}
-
-	// chain appends the E-chain of a belief item (Algorithm 1 step 2) to
-	// the given FROM and WHERE lists and returns the wid expression of the
-	// world at its end.
-	chain := func(b *fromBinding, tables, conds *[]string) (string, error) {
-		prevWid := "0"
-		for j, elem := range b.ref.Path {
-			ea := b.eName[j]
-			*tables = append(*tables, "_e "+ea)
-			*conds = append(*conds, fmt.Sprintf("%s.wid1 = %s", ea, prevWid))
-			if elem.IsRef {
-				pb, col, err := resolve(elem.Ref)
-				if err != nil {
-					return "", err
-				}
-				if pb.kind != plainRef {
-					return "", fmt.Errorf("bsql: BELIEF %s must reference a plain table column", elem.Ref)
-				}
-				*conds = append(*conds, fmt.Sprintf("%s.uid = %s.%s", ea, pb.ref.Name(), col))
-			} else {
-				uid, ok := tr.st.UserID(elem.Literal)
-				if !ok {
-					return "", fmt.Errorf("bsql: unknown user %q", elem.Literal)
-				}
-				*conds = append(*conds, fmt.Sprintf("%s.uid = %d", ea, uid))
-			}
-			// Û*: adjacent believers must differ. Constant pairs are
-			// checked statically; anything else becomes a condition.
-			if j > 0 {
-				prev := b.ref.Path[j-1]
-				if !prev.IsRef && !elem.IsRef {
-					u1, _ := tr.st.UserID(prev.Literal)
-					u2, _ := tr.st.UserID(elem.Literal)
-					if u1 == u2 {
-						return "", fmt.Errorf("bsql: belief path repeats user %q in adjacent positions", elem.Literal)
-					}
-				} else {
-					*conds = append(*conds, fmt.Sprintf("%s.uid <> %s.uid", ea, b.eName[j-1]))
-				}
-			}
-			prevWid = ea + ".wid2"
-		}
-		return prevWid, nil
-	}
-
-	var tables []string
-	var conds []string
 
 	// Plain tables, and per positive item its E-chain, V and R* joins.
-	for _, b := range bindings {
+	for i := range x.bindings {
+		b := &x.bindings[i]
 		switch b.kind {
 		case plainRef:
-			tables = append(tables, b.ref.Table+" "+b.ref.Name())
+			q.From = append(q.From, sqlparser.TableRef{Table: b.ref.Table, Alias: b.ref.Name()})
 		case posRef:
-			wid, err := chain(b, &tables, &conds)
+			wid, err := x.chain(b, &q.From, &conds)
 			if err != nil {
-				return "", err
+				return q, err
 			}
-			tables = append(tables, b.ref.Table+"_v "+b.vName, b.ref.Table+"_star "+b.ref.Name())
-			conds = append(conds,
-				fmt.Sprintf("%s.wid = %s", b.vName, wid),
-				fmt.Sprintf("%s.tid = %s.tid", b.vName, b.ref.Name()),
-				fmt.Sprintf("%s.s = '+'", b.vName))
+			q.From = append(q.From, sqlparser.TableRef{Table: b.ref.Table + "_v", Alias: b.vName},
+				sqlparser.TableRef{Table: b.ref.Table + "_star", Alias: b.ref.Name()})
+			conds = append(conds, eq(col(b.vName, "wid"), wid), eq(col(b.vName, "tid"), col(b.ref.Name(), "tid")),
+				eq(col(b.vName, "s"), posLit))
 		}
 	}
 
 	// Split the WHERE clause into conjuncts; extract negative-item
 	// attribute bindings (Algorithm 1 step 5).
-	conjuncts := splitConjuncts(sel.Where)
-	negBindings := make(map[*fromBinding]map[string]sqlparser.Expr)
-	var residual []sqlparser.Expr
-	for _, b := range bindings {
-		if b.kind == negRef {
-			negBindings[b] = make(map[string]sqlparser.Expr)
-		}
-	}
-	refersToNeg := func(e sqlparser.Expr) (*fromBinding, error) {
-		var hit *fromBinding
-		var walk func(x sqlparser.Expr) error
-		walk = func(x sqlparser.Expr) error {
-			switch ex := x.(type) {
-			case sqlparser.ColumnRef:
-				b, _, err := resolve(ex)
-				if err != nil {
-					return err
-				}
-				if b.kind == negRef {
-					hit = b
-				}
-			case sqlparser.BinaryExpr:
-				if err := walk(ex.L); err != nil {
-					return err
-				}
-				return walk(ex.R)
-			case sqlparser.UnaryExpr:
-				return walk(ex.X)
-			case sqlparser.IsNull:
-				return walk(ex.X)
-			case sqlparser.FuncCall:
-				for _, a := range ex.Args {
-					if err := walk(a); err != nil {
-						return err
-					}
-				}
-			case sqlparser.Exists:
-				return fmt.Errorf("bsql: EXISTS is not part of BeliefSQL; negate a belief item with NOT")
-			}
-			return nil
-		}
-		if err := walk(e); err != nil {
-			return nil, err
-		}
-		return hit, nil
-	}
-
+	var resBuf [16]sqlparser.Expr
+	residual := resBuf[:0]
 	for _, conj := range conjuncts {
 		be, ok := conj.(sqlparser.BinaryExpr)
 		if ok && be.Op == "=" {
-			l, lIsCol := be.L.(sqlparser.ColumnRef)
-			r, rIsCol := be.R.(sqlparser.ColumnRef)
-			var negSide sqlparser.ColumnRef
+			var nb *fromBinding
+			var c int
 			var otherSide sqlparser.Expr
-			matched := false
-			if lIsCol {
-				if b, _, err := resolve(l); err == nil && b.kind == negRef {
-					negSide, otherSide, matched = l, be.R, true
+			if l, isCol := be.L.(sqlparser.ColumnRef); isCol {
+				if b, j, err := x.resolve(l); err == nil && b.kind == negRef {
+					nb, c, otherSide = b, j, be.R
 				}
 			}
-			if !matched && rIsCol {
-				if b, _, err := resolve(r); err == nil && b.kind == negRef {
-					negSide, otherSide, matched = r, be.L, true
+			if r, isCol := be.R.(sqlparser.ColumnRef); nb == nil && isCol {
+				if b, j, err := x.resolve(r); err == nil && b.kind == negRef {
+					nb, c, otherSide = b, j, be.L
 				}
 			}
-			if matched {
-				nb, col, err := resolve(negSide)
-				if err != nil {
-					return "", err
-				}
-				if hit, err := refersToNeg(otherSide); err != nil {
-					return "", err
+			if nb != nil {
+				if hit, err := x.negated(otherSide); err != nil {
+					return q, err
 				} else if hit != nil {
-					return "", fmt.Errorf("bsql: unsafe query: %s equates two negated items", conj.String())
+					return q, fmt.Errorf("bsql: unsafe query: %s equates two negated items", conj.String())
 				}
-				if prev, dup := negBindings[nb][col]; dup {
+				if prev := nb.bound[c]; prev != nil {
 					// A second binding for the same attribute becomes an
 					// equality between the two binding expressions.
-					residual = append(residual, sqlparser.BinaryExpr{Op: "=", L: prev, R: otherSide})
+					residual = append(residual, eq(prev, otherSide))
 				} else {
-					negBindings[nb][col] = otherSide
+					nb.bound[c] = otherSide
 				}
 				continue
 			}
 		}
 		// Any other conjunct must not mention a negated item.
-		if hit, err := refersToNeg(conj); err != nil {
-			return "", err
+		if hit, err := x.negated(conj); err != nil {
+			return q, err
 		} else if hit != nil {
-			return "", fmt.Errorf("bsql: unsafe query: negated item %s may only appear in attribute equalities (got %s)",
+			return q, fmt.Errorf("bsql: unsafe query: negated item %s may only appear in attribute equalities (got %s)",
 				hit.ref.Name(), conj.String())
 		}
 		residual = append(residual, conj)
@@ -325,196 +183,338 @@ func (tr *Translator) TranslateSelect(sel Select) (string, error) {
 	// some valuation of the item's world holds the bound key and is either
 	// the bound tuple stated negatively or a different tuple stated
 	// positively (an unstated negative, Prop. 7).
-	for _, b := range bindings {
+	for i := range x.bindings {
+		b := &x.bindings[i]
 		if b.kind != negRef {
 			continue
 		}
-		bmap := negBindings[b]
-		for _, c := range b.cols {
-			if _, ok := bmap[c]; !ok {
-				return "", fmt.Errorf("bsql: unsafe query: attribute %s of negated item %s is unbound; every attribute must be equated to a positive binding or constant",
+		for j, c := range b.cols {
+			if b.bound[j] == nil {
+				return q, fmt.Errorf("bsql: unsafe query: attribute %s of negated item %s is unbound; every attribute must be equated to a positive binding or constant",
 					c, b.ref.Name())
 			}
 		}
-		var subTables, subConds []string
-		wid, err := chain(b, &subTables, &subConds)
+		sub := sqlparser.Select{Items: selectOne, Limit: -1}
+		subConds := make([]sqlparser.Expr, 0, 3*len(b.ref.Path)+4)
+		wid, err := x.chain(b, &sub.From, &subConds)
 		if err != nil {
-			return "", err
+			return q, err
 		}
-		subTables = append(subTables, b.ref.Table+"_v "+b.vName)
-		subConds = append(subConds, fmt.Sprintf("%s.wid = %s", b.vName, wid))
-		key, err := qualify(bmap[b.cols[0]])
+		sub.From = append(sub.From, sqlparser.TableRef{Table: b.ref.Table + "_v", Alias: b.vName})
+		subConds = append(subConds, eq(col(b.vName, "wid"), wid))
+		key, err := x.qualify(b.bound[0])
 		if err != nil {
-			return "", err
+			return q, err
 		}
 		if _, isCol := key.(sqlparser.ColumnRef); isCol {
 			// A column equality keys the (wid, key) probe, and probes match
 			// by value identity, NULL included.
-			subConds = append(subConds, fmt.Sprintf("%s.key = %s", b.vName, key))
+			subConds = append(subConds, eq(col(b.vName, "key"), key))
 		} else {
-			subConds = append(subConds, sameValue(b.vName+".key", key))
+			subConds = append(subConds, sameValue(col(b.vName, "key"), key))
 		}
 		if len(b.cols) == 1 {
-			subConds = append(subConds, fmt.Sprintf("%s.s = '-'", b.vName))
+			subConds = append(subConds, eq(col(b.vName, "s"), negLit))
 		} else {
 			n := b.ref.Name()
-			subTables = append(subTables, b.ref.Table+"_star "+n)
-			subConds = append(subConds, fmt.Sprintf("%s.tid = %s.tid", n, b.vName))
-			same := make([]string, 0, len(b.cols)-1)
-			for _, c := range b.cols[1:] {
-				bound, err := qualify(bmap[c])
+			sub.From = append(sub.From, sqlparser.TableRef{Table: b.ref.Table + "_star", Alias: n})
+			subConds = append(subConds, eq(col(n, "tid"), col(b.vName, "tid")))
+			same := append(make([]sqlparser.Expr, 0, len(b.cols)), eq(col(b.vName, "s"), negLit))
+			for j, c := range b.cols[1:] {
+				bound, err := x.qualify(b.bound[j+1])
 				if err != nil {
-					return "", err
+					return q, err
 				}
-				same = append(same, sameValue(n+"."+c, bound))
+				same = append(same, sameValue(col(n, c), bound))
 			}
-			sameTuple := strings.Join(same, " AND ")
-			subConds = append(subConds, fmt.Sprintf("((%s.s = '-' AND %s) OR (%s.s = '+' AND NOT (%s)))",
-				b.vName, sameTuple, b.vName, sameTuple))
+			subConds = append(subConds, sqlparser.BinaryExpr{Op: "OR", L: conjoin(same),
+				R: sqlparser.BinaryExpr{Op: "AND", L: eq(col(b.vName, "s"), posLit),
+					R: sqlparser.UnaryExpr{Op: "NOT", X: conjoin(same[1:])}}})
 		}
-		conds = append(conds, fmt.Sprintf("EXISTS (SELECT 1 FROM %s WHERE %s)",
-			strings.Join(subTables, ", "), strings.Join(subConds, " AND ")))
+		sub.Where = conjoin(subConds)
+		conds = append(conds, sqlparser.Exists{Query: sub})
 	}
+	q.Where = conjoin(append(conds, residual...))
 
-	for _, r := range residual {
-		conds = append(conds, r.String())
+	// Select list: validate it does not touch negated items. Without a star
+	// the items pass through as they are.
+	star := slices.ContainsFunc(sel.Items, func(it sqlparser.SelectItem) bool { return it.Star || it.TableStar != "" })
+	if !star {
+		q.Items = sel.Items
 	}
-
-	// Select list: validate it does not touch negated items.
-	var items []string
 	for _, it := range sel.Items {
 		switch {
 		case it.Star:
-			for _, b := range bindings {
+			for i := range x.bindings {
+				b := &x.bindings[i]
 				if b.kind == negRef {
-					return "", fmt.Errorf("bsql: SELECT * cannot include negated item %s", b.ref.Name())
+					return q, fmt.Errorf("bsql: SELECT * cannot include negated item %s", b.ref.Name())
 				}
-				for _, c := range b.cols {
-					items = append(items, b.ref.Name()+"."+c)
-				}
+				q.Items = b.appendCols(q.Items)
 			}
 		case it.TableStar != "":
-			b, ok := byName[it.TableStar]
-			if !ok {
-				return "", fmt.Errorf("bsql: unknown binding %q", it.TableStar)
+			b := x.binding(it.TableStar)
+			if b == nil {
+				return q, fmt.Errorf("bsql: unknown binding %q", it.TableStar)
 			}
 			if b.kind == negRef {
-				return "", fmt.Errorf("bsql: SELECT %s.* references a negated item", it.TableStar)
+				return q, fmt.Errorf("bsql: SELECT %s.* references a negated item", it.TableStar)
 			}
-			for _, c := range b.cols {
-				items = append(items, b.ref.Name()+"."+c)
-			}
+			q.Items = b.appendCols(q.Items)
 		default:
-			if hit, err := refersToNeg(it.Expr); err != nil {
-				return "", err
+			if hit, err := x.negated(it.Expr); err != nil {
+				return q, err
 			} else if hit != nil {
-				return "", fmt.Errorf("bsql: unsafe query: select item %s references negated item %s",
+				return q, fmt.Errorf("bsql: unsafe query: select item %s references negated item %s",
 					it.Expr.String(), hit.ref.Name())
 			}
-			s := it.Expr.String()
-			if it.Alias != "" {
-				s += " AS " + it.Alias
+			if star {
+				q.Items = append(q.Items, it)
 			}
-			items = append(items, s)
 		}
 	}
 
 	// Aggregated queries group instead of deduplicating; plain BCQ answers
 	// are sets, hence DISTINCT.
-	aggregated := len(sel.GroupBy) > 0
-	for _, it := range sel.Items {
-		if it.Expr != nil && containsAggCall(it.Expr) {
-			aggregated = true
+	q.Distinct = len(sel.GroupBy) == 0 && !slices.ContainsFunc(sel.Items, func(it sqlparser.SelectItem) bool {
+		return it.Expr != nil && query.ContainsAggregate(it.Expr)
+	})
+	for _, g := range sel.GroupBy {
+		if hit, err := x.negated(g); err != nil {
+			return q, err
+		} else if hit != nil {
+			return q, fmt.Errorf("bsql: GROUP BY references negated item %s", hit.ref.Name())
 		}
 	}
-	head := "SELECT DISTINCT "
-	if aggregated {
-		head = "SELECT "
-	}
-	sql := head + strings.Join(items, ", ") + " FROM " + strings.Join(tables, ", ")
-	if len(conds) > 0 {
-		sql += " WHERE " + strings.Join(conds, " AND ")
-	}
-	if len(sel.GroupBy) > 0 {
-		var gs []string
-		for _, g := range sel.GroupBy {
-			if hit, err := refersToNeg(g); err != nil {
-				return "", err
-			} else if hit != nil {
-				return "", fmt.Errorf("bsql: GROUP BY references negated item %s", hit.ref.Name())
-			}
-			gs = append(gs, g.String())
+	for _, o := range sel.OrderBy {
+		// ORDER BY may reference select aliases, which resolve is unaware
+		// of; only reject resolvable negated references.
+		if hit, err := x.negated(o.Expr); err == nil && hit != nil {
+			return q, fmt.Errorf("bsql: ORDER BY references negated item %s", hit.ref.Name())
 		}
-		sql += " GROUP BY " + strings.Join(gs, ", ")
 	}
-	if len(sel.OrderBy) > 0 {
-		var os []string
-		for _, o := range sel.OrderBy {
-			// ORDER BY may reference select aliases, which resolve is
-			// unaware of; only reject resolvable negated references.
-			if hit, err := refersToNeg(o.Expr); err == nil && hit != nil {
-				return "", fmt.Errorf("bsql: ORDER BY references negated item %s", hit.ref.Name())
-			}
-			s := o.Expr.String()
-			if o.Desc {
-				s += " DESC"
-			}
-			os = append(os, s)
-		}
-		sql += " ORDER BY " + strings.Join(os, ", ")
-	}
-	if sel.Limit >= 0 {
-		sql += fmt.Sprintf(" LIMIT %d", sel.Limit)
-	}
-	return sql, nil
+	q.GroupBy, q.OrderBy, q.Limit = sel.GroupBy, sel.OrderBy, sel.Limit
+	return q, nil
 }
 
-// sameValue renders "col holds the value of e" as tuple identity, the
-// comparison core.Eval applies to a negated atom: NULL equals NULL and
-// differs from every constant, where a bare '=' would not be satisfied.
-// The engine's comparisons are two-valued (NULL operands yield false), so
-// NOT over a conjunction of these is "some attribute differs".
-func sameValue(col string, e sqlparser.Expr) string {
+// fresh returns the next alias name with prefix, skipping the FROM list's
+// binding names; *last is the number the prefix last used.
+func (x *translation) fresh(prefix string, last *int) string {
+	for {
+		*last++
+		name := prefix + strconv.Itoa(*last)
+		if x.binding(name) == nil {
+			return name
+		}
+	}
+}
+
+// binding returns the FROM item bound to name, or nil; of two items with
+// one name, the later.
+func (x *translation) binding(name string) *fromBinding {
+	for i := len(x.bindings) - 1; i >= 0; i-- {
+		if x.bindings[i].ref.Name() == name {
+			return &x.bindings[i]
+		}
+	}
+	return nil
+}
+
+// appendCols appends the binding's columns to a select list.
+func (b *fromBinding) appendCols(items []sqlparser.SelectItem) []sqlparser.SelectItem {
+	for _, c := range b.cols {
+		items = append(items, sqlparser.SelectItem{Expr: col(b.ref.Name(), c)})
+	}
+	return items
+}
+
+// resolve finds the binding and column position a column reference names.
+func (x *translation) resolve(cr sqlparser.ColumnRef) (*fromBinding, int, error) {
+	if cr.Table != "" {
+		b := x.binding(cr.Table)
+		if b == nil {
+			return nil, 0, fmt.Errorf("bsql: unknown binding %q", cr.Table)
+		}
+		for j, c := range b.cols {
+			if c == cr.Column {
+				return b, j, nil
+			}
+		}
+		return nil, 0, fmt.Errorf("bsql: no column %q in %s", cr.Column, cr.Table)
+	}
+	var found *fromBinding
+	var at int
+	for i := range x.bindings {
+		for j, c := range x.bindings[i].cols {
+			if c == cr.Column {
+				if found != nil {
+					return nil, 0, fmt.Errorf("bsql: ambiguous column %q", cr.Column)
+				}
+				found, at = &x.bindings[i], j
+			}
+		}
+	}
+	if found == nil {
+		return nil, 0, fmt.Errorf("bsql: unknown column %q", cr.Column)
+	}
+	return found, at, nil
+}
+
+// qualify rewrites the column references of a negated item's binding
+// expression to binding.column form: inside the item's subquery an
+// unqualified name would resolve against the subquery's tables first.
+func (x *translation) qualify(e sqlparser.Expr) (sqlparser.Expr, error) {
+	switch ex := e.(type) {
+	case sqlparser.ColumnRef:
+		b, j, err := x.resolve(ex)
+		if err != nil {
+			return nil, err
+		}
+		return col(b.ref.Name(), b.cols[j]), nil
+	case sqlparser.BinaryExpr:
+		l, err := x.qualify(ex.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := x.qualify(ex.R)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.BinaryExpr{Op: ex.Op, L: l, R: r}, nil
+	case sqlparser.UnaryExpr:
+		x, err := x.qualify(ex.X)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.UnaryExpr{Op: ex.Op, X: x}, nil
+	case sqlparser.Literal:
+		return ex, nil
+	}
+	return nil, fmt.Errorf("bsql: a negated item's attribute cannot be bound to %s", e)
+}
+
+// chain appends the E-chain of a belief item (Algorithm 1 step 2) to the
+// given FROM and WHERE lists and returns the wid expression of the world
+// at its end.
+func (x *translation) chain(b *fromBinding, tables *[]sqlparser.TableRef, conds *[]sqlparser.Expr) (sqlparser.Expr, error) {
+	prevWid := zeroLit
+	for j, elem := range b.ref.Path {
+		ea := b.eName[j]
+		*tables = append(*tables, sqlparser.TableRef{Table: "_e", Alias: ea})
+		*conds = append(*conds, eq(col(ea, "wid1"), prevWid))
+		if elem.IsRef {
+			pb, c, err := x.resolve(elem.Ref)
+			if err != nil {
+				return nil, err
+			}
+			if pb.kind != plainRef {
+				return nil, fmt.Errorf("bsql: BELIEF %s must reference a plain table column", elem.Ref)
+			}
+			*conds = append(*conds, eq(col(ea, "uid"), col(pb.ref.Name(), pb.cols[c])))
+		} else {
+			uid, ok := x.pv.UserID(elem.Literal)
+			if !ok {
+				return nil, fmt.Errorf("bsql: unknown user %q", elem.Literal)
+			}
+			*conds = append(*conds, eq(col(ea, "uid"), sqlparser.Literal{Val: val.Int(int64(uid))}))
+		}
+		// Û*: adjacent believers must differ. Constant pairs are checked
+		// statically; anything else becomes a condition.
+		if j > 0 {
+			if prev := b.ref.Path[j-1]; !prev.IsRef && !elem.IsRef {
+				if prev.Literal == elem.Literal {
+					return nil, fmt.Errorf("bsql: belief path repeats user %q in adjacent positions", elem.Literal)
+				}
+			} else {
+				*conds = append(*conds, sqlparser.BinaryExpr{Op: "<>", L: col(ea, "uid"), R: col(b.eName[j-1], "uid")})
+			}
+		}
+		prevWid = col(ea, "wid2")
+	}
+	return prevWid, nil
+}
+
+// negated returns the negated item an expression mentions, if any; of
+// several, the last.
+func (x *translation) negated(e sqlparser.Expr) (hit *fromBinding, err error) {
+	var args []sqlparser.Expr
+	switch ex := e.(type) {
+	case sqlparser.ColumnRef:
+		if hit, _, err = x.resolve(ex); err != nil || hit.kind != negRef {
+			return nil, err
+		}
+		return hit, nil
+	case sqlparser.BinaryExpr:
+		if hit, err = x.negated(ex.L); err != nil {
+			return nil, err
+		}
+		if r, err := x.negated(ex.R); r != nil || err != nil {
+			return r, err
+		}
+		return hit, nil
+	case sqlparser.UnaryExpr:
+		return x.negated(ex.X)
+	case sqlparser.IsNull:
+		return x.negated(ex.X)
+	case sqlparser.FuncCall:
+		args = ex.Args
+	case sqlparser.Exists:
+		return nil, fmt.Errorf("bsql: EXISTS is not part of BeliefSQL; negate a belief item with NOT")
+	}
+	for _, a := range args {
+		b, err := x.negated(a)
+		if err != nil {
+			return nil, err
+		}
+		if b != nil {
+			hit = b
+		}
+	}
+	return hit, nil
+}
+
+func col(table, column string) sqlparser.Expr {
+	return sqlparser.ColumnRef{Table: table, Column: column}
+}
+
+func eq(l, r sqlparser.Expr) sqlparser.Expr { return sqlparser.BinaryExpr{Op: "=", L: l, R: r} }
+
+// conjoin ANDs conds left-deep; nil when there are none.
+func conjoin(conds []sqlparser.Expr) sqlparser.Expr {
+	var w sqlparser.Expr
+	for _, c := range conds {
+		if w == nil {
+			w = c
+		} else {
+			w = sqlparser.BinaryExpr{Op: "AND", L: w, R: c}
+		}
+	}
+	return w
+}
+
+// sameValue is "c holds the value of e" as tuple identity, the comparison
+// core.Eval applies to a negated atom: NULL equals NULL and differs from
+// every constant, where a bare '=' would not be satisfied. The engine's
+// comparisons are two-valued (NULL operands yield false), so NOT over a
+// conjunction of these is "some attribute differs".
+func sameValue(c, e sqlparser.Expr) sqlparser.Expr {
 	if lit, ok := e.(sqlparser.Literal); ok {
 		if lit.Val.IsNull() {
-			return col + " IS NULL"
+			return sqlparser.IsNull{X: c}
 		}
-		return col + " = " + lit.String()
+		return eq(c, e)
 	}
-	return fmt.Sprintf("(%s = %s OR (%s IS NULL AND %s IS NULL))", col, e, col, e)
+	return sqlparser.BinaryExpr{Op: "OR", L: eq(c, e),
+		R: sqlparser.BinaryExpr{Op: "AND", L: sqlparser.IsNull{X: c}, R: sqlparser.IsNull{X: e}}}
 }
 
-// containsAggCall reports whether the expression contains an aggregate
-// function call (COUNT/SUM/MIN/MAX/AVG).
-func containsAggCall(e sqlparser.Expr) bool {
-	switch ex := e.(type) {
-	case sqlparser.FuncCall:
-		switch strings.ToUpper(ex.Name) {
-		case "COUNT", "SUM", "MIN", "MAX", "AVG":
-			return true
-		}
-		for _, a := range ex.Args {
-			if containsAggCall(a) {
-				return true
-			}
-		}
-	case sqlparser.BinaryExpr:
-		return containsAggCall(ex.L) || containsAggCall(ex.R)
-	case sqlparser.UnaryExpr:
-		return containsAggCall(ex.X)
-	case sqlparser.IsNull:
-		return containsAggCall(ex.X)
-	}
-	return false
-}
-
-// splitConjuncts flattens top-level ANDs.
-func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
-	if e == nil {
-		return nil
-	}
+// splitConjuncts appends the conjuncts of e's top-level ANDs to out.
+func splitConjuncts(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 	if be, ok := e.(sqlparser.BinaryExpr); ok && be.Op == "AND" {
-		return append(splitConjuncts(be.L), splitConjuncts(be.R)...)
+		return splitConjuncts(be.R, splitConjuncts(be.L, out))
 	}
-	return []sqlparser.Expr{e}
+	if e == nil {
+		return out
+	}
+	return append(out, e)
 }

@@ -32,9 +32,6 @@ func (s Sign) String() string {
 	return "-"
 }
 
-// Flip returns the opposite sign.
-func (s Sign) Flip() Sign { return -s }
-
 // Tuple is a ground tuple of an external relation. Vals[0] is the external
 // key attribute (the paper's key_i). Two tuples are the same iff relation
 // and all attribute values agree; conflicting alternatives share the key but

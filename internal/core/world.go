@@ -154,16 +154,6 @@ func (w *World) Entry(t Tuple, s Sign) (Entry, bool) {
 	return e, ok
 }
 
-// PosByKey returns the unique positive tuple holding the same (relation,
-// key) as t, if any.
-func (w *World) PosByKey(t Tuple) (Tuple, bool) {
-	id, ok := w.posByKey[t.KeyID()]
-	if !ok {
-		return Tuple{}, false
-	}
-	return w.pos[id].Tuple, true
-}
-
 // Entries returns all stated entries with the given sign, sorted by tuple
 // identity for deterministic iteration.
 func (w *World) Entries(s Sign) []Entry {

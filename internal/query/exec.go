@@ -86,7 +86,7 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 
 	hasAgg := len(s.GroupBy) > 0
 	for _, it := range items {
-		if containsAggregate(it.Expr) {
+		if ContainsAggregate(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -406,7 +406,7 @@ func compileWithAggs(e sqlparser.Expr, schema relSchema, ctx *aggCtx, specs *[]a
 			if len(fc.Args) != 1 {
 				return nil, fmt.Errorf("query: %s takes exactly one argument", fc.Name)
 			}
-			if containsAggregate(fc.Args[0]) {
+			if ContainsAggregate(fc.Args[0]) {
 				return nil, fmt.Errorf("query: nested aggregates are not supported")
 			}
 			arg, err := compileExpr(fc.Args[0], schema)

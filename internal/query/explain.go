@@ -106,7 +106,7 @@ func orderedPath(tc *tableCtx, s sqlparser.Select, schema relSchema) *accessPath
 	// ordering column.
 	prefix := make([]val.Value, eqPrefix)
 	for i := 0; i < eqPrefix; i++ {
-		prefix[i] = tc.eqOn[idx.Cols()[i]]
+		prefix[i], _ = tc.eq(idx.Cols()[i])
 	}
 	iv := tc.interval(sch.Columns[idx.Cols()[eqPrefix]].Name)
 	ap := &accessPath{kind: pathOrdered, idx: idx, lo: prefix, hi: prefix, loIncl: true, hiIncl: true, desc: desc, limit: s.Limit}

@@ -14,10 +14,12 @@ import (
 )
 
 // colID names one column of an intermediate row: the binding (alias) of the
-// table it came from plus the column name.
+// table it came from plus the column name. bind is that binding's position
+// in its FROM list, where the planner needs it.
 type colID struct {
 	rel  string
 	name string
+	bind int
 }
 
 // relSchema is the schema of an intermediate row set.
@@ -316,37 +318,25 @@ func walkColumnRefs(e sqlparser.Expr, fn func(sqlparser.ColumnRef) error) error 
 	return fmt.Errorf("query: unsupported expression %T", e)
 }
 
-// exprRefs collects the table bindings referenced by an expression.
-func exprRefs(e sqlparser.Expr, schema relSchema, out map[string]bool) error {
-	return walkColumnRefs(e, func(ref sqlparser.ColumnRef) error {
-		i, err := schema.find(ref)
-		if err != nil {
-			return err
-		}
-		out[schema[i].rel] = true
-		return nil
-	})
-}
-
-// containsAggregate reports whether the expression tree contains an
+// ContainsAggregate reports whether the expression tree contains an
 // aggregate function call.
-func containsAggregate(e sqlparser.Expr) bool {
+func ContainsAggregate(e sqlparser.Expr) bool {
 	switch ex := e.(type) {
 	case sqlparser.FuncCall:
 		if isAggName(ex.Name) {
 			return true
 		}
 		for _, a := range ex.Args {
-			if containsAggregate(a) {
+			if ContainsAggregate(a) {
 				return true
 			}
 		}
 	case sqlparser.BinaryExpr:
-		return containsAggregate(ex.L) || containsAggregate(ex.R)
+		return ContainsAggregate(ex.L) || ContainsAggregate(ex.R)
 	case sqlparser.UnaryExpr:
-		return containsAggregate(ex.X)
+		return ContainsAggregate(ex.X)
 	case sqlparser.IsNull:
-		return containsAggregate(ex.X)
+		return ContainsAggregate(ex.X)
 	}
 	return false
 }

@@ -16,10 +16,11 @@ type binding struct {
 	table *engine.Table
 }
 
-// joinEdge is an equi-join conjunct between two bindings.
+// joinEdge is an equi-join conjunct between two bindings: column aCol of
+// binding a equals column bCol of binding b (FROM and column positions).
 type joinEdge struct {
-	a, b       string // aliases
-	aCol, bCol string // column names on each side
+	a, b       int
+	aCol, bCol int
 }
 
 // residual is a conjunct that needs several bindings before it can run:
@@ -27,7 +28,7 @@ type joinEdge struct {
 // semi-join (semi set, expr nil). It runs at the first step after which
 // every binding it mentions is in place.
 type residual struct {
-	refs map[string]bool
+	refs []bool // the bindings it mentions, by FROM position
 	expr sqlparser.Expr
 	pred compiledExpr
 	semi *semiJoin
@@ -53,16 +54,35 @@ type rangeBound struct {
 // tableCtx is the per-binding planning state.
 type tableCtx struct {
 	b       binding
-	off     int               // frame offset of the binding's columns
-	eqOn    map[int]val.Value // column position -> literal of a col = literal conjunct
-	bounds  []rangeBound      // inequality conjuncts usable for range access
-	filters []sqlparser.Expr  // all single-table conjuncts (includes eqOn/bounds)
-	path    *accessPath       // chosen access path, lazily computed
+	off     int              // frame offset of the binding's columns
+	eqOn    []eqLit          // col = literal conjuncts, one per column (the last wins)
+	bounds  []rangeBound     // inequality conjuncts usable for range access
+	filters []sqlparser.Expr // all single-table conjuncts (includes eqOn/bounds)
+	preds   []compiledExpr   // filters compiled, once the step is built
+	path    *accessPath      // chosen access path, lazily computed into own
+	own     accessPath
+}
+
+// eqLit is a column position and the literal a col = literal conjunct
+// fixes it to.
+type eqLit struct {
+	col int
+	v   val.Value
+}
+
+// eq returns the literal a const-eq conjunct fixes column c to.
+func (tc *tableCtx) eq(c int) (val.Value, bool) {
+	for _, e := range tc.eqOn {
+		if e.col == c {
+			return e.v, true
+		}
+	}
+	return val.Value{}, false
 }
 
 // literal reports whether a const-eq conjunct fixes column c.
 func (tc *tableCtx) literal(c int) bool {
-	_, ok := tc.eqOn[c]
+	_, ok := tc.eq(c)
 	return ok
 }
 
@@ -75,11 +95,11 @@ func (tc *tableCtx) eqPrefix(cols []int) int {
 	return p
 }
 
-func tableSchema(b binding) relSchema {
-	cols := b.table.Schema().Columns
-	s := make(relSchema, len(cols))
-	for i, c := range cols {
-		s[i] = colID{rel: b.alias, name: c.Name}
+// appendSchema appends the columns of b, the binding at FROM position bind,
+// to s.
+func appendSchema(s relSchema, b binding, bind int) relSchema {
+	for _, c := range b.table.Schema().Columns {
+		s = append(s, colID{rel: b.alias, name: c.Name, bind: bind})
 	}
 	return s
 }
@@ -94,48 +114,45 @@ func splitAnd(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 }
 
 // asConstEq recognizes col = literal (either order) conjuncts.
-func asConstEq(e sqlparser.Expr) (sqlparser.ColumnRef, val.Value, bool) {
+func asConstEq(e sqlparser.Expr) (val.Value, bool) {
 	be, ok := e.(sqlparser.BinaryExpr)
 	if !ok || be.Op != "=" {
-		return sqlparser.ColumnRef{}, val.Value{}, false
+		return val.Value{}, false
 	}
-	if c, ok := be.L.(sqlparser.ColumnRef); ok {
+	if _, ok := be.L.(sqlparser.ColumnRef); ok {
 		if l, ok := be.R.(sqlparser.Literal); ok {
-			return c, l.Val, true
+			return l.Val, true
 		}
 	}
-	if c, ok := be.R.(sqlparser.ColumnRef); ok {
+	if _, ok := be.R.(sqlparser.ColumnRef); ok {
 		if l, ok := be.L.(sqlparser.Literal); ok {
-			return c, l.Val, true
+			return l.Val, true
 		}
 	}
-	return sqlparser.ColumnRef{}, val.Value{}, false
+	return val.Value{}, false
 }
+
+// flipped is an inequality with its operands swapped.
+var flipped = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // asRangeBound recognizes col <op> literal inequality conjuncts (either
 // order; a literal on the left flips the operator).
-func asRangeBound(e sqlparser.Expr) (sqlparser.ColumnRef, string, val.Value, bool) {
+func asRangeBound(e sqlparser.Expr) (string, val.Value, bool) {
 	be, ok := e.(sqlparser.BinaryExpr)
-	if !ok {
-		return sqlparser.ColumnRef{}, "", val.Value{}, false
+	if !ok || flipped[be.Op] == "" {
+		return "", val.Value{}, false
 	}
-	switch be.Op {
-	case "<", "<=", ">", ">=":
-	default:
-		return sqlparser.ColumnRef{}, "", val.Value{}, false
-	}
-	if c, ok := be.L.(sqlparser.ColumnRef); ok {
+	if _, ok := be.L.(sqlparser.ColumnRef); ok {
 		if l, ok := be.R.(sqlparser.Literal); ok {
-			return c, be.Op, l.Val, true
+			return be.Op, l.Val, true
 		}
 	}
-	if c, ok := be.R.(sqlparser.ColumnRef); ok {
+	if _, ok := be.R.(sqlparser.ColumnRef); ok {
 		if l, ok := be.L.(sqlparser.Literal); ok {
-			flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-			return c, flip[be.Op], l.Val, true
+			return flipped[be.Op], l.Val, true
 		}
 	}
-	return sqlparser.ColumnRef{}, "", val.Value{}, false
+	return "", val.Value{}, false
 }
 
 // colInterval is the merged interval of every range bound on one column.
@@ -175,32 +192,16 @@ func (tc *tableCtx) interval(col string) colInterval {
 	return iv
 }
 
-// asJoinEdge recognizes colref = colref conjuncts across two bindings.
-func asJoinEdge(e sqlparser.Expr, schema relSchema) (joinEdge, bool) {
+// isColumnEq recognizes colref = colref conjuncts; over two bindings they
+// are join edges.
+func isColumnEq(e sqlparser.Expr) bool {
 	be, ok := e.(sqlparser.BinaryExpr)
 	if !ok || be.Op != "=" {
-		return joinEdge{}, false
+		return false
 	}
-	lc, lok := be.L.(sqlparser.ColumnRef)
-	rc, rok := be.R.(sqlparser.ColumnRef)
-	if !lok || !rok {
-		return joinEdge{}, false
-	}
-	li, err := schema.find(lc)
-	if err != nil {
-		return joinEdge{}, false
-	}
-	ri, err := schema.find(rc)
-	if err != nil {
-		return joinEdge{}, false
-	}
-	if schema[li].rel == schema[ri].rel {
-		return joinEdge{}, false
-	}
-	return joinEdge{
-		a: schema[li].rel, aCol: schema[li].name,
-		b: schema[ri].rel, bCol: schema[ri].name,
-	}, true
+	_, lok := be.L.(sqlparser.ColumnRef)
+	_, rok := be.R.(sqlparser.ColumnRef)
+	return lok && rok
 }
 
 // pathKind enumerates the candidate access paths for one base table.
@@ -353,16 +354,17 @@ func (tc *tableCtx) accessPath() *accessPath {
 	t := tc.b.table
 	sch := t.Schema()
 	n := float64(t.Len())
-	best := &accessPath{kind: pathScan, est: n, cost: n}
+	best := accessPath{kind: pathScan, est: n, cost: n}
 	switch key, idx, cost := bestProbe(t, tc.literal); {
 	case idx != nil:
 		vals := make([]val.Value, len(key))
 		for i, c := range key {
-			vals[i] = tc.eqOn[c]
+			vals[i], _ = tc.eq(c)
 		}
-		best = &accessPath{kind: pathEqProbe, idx: idx, eqVals: vals, est: cost, cost: cost}
+		best = accessPath{kind: pathEqProbe, idx: idx, eqVals: vals, est: cost, cost: cost}
 	case key != nil:
-		best = &accessPath{kind: pathPK, pkVal: tc.eqOn[key[0]], est: 1, cost: 1}
+		best = accessPath{kind: pathPK, est: 1, cost: 1}
+		best.pkVal, _ = tc.eq(key[0])
 	}
 	for _, idx := range t.Indexes() {
 		cols := idx.Cols()
@@ -378,9 +380,9 @@ func (tc *tableCtx) accessPath() *accessPath {
 		}
 		prefix := make([]val.Value, p)
 		for i := 0; i < p; i++ {
-			prefix[i] = tc.eqOn[cols[i]]
+			prefix[i], _ = tc.eq(cols[i])
 		}
-		ap := &accessPath{kind: pathRange, idx: idx, loIncl: true, hiIncl: true}
+		ap := accessPath{kind: pathRange, idx: idx, loIncl: true, hiIncl: true}
 		if iv.lo != nil {
 			ap.lo = append(append([]val.Value(nil), prefix...), *iv.lo)
 			ap.loIncl = iv.loIncl
@@ -400,8 +402,9 @@ func (tc *tableCtx) accessPath() *accessPath {
 			best = ap
 		}
 	}
-	tc.path = best
-	return best
+	tc.own = best
+	tc.path = &tc.own
+	return tc.path
 }
 
 // estimate guesses the post-filter cardinality of a base table.
@@ -444,59 +447,74 @@ func (tc *tableCtx) stepCost(joined []int) float64 {
 	return float64(tc.estimate())
 }
 
-// joinedCols lists tc's columns that an edge to a placed binding fixes.
-func (tc *tableCtx) joinedCols(edges []*joinEdge, placed map[string]bool) []int {
-	var cols []int
-	for _, e := range edges {
-		if col, other, _ := e.from(tc.b.alias); placed[other] {
-			cols = append(cols, tc.b.table.Schema().ColumnIndex(col))
+// joinedCols appends to cols the columns of the binding at FROM position
+// bind that an edge to a placed binding fixes.
+func joinedCols(bind int, edges []joinEdge, placed []bool, cols []int) []int {
+	for i := range edges {
+		if col, other, _ := edges[i].from(bind); other >= 0 && placed[other] {
+			cols = append(cols, col)
 		}
 	}
 	return cols
 }
 
-// from orients the edge from alias's side: alias's column, then the other
-// binding and its column; other is "" when alias is on neither side.
-func (e *joinEdge) from(alias string) (col, other, otherCol string) {
-	switch alias {
+// from orients the edge from binding bind's side: its column, then the
+// other binding and its column; other is -1 when bind is on neither side.
+func (e *joinEdge) from(bind int) (col, other, otherCol int) {
+	switch bind {
 	case e.a:
 		return e.aCol, e.b, e.bCol
 	case e.b:
 		return e.bCol, e.a, e.aCol
 	}
-	return "", "", ""
+	return -1, -1, -1
 }
 
-// buildCtxs creates the per-binding planning state for a FROM list and the
-// schema of the frame's leading columns: every binding's, in FROM order.
-func buildCtxs(bindings []binding) (map[string]*tableCtx, []string, relSchema, error) {
-	full := relSchema{}
-	ctxs := make(map[string]*tableCtx, len(bindings))
-	var order []string
-	for _, b := range bindings {
-		if _, dup := ctxs[b.alias]; dup {
-			return nil, nil, nil, fmt.Errorf("query: duplicate table binding %q", b.alias)
+// buildCtxs creates the per-binding planning state for a FROM list, by FROM
+// position, and the schema of the frame's leading columns: every binding's,
+// in FROM order.
+func buildCtxs(bindings []binding) ([]tableCtx, relSchema, error) {
+	ctxs := make([]tableCtx, len(bindings))
+	width := 0
+	for i, b := range bindings {
+		for _, prev := range bindings[:i] {
+			if prev.alias == b.alias {
+				return nil, nil, fmt.Errorf("query: duplicate table binding %q", b.alias)
+			}
 		}
-		ctxs[b.alias] = &tableCtx{b: b, off: len(full)}
-		order = append(order, b.alias)
-		full = append(full, tableSchema(b)...)
+		ctxs[i] = tableCtx{b: b, off: width}
+		width += b.table.Schema().Arity()
 	}
-	return ctxs, order, full, nil
+	full := make(relSchema, 0, width)
+	for i, b := range bindings {
+		full = appendSchema(full, b, i)
+	}
+	return ctxs, full, nil
 }
 
 // classifyWhere splits a WHERE conjunction into per-binding filters
 // (recording const-eq and range conjuncts on their tableCtx), join edges,
 // residual predicates (EXISTS conjuncts among them, planned here against
 // cat, each taking the frame columns from the previous one's end on), the
-// frame width, and a constant-truth verdict.
-func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs map[string]*tableCtx) (edges []*joinEdge, residuals []*residual, width int, constTrue bool, err error) {
+// frame width, and a constant-truth verdict. Each conjunct's column
+// references are resolved once, into the bindings it mentions and the
+// frame slots of its first two columns.
+func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs []tableCtx, edges []joinEdge) (_ []joinEdge, residuals []*residual, width int, constTrue bool, err error) {
 	width, constTrue = len(full), true
 	if where == nil {
 		return nil, nil, width, true, nil
 	}
-	for _, conj := range splitAnd(where, nil) {
+	var conjBuf [16]sqlparser.Expr
+	var ownerBuf, slotBuf [16]int
+	conjs := splitAnd(where, conjBuf[:0])
+	owner := ownerBuf[:0] // the binding of each single-binding conjunct, else -1
+	slot := slotBuf[:0]   // the frame slot of its first column
+	var refsBuf [16]bool
+	refs := append(refsBuf[:0], make([]bool, len(ctxs))...)
+	for _, conj := range conjs {
+		owner, slot = append(owner, -1), append(slot, -1)
 		if ex, ok := conj.(sqlparser.Exists); ok {
-			sj, err := planSemiJoin(cat, ex, full, width)
+			sj, err := planSemiJoin(cat, ex, full, len(ctxs), width)
 			if err != nil {
 				return nil, nil, 0, false, err
 			}
@@ -504,12 +522,29 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 			residuals = append(residuals, &residual{refs: sj.refs, semi: sj})
 			continue
 		}
-		refs := make(map[string]bool)
-		if err := exprRefs(conj, full, refs); err != nil {
+		clear(refs)
+		n, slots := 0, [2]int{-1, -1}
+		err := walkColumnRefs(conj, func(ref sqlparser.ColumnRef) error {
+			i, err := full.find(ref)
+			if err != nil {
+				return err
+			}
+			if b := full[i].bind; !refs[b] {
+				refs[b] = true
+				n++
+			}
+			if slots[0] < 0 {
+				slots[0] = i
+			} else if slots[1] < 0 {
+				slots[1] = i
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, nil, 0, false, err
 		}
-		switch len(refs) {
-		case 0:
+		switch {
+		case n == 0:
 			p, err := compileExpr(conj, relSchema{})
 			if err != nil {
 				return nil, nil, 0, false, err
@@ -521,39 +556,59 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 			if !ok {
 				constTrue = false
 			}
-		case 1:
-			var alias string
-			for a := range refs {
-				alias = a
-			}
-			tc := ctxs[alias]
-			tc.filters = append(tc.filters, conj)
-			if c, v, ok := asConstEq(conj); ok {
-				// Resolve the unqualified case to be sure of the column.
-				i, err := full.find(c)
-				if err == nil && full[i].rel == alias {
-					if tc.eqOn == nil {
-						tc.eqOn = make(map[int]val.Value)
-					}
-					tc.eqOn[tc.b.table.Schema().ColumnIndex(full[i].name)] = v
-				}
-			} else if c, op, v, ok := asRangeBound(conj); ok {
-				i, err := full.find(c)
-				if err == nil && full[i].rel == alias {
-					tc.bounds = append(tc.bounds, rangeBound{col: full[i].name, op: op, v: v})
-				}
-			}
-		case 2:
-			if e, ok := asJoinEdge(conj, full); ok {
-				edges = append(edges, &e)
-				continue
-			}
-			residuals = append(residuals, &residual{refs: refs, expr: conj})
+		case n == 1:
+			owner[len(owner)-1], slot[len(slot)-1] = full[slots[0]].bind, slots[0]
+		case n == 2 && isColumnEq(conj):
+			a, b := full[slots[0]].bind, full[slots[1]].bind
+			edges = append(edges, joinEdge{a: a, aCol: slots[0] - ctxs[a].off, b: b, bCol: slots[1] - ctxs[b].off})
 		default:
-			residuals = append(residuals, &residual{refs: refs, expr: conj})
+			residuals = append(residuals, &residual{refs: slices.Clone(refs), expr: conj})
+		}
+	}
+	// A binding owns the conjuncts that mention it alone: its filters, in
+	// WHERE order, among them its const-eq and range conjuncts, whose one
+	// column is their first. Each kind shares one backing array across the
+	// bindings.
+	var countBuf [17]int
+	counts := append(countBuf[:0], make([]int, len(ctxs)+1)...)
+	for _, b := range owner {
+		counts[b+1]++
+	}
+	nf := len(conjs) - counts[0]
+	filters, preds := make([]sqlparser.Expr, nf), make([]compiledExpr, nf)
+	eqs, bounds := make([]eqLit, nf), make([]rangeBound, nf)
+	for b := range ctxs {
+		n, tc := counts[b+1], &ctxs[b]
+		tc.filters, filters = filters[:0:n], filters[n:]
+		tc.preds, preds = preds[:0:n], preds[n:]
+		tc.eqOn, eqs = eqs[:0:n], eqs[n:]
+		tc.bounds, bounds = bounds[:0:n], bounds[n:]
+	}
+	for i, b := range owner {
+		if b < 0 {
+			continue
+		}
+		tc, conj := &ctxs[b], conjs[i]
+		tc.filters = append(tc.filters, conj)
+		if v, ok := asConstEq(conj); ok {
+			tc.setEq(slot[i]-tc.off, v)
+		} else if op, v, ok := asRangeBound(conj); ok {
+			tc.bounds = append(tc.bounds, rangeBound{col: full[slot[i]].name, op: op, v: v})
 		}
 	}
 	return edges, residuals, width, constTrue, nil
+}
+
+// setEq records that a col = literal conjunct fixes column c to v; of two
+// on one column, the later wins.
+func (tc *tableCtx) setEq(c int, v val.Value) {
+	for i := range tc.eqOn {
+		if tc.eqOn[i].col == c {
+			tc.eqOn[i].v = v
+			return
+		}
+	}
+	tc.eqOn = append(tc.eqOn, eqLit{col: c, v: v})
 }
 
 // plan is a SELECT's FROM list as one left-deep chain of steps over a
@@ -576,11 +631,12 @@ type plan struct {
 // decidable. With inOrder a single binding whose ORDER BY an ordered index
 // satisfies walks that index (orderedPath).
 func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOrder bool, rec *planRecorder) (*plan, error) {
-	ctxs, order, full, err := buildCtxs(bindings)
+	ctxs, full, err := buildCtxs(bindings)
 	if err != nil {
 		return nil, err
 	}
-	edges, residuals, width, constTrue, err := classifyWhere(cat, s.Where, full, ctxs)
+	var edgeBuf [16]joinEdge
+	edges, residuals, width, constTrue, err := classifyWhere(cat, s.Where, full, ctxs, edgeBuf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -598,17 +654,21 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 		}
 	}
 
-	placed := make(map[string]bool)
-	remaining := append([]string(nil), order...)
-	for len(remaining) > 0 {
+	placed := make([]bool, len(ctxs))
+	p.steps = make([]*step, 0, len(ctxs))
+	var joined []int
+	for range ctxs {
 		next, nextCost := -1, 0.0
-		for _, all := range []bool{false, true} {
-			for i, a := range remaining {
-				joined := ctxs[a].joinedCols(edges, placed)
-				if !all && len(joined) == 0 && !ctxs[a].pointwise() {
+		for _, all := range [2]bool{false, true} {
+			for i := range ctxs {
+				if placed[i] {
 					continue
 				}
-				if c := ctxs[a].stepCost(joined); next < 0 || c < nextCost {
+				joined = joinedCols(i, edges, placed, joined[:0])
+				if !all && len(joined) == 0 && !ctxs[i].pointwise() {
+					continue
+				}
+				if c := ctxs[i].stepCost(joined); next < 0 || c < nextCost {
 					next, nextCost = i, c
 				}
 			}
@@ -616,8 +676,7 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 				break
 			}
 		}
-		tc := ctxs[remaining[next]]
-		remaining = slices.Delete(remaining, next, next+1)
+		tc := &ctxs[next]
 		var st *step
 		if len(p.steps) == 0 {
 			if inOrder && len(bindings) == 1 && len(residuals) == 0 {
@@ -627,16 +686,19 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 			}
 			st, err = tc.pathStep(full)
 		} else {
-			st, err = tc.joinStep(edges, placed, full)
+			st, err = tc.joinStep(next, edges, placed, ctxs, full)
 		}
 		if err != nil {
 			return nil, err
 		}
-		placed[tc.b.alias] = true
+		placed[next] = true
 	residuals:
 		for _, r := range residuals {
-			for a := range r.refs {
-				if r.done || !placed[a] {
+			if r.done {
+				continue
+			}
+			for b, used := range r.refs {
+				if used && !placed[b] {
 					continue residuals
 				}
 			}
@@ -678,9 +740,9 @@ func (p *plan) exec(term func(frame []val.Value) (bool, error), rec *planRecorde
 }
 
 // compileFilters compiles the binding's single-table conjuncts against the
-// frame.
+// frame, into the room classifyWhere set aside for them.
 func (tc *tableCtx) compileFilters(full relSchema) ([]compiledExpr, error) {
-	preds := make([]compiledExpr, 0, len(tc.filters))
+	preds := tc.preds[:0]
 	for _, f := range tc.filters {
 		p, err := compileExpr(f, full)
 		if err != nil {
@@ -708,24 +770,21 @@ func (tc *tableCtx) pathStep(full relSchema) (*step, error) {
 	return st, err
 }
 
-// joinStep joins the binding to the placed ones through its edges: by
-// index join when the probe bestProbe picks for the joined and literal
-// columns is keyed by a joined one, otherwise by hash join (a cross join
-// with no edges) over the rows its own access path collects once.
-func (tc *tableCtx) joinStep(edges []*joinEdge, placed map[string]bool, full relSchema) (*step, error) {
+// joinStep joins the binding at FROM position bind to the placed ones
+// through its edges: by index join when the probe bestProbe picks for the
+// joined and literal columns is keyed by a joined one, otherwise by hash
+// join (a cross join with no edges) over the rows its own access path
+// collects once.
+func (tc *tableCtx) joinStep(bind int, edges []joinEdge, placed []bool, ctxs []tableCtx, full relSchema) (*step, error) {
 	t := tc.b.table
 	joined := make(map[int]int) // column -> frame slot of a placed column equal to it
 	var pairs [][2]int          // frame slots of equal columns: placed side, this binding's
-	for _, e := range edges {
-		col, other, otherCol := e.from(tc.b.alias)
-		if !placed[other] {
+	for i := range edges {
+		c, other, otherCol := edges[i].from(bind)
+		if other < 0 || !placed[other] {
 			continue
 		}
-		left, err := full.find(sqlparser.ColumnRef{Table: other, Column: otherCol})
-		if err != nil {
-			return nil, err
-		}
-		c := t.Schema().ColumnIndex(col)
+		left := ctxs[other].off + otherCol
 		joined[c] = left
 		pairs = append(pairs, [2]int{left, tc.off + c})
 	}
@@ -741,7 +800,8 @@ func (tc *tableCtx) joinStep(edges []*joinEdge, placed map[string]bool, full rel
 			if slot, ok := joined[c]; ok {
 				st.keySlot[k] = slot
 			} else {
-				st.key[k], st.keySlot[k] = tc.eqOn[c], -1
+				st.key[k], _ = tc.eq(c)
+				st.keySlot[k] = -1
 			}
 		}
 		// The probe enforces the equalities it is keyed by; the rest are

@@ -19,12 +19,12 @@ import (
 // read no outer column (a literal-user E-chain, say) are resolved once and
 // their matches replayed for every outer row.
 type semiJoin struct {
-	refs      map[string]bool // outer bindings the subquery mentions
-	steps     []*step         // probe order
-	end       int             // frame offset past the steps' columns
-	prefixLen int             // leading steps that read no outer column
-	per       chain           // what runs per outer row (see prepare)
-	kept      int             // outer rows with a match, for EXPLAIN
+	refs      []bool  // outer bindings the subquery mentions, by FROM position
+	steps     []*step // probe order
+	end       int     // frame offset past the steps' columns
+	prefixLen int     // leading steps that read no outer column
+	per       chain   // what runs per outer row (see prepare)
+	kept      int     // outer rows with a match, for EXPLAIN
 }
 
 // semiStep is a step of the subquery while its probe order is chosen.
@@ -63,8 +63,7 @@ type semiConj struct {
 type semiScope struct {
 	sj       *semiJoin
 	inner    relSchema // subquery tables in FROM order
-	innerTbl []int     // table of each inner column
-	innerCol []int     // its position within that table
+	innerCol []int     // position of each inner column within its table
 	aliases  map[string]bool
 	outer    relSchema
 	tblOff   []int // frame offset of each subquery table
@@ -82,13 +81,13 @@ func (sc *semiScope) resolve(ref sqlparser.ColumnRef) (semiOperand, error) {
 		if err != nil {
 			return semiOperand{}, err
 		}
-		return semiOperand{tbl: sc.innerTbl[i], col: sc.innerCol[i]}, nil
+		return semiOperand{tbl: sc.inner[i].bind, col: sc.innerCol[i]}, nil
 	}
 	o, err := sc.outer.find(ref)
 	if err != nil {
 		return semiOperand{}, err
 	}
-	sc.sj.refs[sc.outer[o].rel] = true
+	sc.sj.refs[sc.outer[o].bind] = true
 	return semiOperand{tbl: -1, col: o}, nil
 }
 
@@ -153,19 +152,19 @@ func (sc *semiScope) classify(e sqlparser.Expr) (*semiConj, error) {
 }
 
 // planSemiJoin plans the subquery of an EXISTS conjunct against the
-// enclosing query's frame schema, its tables' columns from frame offset
-// base on.
-func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema, base int) (*semiJoin, error) {
+// enclosing query's frame schema of nOuter bindings, its tables' columns
+// from frame offset base on.
+func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema, nOuter, base int) (*semiJoin, error) {
 	q := ex.Query
 	if q.Distinct || len(q.GroupBy) > 0 || len(q.OrderBy) > 0 || q.Limit >= 0 {
 		return nil, fmt.Errorf("query: an EXISTS subquery supports only SELECT ... FROM ... [WHERE ...]")
 	}
 	for _, it := range q.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
+		if it.Expr != nil && ContainsAggregate(it.Expr) {
 			return nil, fmt.Errorf("query: aggregate in the select list of an EXISTS subquery")
 		}
 	}
-	sj := &semiJoin{refs: make(map[string]bool), end: base}
+	sj := &semiJoin{refs: make([]bool, nOuter), end: base}
 	sc := &semiScope{sj: sj, aliases: make(map[string]bool), outer: outer, tblOff: make([]int, len(q.From))}
 	tables := make([]binding, len(q.From))
 	for i, ref := range q.From {
@@ -178,11 +177,10 @@ func planSemiJoin(cat *engine.Catalog, ex sqlparser.Exists, outer relSchema, bas
 		}
 		sc.aliases[ref.Name()] = true
 		tables[i] = binding{alias: ref.Name(), table: t}
-		for c, id := range tableSchema(tables[i]) {
-			sc.inner = append(sc.inner, id)
-			sc.innerTbl = append(sc.innerTbl, i)
+		for c := range t.Schema().Columns {
 			sc.innerCol = append(sc.innerCol, c)
 		}
+		sc.inner = appendSchema(sc.inner, tables[i], i)
 	}
 	var conjs []*semiConj
 	if q.Where != nil {

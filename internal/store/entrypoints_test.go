@@ -537,6 +537,20 @@ func TestOlderFormatRefused(t *testing.T) {
 		}
 		return dir
 	}
+	tornTail := func(t *testing.T) string {
+		// A torn record after the legacy records: a refused open must not
+		// cut it, any more than it writes anything else.
+		dir := copyFixture(t, "legacy_txn")
+		f, err := os.OpenFile(filepath.Join(dir, WALFileName), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
 	gen, crash := []Relation{GenTestRelation()}, crashRels()
 	for _, tc := range []struct {
 		name string
@@ -546,6 +560,7 @@ func TestOlderFormatRefused(t *testing.T) {
 	}{
 		{"legacy", gen, fixture("legacy"), "wal.bdb record 10 (Replace("},
 		{"legacy_txn", crash, fixture("legacy_txn"), `wal.bdb record 4 (SQL("BEGIN"))`},
+		{"legacy_txn torn tail", crash, tornTail, `wal.bdb record 4 (SQL("BEGIN"))`},
 		{"v2_image", gen, fixture("v2_image"), "snapshot.bdb: snapshot: version-2 image"},
 		{"v1.snap", gen, image("v1.snap"), "snapshot.bdb: snapshot: version-1 image"},
 		{"v2.snap", gen, image("v2.snap"), "snapshot.bdb: snapshot: version-2 image"},

@@ -135,24 +135,9 @@ func recoverAt(dir string, rels []Relation) (*Store, error) {
 	}
 	st.walCount = uint64(len(rec.Ops))
 
-	// A fresh log (no snapshot, no records) is stamped with the schema it
-	// is being created under; on reopen without a snapshot that record is
-	// the only schema identity the directory has, and replaying under a
-	// different schema must fail loudly — otherwise every Insert would be
-	// discarded as a deterministic "unknown relation" no-op, silently
-	// losing all committed beliefs.
-	switch {
-	case len(rec.Ops) == 0 && !haveSnap:
-		if err := rec.Log.Append(wal.Schema(st.schemaDef())); err != nil {
-			rec.Log.Close()
-			return nil, err
-		}
-		st.walCount = 1
-	case !haveSnap:
-		if rec.Ops[0].Kind != wal.KindSchema {
-			rec.Log.Close()
-			return nil, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
-		}
+	if !haveSnap && len(rec.Ops) > 0 && rec.Ops[0].Kind != wal.KindSchema {
+		rec.Close()
+		return nil, fmt.Errorf("store: %s carries no schema record; refusing to replay", WALFileName)
 	}
 
 	// The snapshot already covers its recorded prefix of the WAL — but only
@@ -163,11 +148,30 @@ func recoverAt(dir string, rels []Relation) (*Store, error) {
 	if haveSnap && rec.Epoch == snapEpoch {
 		skip = int(min(snapApplied, uint64(len(rec.Ops))))
 	}
+	// Nothing is written to the directory until replay has accepted its
+	// records: a refused open leaves the WAL as it found it, torn tail
+	// included.
 	if err := st.replay(rec.Ops, skip); err != nil {
-		rec.Log.Close()
+		rec.Close()
 		return nil, err
 	}
-	st.wal = rec.Log
+	if st.wal, err = rec.Attach(); err != nil {
+		rec.Close()
+		return nil, err
+	}
+	// A fresh log (no snapshot, no records) is stamped with the schema it
+	// is being created under; on reopen without a snapshot that record is
+	// the only schema identity the directory has, and replaying under a
+	// different schema must fail loudly — otherwise every Insert would be
+	// discarded as a deterministic "unknown relation" no-op, silently
+	// losing all committed beliefs.
+	if len(rec.Ops) == 0 && !haveSnap {
+		if err := st.wal.Append(wal.Schema(st.schemaDef())); err != nil {
+			st.wal.Close()
+			return nil, err
+		}
+		st.walCount = 1
+	}
 	st.durable = true
 	st.replaying = false
 	st.publishLocked() // no other goroutine holds st yet

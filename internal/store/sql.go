@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"beliefdb/internal/core"
 	"beliefdb/internal/engine"
 	"beliefdb/internal/query"
 	"beliefdb/internal/sqlparser"
@@ -31,7 +32,14 @@ func (st *Store) SQL(text string) (*query.Result, error) {
 		return nil, fmt.Errorf("store: empty SQL script")
 	}
 	if query.AllReadOnly(stmts) {
-		return runScript(st.pin().cat, stmts)
+		p := st.Pin()
+		var res *query.Result
+		for _, s := range stmts {
+			if res, err = p.Read(s); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
 	}
 	if kw := refusedStmt(stmts); kw != "" {
 		return nil, fmt.Errorf("store: raw SQL only reads and creates indexes: %s refused; "+
@@ -41,6 +49,33 @@ func (st *Store) SQL(text string) (*query.Result, error) {
 	defer st.mu.Unlock()
 	defer st.publishLocked()
 	return st.sqlLocked(text, stmts)
+}
+
+// Pinned is one published view held for the length of a read: a
+// translation that resolves users and tables against it and the run of its
+// result see the same epoch, whatever commits in between.
+type Pinned struct{ v *view }
+
+// Pin pins the current published view.
+func (st *Store) Pin() Pinned { return Pinned{st.pin()} }
+
+// Catalog returns the pinned view's frozen engine catalog.
+func (p Pinned) Catalog() *engine.Catalog { return p.v.cat }
+
+// UserID resolves a user name against the pinned view.
+func (p Pinned) UserID(name string) (core.UserID, bool) {
+	uid, ok := p.v.usersByName[name]
+	return uid, ok
+}
+
+// Read runs one parsed SELECT or EXPLAIN on the pinned view, lock-free. It
+// is SQL's read half; a translated BeliefSQL query reaches it as the AST the
+// translator built, never as text.
+func (p Pinned) Read(stmt sqlparser.Statement) (*query.Result, error) {
+	if !query.ReadOnly(stmt) {
+		return nil, fmt.Errorf("store: a pinned view runs SELECT and EXPLAIN only, not %T", stmt)
+	}
+	return query.Run(p.v.cat, stmt)
 }
 
 // sqlLocked is SQL's writer half, shared with WAL replay and replicas. The

@@ -329,11 +329,7 @@ func (st *Store) registerUser(uid core.UserID, name string) error {
 }
 
 // UserID resolves a user name against the current published snapshot.
-func (st *Store) UserID(name string) (core.UserID, bool) {
-	v := st.pin()
-	uid, ok := v.usersByName[name]
-	return uid, ok
-}
+func (st *Store) UserID(name string) (core.UserID, bool) { return st.Pin().UserID(name) }
 
 // UserName resolves a user id against the current published snapshot.
 func (st *Store) UserName(uid core.UserID) (string, bool) {

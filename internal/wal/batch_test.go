@@ -104,14 +104,11 @@ func TestAppendBatchRejectsBadInput(t *testing.T) {
 func TestRecoveryTruncatesIncompleteBatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.bdb")
-	rec, err := OpenFile(path, 0, nil)
-	if err != nil {
+	_, recLog := openAttached(t, path)
+	if err := recLog.Append(AddUser("solo")); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Log.Append(AddUser("solo")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Log.Close(); err != nil {
+	if err := recLog.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cleanSize, err := os.Stat(path)
@@ -134,11 +131,8 @@ func TestRecoveryTruncatesIncompleteBatch(t *testing.T) {
 	}
 	f.Close()
 
-	re, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Log.Close()
+	re, reLog := openAttached(t, path)
+	defer reLog.Close()
 	if len(re.Ops) != 1 || re.Ops[0].Kind != KindAddUser {
 		t.Fatalf("recovered ops = %v, want the solo AddUser only", re.Ops)
 	}
@@ -153,15 +147,12 @@ func TestRecoveryTruncatesIncompleteBatch(t *testing.T) {
 		t.Errorf("file is %d bytes, want truncated back to %d", fi.Size(), cleanSize.Size())
 	}
 	// A complete group after reopen replays on the next recovery.
-	if err := re.Log.AppendBatch([]Op{Insert(batchStmt("c1")), Insert(batchStmt("c2"))}); err != nil {
+	if err := reLog.AppendBatch([]Op{Insert(batchStmt("c1")), Insert(batchStmt("c2"))}); err != nil {
 		t.Fatal(err)
 	}
-	re.Log.Close()
-	re2, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Log.Close()
+	reLog.Close()
+	re2, re2Log := openAttached(t, path)
+	defer re2Log.Close()
 	if len(re2.Ops) != 4 { // AddUser + marker + 2 members
 		t.Fatalf("recovered %d ops after complete batch, want 4 (%v)", len(re2.Ops), re2.Ops)
 	}
@@ -231,14 +222,11 @@ func (s *failingSink) Close() error {
 func TestTornTailNotResurrectedAcrossCrashes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.bdb")
-	rec, err := OpenFile(path, 0, nil)
-	if err != nil {
+	_, recLog := openAttached(t, path)
+	if err := recLog.Append(AddUser("committed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Log.Append(AddUser("committed")); err != nil {
-		t.Fatal(err)
-	}
-	rec.Log.Close()
+	recLog.Close()
 
 	// Crash 1: a torn record full of sentinel bytes. The payload would be a
 	// valid frame if recovery ever trusted it.
@@ -246,17 +234,14 @@ func TestTornTailNotResurrectedAcrossCrashes(t *testing.T) {
 	torn := AppendRecord(nil, sentinel)[:40] // cut mid-payload
 	appendBytes(t, path, torn)
 
-	re, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, reLog := openAttached(t, path)
 	if len(re.Ops) != 1 || re.Truncated != int64(len(torn)) {
 		t.Fatalf("first recovery: ops=%v truncated=%d", re.Ops, re.Truncated)
 	}
-	if err := re.Log.Append(AddUser("after-crash-1")); err != nil {
+	if err := reLog.Append(AddUser("after-crash-1")); err != nil {
 		t.Fatal(err)
 	}
-	re.Log.Close()
+	reLog.Close()
 	if data, _ := os.ReadFile(path); bytes.Contains(data, sentinel[:8]) {
 		t.Fatal("torn sentinel bytes survived the first recovery's truncation")
 	}
@@ -265,11 +250,8 @@ func TestTornTailNotResurrectedAcrossCrashes(t *testing.T) {
 	torn2 := AppendRecord(nil, Insert(batchStmt("never-acked")).Encode(nil))
 	appendBytes(t, path, torn2[:len(torn2)-3])
 
-	re2, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Log.Close()
+	re2, re2Log := openAttached(t, path)
+	defer re2Log.Close()
 	var names []string
 	for _, op := range re2.Ops {
 		names = append(names, op.Name)
@@ -402,11 +384,8 @@ func TestAppendGroupsRejectsBadInput(t *testing.T) {
 func TestAppendGroupsTornTrailingGroup(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.bdb")
-	rec, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Log.Close()
+	_, recLog := openAttached(t, path)
+	recLog.Close()
 
 	// The bytes AppendGroups would emit for two groups, torn three bytes
 	// into the second group's last member.
@@ -420,11 +399,8 @@ func TestAppendGroupsTornTrailingGroup(t *testing.T) {
 	full := AppendRecord(buf, Insert(batchStmt("g2b")).Encode(nil))
 	appendBytes(t, path, full[:len(full)-3])
 
-	re, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Log.Close()
+	re, reLog := openAttached(t, path)
+	defer reLog.Close()
 	if len(re.Ops) != 3 || re.Ops[0].Kind != KindBatchBegin || re.Ops[0].Count != 2 {
 		t.Fatalf("recovered ops = %v, want group 1's marker + 2 members", re.Ops)
 	}

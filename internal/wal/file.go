@@ -7,23 +7,28 @@ import (
 	"path/filepath"
 )
 
-// Recovered is the result of opening a WAL file: the decoded clean-prefix
-// operations and a Log positioned to append after them.
+// Recovered is a WAL file read back: the decoded clean-prefix operations,
+// and the file as found until Attach cuts its torn tail.
 type Recovered struct {
 	Ops       []Op
 	Epoch     uint64
-	Log       *Log
-	Truncated int64 // torn/corrupt tail bytes discarded during recovery
+	Truncated int64 // torn/corrupt tail bytes past the clean prefix, cut by Attach
+
+	f        *os.File
+	cleanLen int64 // 0: no header, which Attach writes with Epoch
+	wrap     func(Sink) Sink
 }
 
-// OpenFile opens (or creates) the WAL at path, recovers its clean prefix,
-// truncates any torn tail, and returns the decoded operations plus a Log
-// appending after them. A fresh (or empty) file gets a new header with
-// epoch freshEpoch — callers that hold a snapshot pass an epoch *above*
-// the snapshot's, so a WAL recreated after a checkpoint that crashed
-// mid-reset (truncated, new header not yet durable) can never collide
-// with the epoch the snapshot claims to cover; a collision would make
-// recovery skip that many brand-new committed records. wrap, when
+// OpenFile opens (or creates) the WAL at path and recovers its clean
+// prefix without writing to it: a caller that refuses the recovered
+// records closes it with Close and leaves the file byte for byte as it
+// was, torn tail included. Attach cuts the tail and returns a Log
+// appending after the prefix. A fresh (or empty) file gets a new header
+// with epoch freshEpoch — callers that hold a snapshot pass an epoch
+// *above* the snapshot's, so a WAL recreated after a checkpoint that
+// crashed mid-reset (truncated, new header not yet durable) can never
+// collide with the epoch the snapshot claims to cover; a collision would
+// make recovery skip that many brand-new committed records. wrap, when
 // non-nil, wraps the append-side sink — the seam the crash-injection test
 // harness uses to make appends fail after N bytes; pass nil in production.
 //
@@ -36,15 +41,15 @@ func OpenFile(path string, freshEpoch uint64, wrap func(Sink) Sink) (*Recovered,
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	out, err := recoverFile(f, freshEpoch, wrap)
+	out, err := recoverFile(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	// Make the file's directory entry durable: per-record fsyncs protect
-	// the data, but a file created this session can still vanish from the
-	// directory on power loss until the directory itself is synced.
-	syncDir(filepath.Dir(path))
+	out.f, out.wrap = f, wrap
+	if out.cleanLen == 0 {
+		out.Epoch = freshEpoch
+	}
 	return out, nil
 }
 
@@ -56,43 +61,17 @@ func syncDir(dir string) {
 	}
 }
 
-func recoverFile(f *os.File, freshEpoch uint64, wrap func(Sink) Sink) (*Recovered, error) {
+// recoverFile reads f's clean prefix. A file shorter than a header — a
+// fresh one, or one that died before the 16-byte header was durable — has
+// nothing to replay and is all tail.
+func recoverFile(f *os.File) (*Recovered, error) {
 	data, err := readAll(f)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading %s: %w", f.Name(), err)
 	}
-	newSink := func() Sink {
-		var s Sink = &FileSink{F: f}
-		if wrap != nil {
-			s = wrap(s)
-		}
-		return s
-	}
-
-	// A fresh file — or one that died before the 16-byte header was
-	// durable; either way there is nothing to replay.
 	if len(data) < HeaderLen {
-		if err := f.Truncate(0); err != nil {
-			return nil, fmt.Errorf("wal: truncating short header: %w", err)
-		}
-		// Make the truncation durable before the fresh header is written
-		// over it (the same data-before-metadata ordering hazard Reset
-		// guards against).
-		if len(data) > 0 {
-			if err := f.Sync(); err != nil {
-				return nil, fmt.Errorf("wal: syncing truncation: %w", err)
-			}
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		log, err := NewLog(newSink(), freshEpoch)
-		if err != nil {
-			return nil, err
-		}
-		return &Recovered{Epoch: freshEpoch, Log: log, Truncated: int64(len(data))}, nil
+		return &Recovered{Truncated: int64(len(data))}, nil
 	}
-
 	payloads, epoch, cleanLen, err := Recover(data)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %s: %w", f.Name(), err)
@@ -106,29 +85,51 @@ func recoverFile(f *os.File, freshEpoch uint64, wrap func(Sink) Sink) (*Recovere
 		ops[i] = op
 	}
 	ops, cleanLen = dropIncompleteBatch(ops, payloads, cleanLen)
-	if cleanLen < int64(len(data)) {
-		if err := f.Truncate(cleanLen); err != nil {
+	return &Recovered{Ops: ops, Epoch: epoch, Truncated: int64(len(data)) - cleanLen, cleanLen: cleanLen}, nil
+}
+
+// Attach accepts the recovered records: it cuts the torn tail, durably,
+// and returns a Log appending after the clean prefix — after a fresh
+// header when the file had none.
+func (r *Recovered) Attach() (*Log, error) {
+	if r.Truncated > 0 {
+		if err := r.f.Truncate(r.cleanLen); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		// The truncation must be durable before the returned Log appends
-		// after it: a later crash could otherwise persist the new records
-		// while the truncate's metadata is lost, resurrecting the torn
-		// bytes beyond them as if they sat under the clean prefix. (The
-		// checkpoint Reset path already syncs for the same reason.)
-		if err := f.Sync(); err != nil {
+		// The truncation must be durable before the Log appends after it
+		// (or writes a fresh header over it): a later crash could otherwise
+		// persist the new bytes while the truncate's metadata is lost,
+		// resurrecting the torn bytes beyond them as if they sat under the
+		// clean prefix. (The checkpoint Reset path syncs for the same
+		// reason.)
+		if err := r.f.Sync(); err != nil {
 			return nil, fmt.Errorf("wal: syncing torn-tail truncation: %w", err)
 		}
 	}
-	if _, err := f.Seek(cleanLen, io.SeekStart); err != nil {
+	if _, err := r.f.Seek(r.cleanLen, io.SeekStart); err != nil {
 		return nil, err
 	}
-	return &Recovered{
-		Ops:       ops,
-		Epoch:     epoch,
-		Log:       Attach(newSink(), epoch),
-		Truncated: int64(len(data)) - cleanLen,
-	}, nil
+	var s Sink = &FileSink{F: r.f}
+	if r.wrap != nil {
+		s = r.wrap(s)
+	}
+	log := Attach(s, r.Epoch)
+	if r.cleanLen == 0 {
+		var err error
+		if log, err = NewLog(s, r.Epoch); err != nil {
+			return nil, err
+		}
+	}
+	// Make the file's directory entry durable: per-record fsyncs protect
+	// the data, but a file created this session can still vanish from the
+	// directory on power loss until the directory itself is synced.
+	syncDir(filepath.Dir(r.f.Name()))
+	return log, nil
 }
+
+// Close closes a recovery that was not attached, leaving the file as it
+// was found.
+func (r *Recovered) Close() error { return r.f.Close() }
 
 // dropIncompleteBatch trims a trailing batch group whose member records
 // were cut off by a torn write. A batch's marker and members reach the sink

@@ -207,14 +207,6 @@ func appendValues(dst []byte, vs []val.Value) []byte {
 	return dst
 }
 
-// DecodeValue decodes one tagged value from the front of b, returning the
-// value and the remaining bytes.
-func DecodeValue(b []byte) (val.Value, []byte, error) {
-	r := NewReader(b)
-	v := r.Value()
-	return v, r.Rest(), r.Err()
-}
-
 // AppendStatement appends the encoding of one belief statement: the path's
 // user ids, the sign byte, the relation name and the tuple's values. It is
 // the one statement codec, shared by Insert/Delete/Replace records and the
@@ -289,9 +281,6 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Err returns the first decode failure, or nil.
 func (r *Reader) Err() error { return r.err }
-
-// Rest returns the undecoded remainder.
-func (r *Reader) Rest() []byte { return r.b }
 
 // Len returns the number of undecoded bytes.
 func (r *Reader) Len() int { return len(r.b) }

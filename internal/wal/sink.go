@@ -120,9 +120,6 @@ func (s *LimitSink) Sync() error {
 	return s.W.Sync()
 }
 
-// Written reports the bytes that reached the underlying sink.
-func (s *LimitSink) Written() int64 { return s.written }
-
 // Log is an append-only WAL writer over a Sink. It is not internally
 // locked: the belief store appends under its exclusive writer lock, which
 // already serializes every mutation.

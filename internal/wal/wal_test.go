@@ -245,20 +245,17 @@ func TestLimitSinkTearsWrites(t *testing.T) {
 func TestOpenFileLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.bdb")
 
-	rec, err := OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, recLog := openAttached(t, path)
 	if len(rec.Ops) != 0 || rec.Epoch != 0 {
 		t.Fatalf("fresh file: %d ops, epoch %d", len(rec.Ops), rec.Epoch)
 	}
 	ops := sampleOps()
 	for _, op := range ops {
-		if err := rec.Log.Append(op); err != nil {
+		if err := recLog.Append(op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := rec.Log.Close(); err != nil {
+	if err := recLog.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,10 +268,7 @@ func TestOpenFileLifecycle(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte(nil), clean...), 1, 2, 3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec, err = OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, recLog = openAttached(t, path)
 	if len(rec.Ops) != len(ops) || rec.Truncated != 3 {
 		t.Fatalf("reopen: %d ops, %d truncated", len(rec.Ops), rec.Truncated)
 	}
@@ -284,18 +278,15 @@ func TestOpenFileLifecycle(t *testing.T) {
 		}
 	}
 	// Appending after recovery lands after the clean prefix.
-	if err := rec.Log.Append(AddUser("after")); err != nil {
+	if err := recLog.Append(AddUser("after")); err != nil {
 		t.Fatal(err)
 	}
-	rec.Log.Close()
-	rec, err = OpenFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recLog.Close()
+	rec, recLog = openAttached(t, path)
 	if len(rec.Ops) != len(ops)+1 {
 		t.Fatalf("after append: %d ops", len(rec.Ops))
 	}
-	rec.Log.Close()
+	recLog.Close()
 
 	// A checksummed record that does not decode is a format break: fail.
 	img := AppendHeader(nil, 0)
@@ -334,4 +325,19 @@ func TestAppendRejectsOversizedRecordCleanly(t *testing.T) {
 		t.Errorf("recovered %d records to %d of %d bytes, want 2 clean records",
 			len(payloads), cleanLen, len(sink.Buf))
 	}
+}
+
+// openAttached opens the WAL at path with epoch 0 for a fresh file and
+// attaches to it: the torn tail cut, a Log appending after the prefix.
+func openAttached(t *testing.T, path string) (*Recovered, *Log) {
+	t.Helper()
+	rec, err := OpenFile(path, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := rec.Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, log
 }
