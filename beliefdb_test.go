@@ -1,14 +1,17 @@
 package beliefdb_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"beliefdb"
 	"beliefdb/internal/bench"
+	"beliefdb/internal/gen"
 	"beliefdb/internal/query"
 	"beliefdb/internal/sqlparser"
+	"beliefdb/internal/val"
 )
 
 func natureSchema() beliefdb.Schema {
@@ -157,9 +160,15 @@ func TestTranslateExposesSQL(t *testing.T) {
 // order, for the Sect. 6.2 queries and a point lookup.
 func TestTranslateRunsAsQuery(t *testing.T) {
 	db := benchDB(t, 400, 10)
-	qs := []string{pointQuery}
+	// An integral float literal must reach DB.SQL as a float: 1.0 / 2 is
+	// 0.5, not an integer division.
+	half := fmt.Sprintf("select T.sid, 1.0 / 2 AS h from BELIEF 'u1' %s T where T.sid = 'k7'", gen.DefaultRel)
+	qs := []string{pointQuery, half}
 	for _, q := range bench.Table2Queries() {
 		qs = append(qs, q.Query)
+	}
+	if res, err := db.Query(half); err != nil || len(res.Rows) == 0 || !val.Equal(res.Rows[0][1], val.Float(0.5)) {
+		t.Fatalf("%s: %v, %v; want h = 0.5", half, res, err)
 	}
 	for _, q := range qs {
 		want, err := db.Query(q)
@@ -176,6 +185,12 @@ func TestTranslateRunsAsQuery(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Errorf("%s\n SQL(Translate) %d rows, Query %d rows", q, len(got.Rows), len(want.Rows))
+			for i := range min(len(got.Rows), len(want.Rows)) {
+				if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
+					t.Errorf("row %d: SQL(Translate) %v, Query %v", i, got.Rows[i], want.Rows[i])
+					break
+				}
+			}
 		}
 		if len(want.Rows) == 0 {
 			t.Errorf("%s: no rows, so the comparison shows nothing", q)

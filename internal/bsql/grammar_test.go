@@ -206,11 +206,13 @@ var grammarRows = []struct {
 		"error"},
 	{scriptDialect, "select S.k from BELIEF 'Alice' R S where S.w < 0.00002",
 		"SELECT [S.k] FROM [user:Alice] neg=false R as=S WHERE (S.w < 2e-05) GROUP [] ORDER [] LIMIT -1"},
-	// changed: exponent literals (were errors).
+	// changed: exponent literals (were errors). An integral float renders
+	// with a decimal point, so it parses back as a float (was 300, 100000
+	// and 700, which parse as integers).
 	{scriptDialect, "insert into BELIEF 'Alice' R values ('c', 1e-05), ('d', 2.5E+23), ('e', 3e2)",
-		"INSERT [user:Alice] neg=false R as= [['c' 1e-05] ['d' 2.5e+23] ['e' 300]]"},
+		"INSERT [user:Alice] neg=false R as= [['c' 1e-05] ['d' 2.5e+23] ['e' 300.0]]"},
 	{sqlDialect, "SELECT 1e5, 2.5e-3, 7E+2, 1e FROM t WHERE x < 1e-05",
-		"SELECT 100000, 0.0025, 700, 1 AS e FROM t WHERE (x < 1e-05)"},
+		"SELECT 100000.0, 0.0025, 700.0, 1 AS e FROM t WHERE (x < 1e-05)"},
 	{scriptDialect, "select distinct S.sid from BELIEF 'Alice' Sightings S",
 		"error"},
 	{scriptDialect, "insert into Sightings (sid) values ('x')",

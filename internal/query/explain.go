@@ -71,7 +71,6 @@ func orderedPath(tc *tableCtx, s sqlparser.Select, schema relSchema) *accessPath
 	}
 
 	t := tc.b.table
-	sch := t.Schema()
 
 	// Find an ordered index whose columns, after the const-eq-bound
 	// prefix, start with exactly the ORDER BY columns.
@@ -108,7 +107,7 @@ func orderedPath(tc *tableCtx, s sqlparser.Select, schema relSchema) *accessPath
 	for i := 0; i < eqPrefix; i++ {
 		prefix[i], _ = tc.eq(idx.Cols()[i])
 	}
-	iv := tc.interval(sch.Columns[idx.Cols()[eqPrefix]].Name)
+	iv := tc.interval(idx.Cols()[eqPrefix])
 	ap := &accessPath{kind: pathOrdered, idx: idx, lo: prefix, hi: prefix, loIncl: true, hiIncl: true, desc: desc, limit: s.Limit}
 	if iv.lo != nil {
 		ap.lo = append(append([]val.Value(nil), prefix...), *iv.lo)

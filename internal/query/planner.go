@@ -43,38 +43,32 @@ func (r *residual) holds(frame []val.Value) (bool, error) {
 	return truthy(r.pred, frame)
 }
 
-// rangeBound is one inequality conjunct on a column, normalized to
+// filter is a conjunct that mentions one binding alone. A const-eq or
+// range conjunct also records its column and literal, normalized to
 // column-on-left form: col <op> v.
-type rangeBound struct {
-	col string
-	op  string // "<", "<=", ">", ">="
-	v   val.Value
+type filter struct {
+	bind int // the binding's FROM position
+	expr sqlparser.Expr
+	op   string // "=", "<", "<=", ">", ">=", or "" for any other conjunct
+	col  int    // the binding's column that op bounds
+	v    val.Value
 }
 
 // tableCtx is the per-binding planning state.
 type tableCtx struct {
 	b       binding
-	off     int              // frame offset of the binding's columns
-	eqOn    []eqLit          // col = literal conjuncts, one per column (the last wins)
-	bounds  []rangeBound     // inequality conjuncts usable for range access
-	filters []sqlparser.Expr // all single-table conjuncts (includes eqOn/bounds)
-	preds   []compiledExpr   // filters compiled, once the step is built
-	path    *accessPath      // chosen access path, lazily computed into own
-	own     accessPath
+	off     int        // frame offset of the binding's columns
+	filters []filter   // its single-binding conjuncts, in WHERE order
+	path    accessPath // chosen access path, once chosen is set
+	chosen  bool
 }
 
-// eqLit is a column position and the literal a col = literal conjunct
-// fixes it to.
-type eqLit struct {
-	col int
-	v   val.Value
-}
-
-// eq returns the literal a const-eq conjunct fixes column c to.
+// eq returns the literal a const-eq conjunct fixes column c to; of two on
+// one column, the later wins.
 func (tc *tableCtx) eq(c int) (val.Value, bool) {
-	for _, e := range tc.eqOn {
-		if e.col == c {
-			return e.v, true
+	for i := len(tc.filters) - 1; i >= 0; i-- {
+		if f := &tc.filters[i]; f.op == "=" && f.col == c {
+			return f.v, true
 		}
 	}
 	return val.Value{}, false
@@ -113,31 +107,12 @@ func splitAnd(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 	return append(out, e)
 }
 
-// asConstEq recognizes col = literal (either order) conjuncts.
-func asConstEq(e sqlparser.Expr) (val.Value, bool) {
-	be, ok := e.(sqlparser.BinaryExpr)
-	if !ok || be.Op != "=" {
-		return val.Value{}, false
-	}
-	if _, ok := be.L.(sqlparser.ColumnRef); ok {
-		if l, ok := be.R.(sqlparser.Literal); ok {
-			return l.Val, true
-		}
-	}
-	if _, ok := be.R.(sqlparser.ColumnRef); ok {
-		if l, ok := be.L.(sqlparser.Literal); ok {
-			return l.Val, true
-		}
-	}
-	return val.Value{}, false
-}
+// flipped is a comparison with its operands swapped.
+var flipped = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-// flipped is an inequality with its operands swapped.
-var flipped = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-// asRangeBound recognizes col <op> literal inequality conjuncts (either
-// order; a literal on the left flips the operator).
-func asRangeBound(e sqlparser.Expr) (string, val.Value, bool) {
+// asBound recognizes col = literal and col <op> literal conjuncts, either
+// order; a literal on the left flips the operator.
+func asBound(e sqlparser.Expr) (string, val.Value, bool) {
 	be, ok := e.(sqlparser.BinaryExpr)
 	if !ok || flipped[be.Op] == "" {
 		return "", val.Value{}, false
@@ -161,12 +136,12 @@ type colInterval struct {
 	loIncl, hiIncl bool
 }
 
-// interval folds tc's range bounds on the named column into one interval,
+// interval folds tc's range bounds on column col into one interval,
 // keeping the tightest bound per side.
-func (tc *tableCtx) interval(col string) colInterval {
+func (tc *tableCtx) interval(col int) colInterval {
 	var iv colInterval
-	for i := range tc.bounds {
-		rb := &tc.bounds[i]
+	for i := range tc.filters {
+		rb := &tc.filters[i]
 		if rb.col != col {
 			continue
 		}
@@ -348,11 +323,10 @@ indexes:
 // from the exact distinct-key counts the indexes maintain (Index.Len,
 // ordered-index range ranks) and the table cardinality.
 func (tc *tableCtx) accessPath() *accessPath {
-	if tc.path != nil {
-		return tc.path
+	if tc.chosen {
+		return &tc.path
 	}
 	t := tc.b.table
-	sch := t.Schema()
 	n := float64(t.Len())
 	best := accessPath{kind: pathScan, est: n, cost: n}
 	switch key, idx, cost := bestProbe(t, tc.literal); {
@@ -374,7 +348,7 @@ func (tc *tableCtx) accessPath() *accessPath {
 		}
 		// Ordered index with a partial prefix: an eq prefix and/or an
 		// interval on the next column yield a bounded range walk.
-		iv := tc.interval(sch.Columns[cols[p]].Name)
+		iv := tc.interval(cols[p])
 		if p == 0 && iv.lo == nil && iv.hi == nil {
 			continue
 		}
@@ -402,9 +376,8 @@ func (tc *tableCtx) accessPath() *accessPath {
 			best = ap
 		}
 	}
-	tc.own = best
-	tc.path = &tc.own
-	return tc.path
+	tc.path, tc.chosen = best, true
+	return &tc.path
 }
 
 // estimate guesses the post-filter cardinality of a base table.
@@ -416,7 +389,7 @@ func (tc *tableCtx) estimate() int {
 	case pathEqProbe, pathRange:
 		return int(p.est) + 1
 	default:
-		if len(tc.eqOn) > 0 {
+		if slices.ContainsFunc(tc.filters, func(f filter) bool { return f.op == "=" }) {
 			return n/3 + 1
 		}
 		if len(tc.filters) > 0 {
@@ -499,20 +472,16 @@ func buildCtxs(bindings []binding) ([]tableCtx, relSchema, error) {
 // frame width, and a constant-truth verdict. Each conjunct's column
 // references are resolved once, into the bindings it mentions and the
 // frame slots of its first two columns.
-func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs []tableCtx, edges []joinEdge) (_ []joinEdge, residuals []*residual, width int, constTrue bool, err error) {
+func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs []tableCtx) (edges []joinEdge, residuals []*residual, width int, constTrue bool, err error) {
 	width, constTrue = len(full), true
 	if where == nil {
 		return nil, nil, width, true, nil
 	}
-	var conjBuf [16]sqlparser.Expr
-	var ownerBuf, slotBuf [16]int
-	conjs := splitAnd(where, conjBuf[:0])
-	owner := ownerBuf[:0] // the binding of each single-binding conjunct, else -1
-	slot := slotBuf[:0]   // the frame slot of its first column
-	var refsBuf [16]bool
-	refs := append(refsBuf[:0], make([]bool, len(ctxs))...)
+	conjs := splitAnd(where, make([]sqlparser.Expr, 0, 16))
+	edges = make([]joinEdge, 0, len(conjs))
+	filters := make([]filter, 0, len(conjs))
+	refs := make([]bool, len(ctxs))
 	for _, conj := range conjs {
-		owner, slot = append(owner, -1), append(slot, -1)
 		if ex, ok := conj.(sqlparser.Exists); ok {
 			sj, err := planSemiJoin(cat, ex, full, len(ctxs), width)
 			if err != nil {
@@ -557,7 +526,12 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 				constTrue = false
 			}
 		case n == 1:
-			owner[len(owner)-1], slot[len(slot)-1] = full[slots[0]].bind, slots[0]
+			// A conjunct on one binding is its filter; a const-eq or range
+			// conjunct's one column is its first.
+			b := full[slots[0]].bind
+			f := filter{bind: b, expr: conj, col: slots[0] - ctxs[b].off}
+			f.op, f.v, _ = asBound(conj)
+			filters = append(filters, f)
 		case n == 2 && isColumnEq(conj):
 			a, b := full[slots[0]].bind, full[slots[1]].bind
 			edges = append(edges, joinEdge{a: a, aCol: slots[0] - ctxs[a].off, b: b, bCol: slots[1] - ctxs[b].off})
@@ -565,50 +539,17 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 			residuals = append(residuals, &residual{refs: slices.Clone(refs), expr: conj})
 		}
 	}
-	// A binding owns the conjuncts that mention it alone: its filters, in
-	// WHERE order, among them its const-eq and range conjuncts, whose one
-	// column is their first. Each kind shares one backing array across the
-	// bindings.
-	var countBuf [17]int
-	counts := append(countBuf[:0], make([]int, len(ctxs)+1)...)
-	for _, b := range owner {
-		counts[b+1]++
-	}
-	nf := len(conjs) - counts[0]
-	filters, preds := make([]sqlparser.Expr, nf), make([]compiledExpr, nf)
-	eqs, bounds := make([]eqLit, nf), make([]rangeBound, nf)
-	for b := range ctxs {
-		n, tc := counts[b+1], &ctxs[b]
-		tc.filters, filters = filters[:0:n], filters[n:]
-		tc.preds, preds = preds[:0:n], preds[n:]
-		tc.eqOn, eqs = eqs[:0:n], eqs[n:]
-		tc.bounds, bounds = bounds[:0:n], bounds[n:]
-	}
-	for i, b := range owner {
-		if b < 0 {
-			continue
+	// A binding's filters are its run of the list sorted by binding, in
+	// WHERE order.
+	slices.SortStableFunc(filters, func(x, y filter) int { return x.bind - y.bind })
+	for len(filters) > 0 {
+		n := 1
+		for n < len(filters) && filters[n].bind == filters[0].bind {
+			n++
 		}
-		tc, conj := &ctxs[b], conjs[i]
-		tc.filters = append(tc.filters, conj)
-		if v, ok := asConstEq(conj); ok {
-			tc.setEq(slot[i]-tc.off, v)
-		} else if op, v, ok := asRangeBound(conj); ok {
-			tc.bounds = append(tc.bounds, rangeBound{col: full[slot[i]].name, op: op, v: v})
-		}
+		ctxs[filters[0].bind].filters, filters = filters[:n:n], filters[n:]
 	}
 	return edges, residuals, width, constTrue, nil
-}
-
-// setEq records that a col = literal conjunct fixes column c to v; of two
-// on one column, the later wins.
-func (tc *tableCtx) setEq(c int, v val.Value) {
-	for i := range tc.eqOn {
-		if tc.eqOn[i].col == c {
-			tc.eqOn[i].v = v
-			return
-		}
-	}
-	tc.eqOn = append(tc.eqOn, eqLit{col: c, v: v})
 }
 
 // plan is a SELECT's FROM list as one left-deep chain of steps over a
@@ -635,8 +576,7 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 	if err != nil {
 		return nil, err
 	}
-	var edgeBuf [16]joinEdge
-	edges, residuals, width, constTrue, err := classifyWhere(cat, s.Where, full, ctxs, edgeBuf[:0])
+	edges, residuals, width, constTrue, err := classifyWhere(cat, s.Where, full, ctxs)
 	if err != nil {
 		return nil, err
 	}
@@ -656,7 +596,7 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 
 	placed := make([]bool, len(ctxs))
 	p.steps = make([]*step, 0, len(ctxs))
-	var joined []int
+	joined := make([]int, 0, len(edges))
 	for range ctxs {
 		next, nextCost := -1, 0.0
 		for _, all := range [2]bool{false, true} {
@@ -681,7 +621,7 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 		if len(p.steps) == 0 {
 			if inOrder && len(bindings) == 1 && len(residuals) == 0 {
 				if ap := orderedPath(tc, s, full); ap != nil {
-					tc.path, p.ordered = ap, true
+					tc.path, tc.chosen, p.ordered = *ap, true, true
 				}
 			}
 			st, err = tc.pathStep(full)
@@ -740,11 +680,11 @@ func (p *plan) exec(term func(frame []val.Value) (bool, error), rec *planRecorde
 }
 
 // compileFilters compiles the binding's single-table conjuncts against the
-// frame, into the room classifyWhere set aside for them.
+// frame.
 func (tc *tableCtx) compileFilters(full relSchema) ([]compiledExpr, error) {
-	preds := tc.preds[:0]
+	preds := make([]compiledExpr, 0, len(tc.filters))
 	for _, f := range tc.filters {
-		p, err := compileExpr(f, full)
+		p, err := compileExpr(f.expr, full)
 		if err != nil {
 			return nil, err
 		}

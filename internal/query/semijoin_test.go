@@ -196,13 +196,25 @@ func TestExistsRefused(t *testing.T) {
 }
 
 // TestExplainSemiJoin: one step per EXISTS in the four-column format, the
-// uncorrelated prefix marked, rows = outer rows kept.
+// uncorrelated prefix marked, rows = outer rows kept. An EXISTS that
+// mentions no outer binding runs at the first step alone, not once more
+// after every join.
 func TestExplainSemiJoin(t *testing.T) {
 	cat := fixture(t)
-	steps := explainSteps(t, cat, `SELECT o.item FROM orders o WHERE EXISTS
-		(SELECT 1 FROM orders x, users w WHERE w.uid = 1 AND x.uid = w.uid AND x.item = o.item)`)
-	want := []string{"full scan est=4", "semi join w pk once -> x index=orders_uid fetched=7"}
-	if strings.Join(steps, "; ") != strings.Join(want, "; ") {
-		t.Errorf("steps = %q, want %q", steps, want)
+	for _, tc := range []struct {
+		sql  string
+		want []string
+	}{
+		{`SELECT o.item FROM orders o WHERE EXISTS
+			(SELECT 1 FROM orders x, users w WHERE w.uid = 1 AND x.uid = w.uid AND x.item = o.item)`,
+			[]string{"full scan est=4", "semi join w pk once -> x index=orders_uid fetched=7"}},
+		{`SELECT u.name, o.item FROM users u, orders o
+			WHERE o.uid = u.uid AND EXISTS (SELECT 1 FROM orders x WHERE x.amount > 7)`,
+			[]string{"full scan est=3", "semi join x scan once fetched=2", "index join index=orders_uid"}},
+	} {
+		steps := explainSteps(t, cat, tc.sql)
+		if strings.Join(steps, "; ") != strings.Join(tc.want, "; ") {
+			t.Errorf("%s\n steps = %q, want %q", tc.sql, steps, tc.want)
+		}
 	}
 }

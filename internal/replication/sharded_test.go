@@ -101,6 +101,9 @@ var equivalenceQueries = []struct {
 }{
 	{"select S.species from Sightings S order by S.species", true},
 	{"select S.sid, S.species, S.grams from Sightings S order by S.sid, S.species, S.grams", true},
+	// An integral float literal stays a float in the text each shard
+	// parses, so the division is not an integer one.
+	{"select S.sid, S.grams, S.grams / 2.0 as half, 1.0 / 2 as h from Sightings S order by S.sid, S.grams", true},
 	{"select S.sid, S.species from BELIEF 'Bob' Sightings S order by S.sid", false},
 	{"select S.sid from BELIEF 'Carol' BELIEF 'Bob' Sightings S", false},
 	{"select S.species, count(S.sid) as n, min(S.grams), max(S.grams) from Sightings S group by S.species order by S.species", true},

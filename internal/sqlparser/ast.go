@@ -180,7 +180,16 @@ func (IsNull) exprNode()     {}
 func (FuncCall) exprNode()   {}
 func (Exists) exprNode()     {}
 
-func (e Literal) String() string { return e.Val.SQL() }
+// String renders the literal so that it parses back to the same value and
+// kind: an integral float keeps a decimal point (2.0, not 2), which would
+// parse as an integer and divide as one.
+func (e Literal) String() string {
+	s := e.Val.SQL()
+	if e.Val.Kind() == val.KindFloat && !strings.ContainsAny(s, ".eEnN") {
+		s += ".0"
+	}
+	return s
+}
 
 func (e ColumnRef) String() string {
 	if e.Table != "" {

@@ -12,8 +12,9 @@ import (
 
 // SQL runs a semicolon-separated script of plain SQL against the internal
 // schema and returns the last statement's result. It is the one raw-SQL
-// entry point: translated BeliefSQL SELECTs (Algorithm 1) run through it,
-// and so does inspection of the internal tables.
+// entry point, for inspection of the internal tables and for the text
+// DB.Translate shows; a translated BeliefSQL SELECT (Algorithm 1) runs
+// through Pinned.Read instead, as the AST the translator built.
 //
 // Raw SQL reads; the store writes. A script of SELECT and EXPLAIN statements
 // runs lock-free on the published view's catalog. A script that also holds
@@ -32,14 +33,7 @@ func (st *Store) SQL(text string) (*query.Result, error) {
 		return nil, fmt.Errorf("store: empty SQL script")
 	}
 	if query.AllReadOnly(stmts) {
-		p := st.Pin()
-		var res *query.Result
-		for _, s := range stmts {
-			if res, err = p.Read(s); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
+		return runScript(st.pin().cat, stmts)
 	}
 	if kw := refusedStmt(stmts); kw != "" {
 		return nil, fmt.Errorf("store: raw SQL only reads and creates indexes: %s refused; "+
@@ -68,9 +62,9 @@ func (p Pinned) UserID(name string) (core.UserID, bool) {
 	return uid, ok
 }
 
-// Read runs one parsed SELECT or EXPLAIN on the pinned view, lock-free. It
-// is SQL's read half; a translated BeliefSQL query reaches it as the AST the
-// translator built, never as text.
+// Read runs one parsed SELECT or EXPLAIN on the pinned view, lock-free, as
+// SQL runs a read-only script; a translated BeliefSQL query reaches it as
+// the AST the translator built, never as text.
 func (p Pinned) Read(stmt sqlparser.Statement) (*query.Result, error) {
 	if !query.ReadOnly(stmt) {
 		return nil, fmt.Errorf("store: a pinned view runs SELECT and EXPLAIN only, not %T", stmt)
