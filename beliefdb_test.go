@@ -150,8 +150,8 @@ func TestTranslateExposesSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 { // raven + purple... no: raven and nothing else positive... s22 and c22 is Comments; Sightings only raven
-		t.Logf("rows = %v", res.Rows)
+	if got := fmt.Sprint(res.Rows); got != "[[raven]]" {
+		t.Errorf("rows = %s, want [[raven]]", got)
 	}
 }
 

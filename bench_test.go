@@ -165,20 +165,28 @@ func BenchmarkAnalytic(b *testing.B) {
 }
 
 // TestQueryAllocs bounds the allocations of a whole DB.Query — parse,
-// translate, plan, run — for the point lookup and the q2 conflict query.
-// A translated query reaches the executor as an AST; rendering it to text
-// and parsing that again would put the point read over its bound.
+// translate, plan, run — for the point lookup and both negated shapes: the
+// q2 conflict query and analytic-read's q3. A translated query reaches the
+// executor as an AST; rendering it to text and parsing that again would put
+// the point read over its bound.
 func TestQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	db := benchDB(t, 1000, 10)
+	var q3 string
+	for _, q := range bench.Table2Queries() {
+		if q.Name == "q3" {
+			q3 = q.Query
+		}
+	}
 	for _, c := range []struct {
 		name, q string
 		max     float64
 	}{
 		{"point", pointQuery, 110},
-		{"q2", conflictQuery, 821},
+		{"q2", conflictQuery, 440},
+		{"q3", q3, 415},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := db.Query(c.q); err != nil {

@@ -70,13 +70,9 @@ func runExplain(cat *engine.Catalog, s sqlparser.Explain) (*Result, error) {
 }
 
 func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (*Result, error) {
-	bindings := make([]binding, 0, len(s.From))
-	for _, ref := range s.From {
-		t := cat.Table(ref.Table)
-		if t == nil {
-			return nil, fmt.Errorf("query: no table %q", ref.Table)
-		}
-		bindings = append(bindings, binding{alias: ref.Name(), table: t})
+	bindings, err := fromBindings(cat, s.From)
+	if err != nil {
+		return nil, err
 	}
 
 	items, err := expandStars(s.Items, bindings)
@@ -91,7 +87,7 @@ func runSelectPlan(cat *engine.Catalog, s sqlparser.Select, rec *planRecorder) (
 		}
 	}
 
-	p, err := planChain(cat, bindings, s, !hasAgg && !s.Distinct && len(s.OrderBy) > 0, rec)
+	p, err := planChain(cat, nil, bindings, s, !hasAgg && !s.Distinct && len(s.OrderBy) > 0, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -15,52 +15,57 @@ import (
 
 // colID names one column of an intermediate row: the binding (alias) of the
 // table it came from plus the column name. bind is that binding's position
-// in its FROM list, where the planner needs it.
+// in its FROM list, where the planner needs it; outer marks a column of the
+// query enclosing an EXISTS subquery.
 type colID struct {
-	rel  string
-	name string
-	bind int
+	rel   string
+	name  string
+	bind  int
+	outer bool
 }
 
 // relSchema is the schema of an intermediate row set.
 type relSchema []colID
 
 // find resolves a column reference. Qualified refs must match rel+name;
-// unqualified refs must match a unique name.
+// unqualified refs must match a unique name. The enclosing query's columns
+// are searched only for a reference whose alias (or, unqualified, whose
+// name) no other column has: a subquery's own names shadow them.
 func (s relSchema) find(ref sqlparser.ColumnRef) (int, error) {
-	if ref.Table != "" {
+	for _, outer := range [2]bool{false, true} {
+		found, alias := -1, false
 		for i, c := range s {
-			if c.rel == ref.Table && c.name == ref.Column {
-				return i, nil
+			switch {
+			case c.outer != outer:
+			case ref.Table != "":
+				if c.rel == ref.Table {
+					if c.name == ref.Column {
+						return i, nil
+					}
+					alias = true
+				}
+			case c.name == ref.Column:
+				if found >= 0 {
+					return -1, fmt.Errorf("query: ambiguous column %s", ref.Column)
+				}
+				found = i
 			}
 		}
+		if found >= 0 {
+			return found, nil
+		}
+		if alias {
+			break
+		}
+	}
+	if ref.Table != "" {
 		return -1, fmt.Errorf("query: unknown column %s.%s", ref.Table, ref.Column)
 	}
-	found := -1
-	for i, c := range s {
-		if c.name == ref.Column {
-			if found >= 0 {
-				return -1, fmt.Errorf("query: ambiguous column %s", ref.Column)
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return -1, fmt.Errorf("query: unknown column %s", ref.Column)
-	}
-	return found, nil
+	return -1, fmt.Errorf("query: unknown column %s", ref.Column)
 }
 
 // compiledExpr evaluates an expression against an intermediate row.
 type compiledExpr func(row []val.Value) (val.Value, error)
-
-// colResolver maps a column reference to its position in the rows a
-// compiled expression will run on. relSchema is the usual one; a semi-join
-// resolves against its subquery's tables first and the enclosing query
-// second.
-type colResolver interface {
-	find(ref sqlparser.ColumnRef) (int, error)
-}
 
 // errExistsPosition is the refusal of an EXISTS anywhere but where the
 // planner can run it as a semi-join.
@@ -69,7 +74,7 @@ var errExistsPosition = fmt.Errorf("query: EXISTS is supported only as a top-lev
 // compileExpr resolves column references against schema and returns an
 // evaluator. Aggregate function calls are rejected here; the aggregation
 // stage compiles them separately.
-func compileExpr(e sqlparser.Expr, schema colResolver) (compiledExpr, error) {
+func compileExpr(e sqlparser.Expr, schema relSchema) (compiledExpr, error) {
 	switch ex := e.(type) {
 	case sqlparser.Literal:
 		v := ex.Val

@@ -16,6 +16,19 @@ type binding struct {
 	table *engine.Table
 }
 
+// fromBindings resolves a FROM list against cat.
+func fromBindings(cat *engine.Catalog, from []sqlparser.TableRef) ([]binding, error) {
+	bindings := make([]binding, 0, len(from))
+	for _, ref := range from {
+		t := cat.Table(ref.Table)
+		if t == nil {
+			return nil, fmt.Errorf("query: no table %q", ref.Table)
+		}
+		bindings = append(bindings, binding{alias: ref.Name(), table: t})
+	}
+	return bindings, nil
+}
+
 // joinEdge is an equi-join conjunct between two bindings: column aCol of
 // binding a equals column bCol of binding b (FROM and column positions).
 type joinEdge struct {
@@ -23,10 +36,11 @@ type joinEdge struct {
 	aCol, bCol int
 }
 
-// residual is a conjunct that needs several bindings before it can run:
-// a predicate over their columns, or an EXISTS subquery planned as a
-// semi-join (semi set, expr nil). It runs at the first step after which
-// every binding it mentions is in place.
+// residual is a conjunct that is neither a filter nor a join edge: a
+// predicate over several bindings' columns, or over the enclosing query's
+// alone, or an EXISTS subquery planned as a semi-join (semi set, expr nil).
+// It runs at the first step after which every binding it mentions is in
+// place.
 type residual struct {
 	refs []bool // the bindings it mentions, by FROM position
 	expr sqlparser.Expr
@@ -96,6 +110,14 @@ func appendSchema(s relSchema, b binding, bind int) relSchema {
 		s = append(s, colID{rel: b.alias, name: c.Name, bind: bind})
 	}
 	return s
+}
+
+// bindCount is the number of bindings whose columns s holds.
+func bindCount(s relSchema) int {
+	if len(s) == 0 {
+		return 0
+	}
+	return s[len(s)-1].bind + 1
 }
 
 // splitAnd flattens a conjunction into its conjuncts.
@@ -443,24 +465,34 @@ func (e *joinEdge) from(bind int) (col, other, otherCol int) {
 	return -1, -1, -1
 }
 
-// buildCtxs creates the per-binding planning state for a FROM list, by FROM
-// position, and the schema of the frame's leading columns: every binding's,
-// in FROM order.
-func buildCtxs(bindings []binding) ([]tableCtx, relSchema, error) {
-	ctxs := make([]tableCtx, len(bindings))
-	width := 0
+// buildCtxs creates the per-binding planning state of a chain, by
+// position, and the schema of its frame's leading columns. An EXISTS
+// subquery's chain starts with the enclosing query's bindings, whose frame
+// schema is outer (nil at the top level): they keep their positions and
+// offsets, and its own bindings follow in FROM order.
+func buildCtxs(outer relSchema, bindings []binding) ([]tableCtx, relSchema, error) {
+	nOuter := bindCount(outer)
+	ctxs := make([]tableCtx, nOuter+len(bindings))
+	width := len(outer)
 	for i, b := range bindings {
 		for _, prev := range bindings[:i] {
 			if prev.alias == b.alias {
 				return nil, nil, fmt.Errorf("query: duplicate table binding %q", b.alias)
 			}
 		}
-		ctxs[i] = tableCtx{b: b, off: width}
+		ctxs[nOuter+i] = tableCtx{b: b, off: width}
 		width += b.table.Schema().Arity()
 	}
-	full := make(relSchema, 0, width)
+	full := make(relSchema, len(outer), width)
+	for i, c := range outer {
+		if i == 0 || outer[i-1].bind != c.bind {
+			ctxs[c.bind].off = i
+		}
+		c.outer = true
+		full[i] = c
+	}
 	for i, b := range bindings {
-		full = appendSchema(full, b, i)
+		full = appendSchema(full, b, nOuter+i)
 	}
 	return ctxs, full, nil
 }
@@ -468,10 +500,11 @@ func buildCtxs(bindings []binding) ([]tableCtx, relSchema, error) {
 // classifyWhere splits a WHERE conjunction into per-binding filters
 // (recording const-eq and range conjuncts on their tableCtx), join edges,
 // residual predicates (EXISTS conjuncts among them, planned here against
-// cat, each taking the frame columns from the previous one's end on), the
-// frame width, and a constant-truth verdict. Each conjunct's column
-// references are resolved once, into the bindings it mentions and the
-// frame slots of its first two columns.
+// cat, all sharing the frame columns past full's), the frame width, and a
+// constant-truth verdict. Each conjunct's column references are resolved
+// once, into the bindings it mentions and the frame slots of its first two
+// columns. A conjunct that mentions only the enclosing query's bindings is
+// a residual, decided at the first step.
 func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ctxs []tableCtx) (edges []joinEdge, residuals []*residual, width int, constTrue bool, err error) {
 	width, constTrue = len(full), true
 	if where == nil {
@@ -483,21 +516,22 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 	refs := make([]bool, len(ctxs))
 	for _, conj := range conjs {
 		if ex, ok := conj.(sqlparser.Exists); ok {
-			sj, err := planSemiJoin(cat, ex, full, len(ctxs), width)
+			sj, err := planSemiJoin(cat, ex, full)
 			if err != nil {
 				return nil, nil, 0, false, err
 			}
-			width = sj.end
+			width = max(width, sj.width)
 			residuals = append(residuals, &residual{refs: sj.refs, semi: sj})
 			continue
 		}
 		clear(refs)
-		n, slots := 0, [2]int{-1, -1}
+		n, own, slots := 0, false, [2]int{-1, -1}
 		err := walkColumnRefs(conj, func(ref sqlparser.ColumnRef) error {
 			i, err := full.find(ref)
 			if err != nil {
 				return err
 			}
+			own = own || !full[i].outer
 			if b := full[i].bind; !refs[b] {
 				refs[b] = true
 				n++
@@ -525,6 +559,8 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 			if !ok {
 				constTrue = false
 			}
+		case !own:
+			residuals = append(residuals, &residual{refs: slices.Clone(refs), expr: conj})
 		case n == 1:
 			// A conjunct on one binding is its filter; a const-eq or range
 			// conjunct's one column is its first.
@@ -552,27 +588,33 @@ func classifyWhere(cat *engine.Catalog, where sqlparser.Expr, full relSchema, ct
 	return edges, residuals, width, constTrue, nil
 }
 
-// plan is a SELECT's FROM list as one left-deep chain of steps over a
-// single frame: every binding's columns in FROM order (schema), then the
-// columns of each EXISTS subquery's tables.
+// plan is a FROM list as one left-deep chain of steps over a single frame
+// of width columns: every binding's columns in FROM order (schema), after
+// the enclosing query's for an EXISTS subquery, then the columns the
+// EXISTS subqueries of its WHERE clause share.
 type plan struct {
 	chain
 	schema  relSchema
+	width   int
 	empty   bool // a constant-false conjunct: the chain emits nothing
 	ordered bool // the first step walks an ordered index in ORDER BY order
 }
 
 // planChain orders the bindings into a chain and chooses each one's step.
-// The greedy order is the semi-join's step rule: a binding joined to a
-// placed one by an edge, or reached by a key probe on its own literals, is
-// a candidate at cost stepCost; the cheapest is placed, ties keeping FROM
-// order. A binding that is neither would enter as a cross join costed by a
-// guess, so it waits until no candidate is left (a disconnected join
-// graph). Every residual runs at the first step after which it is
-// decidable. With inOrder a single binding whose ORDER BY an ordered index
-// satisfies walks that index (orderedPath).
-func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOrder bool, rec *planRecorder) (*plan, error) {
-	ctxs, full, err := buildCtxs(bindings)
+// An EXISTS subquery is such a chain, with the enclosing query's frame
+// schema as outer: its bindings are placed before the first step (outer is
+// nil at the top level). The greedy order is one step rule: a binding
+// joined to a placed one by an edge, or reached by a key probe on its own
+// literals, is a candidate at cost stepCost; the cheapest is placed, ties
+// keeping FROM order. A binding that is neither would enter as a cross
+// join costed by a guess, so it waits until no candidate is left (a
+// disconnected join graph). The first step takes its own access path
+// unless an edge joins it to a placed binding; every other step joins.
+// Every residual runs at the first step after which it is decidable. With
+// inOrder a single binding whose ORDER BY an ordered index satisfies walks
+// that index (orderedPath).
+func planChain(cat *engine.Catalog, outer relSchema, bindings []binding, s sqlparser.Select, inOrder bool, rec *planRecorder) (*plan, error) {
+	ctxs, full, err := buildCtxs(outer, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -580,12 +622,11 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{schema: full, empty: !constTrue}
+	p := &plan{schema: full, width: width, empty: !constTrue}
 	if p.empty {
 		rec.record("", "empty", "constant-false predicate", 0)
 		return p, nil
 	}
-	p.frame = make([]val.Value, width)
 	for _, r := range residuals {
 		if r.semi == nil {
 			if r.pred, err = compileExpr(r.expr, full); err != nil {
@@ -595,9 +636,12 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 	}
 
 	placed := make([]bool, len(ctxs))
-	p.steps = make([]*step, 0, len(ctxs))
+	for i := range len(ctxs) - len(bindings) {
+		placed[i] = true
+	}
+	p.steps = make([]*step, 0, len(bindings))
 	joined := make([]int, 0, len(edges))
-	for range ctxs {
+	for range bindings {
 		next, nextCost := -1, 0.0
 		for _, all := range [2]bool{false, true} {
 			for i := range ctxs {
@@ -618,7 +662,7 @@ func planChain(cat *engine.Catalog, bindings []binding, s sqlparser.Select, inOr
 		}
 		tc := &ctxs[next]
 		var st *step
-		if len(p.steps) == 0 {
+		if len(p.steps) == 0 && len(joinedCols(next, edges, placed, joined[:0])) == 0 {
 			if inOrder && len(bindings) == 1 && len(residuals) == 0 {
 				if ap := orderedPath(tc, s, full); ap != nil {
 					tc.path, tc.chosen, p.ordered = *ap, true, true
@@ -662,6 +706,7 @@ func (p *plan) exec(term func(frame []val.Value) (bool, error), rec *planRecorde
 	if p.empty {
 		return nil
 	}
+	p.frame = make([]val.Value, p.width)
 	for _, st := range p.steps {
 		if err := st.prepare(p.frame); err != nil {
 			return err

@@ -198,20 +198,43 @@ func TestExistsRefused(t *testing.T) {
 // TestExplainSemiJoin: one step per EXISTS in the four-column format, the
 // uncorrelated prefix marked, rows = outer rows kept. An EXISTS that
 // mentions no outer binding runs at the first step alone, not once more
-// after every join.
+// after every join. A subquery step joins as a positive one does: a hash
+// or cross join reads its build side once per statement.
 func TestExplainSemiJoin(t *testing.T) {
-	cat := fixture(t)
+	// A constant-false subquery never holds.
+	never := `SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM orders o WHERE o.uid = u.uid AND 1 = 0)`
+	if got := rowsAsStrings(exec(t, fixture(t), never)); len(got) > 0 {
+		t.Errorf("%s\n got %v, want no rows", never, got)
+	}
 	for _, tc := range []struct {
-		sql  string
-		want []string
+		sql, ddl string
+		want     []string
 	}{
 		{`SELECT o.item FROM orders o WHERE EXISTS
-			(SELECT 1 FROM orders x, users w WHERE w.uid = 1 AND x.uid = w.uid AND x.item = o.item)`,
+			(SELECT 1 FROM orders x, users w WHERE w.uid = 1 AND x.uid = w.uid AND x.item = o.item)`, "",
 			[]string{"full scan est=4", "semi join w pk once -> x index=orders_uid fetched=7"}},
 		{`SELECT u.name, o.item FROM users u, orders o
-			WHERE o.uid = u.uid AND EXISTS (SELECT 1 FROM orders x WHERE x.amount > 7)`,
+			WHERE o.uid = u.uid AND EXISTS (SELECT 1 FROM orders x WHERE x.amount > 7)`, "",
 			[]string{"full scan est=3", "semi join x scan once fetched=2", "index join index=orders_uid"}},
+		// Correlated through an unindexed column: a hash join whose build
+		// side reads orders once, not a scan per outer row.
+		{`SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM orders o WHERE o.item = u.name)`, "",
+			[]string{"full scan est=3", "semi join o hash join fetched=4"}},
+		// A table with no edge joins last, as a cross join over the rows
+		// its filter passes, collected once.
+		{`SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM orders o, users w WHERE o.uid = u.uid AND w.name <> 'zed')`, "",
+			[]string{"full scan est=3", "semi join o index=orders_uid -> w cross join fetched=9"}},
+		// A first step with no edge to the enclosing query takes its own
+		// access path, a range walk among them.
+		{`SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM orders x WHERE x.amount > 7)`,
+			"CREATE ORDERED INDEX orders_amount ON orders (amount)",
+			[]string{"full scan est=3", "semi join x range walk index=orders_amount once fetched=1"}},
+		{never, "", []string{"full scan est=3", "semi join constant-false predicate"}},
 	} {
+		cat := fixture(t)
+		if tc.ddl != "" {
+			exec(t, cat, tc.ddl)
+		}
 		steps := explainSteps(t, cat, tc.sql)
 		if strings.Join(steps, "; ") != strings.Join(tc.want, "; ") {
 			t.Errorf("%s\n steps = %q, want %q", tc.sql, steps, tc.want)
