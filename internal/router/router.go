@@ -21,8 +21,10 @@
 //     the merged answer matches a single node's byte for byte.
 //   - Queries touching no partitioned relation (Users only, EXPLAIN) go to
 //     shard 0 alone.
-//   - AddUser broadcasts to every shard under one router-wide mutex, so
-//     the globally replicated Users table assigns the same uid everywhere.
+//   - AddUser registers on shard 0, which alone allocates uids, and then
+//     brings every other shard's replicated Users table up to shard 0's
+//     in uid order, so every shard binds each name to the same uid and a
+//     registration a dead router left half done is completed by the next.
 //
 // Reads go through each shard's replicas (client.Routed) carrying that
 // shard's read-your-writes watermark, which the router advances on every
@@ -42,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"beliefdb/client"
 	"beliefdb/internal/bsql"
@@ -67,11 +68,6 @@ type Router struct {
 	opts  wire.Options
 	ep    *wire.Endpoint
 	copts []client.Options
-
-	// userMu serializes AddUser broadcasts: every shard sees registrations
-	// in the same order, so the replicated Users table assigns identical
-	// uids cluster-wide.
-	userMu sync.Mutex
 }
 
 // Option configures a Router.

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -215,55 +216,121 @@ func (r *Router) routeBatchStmts(ctx context.Context, stmts []bsql.Statement, to
 	return out, nil
 }
 
-// addUser broadcasts a user registration to every shard, serialized
-// router-wide so each shard's replicated Users table assigns uids in the
-// same order. A shard that already knows the name (a previous broadcast
-// that failed partway) resolves to its existing uid; the registration
-// succeeds only if every shard agrees on the uid.
-func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error) {
-	r.userMu.Lock()
-	defer r.userMu.Unlock()
+// usersQuery reads a shard's replicated Users table in uid order.
+const usersQuery = "select U.uid, U.name from Users U order by U.uid"
 
-	uids := make([]client.UserID, len(r.shards))
-	fresh := 0
-	for i, sh := range r.shards {
-		uid, err := sh.AddUser(ctx, name)
-		if err != nil {
-			// Perhaps the shard already has the user; resolve instead of
-			// failing, so a partially applied broadcast heals on retry.
-			luid, ok, lerr := r.lookupUser(ctx, i, name)
-			if lerr != nil || !ok {
-				return 0, fmt.Errorf("router: shard %d: %w", i, err)
-			}
-			uids[i] = luid
-			continue
-		}
-		uids[i] = uid
-		fresh++
-	}
-	for i := 1; i < len(uids); i++ {
-		if uids[i] != uids[0] {
-			return 0, fmt.Errorf("router: user %q has uid %d on shard 0 but %d on shard %d; the Users tables have diverged and need operator repair (see OPERATIONS.md)", name, uids[0], uids[i], i)
-		}
-	}
-	if fresh == 0 {
-		// Every shard already knows the name: a duplicate registration, as
-		// on a single node.
-		return 0, fmt.Errorf("router: user %q already exists", name)
-	}
-	return uids[0], nil
+// A user is one row of a shard's Users table.
+type user struct {
+	uid  client.UserID
+	name string
 }
 
-// lookupUser resolves a user name on one shard.
-func (r *Router) lookupUser(ctx context.Context, i int, name string) (client.UserID, bool, error) {
-	res, err := r.shards[i].Query(ctx, "select U.uid from Users U where U.name = "+val.Str(name).SQL())
+// addUser registers a user cluster-wide. Shard 0 alone allocates uids:
+// the name is registered there first, and then every other shard is
+// brought up to shard 0's Users table by registering the names it lacks
+// in uid order (see catchUp). Every registration through any router
+// therefore also completes one a dead router left half done, and no lock
+// is needed across routers, because every copier walks the same order.
+//
+// If shard 0 refuses the name as bound, the registration succeeds with
+// shard 0's uid only if the catch-up registered this name on some other
+// shard, which means it completed an earlier broadcast; otherwise it is a
+// duplicate, as on a single node.
+func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error) {
+	uid, addErr := r.shards[0].AddUser(ctx, name)
+	want, err := r.users(ctx, 0)
+	if err == nil && addErr != nil {
+		// Refused, or committed with the acknowledgement lost: shard 0's
+		// table says whether the name is bound.
+		uid = 0
+		for _, u := range want {
+			if u.name == name {
+				uid = u.uid
+			}
+		}
+		if uid == 0 {
+			err = addErr
+		}
+	}
 	if err != nil {
-		return 0, false, err
+		return 0, fmt.Errorf("router: shard 0: %w", err)
 	}
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0][0].Kind() != val.KindInt {
-		return 0, false, nil
+
+	copied := make([]bool, len(r.shards))
+	errs := make([]error, len(r.shards))
+	var wg sync.WaitGroup
+	for i := 1; i < len(r.shards); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			copied[i], errs[i] = r.catchUp(ctx, i, want, name)
+		}(i)
 	}
-	return client.UserID(res.Rows[0][0].AsInt()), true, nil
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	if addErr != nil && !slices.Contains(copied, true) {
+		return 0, fmt.Errorf("router: user %q already exists", name)
+	}
+	return uid, nil
+}
+
+// catchUp registers on shard i, in uid order, every user of want (shard
+// 0's table) that shard i lacks, checking that each gets shard 0's uid,
+// and reports whether name was among them. Shard i's table must be a
+// prefix of want or want of it; anything else means a registration was
+// sent straight to shard i, and is refused without registering anything.
+// A refused registration is re-read: if another router copied the name
+// first, the catch-up goes on; otherwise the refusal is the error.
+func (r *Router) catchUp(ctx context.Context, i int, want []user, name string) (bool, error) {
+	have, err := r.users(ctx, i)
+	if err != nil {
+		return false, fmt.Errorf("router: shard %d: %w", i, err)
+	}
+	copied := false
+	for {
+		for k := range min(len(have), len(want)) {
+			if have[k] != want[k] {
+				return copied, fmt.Errorf("router: shard %d holds user %q as uid %d where shard 0 holds %q; a registration was sent to shard %d directly, not through a router (see OPERATIONS.md)",
+					i, have[k].name, have[k].uid, want[k].name, i)
+			}
+		}
+		if len(have) >= len(want) {
+			return copied, nil
+		}
+		next := want[len(have)]
+		uid, err := r.shards[i].AddUser(ctx, next.name)
+		if err == nil {
+			if uid != next.uid {
+				return copied, fmt.Errorf("router: shard %d bound user %q to uid %d, shard 0 to %d", i, next.name, uid, next.uid)
+			}
+			copied = copied || next.name == name
+			have = append(have, next)
+			continue
+		}
+		grown, rerr := r.users(ctx, i)
+		if rerr != nil || len(grown) <= len(have) {
+			return copied, fmt.Errorf("router: shard %d: %w", i, err)
+		}
+		have = grown
+	}
+}
+
+// users reads shard i's Users table from its primary: a replica may not
+// have applied another router's registration yet.
+func (r *Router) users(ctx context.Context, i int) ([]user, error) {
+	res, err := r.shards[i].Primary().Query(ctx, usersQuery)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]user, len(res.Rows))
+	for k, row := range res.Rows {
+		out[k] = user{uid: client.UserID(row[0].AsInt()), name: row[1].AsString()}
+	}
+	return out, nil
 }
 
 // checkpointAll checkpoints every shard's primary concurrently.

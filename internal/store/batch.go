@@ -10,21 +10,26 @@ import (
 	"beliefdb/internal/wal"
 )
 
-// BatchOp is one mutation of a batch: an insert (the default), a delete, or
-// a replace of an explicit belief statement. A replace substitutes Stmt's
-// tuple with NewVals in the same world, sign and relation (BeliefSQL UPDATE
-// = delete + insert); like a delete it is a no-op when Stmt is not
-// explicitly present.
+// BatchOp is one mutation of a batch: an insert (the default), a delete, a
+// replace of an explicit belief statement, or a user registration. A
+// replace substitutes Stmt's tuple with NewVals in the same world, sign and
+// relation (BeliefSQL UPDATE = delete + insert); like a delete it is a
+// no-op when Stmt is not explicitly present. A registration (non-empty
+// User) binds the name to the next uid and adds the back edges E(x, uid, 0)
+// from every world (Sect. 5.3); its Stmt is unused.
 type BatchOp struct {
 	Delete  bool
 	Replace bool
 	Stmt    core.Statement
 	NewVals []val.Value // Replace: the replacement tuple's values
+	User    string      // registration: the name to bind
 }
 
 // walOp renders the operation as the WAL record that journals it.
 func (op BatchOp) walOp() wal.Op {
 	switch {
+	case op.User != "":
+		return wal.AddUser(op.User)
 	case op.Delete:
 		return wal.Delete(op.Stmt)
 	case op.Replace:
@@ -36,11 +41,16 @@ func (op BatchOp) walOp() wal.Op {
 
 // batchOps is walOp's inverse, for records read back from a WAL — the
 // store's own on recovery, a primary's on a replica. Only statement
-// mutations can be members of a group.
+// mutations and registrations can be members of a group.
 func batchOps(ops []wal.Op) ([]BatchOp, error) {
 	out := make([]BatchOp, len(ops))
 	for i, op := range ops {
 		switch op.Kind {
+		case wal.KindAddUser:
+			if op.Name == "" {
+				return nil, fmt.Errorf("store: %s member with an empty name", op.Kind)
+			}
+			out[i] = BatchOp{User: op.Name}
 		case wal.KindInsert:
 			out[i] = BatchOp{Stmt: op.Stmt}
 		case wal.KindDelete:
@@ -90,8 +100,9 @@ func (st *Store) ApplyBatchToken(ops []BatchOp, token string) (BatchResult, erro
 }
 
 // ApplyBatchGroupTokens is the store's one commit primitive; every other
-// statement mutation (Insert, Delete, Replace, ApplyBatch, BulkLoad, the
-// Coalescer, replica apply and WAL replay) is a caller of it. It applies
+// statement mutation and every user registration (Insert, Delete, Replace,
+// AddUser, ApplyBatch, BulkLoad, the Coalescer, replica apply and WAL
+// replay) is a caller of it. It applies
 // several independent batches under one writer-lock acquisition and one WAL
 // commit boundary: the batches are validated up front, every valid one is
 // journaled write-ahead in a single write acknowledged by a single fsync
@@ -110,10 +121,11 @@ func (st *Store) ApplyBatchToken(ops []BatchOp, token string) (BatchResult, erro
 // requires. The result is identical to applying the statements one by one;
 // TestEntryPointsMatchOracle asserts the equivalence.
 //
-// Each batch is individually atomic. Any statement failing mid-batch — an
-// ErrConflict, an arity or type error — rolls that batch (alone) back:
-// tables through the engine transaction's undo log, the logical world
-// catalogs through an explicit rewind. The failure is deterministic (a
+// Each batch is individually atomic. Any member failing mid-batch — an
+// ErrConflict, an arity or type error, a name an earlier batch of the
+// round registered — rolls that batch (alone) back: tables through the
+// engine transaction's undo log, the logical world and user catalogs
+// through an explicit rewind. The failure is deterministic (a
 // function of the store state and the statements alone), and the group is
 // already journaled, so crash-replay re-runs the same batch, reaches the
 // same failure, and rolls back identically.
@@ -213,8 +225,8 @@ func (st *Store) commitLocked(groups [][]BatchOp, tokens []string) []BatchOutcom
 
 // logGroups journals the groups picked by valid as independent WAL groups
 // under a single fsync, each group's idempotency token ("" = none) recorded
-// in its BatchBegin marker. It is the only place statement mutations reach
-// the journal. In-memory stores (wal == nil) skip logging. After an append
+// in its BatchBegin marker. It is the only place statement mutations and
+// registrations reach the journal. In-memory stores (wal == nil) skip logging. After an append
 // failure the store refuses further mutations: bytes after a torn record
 // are unreachable to recovery, so acknowledging later operations would
 // silently drop them.
@@ -285,9 +297,20 @@ func (st *Store) recordTokenLocked(token string, res BatchResult) {
 // validateBatchLocked checks a batch before anything is journaled or any
 // table touched, so a malformed batch is rejected whole with no journal
 // record. Deletes and replaces are lenient: an unknown world or absent
-// statement is a no-op, only the relation must exist.
+// statement is a no-op, only the relation must exist. A registration must
+// name a user the pre-round state has not bound; a statement must name
+// users it has bound, so it cannot name one registered in the same batch.
 func (st *Store) validateBatchLocked(ops []BatchOp) error {
 	for i, op := range ops {
+		if op.User != "" {
+			if op.Delete || op.Replace {
+				return batchErr(ops, i, fmt.Errorf("store: registration of %q is also a delete or a replace", op.User))
+			}
+			if _, dup := st.usersByName[op.User]; dup {
+				return batchErr(ops, i, errUserExists(op.User))
+			}
+			continue
+		}
 		if _, ok := st.rels[op.Stmt.Tuple.Rel]; !ok {
 			return batchErr(ops, i, fmt.Errorf("store: unknown relation %q", op.Stmt.Tuple.Rel))
 		}
@@ -309,11 +332,17 @@ func (st *Store) validateBatchLocked(ops []BatchOp) error {
 	return nil
 }
 
+// errUserExists refuses a registration of a bound name.
+func errUserExists(name string) error { return fmt.Errorf("store: user %q already exists", name) }
+
 // batchErr names the failing member of a multi-statement batch; a batch of
 // one reports the cause as is.
 func batchErr(ops []BatchOp, i int, err error) error {
 	if len(ops) == 1 {
 		return err
+	}
+	if ops[i].User != "" {
+		return fmt.Errorf("store: batch member %d (registration of %q): %w", i, ops[i].User, err)
 	}
 	return fmt.Errorf("store: batch statement %d (%s): %w", i, ops[i].Stmt, err)
 }
@@ -358,6 +387,16 @@ func (st *Store) applyBatchLocked(ops []BatchOp) (BatchResult, error) {
 // applyOpLocked applies one batch member, keeping the statement count n in
 // step (a failed batch rewinds it with the rest of the logical state).
 func (st *Store) applyOpLocked(op BatchOp, pend *pendingReconcile) (bool, error) {
+	if op.User != "" {
+		// Validation saw the pre-round state; an earlier batch of the
+		// round may have bound the name since.
+		if _, dup := st.usersByName[op.User]; dup {
+			return false, errUserExists(op.User)
+		}
+		uid := core.UserID(st.nextUID)
+		st.nextUID++
+		return true, st.registerUser(uid, op.User)
+	}
 	ri := st.rels[op.Stmt.Tuple.Rel]
 	if !op.Delete && !op.Replace {
 		y, err := st.idWorld(op.Stmt.Path)
@@ -386,23 +425,35 @@ func (st *Store) applyOpLocked(op BatchOp, pend *pendingReconcile) (bool, error)
 	return true, err
 }
 
-// logicalMark snapshots the logical world catalogs so a rollback can undo
-// them alongside the engine transaction's table undo log: idWorld registers
-// new worlds in widByPath/pathByWid (and bumps nextWid/nextTid) outside any
-// table, and leaving those entries behind after a rollback would let later
-// statements resolve paths to worlds whose D/E/S rows were undone.
+// logicalMark snapshots the logical world and user catalogs so a rollback
+// can undo them alongside the engine transaction's table undo log: idWorld
+// registers new worlds in widByPath/pathByWid (and bumps nextWid/nextTid),
+// and a registration binds a name in usersByID/usersByName (and bumps
+// nextUID), outside any table. Leaving those entries behind after a
+// rollback would let later statements resolve paths to worlds whose D/E/S
+// rows were undone, or names whose Users row was.
 type logicalMark struct {
-	nextWid, nextTid int64
-	n                int
+	nextWid, nextTid, nextUID int64
+	n                         int
 }
 
 func (st *Store) markLogical() logicalMark {
-	return logicalMark{nextWid: st.nextWid, nextTid: st.nextTid, n: st.n}
+	return logicalMark{nextWid: st.nextWid, nextTid: st.nextTid, nextUID: st.nextUID, n: st.n}
 }
 
-// rewindLogical drops every world registered since the mark (idWorld only
-// ever adds worlds, with ascending ids) and restores the counters.
+// rewindLogical drops every world and user registered since the mark
+// (idWorld and registrations only ever add them, with ascending ids) and
+// restores the counters.
 func (st *Store) rewindLogical(m logicalMark) {
+	if m.nextUID != st.nextUID {
+		st.usersGen++
+	}
+	for uid := m.nextUID; uid < st.nextUID; uid++ {
+		if name, ok := st.usersByID[core.UserID(uid)]; ok {
+			delete(st.usersByName, name)
+			delete(st.usersByID, core.UserID(uid))
+		}
+	}
 	if m.nextWid != st.nextWid {
 		st.worldsGen++
 	}
@@ -412,7 +463,7 @@ func (st *Store) rewindLogical(m logicalMark) {
 			delete(st.pathByWid, wid)
 		}
 	}
-	st.nextWid, st.nextTid, st.n = m.nextWid, m.nextTid, m.n
+	st.nextWid, st.nextTid, st.nextUID, st.n = m.nextWid, m.nextTid, m.nextUID, m.n
 }
 
 // pendingReconcile collects the (relation, world, key) anchors a batch's

@@ -406,3 +406,59 @@ func TestConflictRollbackRewindsWorlds(t *testing.T) {
 		t.Error("rolled-back world {2,1} still registered in the path catalog")
 	}
 }
+
+// TestRegistrationRollbackRewindsUsers: a registration in a batch that
+// conflicts is undone with it. The engine undo log removes its Users and E
+// rows; the rewind must also unbind the name and give its uid back, or
+// the name stays resolvable and the next registration skips a uid.
+func TestRegistrationRollbackRewindsUsers(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddUser("u1"); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	_, err = st.ApplyBatch([]BatchOp{
+		{User: "x"},
+		bIns(nil, core.Pos, "S", "k1", "heron"),
+		bIns(nil, core.Neg, "S", "k1", "heron"), // Γ2 against the member before
+	})
+	var conflict *ErrConflict
+	if !errors.As(err, &conflict) {
+		t.Fatalf("batch error = %v, want an ErrConflict", err)
+	}
+	if after := st.Stats(); before.String() != after.String() {
+		t.Errorf("failed batch changed state:\nbefore %safter  %s", before, after)
+	}
+	if uid, ok := st.UserID("x"); ok {
+		t.Errorf("rolled-back name x still resolves to uid %d", uid)
+	}
+	uid, err := st.AddUser("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uid != 2 {
+		t.Errorf("next registration got uid %d, want 2 (the uid x would have had)", uid)
+	}
+	st.Close()
+
+	// The failed batch is journaled; replay reaches the same rollback.
+	re, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	shadow, err := Open(crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow.AddUser("u1")
+	shadow.AddUser("y")
+	assertSameStore(t, "registration rollback replay", shadow, re)
+	if g, w := fmt.Sprint(userNames(t, re)), fmt.Sprint(userNames(t, shadow)); g != w {
+		t.Errorf("reopened users %s, want %s", g, w)
+	}
+}

@@ -113,14 +113,18 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 		{bIns(nil, core.Pos, "S", "k1", "bald eagle")},
 		{bIns(core.Path{1}, core.Pos, "S", "k2", "crow"), bIns(core.Path{1}, core.Neg, "S", "k2", "crow")}, // rolls back
 		{bIns(core.Path{2}, core.Pos, "C", "c1", "feathers"), bIns(core.Path{2, 1}, core.Pos, "S", "k3", "osprey")},
+		{{User: "u3"}},
 	}
 	syncs0 := st.WALSyncs()
 	outs := st.ApplyBatchGroupTokens(groups, nil)
 	if got := st.WALSyncs() - syncs0; got != 1 {
 		t.Errorf("round issued %d fsyncs, want 1", got)
 	}
-	if outs[0].Err != nil || outs[2].Err != nil || outs[1].Err == nil {
+	if outs[0].Err != nil || outs[2].Err != nil || outs[3].Err != nil || outs[1].Err == nil {
 		t.Fatalf("outcomes: %+v", outs)
+	}
+	if uid, ok := st.UserID("u3"); !ok || uid != 3 {
+		t.Errorf("UserID(u3) = %d, %v; want 3", uid, ok)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -136,6 +140,44 @@ func TestApplyBatchGroupSingleFsync(t *testing.T) {
 	shadow := groupFixture(t, "")
 	shadow.ApplyBatchGroupTokens(groups, nil)
 	assertSameStore(t, "recovered round", shadow, re)
+}
+
+// TestApplyBatchGroupSameNameTwice: two batches of one round register the
+// same name. Both pass validation, which sees the state before the round;
+// the second is refused when it applies, after the first bound the name.
+// The round costs one fsync, and replay reaches the same outcomes.
+func TestApplyBatchGroupSameNameTwice(t *testing.T) {
+	dir := t.TempDir()
+	st := groupFixture(t, dir)
+	groups := [][]BatchOp{{{User: "a"}}, {{User: "a"}}}
+	syncs0 := st.WALSyncs()
+	outs := st.ApplyBatchGroupTokens(groups, nil)
+	if got := st.WALSyncs() - syncs0; got != 1 {
+		t.Errorf("round issued %d fsyncs, want 1", got)
+	}
+	if outs[0].Err != nil {
+		t.Fatalf("first registration: %v", outs[0].Err)
+	}
+	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "already exists") {
+		t.Fatalf("second registration: err = %v, want already exists", outs[1].Err)
+	}
+	if got := fmt.Sprint(userNames(t, st)); got != "[u1 u2 a]" {
+		t.Errorf("users %s, want [u1 u2 a]", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenAt(dir, crashRels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := fmt.Sprint(userNames(t, re)); got != "[u1 u2 a]" {
+		t.Errorf("users after replay %s, want [u1 u2 a]", got)
+	}
+	if uid, err := re.AddUser("b"); err != nil || uid != 4 {
+		t.Errorf("AddUser(b) after replay = %d, %v; want 4", uid, err)
+	}
 }
 
 // TestApplyBatchGroupInsideTxn: a round cannot run inside a raw-SQL

@@ -1,10 +1,11 @@
 package store
 
 // One seeded trace, every way into the store, one oracle: the commit
-// primitive has many callers (Insert/Delete/Replace, ApplyBatch, BulkLoad,
-// the Coalescer, replica apply, WAL replay and snapshot loading, on reopen
-// and on replica bootstrap), and each must leave exactly the state
-// core.BeliefBase derives from the same operations. Raw SQL is no
+// primitive has many callers (Insert/Delete/Replace, AddUser, ApplyBatch,
+// BulkLoad, the Coalescer, replica apply, WAL replay and snapshot loading,
+// on reopen and on replica bootstrap), and each must leave exactly the
+// state core.BeliefBase derives from the same operations, and the users
+// the same registrations bind. Raw SQL is no
 // way in: every script that would write the internal schema is refused.
 
 import (
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,7 +30,11 @@ const traceUsers = 6
 // genTrace draws groups of one to four operations: mostly generator
 // inserts (duplicates and Γ-conflicts arise by themselves on the small key
 // pool), plus deletes and replaces of statements some earlier insert named —
-// present, already deleted, or rejected, so no-op forms occur too.
+// present, already deleted, or rejected, so no-op forms occur too. About
+// one group in six also registers a user: a new name, or the last one
+// again (refused if it is bound, whether before the round or earlier in
+// it; bound now if its first attempt rolled back). Registrations draw from
+// their own source, so the statement stream does not depend on them.
 func genTrace(seed int64, n int) [][]BatchOp {
 	g, err := gen.New(gen.Config{
 		Users: traceUsers, DepthDist: []float64{0.35, 0.35, 0.2, 0.1},
@@ -38,7 +44,9 @@ func genTrace(seed int64, n int) [][]BatchOp {
 		panic(err)
 	}
 	r := rand.New(rand.NewSource(seed))
+	ru := rand.New(rand.NewSource(^seed))
 	var seen []core.Statement
+	var names []string
 	var trace [][]BatchOp
 	for total := 0; total < n; {
 		group := make([]BatchOp, 1+r.Intn(4))
@@ -53,6 +61,12 @@ func genTrace(seed int64, n int) [][]BatchOp {
 				seen = append(seen, s)
 				group[i] = BatchOp{Stmt: s}
 			}
+		}
+		if ru.Intn(6) == 0 {
+			if len(names) == 0 || ru.Intn(3) > 0 {
+				names = append(names, fmt.Sprintf("r%d", len(names)+1))
+			}
+			group = slices.Insert(group, ru.Intn(len(group)+1), BatchOp{User: names[len(names)-1]})
 		}
 		trace = append(trace, group)
 		total += len(group)
@@ -72,14 +86,24 @@ func singletons(trace [][]BatchOp) [][]BatchOp {
 }
 
 // oracle applies the groups to the reference semantics, each group
-// all-or-nothing, and counts the groups a conflict rolled back.
-func oracle(groups [][]BatchOp) (base *core.BeliefBase, rolledBack int) {
+// all-or-nothing, and counts the groups a conflict or a bound name rolled
+// back. users lists the names bound, in uid order: traceStore's, then
+// each registration of a committed group.
+func oracle(groups [][]BatchOp) (base *core.BeliefBase, users []string, rolledBack int) {
 	base = core.NewBeliefBase()
+	for i := 1; i <= traceUsers; i++ {
+		users = append(users, fmt.Sprintf("u%d", i))
+	}
 	for _, g := range groups {
-		next, ok := base.Clone(), true
+		next, nextUsers, ok := base.Clone(), slices.Clone(users), true
 		for _, op := range g {
 			var err error
 			switch {
+			case op.User != "":
+				if slices.Contains(nextUsers, op.User) {
+					err = fmt.Errorf("user %q already exists", op.User)
+				}
+				nextUsers = append(nextUsers, op.User)
 			case op.Delete:
 				next.Delete(op.Stmt)
 			case op.Replace:
@@ -94,12 +118,27 @@ func oracle(groups [][]BatchOp) (base *core.BeliefBase, rolledBack int) {
 			ok = ok && err == nil
 		}
 		if ok {
-			base = next
+			base, users = next, nextUsers
 		} else {
 			rolledBack++
 		}
 	}
-	return base, rolledBack
+	return base, users, rolledBack
+}
+
+// userNames lists the store's users by name, in uid order, failing unless
+// the uids are 1, 2, … with no gap.
+func userNames(t *testing.T, st *Store) []string {
+	t.Helper()
+	var out []string
+	for i, uid := range st.Users() {
+		if uid != core.UserID(i+1) {
+			t.Errorf("user ids %v are not 1..%d", st.Users(), len(st.Users()))
+		}
+		name, _ := st.UserName(uid)
+		out = append(out, name)
+	}
+	return out
 }
 
 func traceStore(t *testing.T, dir string) *Store {
@@ -125,6 +164,8 @@ func traceStore(t *testing.T, dir string) *Store {
 // applySingle commits one operation through its single-statement method.
 func applySingle(st *Store, op BatchOp) {
 	switch {
+	case op.User != "":
+		st.AddUser(op.User)
 	case op.Delete:
 		st.Delete(op.Stmt)
 	case op.Replace:
@@ -133,6 +174,8 @@ func applySingle(st *Store, op BatchOp) {
 		st.Insert(op.Stmt)
 	}
 }
+
+func isInsert(op BatchOp) bool { return op.User == "" && !op.Delete && !op.Replace }
 
 func walOps(ops []BatchOp) []wal.Op {
 	out := make([]wal.Op, len(ops))
@@ -188,15 +231,15 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 		{"BulkLoad", "single", func(t *testing.T, groups [][]BatchOp) *Store {
 			st := traceStore(t, "")
 			for len(groups) > 0 {
-				if op := groups[0][0]; op.Delete || op.Replace {
-					applySingle(st, op)
+				if !isInsert(groups[0][0]) {
+					applySingle(st, groups[0][0])
 					groups = groups[1:]
 					continue
 				}
 				// One load per run of inserts; a rejected statement rolls
 				// back alone and the load goes on.
 				err := st.BulkLoad(func(insert func(core.Statement) (bool, error)) error {
-					for ; len(groups) > 0 && !groups[0][0].Delete && !groups[0][0].Replace; groups = groups[1:] {
+					for ; len(groups) > 0 && isInsert(groups[0][0]); groups = groups[1:] {
 						insert(groups[0][0].Stmt)
 					}
 					return nil
@@ -210,6 +253,14 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 		{"ApplyReplicated", "single", func(t *testing.T, groups [][]BatchOp) *Store {
 			st := traceStore(t, "")
 			for _, g := range groups {
+				// A bare registration is what every WAL written before
+				// registrations joined the batch holds; it still replays.
+				if g[0].User != "" {
+					if err := st.ApplyReplicated(g[0].walOp()); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
 				// A bare statement record is legacy: the replica refuses it
 				// and takes the group of one a current primary ships.
 				if err := st.ApplyReplicated(g[0].walOp()); !legacyRefusal(err) {
@@ -382,11 +433,14 @@ func TestEntryPointsMatchOracle(t *testing.T) {
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
 			groups := groupings[e.grouping]
-			base, rolledBack := oracle(groups)
-			if rolledBack == 0 || base.Len() == 0 {
-				t.Fatalf("vacuous trace: %d statements, %d groups rolled back", base.Len(), rolledBack)
+			base, users, rolledBack := oracle(groups)
+			if rolledBack == 0 || base.Len() == 0 || len(users) <= traceUsers {
+				t.Fatalf("vacuous trace: %d statements, %d users, %d groups rolled back", base.Len(), len(users), rolledBack)
 			}
 			st := e.run(t, groups)
+			if g, w := fmt.Sprint(userNames(t, st)), fmt.Sprint(users); g != w {
+				t.Errorf("users:\n got %s\nwant %s", g, w)
+			}
 
 			got, err := st.ExplicitStatements()
 			if err != nil {

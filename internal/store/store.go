@@ -64,9 +64,10 @@ type relInfo struct {
 // The Store is the one owning facade of the internal schema's engine
 // catalog: nothing else holds the catalog, its writer lock or its
 // publication. It is safe for concurrent use under the single-writer /
-// snapshot-reader (MVCC) model: the update algorithms (Insert/Delete/
-// Replace, AddUser, Rebuild, Vacuum, the batch paths) and raw-SQL index
-// DDL (SQL) hold the exclusive writer lock and, on completion, publish an
+// snapshot-reader (MVCC) model: the commit primitive
+// (ApplyBatchGroupTokens, which Insert/Delete/Replace, AddUser and the
+// other batch paths call), Rebuild, Vacuum and raw-SQL index DDL (SQL)
+// hold the exclusive writer lock and, on completion, publish an
 // immutable view of the whole representation through an atomic pointer
 // swap. Read methods (WorldContent, Entails, ExplicitStatements, Stats, user
 // lookups) and read-only SQL — translated BeliefSQL SELECTs included — pin
@@ -287,32 +288,28 @@ func (st *Store) Relation(name string) (Relation, bool) {
 
 // AddUser registers a user and inserts back edges E(x, u, 0) from every
 // existing world to the root, as prescribed for new-user inserts in
-// Sect. 5.3.
+// Sect. 5.3. It is a batch of one registration (see ApplyBatchGroupTokens)
+// and returns the uid it bound: the next one, so uids are handed out 1, 2,
+// … in registration order.
 func (st *Store) AddUser(name string) (core.UserID, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.publishLocked()
 	if name == "" {
 		return 0, fmt.Errorf("store: empty user name")
 	}
-	if _, dup := st.usersByName[name]; dup {
-		return 0, fmt.Errorf("store: user %q already exists", name)
-	}
-	if err := st.logOp(wal.AddUser(name)); err != nil {
+	if _, err := st.ApplyBatch([]BatchOp{{User: name}}); err != nil {
 		return 0, err
 	}
-	uid := core.UserID(st.nextUID)
-	st.nextUID++
-	if err := st.registerUser(uid, name); err != nil {
-		return 0, err
-	}
-	return uid, nil
+	// Names are never unbound once committed, so the live catalog still
+	// holds this one.
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.usersByName[name], nil
 }
 
 // registerUser enters user uid into Users and the user catalogs and inserts
 // the back edges E(x, uid, 0) from every existing world: a brand-new user
-// appears in no state path, so dss(w·uid) = ε. AddUser calls it with the
-// next uid; loading a snapshot, with each recorded one.
+// appears in no state path, so dss(w·uid) = ε. A registration member of a
+// batch calls it with the next uid, inside the batch's engine transaction;
+// loading a snapshot, with each recorded one.
 func (st *Store) registerUser(uid core.UserID, name string) error {
 	if _, err := st.usersTable.Insert([]val.Value{val.Int(int64(uid)), val.Str(name)}); err != nil {
 		return err
