@@ -623,9 +623,12 @@ func (cli *Client) execBatchTokenPos(ctx context.Context, script, token string) 
 }
 
 // AddUser registers a community member on the server and returns their id.
-// AddUser is not retried automatically: it carries no idempotency token,
-// and a duplicate registration is a server-side error the caller should
-// see.
+// A server commits the registration as a batch of one, handing out uids 1,
+// 2, … in registration order; a router registers the name on shard 0,
+// which alone allocates uids, and copies shard 0's Users table to every
+// other shard in uid order. AddUser is not retried automatically: it
+// carries no idempotency token, and a duplicate registration is a
+// server-side error the caller should see.
 func (cli *Client) AddUser(ctx context.Context, name string) (UserID, error) {
 	uid, _, err := cli.addUserPos(ctx, name)
 	return uid, err

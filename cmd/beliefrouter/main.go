@@ -4,7 +4,8 @@
 // request to the shard servers behind it — batch writes split by owning
 // row key, queries scattered to every shard and merged (global DISTINCT,
 // partial-aggregate recombination, ORDER BY/LIMIT), user registrations
-// broadcast so the replicated Users table stays identical everywhere. See
+// made on shard 0 and copied to every other shard in uid order so the
+// replicated Users table stays identical everywhere. See
 // internal/router for the routing rules and DESIGN.md's Sharding section
 // for why the merge is sound.
 //

@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -118,12 +119,61 @@ func TestRouterCompletesDeadRegistration(t *testing.T) {
 	requireEqualUsers(t, sc, 2, "1=Alice 2=zed 3=yan")
 }
 
+// slowRelay forwards connections to backend, holding each chunk sent
+// toward it for delay, so a client behind it reaches backend later than
+// one connected directly. It stops accepting when the test ends.
+func slowRelay(t *testing.T, backend string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			front, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			back, err := net.Dial("tcp", backend)
+			if err != nil {
+				front.Close()
+				continue
+			}
+			go func() {
+				io.Copy(front, back)
+				front.Close()
+			}()
+			go func() {
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := front.Read(buf)
+					if n > 0 {
+						time.Sleep(delay)
+						back.Write(buf[:n])
+					}
+					if err != nil {
+						back.Close()
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestTwoRoutersRegisterConcurrently: two routers over the same shard
-// primaries register names from four goroutines each. Every registration
-// succeeds and the shards end with equal Users tables.
+// primaries register names from four goroutines each; the second reaches
+// shard 1 over a slower link, so its registrations arrive there later
+// than the first router's. Every registration succeeds and the shards end
+// with equal Users tables.
 func TestTwoRoutersRegisterConcurrently(t *testing.T) {
 	sc := startUserCluster(t)
-	backends := []router.Backend{{Primary: sc.Shard(0).PrimaryAddr()}, {Primary: sc.Shard(1).PrimaryAddr()}}
+	backends := []router.Backend{
+		{Primary: sc.Shard(0).PrimaryAddr()},
+		{Primary: slowRelay(t, sc.Shard(1).PrimaryAddr(), time.Millisecond)},
+	}
 	second, err := router.New(backends)
 	if err != nil {
 		t.Fatal(err)

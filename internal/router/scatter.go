@@ -242,13 +242,9 @@ func (r *Router) addUser(ctx context.Context, name string) (client.UserID, error
 	if err == nil && addErr != nil {
 		// Refused, or committed with the acknowledgement lost: shard 0's
 		// table says whether the name is bound.
-		uid = 0
-		for _, u := range want {
-			if u.name == name {
-				uid = u.uid
-			}
-		}
-		if uid == 0 {
+		if k := slices.IndexFunc(want, func(u user) bool { return u.name == name }); k >= 0 {
+			uid = want[k].uid
+		} else {
 			err = addErr
 		}
 	}
