@@ -82,13 +82,17 @@ func TestRouterUserRules(t *testing.T) {
 	if _, err := cli.AddUser(ctx, "Bob"); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Errorf("third registration: err = %v, want already exists", err)
 	}
-	requireEqualUsers(t, sc, 2, "1=Alice 2=Bob")
+	for i := 0; i < 2; i++ {
+		if got, want := usersTable(t, sc.Shard(i).PrimaryDB()), "1=Alice 2=Bob"; got != want {
+			t.Errorf("shard %d Users = %q, want %q", i, got, want)
+		}
+	}
 }
 
 // requireEqualUsers fails unless every shard's Users table reads want.
-func requireEqualUsers(t *testing.T, sc *ShardedCluster, shards int, want string) {
+func requireEqualUsers(t *testing.T, sc *ShardedCluster, want string) {
 	t.Helper()
-	for i := 0; i < shards; i++ {
+	for i := range sc.shards {
 		if got := usersTable(t, sc.Shard(i).PrimaryDB()); got != want {
 			t.Errorf("shard %d Users = %q, want %q", i, got, want)
 		}
@@ -116,7 +120,7 @@ func TestRouterCompletesDeadRegistration(t *testing.T) {
 	if uid != 3 {
 		t.Errorf("yan got uid %d, want 3", uid)
 	}
-	requireEqualUsers(t, sc, 2, "1=Alice 2=zed 3=yan")
+	requireEqualUsers(t, sc, "1=Alice 2=zed 3=yan")
 }
 
 // slowRelay forwards connections to backend, holding each chunk sent
@@ -220,7 +224,7 @@ func TestTwoRoutersRegisterConcurrently(t *testing.T) {
 	if n := strings.Count(want, "="); n != 1+2*goroutines*names {
 		t.Errorf("shard 0 holds %d users, want %d", n, 1+2*goroutines*names)
 	}
-	requireEqualUsers(t, sc, 2, want)
+	requireEqualUsers(t, sc, want)
 }
 
 // TestRouterRegistrationHealsAfterShardOutage: a registration fails while
@@ -264,7 +268,7 @@ func TestRouterRegistrationHealsAfterShardOutage(t *testing.T) {
 	if _, err := cli.AddUser(ctx, "Carol"); err != nil {
 		t.Fatalf("registration after shard 1 returned: %v", err)
 	}
-	requireEqualUsers(t, sc, 2, "1=Alice 2=Bob 3=Carol")
+	requireEqualUsers(t, sc, "1=Alice 2=Bob 3=Carol")
 }
 
 // TestRouterRefusesDirectRegistration: a name registered straight on

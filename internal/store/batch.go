@@ -102,9 +102,8 @@ func (st *Store) ApplyBatchToken(ops []BatchOp, token string) (BatchResult, erro
 // ApplyBatchGroupTokens is the store's one commit primitive; every other
 // statement mutation and every user registration (Insert, Delete, Replace,
 // AddUser, ApplyBatch, BulkLoad, the Coalescer, replica apply and WAL
-// replay) is a caller of it. It applies
-// several independent batches under one writer-lock acquisition and one WAL
-// commit boundary: the batches are validated up front, every valid one is
+// replay) is a caller of it. It applies several independent batches under
+// one writer-lock acquisition and one WAL commit boundary: the batches are validated up front, every valid one is
 // journaled write-ahead in a single write acknowledged by a single fsync
 // (wal.Log.AppendGroups), each is then applied through the update
 // algorithms as its own engine transaction with dependent-world
@@ -125,10 +124,10 @@ func (st *Store) ApplyBatchToken(ops []BatchOp, token string) (BatchResult, erro
 // ErrConflict, an arity or type error, a name an earlier batch of the
 // round registered — rolls that batch (alone) back: tables through the
 // engine transaction's undo log, the logical world and user catalogs
-// through an explicit rewind. The failure is deterministic (a
-// function of the store state and the statements alone), and the group is
-// already journaled, so crash-replay re-runs the same batch, reaches the
-// same failure, and rolls back identically.
+// through an explicit rewind. The failure is deterministic (a function of
+// the store state and the batch alone), and the group is already
+// journaled, so crash-replay re-runs the same batch, reaches the same
+// failure, and rolls back identically.
 //
 // tokens is nil or holds one idempotency token per batch ("" = none). A
 // batch whose token is already in the applied-token table reports its
@@ -226,10 +225,10 @@ func (st *Store) commitLocked(groups [][]BatchOp, tokens []string) []BatchOutcom
 // logGroups journals the groups picked by valid as independent WAL groups
 // under a single fsync, each group's idempotency token ("" = none) recorded
 // in its BatchBegin marker. It is the only place statement mutations and
-// registrations reach the journal. In-memory stores (wal == nil) skip logging. After an append
-// failure the store refuses further mutations: bytes after a torn record
-// are unreachable to recovery, so acknowledging later operations would
-// silently drop them.
+// registrations reach the journal. In-memory stores (wal == nil) skip
+// logging. After an append failure the store refuses further mutations:
+// bytes after a torn record are unreachable to recovery, so acknowledging
+// later operations would silently drop them.
 func (st *Store) logGroups(groups [][]BatchOp, tokens []string, valid []int) error {
 	if st.closed {
 		return ErrClosed
